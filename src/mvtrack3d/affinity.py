@@ -194,7 +194,7 @@ def epipolar_joint_affinity(x_i, x_j, cam_i: CameraCalibration,
     """Symmetric epipolar affinity of two pixels in different cameras."""
     f_ij = geometry.fundamental_matrix(cam_i, cam_j)
     f_ji = geometry.fundamental_matrix(cam_j, cam_i)
-    return float(kernels.epipolar_pair_affinity(
+    return float(kernels.epipolar_pair_affinities(
         float(x_i[0]), float(x_i[1]), float(x_j[0]), float(x_j[1]),
         f_ij, f_ji, config.alpha_epi,
     ))

@@ -1,35 +1,3 @@
-"""Kernel backend selection.
+"""Name of the kernel implementation, reported in benchmark environments."""
 
-The numeric kernels run either through numba's njit or as plain numpy,
-selected once at import time by the MVTRACK3D_BACKEND environment
-variable: "numba", "numpy", or "auto" (default, numba if importable).
-"""
-
-import os
-
-_requested = os.environ.get("MVTRACK3D_BACKEND", "auto").strip().lower()
-
-if _requested not in ("auto", "numba", "numpy"):
-    raise RuntimeError(
-        f"MVTRACK3D_BACKEND must be 'numba', 'numpy' or 'auto', got {_requested!r}"
-    )
-
-NUMBA_ENABLED = False
-
-if _requested in ("auto", "numba"):
-    try:
-        import numba
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        if _requested == "numba":
-            raise
-
-BACKEND = "numba" if NUMBA_ENABLED else "numpy"
-
-
-def jit(func):
-    """Compile with numba when the numba backend is active, else return as-is."""
-    if NUMBA_ENABLED:
-        return numba.njit(cache=True)(func)
-    return func
+BACKEND = "numpy"

@@ -9,41 +9,16 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
 
-from . import fileio, kernels, synth
+from . import fileio, synth
 from .affinity import PRESETS
-from .backend import BACKEND
 from .errors import ConfigError, MvTrackError
 from .evaluation import pcp_evaluate
 from .geometry import CameraRig
 from .schema import get_schema
 from .tracker import PoseTracker, TrackerConfig
-
-
-@dataclass
-class RunConfig:
-    """Merged settings for one CLI invocation."""
-
-    subcommand: str
-    paths: dict = field(default_factory=dict)
-    preset: str | None = None
-    overrides: dict = field(default_factory=dict)
-    part_aware: bool = True
-    joints_filter: bool = True
-    smoothing: bool = True
-    report: str = "text"
-
-    def tracker_config(self) -> TrackerConfig:
-        base = TrackerConfig(affinity=PRESETS[self.preset]) if self.preset \
-            else TrackerConfig()
-        cfg = base.with_overrides(**self.overrides) if self.overrides else base
-        return cfg.with_overrides(part_aware=self.part_aware,
-                                  joints_filter=self.joints_filter,
-                                  smoothing=self.smoothing)
 
 
 def _parse_set(pairs: list[str]) -> dict:
@@ -99,17 +74,13 @@ def _cmd_synth(args) -> int:
 def _cmd_track(args) -> int:
     _require_files(args.calib, args.detections)
     preset, overrides = _merged_overrides(args)
-    run_cfg = RunConfig(
-        subcommand="track",
-        paths={"calib": args.calib, "detections": args.detections,
-               "out": args.out},
-        preset=preset,
-        overrides=overrides,
-        part_aware=not args.no_part_aware,
-        joints_filter=not args.no_joints_filter,
-        smoothing=not args.no_smoothing,
-    )
-    config = run_cfg.tracker_config()
+    config = TrackerConfig(affinity=PRESETS[preset]) if preset \
+        else TrackerConfig()
+    if overrides:
+        config = config.with_overrides(**overrides)
+    config = config.with_overrides(part_aware=not args.no_part_aware,
+                                   joints_filter=not args.no_joints_filter,
+                                   smoothing=not args.no_smoothing)
     cameras = fileio.load_calibration(args.calib)
     rig = CameraRig(cameras)
     header = fileio.read_detections_header(args.detections)
@@ -155,7 +126,6 @@ def _bench_once(frames: int, seed: int) -> dict:
     scene = synth.generate(cfg)
     rig = CameraRig(scene.cameras)
     config = TrackerConfig(affinity=PRESETS["shelf"])
-    kernels.warm_up()
     warm = PoseTracker(rig, config)
     for bundle in scene.bundles[: min(10, frames)]:
         warm.step(bundle)
@@ -166,7 +136,6 @@ def _bench_once(frames: int, seed: int) -> dict:
     wall = time.perf_counter() - t0
     stage = tracker.stage_means_ms
     return {
-        "backend": BACKEND,
         "frames": frames,
         "associate_ms": stage["associate"],
         "reconstruct_ms": stage["reconstruct"],
@@ -175,39 +144,14 @@ def _bench_once(frames: int, seed: int) -> dict:
     }
 
 
-def _print_bench(result: dict) -> None:
-    print(f"backend {result['backend']}: {result['frames']} frames, "
-          f"5 cameras, 4 actors")
+def _cmd_bench(args) -> int:
+    result = _bench_once(args.frames, args.seed or 0)
+    print(f"{result['frames']} frames, 5 cameras, 4 actors")
     print(f"  association    {result['associate_ms']:8.3f} ms/frame")
     print(f"  reconstruction {result['reconstruct_ms']:8.3f} ms/frame")
     print(f"  initialization {result['initialize_ms']:8.3f} ms/frame")
     print(f"  full step      {result['total_ms']:8.3f} ms/frame")
     print("RESULT " + json.dumps(result, separators=(",", ":")))
-
-
-def _cmd_bench(args) -> int:
-    if not args.compare_backends:
-        _print_bench(_bench_once(args.frames, args.seed or 0))
-        return 0
-    results = []
-    for backend in ("numba", "numpy"):
-        env = dict(os.environ, MVTRACK3D_BACKEND=backend)
-        proc = subprocess.run(
-            [sys.executable, "-m", "mvtrack3d", "bench",
-             "--frames", str(args.frames), "--seed", str(args.seed or 0)],
-            capture_output=True, text=True, env=env,
-        )
-        if proc.returncode != 0:
-            sys.stderr.write(proc.stderr)
-            return proc.returncode
-        for line in proc.stdout.splitlines():
-            if line.startswith("RESULT "):
-                results.append(json.loads(line[len("RESULT "):]))
-    for result in results:
-        _print_bench(result)
-    if len(results) == 2 and results[1]["total_ms"] > 0:
-        ratio = results[1]["total_ms"] / max(results[0]["total_ms"], 1e-9)
-        print(f"speedup (numpy / numba per-frame time): {ratio:.2f}x")
     return 0
 
 
@@ -256,8 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time tracker stages on a stock scene")
     p.add_argument("--frames", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--compare-backends", action="store_true",
-                   help="run once per backend in subprocesses and compare")
     p.set_defaults(func=_cmd_bench)
 
     return parser

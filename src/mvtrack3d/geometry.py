@@ -171,7 +171,7 @@ def epipolar_line(pixel, cam_src: CameraCalibration, cam_dst: CameraCalibration)
 
 def point_line_distance_2d(pixel, line: Line2D) -> float:
     """Perpendicular pixel-to-line distance."""
-    return kernels.point_line_distance(float(pixel[0]), float(pixel[1]), line.a, line.b, line.c)
+    return abs(line.a * float(pixel[0]) + line.b * float(pixel[1]) + line.c)
 
 
 def point_ray_distance_3d(point, ray: Ray3D) -> float:

@@ -1,14 +1,13 @@
-"""Numeric kernels.
+"""Numeric kernels, numpy array code over a whole frame at once.
 
-Two kinds live here. The per-frame hot path (projection, pose scoring,
-the tracked-joint epipolar filter, triangulation) is numpy array code
-over a whole frame at once. The remaining scalar loops (epipolar
-scorers, the initialization filter, assignment, smoothing) run under
-numba's njit when it is available and as plain Python otherwise (see
-backend.jit); callers pass them contiguous float64 / int64 / bool arrays.
+Projection, pose scoring, both epipolar filters and the cross-view pose
+score work on stacked arrays; triangulation is one batched LAPACK SVD.
+Loops remain only over camera pairs, greedy removal steps, the smoothing
+window and the assignment search.
 
-Elementwise expressions follow the scalar order of operations, so each
-element's result does not depend on the batch it is computed in.
+Elementwise expressions follow the scalar order of operations and sums
+run left to right, so each element's result does not depend on the
+batch it is computed in.
 
 Status codes returned by triangulate_batch and triangulate_normalized:
   0 ok, 1 too few rows, 2 rank deficient, 3 point at infinity.
@@ -17,8 +16,6 @@ Status codes returned by triangulate_batch and triangulate_normalized:
 import math
 
 import numpy as np
-
-from .backend import jit
 
 FLAG_TRIANGULATED = 0
 FLAG_PREDICTED = 1
@@ -56,37 +53,14 @@ def point_ray_distance(p, origin, direction):
     return np.sqrt(rr[..., 0] + rr[..., 1] + rr[..., 2])
 
 
-def point_line_distance(u, v, a, b, c):
-    """Distance from pixel (u, v) to the line a*u + b*v + c = 0 with a^2 + b^2 = 1."""
-    return abs(a * u + b * v + c)
-
-
-@jit
-def epipolar_pair_affinity(ua, va, ub, vb, f_ab, f_ba, alpha):
-    """Symmetric epipolar affinity of two pixels in different cameras.
+def epipolar_pair_affinities(ua, va, ub, vb, f_ab, f_ba, alpha):
+    """Symmetric epipolar affinity of pixels (ua, va) in camera a and
+    (ub, vb) in camera b, f_ab / f_ba (...,3,3) broadcast against them.
 
     1 at perfect correspondence, 0 when the mean point-to-line distance
     equals alpha, negative beyond. Pixels sitting exactly on an epipole
     produce no line and score a neutral 0.
     """
-    la = f_ab[0, 0] * ua + f_ab[0, 1] * va + f_ab[0, 2]
-    lb = f_ab[1, 0] * ua + f_ab[1, 1] * va + f_ab[1, 2]
-    lc = f_ab[2, 0] * ua + f_ab[2, 1] * va + f_ab[2, 2]
-    n1 = math.sqrt(la * la + lb * lb)
-    ma = f_ba[0, 0] * ub + f_ba[0, 1] * vb + f_ba[0, 2]
-    mb = f_ba[1, 0] * ub + f_ba[1, 1] * vb + f_ba[1, 2]
-    mc = f_ba[2, 0] * ub + f_ba[2, 1] * vb + f_ba[2, 2]
-    n2 = math.sqrt(ma * ma + mb * mb)
-    if n1 < 1e-12 or n2 < 1e-12:
-        return 0.0
-    d1 = abs(la * ub + lb * vb + lc) / n1
-    d2 = abs(ma * ua + mb * va + mc) / n2
-    return 1.0 - (d1 + d2) / (2.0 * alpha)
-
-
-def epipolar_pair_affinities(ua, va, ub, vb, f_ab, f_ba, alpha):
-    """Array form of epipolar_pair_affinity, f_ab / f_ba (...,3,3) broadcast
-    against the pixel arrays; same expressions in the same order."""
     la = f_ab[..., 0, 0] * ua + f_ab[..., 0, 1] * va + f_ab[..., 0, 2]
     lb = f_ab[..., 1, 0] * ua + f_ab[..., 1, 1] * va + f_ab[..., 1, 2]
     lc = f_ab[..., 2, 0] * ua + f_ab[..., 2, 1] * va + f_ab[..., 2, 2]
@@ -102,16 +76,16 @@ def epipolar_pair_affinities(ua, va, ub, vb, f_ab, f_ba, alpha):
     return np.where(on_epipole, 0.0, 1.0 - (d1 + d2) / (2.0 * alpha))
 
 
-@jit
 def epipolar_pose_score(uv_a, valid_a, uv_b, valid_b, f_ab, f_ba, alpha):
-    """Sum of per-joint epipolar affinities over mutually valid joints."""
-    total = 0.0
-    for n in range(uv_a.shape[0]):
-        if valid_a[n] and valid_b[n]:
-            total += epipolar_pair_affinity(
-                uv_a[n, 0], uv_a[n, 1], uv_b[n, 0], uv_b[n, 1], f_ab, f_ba, alpha
-            )
-    return total
+    """Sum of per-joint epipolar affinities over mutually valid joints.
+
+    uv (...,N,2) and valid (...,N) of the two poses and f_ab / f_ba
+    (...,3,3) broadcast over the leading axes; returns (...).
+    """
+    a = epipolar_pair_affinities(uv_a[..., 0], uv_a[..., 1], uv_b[..., 0],
+                                 uv_b[..., 1], f_ab[..., None, :, :],
+                                 f_ba[..., None, :, :], alpha)
+    return _sequential_sum(np.where(valid_a & valid_b, a, 0.0))
 
 
 def _sequential_sum(x):
@@ -151,21 +125,15 @@ def score_pose_pairs(track_pts, track_valid, dts, K, R, o, poses_uv, poses_valid
     return np.where(count > 0, mean, 0.0)
 
 
-@jit
-def joint_epipolar_matrix(uvs, cam_idx, f_table, alpha):
-    """Pairwise epipolar affinities of one joint's observations, 1 on the diagonal."""
-    m = uvs.shape[0]
-    e = np.ones((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            a = epipolar_pair_affinity(
-                uvs[i, 0], uvs[i, 1], uvs[j, 0], uvs[j, 1],
-                f_table[cam_idx[i], cam_idx[j]], f_table[cam_idx[j], cam_idx[i]],
-                alpha,
-            )
-            e[i, j] = a
-            e[j, i] = a
-    return e
+def _slot_pair_affinities(uv, cam_idx, f_table, alpha):
+    """Epipolar affinity of every slot pair i < j of a batch uv (B,M,2)
+    whose slot m is seen by camera cam_idx[m]; returns (i, j, e (B,P))."""
+    pi, pj = np.triu_indices(uv.shape[1], 1)
+    ci, cj = cam_idx[pi], cam_idx[pj]
+    e = epipolar_pair_affinities(uv[:, pi, 0], uv[:, pi, 1], uv[:, pj, 0],
+                                 uv[:, pj, 1], f_table[ci, cj], f_table[cj, ci],
+                                 alpha)
+    return pi, pj, e
 
 
 def filter_tracked_batch(uv, alive, cam_idx, f_table, alpha, pred, origins,
@@ -180,11 +148,7 @@ def filter_tracked_batch(uv, alive, cam_idx, f_table, alpha, pred, origins,
     prediction (i on a tie). Returns the keep mask (B,M).
     """
     m = uv.shape[1]
-    pi, pj = np.triu_indices(m, 1)
-    ci, cj = cam_idx[pi], cam_idx[pj]
-    e = epipolar_pair_affinities(uv[:, pi, 0], uv[:, pi, 1], uv[:, pj, 0],
-                                 uv[:, pj, 1], f_table[ci, cj], f_table[cj, ci],
-                                 alpha)
+    pi, pj, e = _slot_pair_affinities(uv, cam_idx, f_table, alpha)
     rays = back_project_dir(uv[..., 0], uv[..., 1], krinv_table[cam_idx])
     dist = point_ray_distance(pred[:, None, :], origins[cam_idx], rays)
     alive = alive.copy()
@@ -208,50 +172,32 @@ def filter_tracked_mask(uvs, cam_idx, f_table, alpha, pred, origins, krinv_table
                                 pred[None], origins, krinv_table)[0]
 
 
-@jit
-def filter_init_mask(uvs, cam_idx, f_table, alpha):
+def filter_init_mask(uv, alive, cam_idx, f_table, alpha):
     """Epipolar consistency filter used when no 3D prediction exists yet.
 
-    With three or more alive and any negative pair, the observation with
-    the smallest affinity row sum is dropped; an inconsistent final pair
-    is dropped entirely.
+    uv (B,M,2) holds each joint's observation in slot m, seen by camera
+    cam_idx[m], and alive (B,M) marks the observations present. Per
+    joint, while two or more are alive and a surviving pair scores
+    negative: with three or more alive, the first observation in slot
+    order with the smallest affinity sum over the other survivors is
+    dropped; an inconsistent final pair is dropped entirely. Returns the
+    keep mask (B,M).
     """
-    m = uvs.shape[0]
-    e = joint_epipolar_matrix(uvs, cam_idx, f_table, alpha)
-    alive = np.ones(m, np.bool_)
-    count = m
-    while count >= 2:
-        any_neg = False
-        for i in range(m):
-            if not alive[i]:
-                continue
-            for j in range(i + 1, m):
-                if alive[j] and e[i, j] < 0.0:
-                    any_neg = True
-                    break
-            if any_neg:
-                break
-        if not any_neg:
+    m = uv.shape[1]
+    pi, pj, pair_e = _slot_pair_affinities(uv, cam_idx, f_table, alpha)
+    e = np.zeros((uv.shape[0], m, m))
+    e[:, pi, pj] = e[:, pj, pi] = pair_e
+    alive = alive.copy()
+    for _ in range(m - 1):
+        count = alive.sum(axis=1)
+        active = (alive[:, pi] & alive[:, pj] & (pair_e < 0.0)).any(axis=1)
+        if not active.any():
             break
-        if count == 2:
-            for i in range(m):
-                alive[i] = False
-            count = 0
-            break
-        worst_sum = np.inf
-        worst_i = -1
-        for i in range(m):
-            if not alive[i]:
-                continue
-            s = 0.0
-            for j in range(m):
-                if alive[j] and j != i:
-                    s += e[i, j]
-            if s < worst_sum:
-                worst_sum = s
-                worst_i = i
-        alive[worst_i] = False
-        count -= 1
+        alive[active & (count == 2)] = False
+        rows = np.flatnonzero(active & (count > 2))
+        # e's diagonal is 0, so this sums each row over the other survivors
+        sums = _sequential_sum(np.where(alive[rows, None, :], e[rows], 0.0))
+        alive[rows, np.where(alive[rows], sums, np.inf).argmin(axis=1)] = False
     return alive
 
 
@@ -317,7 +263,6 @@ def reconstruct_joints(obs_uv, obs_valid, weights, pred, f_table, origins,
     return joints, flags
 
 
-@jit
 def hungarian_min(cost):
     """Exact minimum-cost square assignment, returns the column of each row."""
     n = cost.shape[0]
@@ -364,7 +309,6 @@ def hungarian_min(cost):
     return out
 
 
-@jit
 def _matching_total(values, allowed, row_lo, col_ok, neg):
     """Best achievable affinity total over rows >= row_lo and permitted columns.
 
@@ -411,7 +355,6 @@ def _matching_total(values, allowed, row_lo, col_ok, neg):
     return total
 
 
-@jit
 def assignment_lex(values, allowed):
     """Maximum-total partial matching over permitted cells, ties broken
     toward the lexicographically smallest (row, col) pair sequence.
@@ -459,48 +402,25 @@ def assignment_lex(values, allowed):
     return chosen
 
 
-@jit
 def causal_gaussian_smooth(times, joints, sigma_frames, fps, t_now):
     """Weighted mean of a trailing window of skeletons.
 
     times (B,), joints (B,N,3) ordered oldest to newest. Gaussian weights
     over the age in frames, renormalized over whatever history exists.
     """
-    b = times.shape[0]
-    n = joints.shape[1]
-    out = np.zeros((n, 3))
+    out = np.zeros(joints.shape[1:])
     wsum = 0.0
-    for i in range(b):
-        age = (t_now - times[i]) * fps
-        # explicit product, x ** 2 rounds differently under the two backends
-        z = age / sigma_frames
+    for t, skeleton in zip(times, joints):
+        z = (t_now - t) * fps / sigma_frames
+        # math.exp: np.exp may round differently from the C library
         w = math.exp(-0.5 * z * z)
         wsum += w
-        for k in range(n):
-            out[k, 0] += w * joints[i, k, 0]
-            out[k, 1] += w * joints[i, k, 1]
-            out[k, 2] += w * joints[i, k, 2]
+        out += w * skeleton
     if wsum > 0.0:
-        for k in range(n):
-            out[k, 0] /= wsum
-            out[k, 1] /= wsum
-            out[k, 2] /= wsum
+        out /= wsum
     return out
 
 
 def warm_up():
-    """Trigger compilation of every jitted kernel with tiny inputs."""
-    f = np.eye(3)
-    epipolar_pair_affinity(1.0, 2.0, 3.0, 4.0, f, f, 10.0)
-    uv = np.array([[1.0, 2.0], [3.0, 4.0]])
-    valid = np.ones(2, np.bool_)
-    epipolar_pose_score(uv, valid, uv, valid, f, f, 10.0)
-    f_table = np.stack((np.stack((f, f)), np.stack((f, f))))
-    cam_idx = np.array([0, 1], np.int64)
-    joint_epipolar_matrix(uv, cam_idx, f_table, 10.0)
-    filter_init_mask(uv, cam_idx, f_table, 10.0)
-    hungarian_min(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    vals = np.array([[0.5, 0.2], [0.1, 0.4]])
-    assignment_lex(vals, vals > 0.0)
-    causal_gaussian_smooth(np.array([0.0, 0.04]), np.zeros((2, 2, 3)), 1.0,
-                           25.0, 0.08)
+    """Nothing to prepare, every kernel is plain numpy. The benchmark
+    (bench/run.py) calls it during set-up."""

@@ -296,19 +296,20 @@ class PoseTracker:
             if not clusters:
                 clusters = [[(ci, p)] for p in cands]
                 continue
-            scores = np.empty((len(clusters), len(cands)))
-            for k, cluster in enumerate(clusters):
-                for l, cand in enumerate(cands):
-                    best = -np.inf
-                    for cj, member in cluster:
-                        s = kernels.epipolar_pose_score(
-                            member.uv, member.valid, cand.uv, cand.valid,
-                            rig.f_table[cj, ci], rig.f_table[ci, cj],
-                            aff.alpha_epi,
-                        )
-                        if s > best:
-                            best = s
-                    scores[k, l] = best
+            # score every (cluster member, candidate) pair, then keep each
+            # cluster's best member
+            members = [m for cluster in clusters for m in cluster]
+            cj = np.array([c for c, _ in members])
+            pair_scores = kernels.epipolar_pose_score(
+                np.stack([p.uv for _, p in members])[:, None],
+                np.stack([p.valid for _, p in members])[:, None],
+                np.stack([p.uv for p in cands]),
+                np.stack([p.valid for p in cands]),
+                rig.f_table[cj, ci][:, None], rig.f_table[ci, cj][:, None],
+                aff.alpha_epi,
+            )
+            starts = np.cumsum([0] + [len(c) for c in clusters[:-1]])
+            scores = np.maximum.reduceat(pair_scores, starts, axis=0)
             match = assignment.solve(scores, 0.0)
             for k, l in match.pairs:
                 clusters[k].append((ci, cands[l]))
@@ -330,13 +331,8 @@ class PoseTracker:
         uv = np.stack([pose.uv for _, pose in cluster], axis=1)
         keep = np.stack([pose.valid for _, pose in cluster], axis=1)
         if cfg.joints_filter:
-            for n in range(keep.shape[0]):
-                views = np.flatnonzero(keep[n])
-                if len(views) >= 2:
-                    keep[n, views] = kernels.filter_init_mask(
-                        np.ascontiguousarray(uv[n, views]), cam_idx[views],
-                        rig.f_table, cfg.affinity.alpha_epi,
-                    )
+            keep = kernels.filter_init_mask(uv, keep, cam_idx, rig.f_table,
+                                            cfg.affinity.alpha_epi)
         uvn = np.stack((uv[..., 0] * rig.su[cam_idx] - 1.0,
                         uv[..., 1] * rig.sv[cam_idx] - 1.0), axis=-1)
         xyz, status = kernels.triangulate_batch(

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from mvtrack3d import kernels, synth
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # compile (or load from cache) every jitted kernel once up front so
-    # individual tests never pay or measure compilation time
-    kernels.warm_up()
+from mvtrack3d import synth
 
 
 @pytest.fixture

@@ -4,7 +4,14 @@ Everything here is implemented independently of the library internals it
 is used to check: camera construction, an exhaustive assignment search, a
 from-scratch pose scorer, a weighted linear triangulator, a one-joint
 greedy epipolar filter, and a limb-correctness scorer. Tests compare library output against these.
+
+The scalar references (epipolar pair affinity and pose score, the
+initialization filter, smoothing) spell out, one element at a time and
+in the same order of operations, what the batched kernels compute, so
+the kernels must match them bit for bit.
 """
+
+import math
 
 import numpy as np
 
@@ -179,6 +186,91 @@ def reference_tracked_filter(cameras, uvs, pred, alpha):
             return np.array(alive, dtype=bool)
         i, j = pair
         alive[i if dist[i] >= dist[j] else j] = False
+
+
+def reference_epipolar_pair_affinity(ua, va, ub, vb, f_ab, f_ba, alpha):
+    """Scalar symmetric epipolar affinity of one pixel pair, 0 on an epipole."""
+    la = f_ab[0, 0] * ua + f_ab[0, 1] * va + f_ab[0, 2]
+    lb = f_ab[1, 0] * ua + f_ab[1, 1] * va + f_ab[1, 2]
+    lc = f_ab[2, 0] * ua + f_ab[2, 1] * va + f_ab[2, 2]
+    n1 = math.sqrt(la * la + lb * lb)
+    ma = f_ba[0, 0] * ub + f_ba[0, 1] * vb + f_ba[0, 2]
+    mb = f_ba[1, 0] * ub + f_ba[1, 1] * vb + f_ba[1, 2]
+    mc = f_ba[2, 0] * ub + f_ba[2, 1] * vb + f_ba[2, 2]
+    n2 = math.sqrt(ma * ma + mb * mb)
+    if n1 < 1e-12 or n2 < 1e-12:
+        return 0.0
+    d1 = abs(la * ub + lb * vb + lc) / n1
+    d2 = abs(ma * ua + mb * va + mc) / n2
+    return 1.0 - (d1 + d2) / (2.0 * alpha)
+
+
+def reference_epipolar_pose_score(uv_a, valid_a, uv_b, valid_b, f_ab, f_ba,
+                                  alpha):
+    """Scalar sum of pair affinities over the mutually valid joints."""
+    total = 0.0
+    for n in range(uv_a.shape[0]):
+        if valid_a[n] and valid_b[n]:
+            total += reference_epipolar_pair_affinity(
+                uv_a[n, 0], uv_a[n, 1], uv_b[n, 0], uv_b[n, 1], f_ab, f_ba,
+                alpha)
+    return total
+
+
+def reference_init_filter(uvs, cam_idx, f_table, alpha):
+    """Scalar initialization filter over one joint's observations (M,2).
+
+    While a surviving pair scores negative: with three or more alive, the
+    first observation with the smallest affinity row sum is dropped; an
+    inconsistent final pair is dropped entirely. Returns the keep mask.
+    """
+    m = uvs.shape[0]
+    e = np.ones((m, m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            e[i, j] = e[j, i] = reference_epipolar_pair_affinity(
+                uvs[i, 0], uvs[i, 1], uvs[j, 0], uvs[j, 1],
+                f_table[cam_idx[i], cam_idx[j]],
+                f_table[cam_idx[j], cam_idx[i]], alpha)
+    alive = [True] * m
+    while sum(alive) >= 2:
+        if not any(alive[i] and alive[j] and e[i, j] < 0.0
+                   for i in range(m) for j in range(i + 1, m)):
+            break
+        if sum(alive) == 2:
+            alive = [False] * m
+            break
+        worst_sum, worst_i = np.inf, -1
+        for i in range(m):
+            if not alive[i]:
+                continue
+            s = 0.0
+            for j in range(m):
+                if alive[j] and j != i:
+                    s += e[i, j]
+            if s < worst_sum:
+                worst_sum, worst_i = s, i
+        alive[worst_i] = False
+    return np.array(alive, dtype=bool)
+
+
+def reference_smooth(times, joints, sigma_frames, fps, t_now):
+    """Scalar Gaussian-weighted mean of a history of skeletons (B,N,3)."""
+    n = joints.shape[1]
+    out = np.zeros((n, 3))
+    wsum = 0.0
+    for i in range(times.shape[0]):
+        z = (t_now - times[i]) * fps / sigma_frames
+        w = math.exp(-0.5 * z * z)
+        wsum += w
+        for k in range(n):
+            for c in range(3):
+                out[k, c] += w * joints[i, k, c]
+    if wsum > 0.0:
+        for k in range(n):
+            for c in range(3):
+                out[k, c] /= wsum
+    return out
 
 
 def reference_pcp_counts(pred_frames, gt_frames, schema):

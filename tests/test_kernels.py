@@ -1,0 +1,207 @@
+"""Array kernels against the scalar references in helpers, bit for bit.
+
+Inputs are generated: rigs from a random seed, pixels near true
+projections with noise and gross outliers, invalid joints whose pixels
+are NaN, pixels sitting on an epipole, single-entry histories and
+repeated views whose affinity row sums tie.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from mvtrack3d import geometry, kernels
+from mvtrack3d.geometry import CameraRig
+
+from helpers import (
+    points_near_origin,
+    random_ring_rig,
+    reference_epipolar_pair_affinity,
+    reference_epipolar_pose_score,
+    reference_init_filter,
+    reference_smooth,
+)
+
+ALPHA = 30.0
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def assert_same_bits(got, want):
+    got = np.asarray(got, dtype=np.float64)
+    want = np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), (got, want)
+
+
+def epipole(cam_a, cam_b):
+    """Pixel in cam_a where cam_b's center projects."""
+    h = cam_a.K @ cam_a.R @ (cam_b.o - cam_a.o)
+    return h[:2] / h[2]
+
+
+def noisy_views(rng, cams, cam_idx, n_points, outlier_rate):
+    """(n_points, len(cam_idx), 2) projections of points near the origin,
+    with 1 px noise and a 50-300 px shift on a fraction of the views."""
+    pts = points_near_origin(rng, n_points)
+    uv = np.stack([[geometry.project(p, cams[c]) for c in cam_idx]
+                   for p in pts])
+    uv += rng.normal(0.0, 1.0, size=uv.shape)
+    bad = rng.random(uv.shape[:2]) < outlier_rate
+    ang = rng.uniform(0.0, 2.0 * np.pi, size=uv.shape[:2])
+    shift = rng.uniform(50.0, 300.0, size=uv.shape[:2])[..., None]
+    uv[bad] += (shift * np.stack((np.cos(ang), np.sin(ang)), axis=-1))[bad]
+    return uv
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, on_epipole_a=st.booleans(), on_epipole_b=st.booleans())
+def test_pair_affinities_match_scalar_reference(seed, on_epipole_a,
+                                                on_epipole_b):
+    rng = np.random.default_rng(seed)
+    cams = random_ring_rig(rng, n_cams=2)
+    rig = CameraRig(cams)
+    uv = noisy_views(rng, cams, [0, 1], 8, 0.3)
+    if on_epipole_a:
+        uv[0, 0] = epipole(cams[0], cams[1])
+    if on_epipole_b:
+        uv[0, 1] = epipole(cams[1], cams[0])
+    f_ab, f_ba = rig.f_table[0, 1], rig.f_table[1, 0]
+    got = kernels.epipolar_pair_affinities(uv[:, 0, 0], uv[:, 0, 1],
+                                           uv[:, 1, 0], uv[:, 1, 1],
+                                           f_ab, f_ba, ALPHA)
+    want = [reference_epipolar_pair_affinity(a[0], a[1], b[0], b[1],
+                                             f_ab, f_ba, ALPHA)
+            for a, b in uv]
+    assert_same_bits(got, want)
+    if on_epipole_a or on_epipole_b:
+        assert want[0] == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, n_members=st.integers(1, 5), n_cands=st.integers(1, 4),
+       n_joints=st.integers(1, 14), invalid_rate=st.sampled_from([0.0, 0.3, 1.0]),
+       on_epipole=st.booleans())
+def test_pose_scores_match_scalar_reference(seed, n_members, n_cands, n_joints,
+                                            invalid_rate, on_epipole):
+    """One broadcast call scores every (member, candidate) pair as the
+    scalar loop scores each pair on its own."""
+    rng = np.random.default_rng(seed)
+    cams = random_ring_rig(rng, n_cams=4)
+    rig = CameraRig(cams)
+    ci = 3
+    cj = rng.integers(0, 3, size=n_members)
+    members = noisy_views(rng, cams, cj, n_joints, 0.2).transpose(1, 0, 2)
+    cands = noisy_views(rng, cams, [ci] * n_cands, n_joints, 0.2)
+    cands = cands.transpose(1, 0, 2)
+    if on_epipole:
+        members[0, 0] = epipole(cams[cj[0]], cams[ci])
+    valid_m = rng.random(members.shape[:2]) >= invalid_rate
+    valid_c = rng.random(cands.shape[:2]) >= invalid_rate
+    members[~valid_m] = np.nan
+    cands[~valid_c] = np.nan
+    got = kernels.epipolar_pose_score(
+        members[:, None], valid_m[:, None], cands, valid_c,
+        rig.f_table[cj, ci][:, None], rig.f_table[ci, cj][:, None], ALPHA)
+    want = [[reference_epipolar_pose_score(
+        members[k], valid_m[k], cands[l], valid_c[l],
+        rig.f_table[cj[k], ci], rig.f_table[ci, cj[k]], ALPHA)
+        for l in range(n_cands)] for k in range(n_members)]
+    assert_same_bits(got, want)
+
+
+def init_filter_case(seed, n_cams, n_repeats, n_points, outlier_rate,
+                     dead_rate):
+    """A batch for filter_init_mask: every camera once plus n_repeats
+    slots that copy an earlier slot's camera and pixel, so same-camera
+    pairs (affinity 0) and equal row sums occur; dead slots hold NaN."""
+    rng = np.random.default_rng(seed)
+    cams = random_ring_rig(rng, n_cams=n_cams)
+    rig = CameraRig(cams)
+    repeats = rng.integers(0, n_cams, size=n_repeats)
+    cam_idx = np.concatenate([np.arange(n_cams), repeats])
+    uv = noisy_views(rng, cams, cam_idx, n_points, outlier_rate)
+    uv[:, n_cams:] = uv[:, repeats]
+    alive = rng.random(uv.shape[:2]) >= dead_rate
+    uv[~alive] = np.nan
+    return rig, uv, alive, cam_idx
+
+
+INIT_CASES = dict(seed=SEEDS, n_cams=st.integers(2, 5),
+                  n_repeats=st.integers(0, 3), n_points=st.integers(1, 8),
+                  outlier_rate=st.sampled_from([0.0, 0.2, 0.5]),
+                  dead_rate=st.sampled_from([0.0, 0.2, 0.6]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(**INIT_CASES)
+def test_init_filter_matches_scalar_reference(seed, n_cams, n_repeats,
+                                              n_points, outlier_rate,
+                                              dead_rate):
+    rig, uv, alive, cam_idx = init_filter_case(
+        seed, n_cams, n_repeats, n_points, outlier_rate, dead_rate)
+    keep = kernels.filter_init_mask(uv, alive, cam_idx, rig.f_table, ALPHA)
+    for b in range(len(uv)):
+        slots = np.flatnonzero(alive[b])
+        expected = alive[b].copy()
+        if len(slots) >= 2:
+            expected[slots] = reference_init_filter(
+                uv[b, slots], cam_idx[slots], rig.f_table, ALPHA)
+        assert keep[b].tolist() == expected.tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(**INIT_CASES)
+def test_init_filter_does_not_depend_on_batch_companions(
+        seed, n_cams, n_repeats, n_points, outlier_rate, dead_rate):
+    """Each joint is filtered on its own: a joint filtered alone keeps
+    what it keeps inside the batch. Byte-prefix determinism relies on
+    this, as new tracks start from clusters of any size."""
+    rig, uv, alive, cam_idx = init_filter_case(
+        seed, n_cams, n_repeats, n_points, outlier_rate, dead_rate)
+    together = kernels.filter_init_mask(uv, alive, cam_idx, rig.f_table,
+                                        ALPHA)
+    for b in range(len(uv)):
+        alone = kernels.filter_init_mask(uv[b:b + 1], alive[b:b + 1],
+                                         cam_idx, rig.f_table, ALPHA)
+        assert alone[0].tolist() == together[b].tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, shift=st.floats(-300.0, 300.0))
+def test_init_filter_breaks_row_sum_ties_toward_the_first_slot(seed, shift):
+    """Two cameras, each view repeated: every cross pair scores the same
+    affinity and same-camera pairs score 0, so all four row sums tie. If
+    the cross affinity is negative the first slot goes; then slot 1 has
+    the smallest sum and goes too, and the same-camera pair remains."""
+    rng = np.random.default_rng(seed)
+    cams = random_ring_rig(rng, n_cams=2)
+    rig = CameraRig(cams)
+    uv = noisy_views(rng, cams, [0, 1], 1, 0.0)[0]
+    uv[1] += shift
+    uv = uv[[0, 0, 1, 1]]
+    cam_idx = np.array([0, 0, 1, 1])
+    keep = kernels.filter_init_mask(uv[None], np.ones((1, 4), bool), cam_idx,
+                                    rig.f_table, ALPHA)[0]
+    assert keep.tolist() == reference_init_filter(
+        uv, cam_idx, rig.f_table, ALPHA).tolist()
+    cross = reference_epipolar_pair_affinity(
+        uv[0, 0], uv[0, 1], uv[2, 0], uv[2, 1], rig.f_table[0, 1],
+        rig.f_table[1, 0], ALPHA)
+    assert keep.tolist() == ([False, False, True, True] if cross < 0.0
+                             else [True] * 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=SEEDS, n_hist=st.integers(1, 7), n_joints=st.integers(1, 14),
+       sigma=st.floats(0.3, 3.0), fps=st.sampled_from([25.0, 30.0, 60.0]))
+def test_smoothing_matches_scalar_reference(seed, n_hist, n_joints, sigma, fps):
+    rng = np.random.default_rng(seed)
+    frames = np.sort(rng.choice(20, size=n_hist, replace=False))
+    times = frames / fps
+    joints = rng.normal(0.0, 1.0, size=(n_hist, n_joints, 3))
+    joints += rng.uniform(-5.0, 5.0, size=3)
+    t_now = float(times[-1])
+    got = kernels.causal_gaussian_smooth(times, joints, sigma, fps, t_now)
+    want = reference_smooth(times, joints, sigma, fps, t_now)
+    assert_same_bits(got, want)
+    if n_hist == 1:
+        assert_same_bits(got, joints[0])

@@ -360,10 +360,11 @@ def test_filter_survivors_are_pairwise_consistent(rng):
             p + rng.normal(0.0, 0.05, 3), rig.origins, rig.krinv_table)
         alive = np.where(keep)[0]
         if len(alive) >= 2:
-            e = kernels.joint_epipolar_matrix(
-                np.ascontiguousarray(uvs[alive]), idx[alive].copy(),
-                rig.f_table, 30.0)
-            off = e[~np.eye(len(alive), dtype=bool)]
+            uv, cam = uvs[alive], idx[alive]
+            i, j = np.triu_indices(len(alive), 1)
+            off = kernels.epipolar_pair_affinities(
+                uv[i, 0], uv[i, 1], uv[j, 0], uv[j, 1],
+                rig.f_table[cam[i], cam[j]], rig.f_table[cam[j], cam[i]], 30.0)
             assert np.all(off >= 0.0)
 
 
@@ -401,17 +402,17 @@ def test_batched_filter_matches_one_joint_reference(rng):
 def test_init_filter_drops_outlier_and_inconsistent_pairs(rng):
     _, rig, p, uvs, idx = filter_setup(rng, n_cams=5)
     uvs[2] += 180.0
-    keep = kernels.filter_init_mask(np.ascontiguousarray(uvs), idx,
-                                    rig.f_table, 30.0)
+    keep = kernels.filter_init_mask(uvs[None], np.ones((1, 5), bool), idx,
+                                    rig.f_table, 30.0)[0]
     assert keep.tolist() == [True, True, False, True, True]
 
     _, rig2, p2, uvs2, idx2 = filter_setup(rng, n_cams=2)
-    keep = kernels.filter_init_mask(np.ascontiguousarray(uvs2), idx2,
-                                    rig2.f_table, 30.0)
+    keep = kernels.filter_init_mask(uvs2[None], np.ones((1, 2), bool), idx2,
+                                    rig2.f_table, 30.0)[0]
     assert keep.all()
     uvs2[1] += 150.0
-    keep = kernels.filter_init_mask(np.ascontiguousarray(uvs2), idx2,
-                                    rig2.f_table, 30.0)
+    keep = kernels.filter_init_mask(uvs2[None], np.ones((1, 2), bool), idx2,
+                                    rig2.f_table, 30.0)[0]
     assert not keep.any()
 
 
