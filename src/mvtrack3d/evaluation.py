@@ -11,6 +11,7 @@ not penalize identity labels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,31 +75,28 @@ def match_actors(pred_actors: dict[int, np.ndarray],
     pred_ids = sorted(pred_actors)
     if not gt_ids or not pred_ids:
         return {}
+    preds = np.stack([_check_joints(pred_actors[p], schema, "predicted")
+                      for p in pred_ids])
     dist = np.empty((len(gt_ids), len(pred_ids)))
     for gi, g in enumerate(gt_ids):
         gt_j = _check_joints(gt_actors[g], schema, "ground-truth")
         mask = gt_masks.get(g) if gt_masks else None
-        sel = np.asarray(mask, dtype=bool) if mask is not None else None
-        for pi, p in enumerate(pred_ids):
-            pred_j = _check_joints(pred_actors[p], schema, "predicted")
-            d = np.linalg.norm(pred_j - gt_j, axis=1)
-            dist[gi, pi] = d[sel].mean() if sel is not None else d.mean()
+        d = np.linalg.norm(preds - gt_j, axis=2)
+        if mask is not None:
+            d = d[:, np.asarray(mask, dtype=bool)]
+        dist[gi] = d.mean(axis=1)
+    # the first free cell in row-major order unless a later one is strictly
+    # closer: a NaN distance never compares closer, so it wins only in
+    # first place, and elsewhere ranks as inf
+    key = np.where(np.isnan(dist), np.inf, dist)
+    free_g = list(range(len(gt_ids)))
+    free_p = list(range(len(pred_ids)))
     matches: dict[int, int] = {}
-    used_g = np.zeros(len(gt_ids), dtype=bool)
-    used_p = np.zeros(len(pred_ids), dtype=bool)
-    for _ in range(min(len(gt_ids), len(pred_ids))):
-        best = None
-        for gi in range(len(gt_ids)):
-            if used_g[gi]:
-                continue
-            for pi in range(len(pred_ids)):
-                if used_p[pi]:
-                    continue
-                if best is None or dist[gi, pi] < dist[best]:
-                    best = (gi, pi)
-        gi, pi = best
-        used_g[gi] = True
-        used_p[pi] = True
+    while free_g and free_p:
+        k = 0 if math.isnan(dist[free_g[0], free_p[0]]) \
+            else int(key[free_g][:, free_p].argmin())
+        gi = free_g.pop(k // len(free_p))
+        pi = free_p.pop(k % len(free_p))
         matches[gt_ids[gi]] = pred_ids[pi]
     return matches
 

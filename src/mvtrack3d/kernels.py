@@ -2,8 +2,10 @@
 
 Projection, pose scoring, both epipolar filters and the cross-view pose
 score work on stacked arrays; triangulation is one batched LAPACK SVD.
-Loops remain only over camera pairs, greedy removal steps, the smoothing
-window and the assignment search.
+Loops remain only over camera pairs, greedy removal steps and the
+smoothing window, and in the assignment: one scalar Hungarian solve per
+call, over Python lists, whose duals settle the tie-break without
+solving again.
 
 Elementwise expressions follow the scalar order of operations and sums
 run left to right, so each element's result does not depend on the
@@ -264,25 +266,34 @@ def reconstruct_joints(obs_uv, obs_valid, weights, pred, f_table, origins,
 
 
 def hungarian_min(cost):
-    """Exact minimum-cost square assignment, returns the column of each row."""
-    n = cost.shape[0]
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    p = np.zeros(n + 1, np.int64)
-    way = np.zeros(n + 1, np.int64)
+    """Exact minimum-cost square assignment with its dual certificate.
+
+    Returns (col, u, v): the column of each row, and row and column duals
+    with cost[i, j] - u[i] - v[j] >= 0 everywhere and == 0 on each
+    assigned cell, up to rounding. Scalar loops over Python lists, which
+    beat numpy row operations at the sizes the tracker solves.
+    """
+    a = cost.tolist()
+    n = len(a)
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
+    p = [0] * (n + 1)
+    way = [0] * (n + 1)
     for i in range(1, n + 1):
         p[0] = i
         j0 = 0
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, np.bool_)
+        minv = [math.inf] * (n + 1)
+        used = [False] * (n + 1)
         while True:
             used[j0] = True
             i0 = p[j0]
-            delta = np.inf
+            row = a[i0 - 1]
+            ui = u[i0]
+            delta = math.inf
             j1 = 0
             for j in range(1, n + 1):
                 if not used[j]:
-                    cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
+                    cur = row[j - 1] - ui - v[j]
                     if cur < minv[j]:
                         minv[j] = cur
                         way[j] = j0
@@ -302,65 +313,49 @@ def hungarian_min(cost):
             j1 = way[j0]
             p[j0] = p[j1]
             j0 = j1
-    out = np.full(n, -1, np.int64)
-    for j in range(1, n + 1):
-        if p[j] != 0:
-            out[p[j] - 1] = j - 1
-    return out
+    # p[j] is the 1-based row on column j, so sorting inverts it
+    return np.argsort(p[1:]), np.array(u[1:]), np.array(v[1:])
 
 
-def _matching_total(values, allowed, row_lo, col_ok, neg):
-    """Best achievable affinity total over rows >= row_lo and permitted columns.
-
-    Solved as a square assignment padded with zero-value dummy rows and
-    columns so that leaving any row or column unmatched is always an
-    option; forbidden cells cost neg.
-    """
-    n = values.shape[0]
-    m = values.shape[1]
-    na = n - row_lo
-    mc = 0
-    for j in range(m):
-        if col_ok[j]:
-            mc += 1
-    if na <= 0 or mc == 0:
-        return 0.0
-    col_ids = np.empty(mc, np.int64)
-    k = 0
-    for j in range(m):
-        if col_ok[j]:
-            col_ids[k] = j
-            k += 1
-    size = na + mc
-    cost = np.empty((size, size))
-    for i in range(size):
-        for j in range(size):
-            if i < na and j < mc:
-                if allowed[row_lo + i, col_ids[j]]:
-                    cost[i, j] = -values[row_lo + i, col_ids[j]]
-                else:
-                    cost[i, j] = -neg
-            elif i < na:
-                cost[i, j] = 0.0 if (j - mc) == i else -neg
-            elif j < mc:
-                cost[i, j] = 0.0 if (i - na) == j else -neg
-            else:
-                cost[i, j] = 0.0
-    cols = hungarian_min(cost)
-    total = 0.0
-    for i in range(na):
-        j = cols[i]
-        if j < mc and allowed[row_lo + i, col_ids[j]]:
-            total += values[row_lo + i, col_ids[j]]
-    return total
+def _give_column(tight, col_of, row_of, free_row, r, c):
+    """Move row r onto column c along an alternating path of tight cells
+    through free rows: the row on c moves to another tight column, that
+    column's row moves on, and so on until a row takes r's column.
+    Updates col_of and row_of and returns True if such a path exists."""
+    goal = col_of[r]
+    came_from = {c: row_of[c]}
+    queue = [row_of[c]]
+    for x in queue:
+        for j in tight[x]:
+            if j in came_from:
+                continue
+            came_from[j] = x
+            if j == goal:
+                while j != c:
+                    x = came_from[j]
+                    prev = col_of[x]
+                    col_of[x], row_of[j] = j, x
+                    j = prev
+                col_of[r], row_of[c] = c, r
+                return True
+            if free_row[row_of[j]]:
+                queue.append(row_of[j])
+    return False
 
 
 def assignment_lex(values, allowed):
     """Maximum-total partial matching over permitted cells, ties broken
     toward the lexicographically smallest (row, col) pair sequence.
 
-    Returns chosen column per row, -1 for unmatched. Totals are compared
-    with a scale-relative tolerance, so value gaps far below 1e-9 of the
+    Returns chosen column per row, -1 for unmatched. One Hungarian solve
+    of the square cost padded with a dummy column per row and a dummy row
+    per column (row i on column m+i or column j on row n+j stays
+    unmatched) gives an optimal matching and its duals. Every optimal
+    matching uses only tight cells, where cost - u - v <= tol, so rows
+    are fixed in order: each takes the first permitted tight column that
+    an alternating path of tight cells through unfixed rows can free, or
+    stays unmatched, until the fixed pairs reach the optimal total. The
+    tolerance is scale-relative, so value gaps far below 1e-9 of the
     matrix magnitude may tie.
     """
     n = values.shape[0]
@@ -368,37 +363,40 @@ def assignment_lex(values, allowed):
     chosen = np.full(n, -1, np.int64)
     if n == 0 or m == 0:
         return chosen
-    scale = 1.0
-    for i in range(n):
-        for j in range(m):
-            v = abs(values[i, j])
-            if np.isfinite(v):
-                scale += v
-    neg = -scale
+    magnitudes = np.abs(values[np.isfinite(values)])
+    scale = float(_sequential_sum(np.concatenate(([1.0], magnitudes))))
     tol = 1e-9 * scale
-    col_ok = np.ones(m, np.bool_)
-    target = _matching_total(values, allowed, 0, col_ok, neg)
+    size = n + m
+    cost = np.full((size, size), scale)
+    cost[:n, :m] = np.where(allowed, -values, scale)
+    cost[np.arange(n), m + np.arange(n)] = 0.0
+    cost[n + np.arange(m), np.arange(m)] = 0.0
+    cost[n:, m:] = 0.0
+    cols, u, v = hungarian_min(cost)
+    tight = [np.flatnonzero(row).tolist()
+             for row in cost - u[:, None] - v[None, :] <= tol]
+    col_of = cols.tolist()
+    row_of = np.argsort(cols).tolist()
+    target = 0.0
+    for i in range(n):
+        if col_of[i] < m:
+            target += values[i, col_of[i]]
+    free_row = [True] * size
     chosen_sum = 0.0
-    row_lo = 0
-    while abs(chosen_sum - target) > tol:
-        committed = False
-        for r in range(row_lo, n):
-            for c in range(m):
-                if not col_ok[c] or not allowed[r, c]:
-                    continue
-                col_ok[c] = False
-                sub = _matching_total(values, allowed, r + 1, col_ok, neg)
-                if abs(chosen_sum + values[r, c] + sub - target) <= tol:
-                    chosen[r] = c
-                    chosen_sum += values[r, c]
-                    row_lo = r + 1
-                    committed = True
-                    break
-                col_ok[c] = True
-            if committed:
-                break
-        if not committed:
+    for r in range(n):
+        if abs(chosen_sum - target) <= tol:
             break
+        limit = min(col_of[r], m)
+        for c in tight[r]:
+            if c >= limit:
+                break
+            if (allowed[r, c] and free_row[row_of[c]]
+                    and _give_column(tight, col_of, row_of, free_row, r, c)):
+                break
+        free_row[r] = False
+        if col_of[r] < m:
+            chosen[r] = col_of[r]
+            chosen_sum += values[r, col_of[r]]
     return chosen
 
 

@@ -6,9 +6,9 @@ from-scratch pose scorer, a weighted linear triangulator, a one-joint
 greedy epipolar filter, and a limb-correctness scorer. Tests compare library output against these.
 
 The scalar references (epipolar pair affinity and pose score, the
-initialization filter, smoothing) spell out, one element at a time and
-in the same order of operations, what the batched kernels compute, so
-the kernels must match them bit for bit.
+initialization filter, smoothing, the greedy actor matcher) spell out,
+one element at a time and in the same order of operations, what the
+batched kernels compute, so the kernels must match them bit for bit.
 """
 
 import math
@@ -99,6 +99,30 @@ def exhaustive_assignment_total(values, gate=0.0):
                     new[mask | bit] = total
         dp = new
     return max(dp)
+
+
+def exhaustive_assignment_lex(values, gate=0.0):
+    """Lexicographically smallest maximum-total partial assignment over
+    entries strictly above the gate, found by enumerating every partial
+    assignment. Pairs are (row, col) in row order and compare as Python
+    tuples, so a proper prefix is smaller than its extensions."""
+    arr = np.asarray(values, dtype=np.float64)
+    rows, cols = arr.shape
+    found = []
+
+    def extend(r, used, pairs, total):
+        if r == rows:
+            found.append((total, tuple(pairs)))
+            return
+        extend(r + 1, used, pairs, total)
+        for c in range(cols):
+            if c not in used and arr[r, c] > gate:
+                extend(r + 1, used | {c}, pairs + [(r, c)],
+                       total + float(arr[r, c]))
+
+    extend(0, frozenset(), [], 0.0)
+    best = max(total for total, _ in found)
+    return min(pairs for total, pairs in found if total >= best - 1e-9)
 
 
 def reference_pose_score(camera, skel_joints, skel_valid, dt, pose_uv,
@@ -271,6 +295,34 @@ def reference_smooth(times, joints, sigma_frames, fps, t_now):
             for c in range(3):
                 out[k, c] /= wsum
     return out
+
+
+def reference_match_actors(pred_actors, gt_actors, masks=None):
+    """Scalar form of evaluation.match_actors: mean joint distance of every
+    (ground-truth actor, prediction) pair, one pair at a time, then
+    repeatedly the first free pair in row-major order unless a later free
+    pair is strictly closer (a NaN distance only wins in first place)."""
+    gids = sorted(gt_actors)
+    pids = sorted(pred_actors)
+    dist = {}
+    for g in gids:
+        gt_j = np.asarray(gt_actors[g], dtype=np.float64)
+        sel = np.asarray(masks[g], bool) if masks and g in masks else None
+        for p in pids:
+            d = np.linalg.norm(np.asarray(pred_actors[p], np.float64) - gt_j,
+                               axis=1)
+            dist[g, p] = d[sel].mean() if sel is not None else d.mean()
+    match = {}
+    for _ in range(min(len(gids), len(pids))):
+        best = None
+        for g in gids:
+            for p in pids:
+                if g in match or p in match.values():
+                    continue
+                if best is None or dist[g, p] < dist[best]:
+                    best = (g, p)
+        match[best[0]] = best[1]
+    return match
 
 
 def reference_pcp_counts(pred_frames, gt_frames, schema):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from mvtrack3d import kernels
 from mvtrack3d.assignment import Matching, solve
 
-from helpers import exhaustive_assignment_total
+from helpers import exhaustive_assignment_lex, exhaustive_assignment_total
 
 
 def total_of(matching: Matching, values) -> float:
@@ -82,6 +83,43 @@ def test_deterministic_tie_break_is_lexicographic():
     assert m.pairs == ((0, 0), (1, 1))
     m = solve(np.array([[0.4, 0.6], [0.6, 0.4]]))
     assert m.pairs == ((0, 1), (1, 0))
+
+
+def test_tie_break_matches_exhaustive_lexicographic_search(rng):
+    # grid values, small integers and constant matrices tie often, and a
+    # negative gate admits zero-valued cells that add nothing to the total
+    for _ in range(1500):
+        shape = (int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+        kind = int(rng.integers(3))
+        if kind == 0:
+            values = rng.integers(-2, 5, shape) * 0.25
+        elif kind == 1:
+            values = rng.integers(0, 3, shape).astype(float)
+        else:
+            values = np.full(shape, float(rng.integers(-2, 5)) * 0.25)
+        gate = float(rng.choice([-0.5, -0.25, 0.0, 0.25]))
+        assert solve(values, min_affinity=gate).pairs == \
+            exhaustive_assignment_lex(values, gate)
+
+
+def test_hungarian_duals_certify_the_assignment(rng):
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        if rng.random() < 0.5:
+            cost = rng.uniform(-1.0, 1.0, (n, n))
+        else:
+            cost = rng.integers(-2, 3, (n, n)).astype(float)
+        scale = 1.0 + float(np.abs(cost).sum())
+        cost[rng.random((n, n)) < 0.3] = scale
+        tol = 1e-9 * scale
+        col, u, v = kernels.hungarian_min(cost)
+        assert sorted(col.tolist()) == list(range(n))
+        reduced = cost - u[:, None] - v[None, :]
+        assert reduced.min() >= -tol
+        assert np.abs(reduced[np.arange(n), col]).max() <= tol
+        ri, ci = scipy.optimize.linear_sum_assignment(cost)
+        assert cost[np.arange(n), col].sum() == \
+            pytest.approx(cost[ri, ci].sum(), abs=tol)
 
 
 def test_matching_structure_and_gate_soundness(rng):

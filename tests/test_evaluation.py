@@ -13,7 +13,8 @@ from mvtrack3d.evaluation import (
 from mvtrack3d.fileio import GroundTruthFrame, TrackFrame
 from mvtrack3d.schema import SYNTH14
 
-from helpers import points_near_origin, reference_pcp_counts
+from helpers import (points_near_origin, reference_match_actors,
+                     reference_pcp_counts)
 
 N = SYNTH14.n_joints
 PARTS = SYNTH14.part_names
@@ -123,6 +124,30 @@ def test_matching_uses_masked_joints_only(rng):
     matches = match_actors({1: near_on_head, 2: far_everywhere}, {0: gt},
                            SYNTH14, gt_masks={0: mask})
     assert matches == {0: 1}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_matching_equals_scalar_greedy_reference(rng):
+    # duplicate predictions tie; an all-False mask gives a NaN distance row
+    # and a NaN or infinite joint a non-finite prediction column
+    for _ in range(400):
+        gt_ids = rng.choice(8, int(rng.integers(1, 5)), replace=False)
+        gt = {int(g): points_near_origin(rng, N) for g in gt_ids}
+        preds = {}
+        for p in rng.choice(8, int(rng.integers(1, 5)), replace=False):
+            kind = int(rng.integers(5))
+            if kind == 0 and preds:
+                joints = next(iter(preds.values())).copy()
+            elif kind == 1:
+                joints = points_near_origin(rng, N)
+                joints[int(rng.integers(N)), 0] = rng.choice([np.nan, np.inf])
+            else:
+                joints = gt[int(rng.choice(gt_ids))] + rng.normal(0, 0.1, (N, 3))
+            preds[int(p)] = joints
+        masks = {g: rng.random(N) < rng.choice([0.0, 0.5, 1.0])
+                 for g in gt if rng.random() < 0.5}
+        assert match_actors(preds, gt, SYNTH14, masks) == \
+            reference_match_actors(preds, gt, masks)
 
 
 def test_masked_limbs_are_skipped(rng):
