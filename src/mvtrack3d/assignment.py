@@ -37,14 +37,14 @@ def solve(values, min_affinity: float = 0.0) -> Matching:
     arr = np.ascontiguousarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"affinity matrix must be 2D, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise ValueError("affinity matrix contains non-finite entries")
     n, m = arr.shape
     allowed = np.ascontiguousarray(arr > min_affinity)
-    chosen = kernels.assignment_lex(arr, allowed)
-    pairs = tuple((int(r), int(c)) for r, c in enumerate(chosen) if c >= 0)
+    chosen = kernels.assignment_lex(arr, allowed).tolist()
+    pairs = tuple((r, c) for r, c in enumerate(chosen) if c >= 0)
     used_cols = {c for _, c in pairs}
-    unmatched_rows = tuple(r for r in range(n) if chosen[r] < 0)
+    unmatched_rows = tuple(r for r, c in enumerate(chosen) if c < 0)
     unmatched_cols = tuple(c for c in range(m) if c not in used_cols)
     total = float(sum(arr[r, c] for r, c in pairs))
     return Matching(pairs=pairs, unmatched_rows=unmatched_rows,

@@ -44,6 +44,13 @@ def _check_joints(arr: np.ndarray, schema: JointSchema, kind: str) -> np.ndarray
     return arr
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of x (L,3), rounded as np.linalg.norm
+    rounds one vector: matmul of (1,3) by (3,1) takes the same dot
+    product path, which a sum of squares need not match."""
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
+
+
 def score_actor(pred: np.ndarray, gt: np.ndarray, schema: JointSchema,
                 mask: np.ndarray | None = None) -> list[tuple[str, bool]]:
     """Per-limb correctness of one prediction against one GT actor.
@@ -52,15 +59,16 @@ def score_actor(pred: np.ndarray, gt: np.ndarray, schema: JointSchema,
     """
     pred = _check_joints(pred, schema, "predicted")
     gt = _check_joints(gt, schema, "ground-truth")
-    out = []
-    for part, a, b in schema.limbs:
-        if mask is not None and not (mask[a] and mask[b]):
-            continue
-        length = np.linalg.norm(gt[a] - gt[b])
-        da = np.linalg.norm(pred[a] - gt[a])
-        db = np.linalg.norm(pred[b] - gt[b])
-        out.append((part, 0.5 * (da + db) <= 0.5 * length))
-    return out
+    limbs = schema.limbs
+    if mask is not None:
+        limbs = [limb for limb in limbs if mask[limb[1]] and mask[limb[2]]]
+    a = [limb[1] for limb in limbs]
+    b = [limb[2] for limb in limbs]
+    length = _norms(gt[a] - gt[b])
+    da = _norms(pred[a] - gt[a])
+    db = _norms(pred[b] - gt[b])
+    ok = (0.5 * (da + db) <= 0.5 * length).tolist()
+    return [(limb[0], c) for limb, c in zip(limbs, ok)]
 
 
 def match_actors(pred_actors: dict[int, np.ndarray],

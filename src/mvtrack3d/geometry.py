@@ -7,7 +7,8 @@ component and must be strictly positive for a point to project.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,15 @@ class CameraCalibration:
             raise ValidationError("image size must be positive")
         if self.fps <= 0:
             raise ValidationError("fps must be positive")
+
+    @cached_property
+    def krinv(self) -> np.ndarray:
+        """(K R)^-1, which maps a homogeneous pixel to its ray direction.
+        Raises SingularProjection when K R is numerically singular."""
+        kr = self.K @ self.R
+        if abs(np.linalg.det(kr)) < 1e-12:
+            raise SingularProjection(f"K*R of camera {self.cam_id} is singular")
+        return np.ascontiguousarray(np.linalg.inv(kr))
 
     @property
     def projection_matrix(self) -> np.ndarray:
@@ -132,13 +142,8 @@ def project(point, camera: CameraCalibration) -> np.ndarray:
 
 def back_project_ray(pixel, camera: CameraCalibration) -> Ray3D:
     """Ray through the camera center and a pixel."""
-    kr = camera.K @ camera.R
-    det = np.linalg.det(kr)
-    if abs(det) < 1e-12:
-        raise SingularProjection(f"K*R of camera {camera.cam_id} is singular")
-    krinv = np.ascontiguousarray(np.linalg.inv(kr))
     u, v = float(pixel[0]), float(pixel[1])
-    direction = kernels.back_project_dir(u, v, krinv)
+    direction = kernels.back_project_dir(u, v, camera.krinv)
     return Ray3D(origin=camera.o.copy(), direction=direction)
 
 
@@ -215,8 +220,9 @@ class CameraRig:
     """A fixed set of calibrated cameras with precomputed pairwise geometry.
 
     Exposes the stacked arrays the kernels consume: fundamental matrices
-    between every ordered camera pair, inverted K*R per camera, camera
-    centers, conditioned projection matrices, and pixel scale factors.
+    between every ordered camera pair, K, R and inverted K*R per camera,
+    camera centers, conditioned projection matrices, and pixel scale
+    factors.
     """
 
     def __init__(self, cameras):
@@ -234,9 +240,9 @@ class CameraRig:
                 if i != j:
                     self.f_table[i, j] = fundamental_matrix(ci, cj)
         self.origins = np.ascontiguousarray(np.stack([c.o for c in self.cameras]))
-        self.krinv_table = np.ascontiguousarray(
-            np.stack([np.linalg.inv(c.K @ c.R) for c in self.cameras])
-        )
+        self.k_table = np.stack([c.K for c in self.cameras])
+        self.r_table = np.stack([c.R for c in self.cameras])
+        self.krinv_table = np.stack([c.krinv for c in self.cameras])
         self.pn_table = np.ascontiguousarray(
             np.stack([c.conditioned_projection() for c in self.cameras])
         )

@@ -1,11 +1,11 @@
 """Numeric kernels, numpy array code over a whole frame at once.
 
-Projection, pose scoring, both epipolar filters and the cross-view pose
-score work on stacked arrays; triangulation is one batched LAPACK SVD.
-Loops remain only over camera pairs, greedy removal steps and the
-smoothing window, and in the assignment: one scalar Hungarian solve per
-call, over Python lists, whose duals settle the tie-break without
-solving again.
+Projection, pose scoring (every camera of a frame at once), both
+epipolar filters and the cross-view pose score work on stacked arrays;
+triangulation is one batched LAPACK SVD. Loops remain only over camera
+pairs, greedy removal steps and the smoothing window, and in the
+assignment: one scalar rectangular Hungarian solve per call, over
+Python lists, whose duals settle the tie-break without solving again.
 
 Elementwise expressions follow the scalar order of operations and sums
 run left to right, so each element's result does not depend on the
@@ -25,10 +25,13 @@ FLAG_MISSING = 2
 
 
 def project_points(pts, K, R, o):
-    """Project world points (...,3) through one camera, returns (uv (...,2), depth (...))."""
+    """Project world points (...,3) through cameras K, R (...,3,3) and
+    o (...,3) broadcast against them, returns (uv (...,2), depth (...))."""
     d = pts - o
-    xc = R[:, 0] * d[..., 0, None] + R[:, 1] * d[..., 1, None] + R[:, 2] * d[..., 2, None]
-    h = K[:, 0] * xc[..., 0, None] + K[:, 1] * xc[..., 1, None] + K[:, 2] * xc[..., 2, None]
+    xc = (R[..., :, 0] * d[..., 0, None] + R[..., :, 1] * d[..., 1, None]
+          + R[..., :, 2] * d[..., 2, None])
+    h = (K[..., :, 0] * xc[..., 0, None] + K[..., :, 1] * xc[..., 1, None]
+         + K[..., :, 2] * xc[..., 2, None])
     depth = xc[..., 2]
     with np.errstate(divide="ignore", invalid="ignore"):
         uv = h[..., :2] / h[..., 2, None]
@@ -99,23 +102,28 @@ def _sequential_sum(x):
 
 def score_pose_pairs(track_pts, track_valid, dts, K, R, o, poses_uv, poses_valid,
                      alpha_2d, lam, eps_count, part_aware):
-    """Affinity matrix between tracked skeletons and one camera's 2D poses.
+    """Affinity matrices between tracked skeletons and 2D poses, per camera.
 
-    track_pts: (T,N,3), dts: (T,) time since each track's last update,
-    poses_uv: (P,N,2). Per-joint affinity decays with distance scaled by
-    alpha_2d*dt and with exp(-lam*dt). part_aware True keeps the mean of
-    strictly positive joints and zeroes the score when fewer than
+    track_pts: (...,T,N,3), dts: (...,T) time since each track's last
+    update, poses_uv: (...,P,N,2), with K, R (...,3,3) and o (...,3) the
+    camera that saw the poses; the leading axes, one per camera, broadcast
+    and the result is (...,T,P). Per-joint affinity decays with distance
+    scaled by alpha_2d*dt and with exp(-lam*dt). part_aware True keeps the
+    mean of strictly positive joints and zeroes the score when fewer than
     eps_count are positive; False means over all participating joints.
     Joints take part when valid on both sides and in front of the camera.
     """
-    uv, depth = project_points(track_pts, K, R, o)
-    tol = (alpha_2d * dts)[:, None, None]
+    uv, depth = project_points(track_pts, K[..., None, None, :, :],
+                               R[..., None, None, :, :], o[..., None, None, :])
+    tol = (alpha_2d * dts)[..., None, None]
     # math.exp per track: np.exp may round differently from the C library
-    decay = np.array([math.exp(-lam * dt) for dt in dts])[:, None, None]
-    du = poses_uv[None, :, :, 0] - uv[:, None, :, 0]
-    dv = poses_uv[None, :, :, 1] - uv[:, None, :, 1]
+    decay = np.array([math.exp(-lam * dt) for dt in dts.ravel()]
+                     ).reshape(dts.shape)[..., None, None]
+    du = poses_uv[..., None, :, :, 0] - uv[..., :, None, :, 0]
+    dv = poses_uv[..., None, :, :, 1] - uv[..., :, None, :, 1]
     a = (1.0 - np.sqrt(du * du + dv * dv) / tol) * decay
-    use = track_valid[:, None, :] & poses_valid[None, :, :] & (depth > 0.0)[:, None, :]
+    use = (track_valid[..., :, None, :] & poses_valid[..., None, :, :]
+           & (depth > 0.0)[..., :, None, :])
     if part_aware:
         use &= a > 0.0
     total = _sequential_sum(np.where(use, a, 0.0))
@@ -266,80 +274,130 @@ def reconstruct_joints(obs_uv, obs_valid, weights, pred, f_table, origins,
 
 
 def hungarian_min(cost):
-    """Exact minimum-cost square assignment with its dual certificate.
+    """Exact minimum-cost assignment of every row of an n x M cost, n <= M,
+    with its dual certificate.
 
-    Returns (col, u, v): the column of each row, and row and column duals
-    with cost[i, j] - u[i] - v[j] >= 0 everywhere and == 0 on each
-    assigned cell, up to rounding. Scalar loops over Python lists, which
-    beat numpy row operations at the sizes the tracker solves.
+    Shortest augmenting paths (Jonker & Volgenant, Computing 38, 1987, in
+    the rectangular form of Crouse, IEEE TAES 52, 2016): a row whose
+    cheapest column is still free takes it, and each other row in turn
+    runs a Dijkstra search over reduced costs to the nearest free column,
+    after which the duals move by the path lengths. Returns (col, u, v): the
+    column of each row, and row and column duals with
+    cost[i, j] - u[i] - v[j] >= 0 everywhere and == 0 on each assigned
+    cell, v <= 0, and v == 0 on every column left unassigned, up to
+    rounding. Scalar loops over Python lists, which beat numpy row
+    operations at the sizes the tracker solves.
     """
+    n, size = cost.shape
+    if n == 0:
+        return np.zeros(0, np.int64), np.zeros(0), np.zeros(size)
     a = cost.tolist()
-    n = len(a)
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    p = [0] * (n + 1)
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = [math.inf] * (n + 1)
-        used = [False] * (n + 1)
+    u = [0.0] * n
+    v = [0.0] * size
+    col_of = [-1] * n
+    row_of = [-1] * size
+    # u = the row minimum and v = 0 keep every reduced cost >= 0
+    waiting = []
+    for i, j in enumerate(cost.argmin(axis=1).tolist()):
+        if row_of[j] < 0:
+            row_of[j] = i
+            col_of[i] = j
+            u[i] = a[i][j]
+        else:
+            waiting.append(i)
+    for cur in waiting:
+        # the first scan: row cur's reduced costs, its own dual still 0
+        dist = [c - d for c, d in zip(a[cur], v)]
+        came_from = [cur] * size
+        remaining = list(range(size))
+        rows = [cur]
+        cols = []
+        reach = min(dist)
+        best = dist.index(reach)
         while True:
-            used[j0] = True
-            i0 = p[j0]
-            row = a[i0 - 1]
-            ui = u[i0]
-            delta = math.inf
-            j1 = 0
-            for j in range(1, n + 1):
-                if not used[j]:
-                    cur = row[j - 1] - ui - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
+            j = remaining[best]
+            remaining[best] = remaining[-1]
+            remaining.pop()
+            cols.append(j)
+            i = row_of[j]
+            if i < 0:
                 break
-        while j0 != 0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    # p[j] is the 1-based row on column j, so sorting inverts it
-    return np.argsort(p[1:]), np.array(u[1:]), np.array(v[1:])
+            rows.append(i)
+            base = reach - u[i]
+            row = a[i]
+            lowest = math.inf
+            for k in range(len(remaining)):
+                jk = remaining[k]
+                d = base + row[jk] - v[jk]
+                if d < dist[jk]:
+                    dist[jk] = d
+                    came_from[jk] = i
+                else:
+                    d = dist[jk]
+                if d < lowest:
+                    lowest = d
+                    best = k
+            reach = lowest
+        u[cur] += reach
+        for i in rows[1:]:
+            u[i] += reach - dist[col_of[i]]
+        for j in cols:
+            v[j] -= reach - dist[j]
+        # augment: every row on the path takes the column it reached
+        j = cols[-1]
+        while True:
+            i = came_from[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == cur:
+                break
+    return np.array(col_of, np.int64), np.array(u), np.array(v)
 
 
-def _give_column(tight, col_of, row_of, free_row, r, c):
+_POOL = -1
+
+
+def _give_column(tight, slack, col_of, row_of, unfixed, r, c):
     """Move row r onto column c along an alternating path of tight cells
-    through free rows: the row on c moves to another tight column, that
+    through unfixed rows: the row on c moves to another tight column, that
     column's row moves on, and so on until a row takes r's column.
-    Updates col_of and row_of and returns True if such a path exists."""
+
+    The pool, row_of == _POOL, holds every free column. A row may move
+    onto a free column, and the pool then takes one column in slack (its
+    dual is 0, so it may be left empty), whose row moves on in turn. The
+    pool can also take r's own column, and it starts the path when c is
+    free. Updates col_of and row_of and returns True if such a path
+    exists.
+    """
     goal = col_of[r]
     came_from = {c: row_of[c]}
     queue = [row_of[c]]
+    # the free column through which the path enters the pool
+    pool_entry = c if row_of[c] == _POOL else None
     for x in queue:
-        for j in tight[x]:
+        for j in slack if x == _POOL else tight[x]:
             if j in came_from:
                 continue
             came_from[j] = x
             if j == goal:
                 while j != c:
                     x = came_from[j]
-                    prev = col_of[x]
-                    col_of[x], row_of[j] = j, x
-                    j = prev
+                    if x == _POOL:
+                        row_of[j] = _POOL
+                        j = pool_entry
+                    else:
+                        prev = col_of[x]
+                        col_of[x], row_of[j] = j, x
+                        j = prev
                 col_of[r], row_of[c] = c, r
                 return True
-            if free_row[row_of[j]]:
-                queue.append(row_of[j])
+            y = row_of[j]
+            if y == _POOL:
+                if pool_entry is None:
+                    pool_entry = j
+                    queue.append(_POOL)
+            elif unfixed[y]:
+                queue.append(y)
     return False
 
 
@@ -348,15 +406,17 @@ def assignment_lex(values, allowed):
     toward the lexicographically smallest (row, col) pair sequence.
 
     Returns chosen column per row, -1 for unmatched. One Hungarian solve
-    of the square cost padded with a dummy column per row and a dummy row
-    per column (row i on column m+i or column j on row n+j stays
-    unmatched) gives an optimal matching and its duals. Every optimal
-    matching uses only tight cells, where cost - u - v <= tol, so rows
-    are fixed in order: each takes the first permitted tight column that
-    an alternating path of tight cells through unfixed rows can free, or
-    stays unmatched, until the fixed pairs reach the optimal total. The
-    tolerance is scale-relative, so value gaps far below 1e-9 of the
-    matrix magnitude may tie.
+    of the n x (m+n) cost gives an optimal matching and its duals: -value
+    on the permitted cells of the m real columns, then a dummy column per
+    row, 0 on its own row (row i on column m+i stays unmatched), and a
+    scale above any total everywhere else. Every optimal matching uses only tight cells, where
+    cost - u - v <= tol, and covers every column whose dual is below
+    -tol; a column in slack, dual within tol of 0, may stay empty. So
+    rows are fixed in order: each takes the first permitted tight column
+    that an alternating path of tight cells through unfixed rows and the
+    pool of free columns can free, or keeps its column, until the fixed
+    pairs reach the optimal total. The tolerance is scale-relative, so
+    value gaps far below 1e-9 of the matrix magnitude may tie.
     """
     n = values.shape[0]
     m = values.shape[1]
@@ -366,22 +426,26 @@ def assignment_lex(values, allowed):
     magnitudes = np.abs(values[np.isfinite(values)])
     scale = float(_sequential_sum(np.concatenate(([1.0], magnitudes))))
     tol = 1e-9 * scale
-    size = n + m
-    cost = np.full((size, size), scale)
-    cost[:n, :m] = np.where(allowed, -values, scale)
-    cost[np.arange(n), m + np.arange(n)] = 0.0
-    cost[n + np.arange(m), np.arange(m)] = 0.0
-    cost[n:, m:] = 0.0
+    cost = np.full((n, m + n), scale)
+    np.negative(values, out=cost[:, :m], where=allowed)
+    cost.ravel()[m::m + n + 1] = 0.0   # row i's dummy column m+i
     cols, u, v = hungarian_min(cost)
-    tight = [np.flatnonzero(row).tolist()
-             for row in cost - u[:, None] - v[None, :] <= tol]
+    tight = [[] for _ in range(n)]
+    rows, tight_cols = np.nonzero(cost - u[:, None] - v[None, :] <= tol)
+    for i, j in zip(rows.tolist(), tight_cols.tolist()):
+        tight[i].append(j)
+    slack = np.flatnonzero(v >= -tol).tolist()
     col_of = cols.tolist()
-    row_of = np.argsort(cols).tolist()
+    row_of = [_POOL] * (m + n)
+    for i, c in enumerate(col_of):
+        row_of[c] = i
+    vals = values.tolist()
+    ok = allowed.tolist()
     target = 0.0
     for i in range(n):
         if col_of[i] < m:
-            target += values[i, col_of[i]]
-    free_row = [True] * size
+            target += vals[i][col_of[i]]
+    unfixed = [True] * n
     chosen_sum = 0.0
     for r in range(n):
         if abs(chosen_sum - target) <= tol:
@@ -390,13 +454,14 @@ def assignment_lex(values, allowed):
         for c in tight[r]:
             if c >= limit:
                 break
-            if (allowed[r, c] and free_row[row_of[c]]
-                    and _give_column(tight, col_of, row_of, free_row, r, c)):
+            if (ok[r][c] and (row_of[c] == _POOL or unfixed[row_of[c]])
+                    and _give_column(tight, slack, col_of, row_of, unfixed,
+                                     r, c)):
                 break
-        free_row[r] = False
+        unfixed[r] = False
         if col_of[r] < m:
             chosen[r] = col_of[r]
-            chosen_sum += values[r, col_of[r]]
+            chosen_sum += vals[r][col_of[r]]
     return chosen
 
 

@@ -184,49 +184,55 @@ class PoseTracker:
     def _associate(self, bundle: FrameBundle):
         """Per-camera bipartite matching of detections to live tracks.
 
-        Updates each matched track's freshest pose for that camera and
-        returns ({cam_id: unmatched poses}, {track ids matched this frame}).
+        Every camera with detections is scored in one batch, its poses
+        padded with invalid joints to the largest count, and then matched
+        on its own columns. Updates each matched track's freshest pose
+        for that camera and returns ({cam_id: unmatched poses}, {track
+        ids matched this frame}).
         """
         cfg = self.config
         aff = cfg.affinity
-        fps = self.rig.fps
+        rig = self.rig
+        tracks = self.tracks
+        seen = [(ci, cam.cam_id, bundle.poses[cam.cam_id])
+                for ci, cam in enumerate(rig.cameras)
+                if bundle.poses.get(cam.cam_id)]
+        if not tracks or not seen:
+            return {cam_id: list(poses) for _, cam_id, poses in seen}, set()
+        cam_idx = np.array([ci for ci, _, _ in seen])
+        cam_t = np.array([poses[0].time_s for _, _, poses in seen])
+        track_t = np.array([tr.skeleton.time_s for tr in tracks])
+        elapsed = cam_t[:, None] - track_t[None, :]
+        # staleness in frame intervals, never below one frame
+        dts = np.maximum(elapsed * rig.fps, 1.0)
+        if aff.max_dt is not None:
+            dts = np.minimum(dts, aff.max_dt * rig.fps)
+        pts = np.stack([tr.skeleton.joints for tr in tracks])
+        if cfg.project_predicted:
+            velocity = np.stack([tr.velocity for tr in tracks])
+            pts = pts + velocity * elapsed[..., None, None]
+        track_valid = (np.stack([tr.skeleton.flags for tr in tracks])
+                       != JointFlag.MISSING)
+        width = max(len(poses) for _, _, poses in seen)
+        n_joints = tracks[0].skeleton.n_joints
+        pose_uv = np.zeros((len(seen), width, n_joints, 2))
+        pose_valid = np.zeros((len(seen), width, n_joints), dtype=bool)
+        for k, (_, _, poses) in enumerate(seen):
+            pose_uv[k, :len(poses)] = np.stack([p.uv for p in poses])
+            pose_valid[k, :len(poses)] = np.stack([p.valid for p in poses])
+        scores = kernels.score_pose_pairs(
+            pts, track_valid, dts, rig.k_table[cam_idx], rig.r_table[cam_idx],
+            rig.origins[cam_idx], pose_uv, pose_valid,
+            aff.alpha_2d, aff.lambda_a, aff.epsilon, cfg.part_aware,
+        )
         unmatched = {}
         matched_ids = set()
-        tracks = self.tracks
-        for ci, cam in enumerate(self.rig.cameras):
-            poses = bundle.poses.get(cam.cam_id) or []
-            if not poses:
-                continue
-            if not tracks:
-                unmatched[cam.cam_id] = list(poses)
-                continue
-            cam_t = poses[0].time_s
-            # staleness in frame intervals, never below one frame
-            dts = np.array(
-                [max((cam_t - tr.skeleton.time_s) * fps, 1.0) for tr in tracks]
-            )
-            if aff.max_dt is not None:
-                dts = np.minimum(dts, aff.max_dt * fps)
-            if cfg.project_predicted:
-                pts = np.stack([tr.predict(cam_t) for tr in tracks])
-            else:
-                pts = np.stack([tr.skeleton.joints for tr in tracks])
-            track_pts = np.ascontiguousarray(pts)
-            track_valid = np.ascontiguousarray(
-                np.stack([tr.skeleton.flags != JointFlag.MISSING for tr in tracks])
-            )
-            pose_uv = np.ascontiguousarray(np.stack([p.uv for p in poses]))
-            pose_valid = np.ascontiguousarray(np.stack([p.valid for p in poses]))
-            scores = kernels.score_pose_pairs(
-                track_pts, track_valid, dts, cam.K, cam.R, cam.o,
-                pose_uv, pose_valid,
-                aff.alpha_2d, aff.lambda_a, aff.epsilon, cfg.part_aware,
-            )
-            match = assignment.solve(scores, 0.0)
+        for k, (_, cam_id, poses) in enumerate(seen):
+            match = assignment.solve(scores[k, :, :len(poses)], 0.0)
             for ti, pi in match.pairs:
-                tracks[ti].last_poses[cam.cam_id] = poses[pi]
+                tracks[ti].last_poses[cam_id] = poses[pi]
                 matched_ids.add(tracks[ti].track_id)
-            unmatched[cam.cam_id] = [poses[pi] for pi in match.unmatched_cols]
+            unmatched[cam_id] = [poses[pi] for pi in match.unmatched_cols]
         return unmatched, matched_ids
 
     # -- reconstruction ----------------------------------------------

@@ -6,7 +6,8 @@ from-scratch pose scorer, a weighted linear triangulator, a one-joint
 greedy epipolar filter, and a limb-correctness scorer. Tests compare library output against these.
 
 The scalar references (epipolar pair affinity and pose score, the
-initialization filter, smoothing, the greedy actor matcher) spell out,
+initialization filter, smoothing, the greedy actor matcher, per-limb
+correctness) spell out,
 one element at a time and in the same order of operations, what the
 batched kernels compute, so the kernels must match them bit for bit.
 """
@@ -323,6 +324,20 @@ def reference_match_actors(pred_actors, gt_actors, masks=None):
                     best = (g, p)
         match[best[0]] = best[1]
     return match
+
+
+def reference_score_actor(pred, gt, schema, mask=None):
+    """Scalar form of evaluation.score_actor: three np.linalg.norm calls
+    per limb, so limb ties round as the norm of one vector rounds."""
+    out = []
+    for part, a, b in schema.limbs:
+        if mask is not None and not (mask[a] and mask[b]):
+            continue
+        length = np.linalg.norm(gt[a] - gt[b])
+        da = np.linalg.norm(pred[a] - gt[a])
+        db = np.linalg.norm(pred[b] - gt[b])
+        out.append((part, 0.5 * (da + db) <= 0.5 * length))
+    return out
 
 
 def reference_pcp_counts(pred_frames, gt_frames, schema):

@@ -85,11 +85,24 @@ def test_deterministic_tie_break_is_lexicographic():
     assert m.pairs == ((0, 1), (1, 0))
 
 
+def test_saturated_column_may_be_vacated_for_a_free_one():
+    # every optimum covers column 0 or column 1 with row 0, and the
+    # smallest sequence moves row 0 onto column 0 and row 3 off it, which
+    # takes an exchange through the free columns
+    values = np.array([[0.5, 1.0], [-1.0, -1.0], [-1.0, 0.75], [0.25, -1.0]])
+    assert solve(values, min_affinity=-0.5).pairs == ((0, 0), (2, 1))
+
+
+TALL_AND_WIDE = [(1, 8), (8, 1), (3, 8), (8, 3)]
+
+
 def test_tie_break_matches_exhaustive_lexicographic_search(rng):
     # grid values, small integers and constant matrices tie often, and a
     # negative gate admits zero-valued cells that add nothing to the total
-    for _ in range(1500):
+    for k in range(1500):
         shape = (int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+        if k % 5 == 0:
+            shape = TALL_AND_WIDE[(k // 5) % len(TALL_AND_WIDE)]
         kind = int(rng.integers(3))
         if kind == 0:
             values = rng.integers(-2, 5, shape) * 0.25
@@ -103,20 +116,26 @@ def test_tie_break_matches_exhaustive_lexicographic_search(rng):
 
 
 def test_hungarian_duals_certify_the_assignment(rng):
-    for _ in range(300):
+    # square costs and wide ones, where every row is assigned and some
+    # columns stay free
+    for k in range(600):
         n = int(rng.integers(1, 9))
+        size = n if k % 2 == 0 else n + int(rng.integers(1, 9))
         if rng.random() < 0.5:
-            cost = rng.uniform(-1.0, 1.0, (n, n))
+            cost = rng.uniform(-1.0, 1.0, (n, size))
         else:
-            cost = rng.integers(-2, 3, (n, n)).astype(float)
+            cost = rng.integers(-2, 3, (n, size)).astype(float)
         scale = 1.0 + float(np.abs(cost).sum())
-        cost[rng.random((n, n)) < 0.3] = scale
+        cost[rng.random((n, size)) < 0.3] = scale
         tol = 1e-9 * scale
         col, u, v = kernels.hungarian_min(cost)
-        assert sorted(col.tolist()) == list(range(n))
+        assert len(set(col.tolist())) == n
+        assert set(col.tolist()) <= set(range(size))
         reduced = cost - u[:, None] - v[None, :]
         assert reduced.min() >= -tol
         assert np.abs(reduced[np.arange(n), col]).max() <= tol
+        free = np.setdiff1d(np.arange(size), col)
+        assert np.all(v[free] == 0.0)
         ri, ci = scipy.optimize.linear_sum_assignment(cost)
         assert cost[np.arange(n), col].sum() == \
             pytest.approx(cost[ri, ci].sum(), abs=tol)

@@ -14,7 +14,7 @@ from mvtrack3d.fileio import GroundTruthFrame, TrackFrame
 from mvtrack3d.schema import SYNTH14
 
 from helpers import (points_near_origin, reference_match_actors,
-                     reference_pcp_counts)
+                     reference_pcp_counts, reference_score_actor)
 
 N = SYNTH14.n_joints
 PARTS = SYNTH14.part_names
@@ -160,6 +160,45 @@ def test_masked_limbs_are_skipped(rng):
     results = score_actor(gt.copy(), gt, SYNTH14, mask=mask)
     assert len(results) == len(kept)
     assert all(ok for _, ok in results)
+
+
+def boundary_actor(rng, exact):
+    """Ground truth and a prediction whose every limb sits on the
+    correctness boundary, da + db = length: joint j is predicted d_j away
+    from the truth, and each limb (a, b) is d_a + d_b long. With integer
+    d along the axes the ties are exact; along random directions rounding
+    decides them. SYNTH14's limbs form a forest listed parent first, so
+    each limb places its second joint from its first."""
+    def direction():
+        if exact:
+            u = np.zeros(3)
+            u[rng.integers(3)] = rng.choice([-1.0, 1.0])
+            return u
+        u = rng.normal(size=3)
+        return u / np.linalg.norm(u)
+
+    d = rng.integers(0, 4, N).astype(float) if exact \
+        else rng.uniform(0.0, 0.3, N)
+    gt = rng.integers(-5, 6, (N, 3)).astype(float)
+    for _, a, b in SYNTH14.limbs:
+        gt[b] = gt[a] + (d[a] + d[b]) * direction()
+    pred = gt + d[:, None] * np.stack([direction() for _ in range(N)])
+    return gt, pred
+
+
+def test_limb_correctness_matches_scalar_reference(rng):
+    for k in range(400):
+        mask = rng.random(N) > 0.2 if rng.random() < 0.3 else None
+        if k % 4 == 3:
+            gt = points_near_origin(rng, N)
+            pred = gt + rng.normal(0.0, 0.1, gt.shape)
+        else:
+            gt, pred = boundary_actor(rng, exact=k % 2 == 0)
+        want = reference_score_actor(pred, gt, SYNTH14, mask)
+        if k % 2 == 0:
+            # an exact tie counts as correct
+            assert all(ok for _, ok in want)
+        assert score_actor(pred, gt, SYNTH14, mask) == want
 
 
 def test_report_matches_reference_scorer_on_random_pairs(rng):

@@ -108,6 +108,48 @@ def test_pose_scores_match_scalar_reference(seed, n_members, n_cands, n_joints,
     assert_same_bits(got, want)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, n_cams=st.integers(1, 4), n_tracks=st.integers(1, 5),
+       n_joints=st.integers(1, 14), per_camera_points=st.booleans(),
+       part_aware=st.booleans())
+def test_track_pose_scores_batch_over_cameras(seed, n_cams, n_tracks,
+                                              n_joints, per_camera_points,
+                                              part_aware):
+    """Scoring every camera in one call, each camera's poses padded with
+    invalid joints to the largest count, gives each camera's own scores
+    bit for bit, and 0 on the padding."""
+    rng = np.random.default_rng(seed)
+    cams = random_ring_rig(rng, n_cams=n_cams)
+    rig = CameraRig(cams)
+    shape = (n_cams, n_tracks, n_joints, 3) if per_camera_points \
+        else (n_tracks, n_joints, 3)
+    pts = points_near_origin(rng, int(np.prod(shape[:-1]))).reshape(shape)
+    track_valid = rng.random((n_tracks, n_joints)) > 0.2
+    dts = rng.uniform(1.0, 4.0, (n_cams, n_tracks))
+    counts = rng.integers(1, 5, n_cams)
+    width = int(counts.max())
+    uv = np.zeros((n_cams, width, n_joints, 2))
+    valid = np.zeros((n_cams, width, n_joints), bool)
+    for c, cam in enumerate(cams):
+        views = points_near_origin(rng, counts[c] * n_joints)
+        uv[c, :counts[c]] = np.stack(
+            [geometry.project(p, cam) for p in views]
+        ).reshape(counts[c], n_joints, 2)
+        uv[c, :counts[c]] += rng.normal(0.0, 20.0, (counts[c], n_joints, 2))
+        valid[c, :counts[c]] = rng.random((counts[c], n_joints)) > 0.2
+    args = (30.0, 0.5, 3, part_aware)
+    got = kernels.score_pose_pairs(pts, track_valid, dts, rig.k_table,
+                                   rig.r_table, rig.origins, uv, valid, *args)
+    assert got.shape == (n_cams, n_tracks, width)
+    for c in range(n_cams):
+        want = kernels.score_pose_pairs(
+            pts[c] if per_camera_points else pts, track_valid, dts[c],
+            cams[c].K, cams[c].R, cams[c].o, uv[c, :counts[c]],
+            valid[c, :counts[c]], *args)
+        assert_same_bits(got[c, :, :counts[c]], want)
+        assert not got[c, :, counts[c]:].any()
+
+
 def init_filter_case(seed, n_cams, n_repeats, n_points, outlier_rate,
                      dead_rate):
     """A batch for filter_init_mask: every camera once plus n_repeats
