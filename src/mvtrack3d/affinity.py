@@ -15,6 +15,8 @@ from . import geometry, kernels
 from .errors import ConfigError, InvalidInterval, NoValidJoints
 from .geometry import CameraCalibration
 
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+
 
 @dataclass(frozen=True)
 class AffinityConfig:
@@ -106,21 +108,42 @@ class Pose2D:
         Joints below the confidence floor, with non-finite coordinates, or
         farther than image_margin outside the image are marked invalid.
         """
-        arr = np.ascontiguousarray(joints, dtype=np.float64)
+        arr = np.asarray(joints, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] != 3:
             raise ValueError(f"expected (N,3) joint array, got {arr.shape}")
-        uv = np.ascontiguousarray(arr[:, :2])
-        conf = np.ascontiguousarray(arr[:, 2])
-        valid = np.isfinite(uv).all(axis=1) & np.isfinite(conf) & (conf >= config.conf_floor)
+        return cls.from_detections(cam_id, time_s, arr[None], config,
+                                   camera=camera, frame=frame)[0]
+
+    @classmethod
+    def from_detections(cls, cam_id: int, time_s: float, joints: np.ndarray,
+                        config: AffinityConfig,
+                        camera: CameraCalibration | None = None,
+                        frame: int = -1) -> list["Pose2D"]:
+        """Build one pose per row of a float64 (P,N,3) array of
+        (u, v, confidence) detections seen by one camera at one time.
+
+        The caller checks the shape. Validity is decided for all P*N
+        joints at once, by the rule from_detection documents; each pose
+        holds C-contiguous row slices of the batch arrays.
+        """
+        # One test for every column: a joint is valid when u, v and conf
+        # all lie in [lo, hi]. The finite range stands for "finite" (NaN
+        # fails every comparison), the floor bounds conf from below, and
+        # a camera narrows u and v to the image plus its margin.
+        lo = [-_FLOAT_MAX, -_FLOAT_MAX, config.conf_floor]
+        hi = [_FLOAT_MAX, _FLOAT_MAX, _FLOAT_MAX]
         if camera is not None:
             m = config.image_margin
-            with np.errstate(invalid="ignore"):
-                valid &= (
-                    (uv[:, 0] >= -m) & (uv[:, 0] <= camera.width + m)
-                    & (uv[:, 1] >= -m) & (uv[:, 1] <= camera.height + m)
-                )
-        return cls(cam_id=cam_id, time_s=float(time_s), uv=uv, conf=conf,
-                   valid=np.ascontiguousarray(valid), frame=int(frame))
+            lo[0] = lo[1] = max(-m, -_FLOAT_MAX)
+            hi[0] = min(camera.width + m, _FLOAT_MAX)
+            hi[1] = min(camera.height + m, _FLOAT_MAX)
+        valid = ((joints >= lo) & (joints <= hi)).all(axis=2)
+        uv = np.ascontiguousarray(joints[:, :, :2])
+        conf = np.ascontiguousarray(joints[:, :, 2])
+        time_s = float(time_s)
+        frame = int(frame)
+        return [cls(cam_id, time_s, uv[p], conf[p], valid[p], frame)
+                for p in range(joints.shape[0])]
 
     @property
     def n_joints(self) -> int:

@@ -7,9 +7,11 @@ file, command-line flags (--set KEY=VALUE, then the --no-* switches).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
+import tempfile
 import time
 
 from . import fileio, synth
@@ -121,36 +123,63 @@ def _cmd_eval(args) -> int:
 
 
 def _bench_once(frames: int, seed: int) -> dict:
+    """Run `track`'s loop, read -> step -> write, on an exported stock
+    scene and time each part."""
     cfg = synth.SceneConfig(seed=seed, n_cameras=5, n_actors=4,
                             n_frames=frames, noise_px=1.0)
     scene = synth.generate(cfg)
-    rig = CameraRig(scene.cameras)
     config = TrackerConfig(affinity=PRESETS["shelf"])
-    warm = PoseTracker(rig, config)
-    for bundle in scene.bundles[: min(10, frames)]:
-        warm.step(bundle)
-    tracker = PoseTracker(rig, config)
-    t0 = time.perf_counter()
-    for bundle in scene.bundles:
-        tracker.step(bundle)
-    wall = time.perf_counter() - t0
+    clock = time.perf_counter
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = scene.export(tmp)
+        cameras = fileio.load_calibration(paths["calibration"])
+        rig = CameraRig(cameras)
+        schema = scene.schema
+        warm = PoseTracker(rig, config)
+        for bundle in itertools.islice(fileio.load_detections(
+                paths["detections"], config.affinity, cameras), 10):
+            warm.step(bundle)
+        tracker = PoseTracker(rig, config)
+        bundles = fileio.load_detections(paths["detections"],
+                                         config.affinity, cameras)
+        parse = write = 0.0
+        with fileio.TrackWriter(os.path.join(tmp, "tracks.jsonl"),
+                                schema.name, schema.n_joints) as writer:
+            t0 = clock()
+            while True:
+                t1 = clock()
+                bundle = next(bundles, None)
+                t2 = clock()
+                parse += t2 - t1
+                if bundle is None:
+                    break
+                out = tracker.step(bundle)
+                t3 = clock()
+                writer.write(bundle.frame, bundle.time_s, out)
+                write += clock() - t3
+            wall = clock() - t0
     stage = tracker.stage_means_ms
+    per_frame = 1e3 / max(frames, 1)
     return {
         "frames": frames,
+        "parse_ms": parse * per_frame,
         "associate_ms": stage["associate"],
         "reconstruct_ms": stage["reconstruct"],
         "initialize_ms": stage["initialize"],
-        "total_ms": 1e3 * wall / max(frames, 1),
+        "write_ms": write * per_frame,
+        "total_ms": wall * per_frame,
     }
 
 
 def _cmd_bench(args) -> int:
     result = _bench_once(args.frames, args.seed or 0)
     print(f"{result['frames']} frames, 5 cameras, 4 actors")
+    print(f"  parse          {result['parse_ms']:8.3f} ms/frame")
     print(f"  association    {result['associate_ms']:8.3f} ms/frame")
     print(f"  reconstruction {result['reconstruct_ms']:8.3f} ms/frame")
     print(f"  initialization {result['initialize_ms']:8.3f} ms/frame")
-    print(f"  full step      {result['total_ms']:8.3f} ms/frame")
+    print(f"  write          {result['write_ms']:8.3f} ms/frame")
+    print(f"  full frame     {result['total_ms']:8.3f} ms/frame")
     print("RESULT " + json.dumps(result, separators=(",", ":")))
     return 0
 
@@ -197,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", choices=("text", "records"), default="text")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("bench", help="time tracker stages on a stock scene")
+    p = sub.add_parser("bench", help="time read, tracker stages and write "
+                                          "on a stock scene")
     p.add_argument("--frames", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_bench)

@@ -31,12 +31,12 @@ GROUND_TRUTH_FORMAT = "mvtrack3d/ground_truth"
 CORRUPTION_FORMAT = "mvtrack3d/corruption"
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+# One encoder for every writer: json.dumps would build a new one per record.
+_dumps = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
 
 
 def _floats(values) -> list:
-    return [float(v) for v in np.asarray(values, dtype=np.float64).ravel()]
+    return np.asarray(values, dtype=np.float64).ravel().tolist()
 
 
 def _parse_line(line: str, lineno: int, path: str) -> dict:
@@ -53,6 +53,32 @@ def _require(record: dict, key: str, lineno: int, path: str):
     if key not in record:
         raise ParseError(f"{path}:{lineno}: missing field '{key}'")
     return record[key]
+
+
+def _field(record: dict, key: str, cast, lineno: int, path: str,
+           default=None):
+    """record[key] passed through cast (int, float, str), or default when
+    the key is absent and a default is given; a value the cast rejects
+    raises ParseError naming the line."""
+    if default is not None and key not in record:
+        value = default
+    else:
+        value = _require(record, key, lineno, path)
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"{path}:{lineno}: field '{key}' must be "
+                         f"{cast.__name__}, got {value!r}") from None
+
+
+def _objects(record: dict, key: str, lineno: int, path: str) -> list:
+    """record[key], which must be a list of JSON objects."""
+    value = _require(record, key, lineno, path)
+    if not isinstance(value, list) or not all(
+            isinstance(v, dict) for v in value):
+        raise ParseError(f"{path}:{lineno}: field '{key}' must be a list of "
+                         f"objects")
+    return value
 
 
 def _read_records(path: str) -> Iterator[tuple[int, dict]]:
@@ -107,20 +133,22 @@ def load_calibration(path: str) -> list[CameraCalibration]:
         raise ParseError(f"{path}: empty file, expected header record")
     _check_header(header, CALIBRATION_FORMAT, lineno, path)
     for lineno, rec in records:
-        k = _require(rec, "K", lineno, path)
-        r = _require(rec, "R", lineno, path)
-        o = _require(rec, "o", lineno, path)
-        if len(k) != 9 or len(r) != 9 or len(o) != 3:
-            raise ParseError(f"{path}:{lineno}: K/R/o must have 9/9/3 entries")
+        try:
+            k, r, o = (np.array(_require(rec, key, lineno, path),
+                                dtype=np.float64) for key in ("K", "R", "o"))
+            if k.shape != (9,) or r.shape != (9,) or o.shape != (3,):
+                raise ValueError
+        except (TypeError, ValueError, OverflowError):
+            raise ParseError(
+                f"{path}:{lineno}: K/R/o must have 9/9/3 numbers") from None
+        cam_id = _field(rec, "id", int, lineno, path)
+        width = _field(rec, "width", int, lineno, path)
+        height = _field(rec, "height", int, lineno, path)
+        fps = _field(rec, "fps", float, lineno, path)
         try:
             cameras.append(CameraCalibration(
-                cam_id=int(_require(rec, "id", lineno, path)),
-                K=np.array(k, dtype=np.float64).reshape(3, 3),
-                R=np.array(r, dtype=np.float64).reshape(3, 3),
-                o=np.array(o, dtype=np.float64),
-                width=int(_require(rec, "width", lineno, path)),
-                height=int(_require(rec, "height", lineno, path)),
-                fps=float(_require(rec, "fps", lineno, path)),
+                cam_id=cam_id, K=k.reshape(3, 3), R=r.reshape(3, 3), o=o,
+                width=width, height=height, fps=fps,
             ))
         except ValidationError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from exc
@@ -139,13 +167,11 @@ def write_detections(records: Iterable[tuple[int, float, int, np.ndarray]],
                          "schema": schema_name,
                          "n_joints": int(n_joints)}) + "\n")
         for frame, time_s, cam_id, poses in records:
-            arr = np.asarray(poses, dtype=np.float64)
             fh.write(_dumps({
                 "frame": int(frame),
                 "camera": int(cam_id),
                 "time_s": float(time_s),
-                "poses": [[[float(v) for v in joint] for joint in pose]
-                          for pose in arr],
+                "poses": np.asarray(poses, dtype=np.float64).tolist(),
             }) + "\n")
 
 
@@ -165,9 +191,11 @@ def load_detections(path: str,
                     ) -> Iterator[FrameBundle]:
     """Stream FrameBundles from a detections file.
 
-    Joint validity is recomputed from confidences (and image bounds when
-    cameras are given), so a file written from synth poses parses back to
-    the same masks. Frames must be non-decreasing.
+    Each record's poses must form a rectangular (P, N, 3) array of
+    numbers; an empty list means the camera saw no one. Joint validity is
+    recomputed from confidences (and image bounds when cameras are given)
+    by Pose2D.from_detections, so a file written from synth poses parses
+    back to the same masks. Frames must be non-decreasing.
     """
     cfg = config if config is not None else AffinityConfig()
     cam_by_id = {c.cam_id: c for c in cameras} if cameras is not None else {}
@@ -177,15 +205,30 @@ def load_detections(path: str,
     except StopIteration:
         raise ParseError(f"{path}: empty file, expected header record")
     _check_header(header, DETECTIONS_FORMAT, lineno, path)
-    n_joints = int(header.get("n_joints", 0))
+    n_joints = _field(header, "n_joints", int, lineno, path, default=0)
 
     current: FrameBundle | None = None
     last_frame = None
     for lineno, rec in records:
-        frame = int(_require(rec, "frame", lineno, path))
-        cam_id = int(_require(rec, "camera", lineno, path))
-        time_s = float(_require(rec, "time_s", lineno, path))
+        frame = _field(rec, "frame", int, lineno, path)
+        cam_id = _field(rec, "camera", int, lineno, path)
+        time_s = _field(rec, "time_s", float, lineno, path)
         poses = _require(rec, "poses", lineno, path)
+        try:
+            arr = np.asarray(poses, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(
+                f"{path}:{lineno}: poses must be numbers in a rectangular "
+                f"(P, N, 3) shape: {exc}"
+            ) from None
+        if arr.shape == (0,):
+            arr = arr.reshape(0, n_joints, 3)
+        elif arr.ndim != 3 or arr.shape[2] != 3 or (
+                n_joints and arr.shape[1] != n_joints):
+            raise ParseError(
+                f"{path}:{lineno}: poses shape {arr.shape} does not match "
+                f"(P, {n_joints or 'N'}, 3) of (u, v, conf) rows"
+            )
         if last_frame is not None and frame < last_frame:
             raise NonMonotonicFrames(
                 f"{path}:{lineno}: frame {frame} after frame {last_frame}"
@@ -198,19 +241,10 @@ def load_detections(path: str,
             current = FrameBundle(frame=frame, time_s=time_s, poses={})
         elif time_s > current.time_s:
             current.time_s = time_s
-        pose_list = current.poses.setdefault(cam_id, [])
-        for pose in poses:
-            arr = np.asarray(pose, dtype=np.float64)
-            if arr.ndim != 2 or arr.shape[1] != 3 or (
-                    n_joints and arr.shape[0] != n_joints):
-                raise ParseError(
-                    f"{path}:{lineno}: pose shape {arr.shape} does not match "
-                    f"{n_joints} joints x (u, v, conf)"
-                )
-            pose_list.append(Pose2D.from_detection(
-                cam_id, time_s, arr, cfg,
-                camera=cam_by_id.get(cam_id), frame=frame,
-            ))
+        current.poses.setdefault(cam_id, []).extend(Pose2D.from_detections(
+            cam_id, time_s, arr, cfg, camera=cam_by_id.get(cam_id),
+            frame=frame,
+        ))
     if current is not None:
         yield current
 
@@ -231,14 +265,12 @@ class TrackWriter:
 
     def write(self, frame: int, time_s: float,
               skeletons: Sequence[tuple[int, Skeleton3D]]) -> None:
-        tracks = []
-        for track_id, skel in skeletons:
-            joints = []
-            for j in range(skel.joints.shape[0]):
-                x, y, z = skel.joints[j]
-                joints.append([float(x), float(y), float(z),
-                               FLAG_CHARS[int(skel.flags[j])]])
-            tracks.append({"id": int(track_id), "joints": joints})
+        tracks = [
+            {"id": int(track_id),
+             "joints": [[*xyz, FLAG_CHARS[code]] for xyz, code in
+                        zip(skel.joints.tolist(), skel.flags.tolist())]}
+            for track_id, skel in skeletons
+        ]
         self._fh.write(_dumps({"frame": int(frame),
                                "time_s": float(time_s),
                                "tracks": tracks}) + "\n")
@@ -276,33 +308,31 @@ def load_tracks(path: str) -> TrackFile:
     except StopIteration:
         raise ParseError(f"{path}: empty file, expected header record")
     _check_header(header, TRACKS_FORMAT, lineno, path)
-    schema = str(header.get("schema", ""))
-    n_joints = int(header.get("n_joints", 0))
+    schema = _field(header, "schema", str, lineno, path, default="")
+    n_joints = _field(header, "n_joints", int, lineno, path, default=0)
     frames: list[TrackFrame] = []
     for lineno, rec in records:
-        frame = int(_require(rec, "frame", lineno, path))
-        time_s = float(_require(rec, "time_s", lineno, path))
+        frame = _field(rec, "frame", int, lineno, path)
+        time_s = _field(rec, "time_s", float, lineno, path)
         actors: dict[int, np.ndarray] = {}
         flags: dict[int, np.ndarray] = {}
-        for entry in _require(rec, "tracks", lineno, path):
-            tid = int(entry["id"])
-            rows = entry["joints"]
-            if n_joints and len(rows) != n_joints:
+        for entry in _objects(rec, "tracks", lineno, path):
+            tid = _field(entry, "id", int, lineno, path)
+            rows = _require(entry, "joints", lineno, path)
+            try:
+                xyz = [(float(x), float(y), float(z)) for x, y, z, _ in rows]
+                codes = [CHAR_FLAGS[row[3]] for row in rows]
+            except (TypeError, ValueError, KeyError, OverflowError):
                 raise ParseError(
-                    f"{path}:{lineno}: track {tid} has {len(rows)} joints, "
+                    f"{path}:{lineno}: joint row must be [X,Y,Z,flag]"
+                ) from None
+            if n_joints and len(xyz) != n_joints:
+                raise ParseError(
+                    f"{path}:{lineno}: track {tid} has {len(xyz)} joints, "
                     f"header says {n_joints}"
                 )
-            joints = np.empty((len(rows), 3), dtype=np.float64)
-            codes = np.empty(len(rows), dtype=np.uint8)
-            for j, row in enumerate(rows):
-                if len(row) != 4 or row[3] not in CHAR_FLAGS:
-                    raise ParseError(
-                        f"{path}:{lineno}: joint row must be [X,Y,Z,flag]"
-                    )
-                joints[j] = (float(row[0]), float(row[1]), float(row[2]))
-                codes[j] = CHAR_FLAGS[row[3]]
-            actors[tid] = joints
-            flags[tid] = codes
+            actors[tid] = np.array(xyz, dtype=np.float64).reshape(-1, 3)
+            flags[tid] = np.array(codes, dtype=np.uint8)
         frames.append(TrackFrame(frame, time_s, actors, flags))
     return TrackFile(schema, n_joints, frames)
 
@@ -341,10 +371,11 @@ def save_ground_truth(frames: Iterable[GroundTruthFrame], path: str,
             actors = []
             for aid in gt.actors:
                 entry = {"id": int(aid),
-                         "joints": [[float(v) for v in row]
-                                    for row in np.asarray(gt.actors[aid])]}
+                         "joints": np.asarray(gt.actors[aid],
+                                              dtype=np.float64).tolist()}
                 if aid in gt.masks:
-                    entry["mask"] = [bool(v) for v in gt.masks[aid]]
+                    entry["mask"] = np.asarray(gt.masks[aid],
+                                               dtype=bool).tolist()
                 actors.append(entry)
             fh.write(_dumps({"frame": int(gt.frame), "actors": actors}) + "\n")
 
@@ -356,12 +387,12 @@ def load_ground_truth(path: str) -> GroundTruthFile:
     except StopIteration:
         raise ParseError(f"{path}: empty file, expected header record")
     _check_header(header, GROUND_TRUTH_FORMAT, lineno, path)
-    schema = str(header.get("schema", ""))
-    n_joints = int(header.get("n_joints", 0))
+    schema = _field(header, "schema", str, lineno, path, default="")
+    n_joints = _field(header, "n_joints", int, lineno, path, default=0)
     frames: list[GroundTruthFrame] = []
     last = None
     for lineno, rec in records:
-        frame = int(_require(rec, "frame", lineno, path))
+        frame = _field(rec, "frame", int, lineno, path)
         if last is not None and frame <= last:
             raise NonMonotonicFrames(
                 f"{path}:{lineno}: frame {frame} after frame {last}"
@@ -369,9 +400,14 @@ def load_ground_truth(path: str) -> GroundTruthFile:
         last = frame
         actors: dict[int, np.ndarray] = {}
         masks: dict[int, np.ndarray] = {}
-        for entry in _require(rec, "actors", lineno, path):
-            aid = int(entry["id"])
-            joints = np.asarray(entry["joints"], dtype=np.float64)
+        for entry in _objects(rec, "actors", lineno, path):
+            aid = _field(entry, "id", int, lineno, path)
+            try:
+                joints = np.asarray(_require(entry, "joints", lineno, path),
+                                    dtype=np.float64)
+            except (TypeError, ValueError, OverflowError):
+                raise ParseError(f"{path}:{lineno}: actor {aid} joints must "
+                                 f"be numbers in an (N, 3) shape") from None
             if joints.ndim != 2 or joints.shape[1] != 3 or (
                     n_joints and joints.shape[0] != n_joints):
                 raise ParseError(

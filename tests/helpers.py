@@ -3,7 +3,9 @@
 Everything here is implemented independently of the library internals it
 is used to check: camera construction, an exhaustive assignment search, a
 from-scratch pose scorer, a weighted linear triangulator, a one-joint
-greedy epipolar filter, and a limb-correctness scorer. Tests compare library output against these.
+greedy epipolar filter, a limb-correctness scorer, a one-joint-at-a-time
+detections reader and the per-float file writers. Tests compare library
+output against these.
 
 The scalar references (epipolar pair affinity and pose score, the
 initialization filter, smoothing, the greedy actor matcher, per-limb
@@ -12,6 +14,7 @@ one element at a time and in the same order of operations, what the
 batched kernels compute, so the kernels must match them bit for bit.
 """
 
+import json
 import math
 
 import numpy as np
@@ -452,3 +455,104 @@ def mean_triangulated_error(pred_frames, gt_frames, schema, flag_value=0):
             total += float(d.sum())
             count += int(sel.sum())
     return total / count if count else float("nan")
+
+
+def reference_read_detections(records, conf_floor, image_margin,
+                              cameras=()):
+    """What a detections file of these (frame, time_s, camera id, poses)
+    records parses to, deciding validity one joint at a time: a list of
+    (frame, time_s, {camera id: [(uv, conf, valid, frame, time_s)]}).
+
+    A joint is valid when u, v and its confidence are finite, the
+    confidence is at or above the floor and, for a camera in `cameras`,
+    the pixel lies no farther than image_margin outside the image.
+    """
+    cam_by_id = {c.cam_id: c for c in cameras}
+    bundles = []
+    for frame, time_s, cam_id, poses in records:
+        if not bundles or bundles[-1][0] != frame:
+            bundles.append([frame, time_s, {}])
+        bundle = bundles[-1]
+        bundle[1] = max(bundle[1], time_s)
+        cam = cam_by_id.get(cam_id)
+        out = bundle[2].setdefault(cam_id, [])
+        for pose in poses:
+            uv = np.empty((len(pose), 2))
+            conf = np.empty(len(pose))
+            valid = np.empty(len(pose), dtype=bool)
+            for j, (u, v, c) in enumerate(pose):
+                uv[j, 0], uv[j, 1], conf[j] = u, v, c
+                ok = (math.isfinite(u) and math.isfinite(v)
+                      and math.isfinite(c) and c >= conf_floor)
+                if ok and cam is not None:
+                    m = image_margin
+                    ok = (-m <= u <= cam.width + m
+                          and -m <= v <= cam.height + m)
+                valid[j] = ok
+            out.append((uv, conf, valid, frame, time_s))
+    return [tuple(b) for b in bundles]
+
+
+def _reference_dumps(obj):
+    return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+
+
+def _reference_header(fmt, schema_name, n_joints):
+    return _reference_dumps({"format": fmt, "format_version": 1,
+                             "schema": schema_name,
+                             "n_joints": int(n_joints)}) + "\n"
+
+
+def reference_tracks_text(frames, schema_name, n_joints):
+    """A tracks file of (frame, time_s, [(id, Skeleton3D)]) frames, built
+    one float at a time."""
+    flag_chars = {0: "T", 1: "P", 2: "M"}
+    text = _reference_header("mvtrack3d/tracks", schema_name, n_joints)
+    for frame, time_s, skeletons in frames:
+        tracks = []
+        for track_id, skel in skeletons:
+            joints = []
+            for j in range(skel.joints.shape[0]):
+                x, y, z = skel.joints[j]
+                joints.append([float(x), float(y), float(z),
+                               flag_chars[int(skel.flags[j])]])
+            tracks.append({"id": int(track_id), "joints": joints})
+        text += _reference_dumps({"frame": int(frame),
+                                  "time_s": float(time_s),
+                                  "tracks": tracks}) + "\n"
+    return text
+
+
+def reference_detections_text(records, schema_name, n_joints):
+    """A detections file of (frame, time_s, camera id, (P,N,3) poses)
+    records, built one float at a time."""
+    text = _reference_header("mvtrack3d/detections", schema_name, n_joints)
+    for frame, time_s, cam_id, poses in records:
+        arr = np.asarray(poses, dtype=np.float64)
+        text += _reference_dumps({
+            "frame": int(frame),
+            "camera": int(cam_id),
+            "time_s": float(time_s),
+            "poses": [[[float(v) for v in joint] for joint in pose]
+                      for pose in arr],
+        }) + "\n"
+    return text
+
+
+def reference_ground_truth_text(frames, schema_name, n_joints):
+    """A ground-truth file of GroundTruthFrames, built one float at a
+    time."""
+    text = _reference_header("mvtrack3d/ground_truth", schema_name,
+                             n_joints)
+    for gt in frames:
+        actors = []
+        for aid in gt.actors:
+            entry = {"id": int(aid),
+                     "joints": [[float(v) for v in row]
+                                for row in np.asarray(gt.actors[aid])]}
+            if aid in gt.masks:
+                entry["mask"] = [bool(v) for v in gt.masks[aid]]
+            actors.append(entry)
+        text += _reference_dumps({"frame": int(gt.frame),
+                                  "actors": actors}) + "\n"
+    return text

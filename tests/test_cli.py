@@ -160,6 +160,22 @@ def test_truncated_input_yields_byte_identical_prefix(capsys, tmp_path):
     assert full_bytes.startswith(short_bytes)
 
 
+def test_malformed_detections_exit_1_with_one_line_error(capsys, tmp_path):
+    paths = synth_scene(capsys, tmp_path, **CLEAN)
+    lines = open(paths["detections"]).read().splitlines()
+    record = json.loads(lines[5])
+    record["time_s"] = None
+    lines[5] = json.dumps(record)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    code, out, err = track(capsys, dict(paths, detections=str(bad)),
+                           tmp_path / "t.jsonl")
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "bad.jsonl:6:" in err and "time_s" in err
+    assert "Traceback" not in err
+
+
 def test_eval_rejects_mismatched_schemas(capsys, tmp_path):
     paths = synth_scene(capsys, tmp_path, **CLEAN)
     tracks = tmp_path / "tracks.jsonl"
@@ -181,8 +197,8 @@ def test_bench_reports_stage_timings(capsys):
     line = next(ln for ln in out.splitlines() if ln.startswith("RESULT "))
     payload = json.loads(line[len("RESULT "):])
     assert payload["frames"] == 3
-    assert {"associate_ms", "reconstruct_ms",
-            "initialize_ms", "total_ms"} <= set(payload)
+    assert {"parse_ms", "associate_ms", "reconstruct_ms",
+            "initialize_ms", "write_ms", "total_ms"} <= set(payload)
 
 
 def test_module_entry_point_prints_usage():
