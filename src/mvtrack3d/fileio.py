@@ -215,12 +215,21 @@ def load_detections(path: str,
         time_s = _field(rec, "time_s", float, lineno, path)
         poses = _require(rec, "poses", lineno, path)
         try:
-            arr = np.asarray(poses, dtype=np.float64)
+            arr = np.asarray(poses)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(
                 f"{path}:{lineno}: poses must be numbers in a rectangular "
                 f"(P, N, 3) shape: {exc}"
             ) from None
+        if arr.dtype != np.float64:
+            # ints convert to floats; null, strings, booleans alone and
+            # ints past int64 give an object, str or bool array
+            if arr.dtype.kind not in "iu":
+                raise ParseError(
+                    f"{path}:{lineno}: poses must be numbers in a rectangular "
+                    f"(P, N, 3) shape, found a value that is not a number"
+                )
+            arr = arr.astype(np.float64)
         if arr.shape == (0,):
             arr = arr.reshape(0, n_joints, 3)
         elif arr.ndim != 3 or arr.shape[2] != 3 or (

@@ -2,10 +2,11 @@
 
 Projection, pose scoring (every camera of a frame at once), both
 epipolar filters and the cross-view pose score work on stacked arrays;
-triangulation is one batched LAPACK SVD. Loops remain only over camera
-pairs, greedy removal steps and the smoothing window, and in the
-assignment: one scalar rectangular Hungarian solve per call, over
-Python lists, whose duals settle the tie-break without solving again.
+triangulation is one batched LAPACK eigensolve of every joint's 4×4
+normal matrix AᵀA. Loops remain only over camera pairs, greedy removal
+steps and the smoothing window, and in the assignment: one scalar
+rectangular Hungarian solve per call, over Python lists, whose duals
+settle the tie-break without solving again.
 
 Elementwise expressions follow the scalar order of operations and sums
 run left to right, so each element's result does not depend on the
@@ -13,8 +14,12 @@ batch it is computed in.
 
 Status codes returned by triangulate_batch and triangulate_normalized:
   0 ok, 1 too few rows, 2 rank deficient, 3 point at infinity.
+Rank deficient means σ3 <= 1e-7·σ1 for the singular values of A. The
+eigenvalues of AᵀA carry an error of about eps·σ1², so σ3/σ1 cannot be
+resolved below about 1e-8, and an exactly rank-2 system reads near it.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -135,10 +140,20 @@ def score_pose_pairs(track_pts, track_valid, dts, K, R, o, poses_uv, poses_valid
     return np.where(count > 0, mean, 0.0)
 
 
+@functools.lru_cache(maxsize=None)
+def _slot_pairs(m):
+    """Every slot pair i < j of m slots in (i, j) order, as read-only
+    (pi, pj); np.triu_indices costs more than the filters' own work."""
+    pairs = np.triu_indices(m, 1)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
+
+
 def _slot_pair_affinities(uv, cam_idx, f_table, alpha):
     """Epipolar affinity of every slot pair i < j of a batch uv (B,M,2)
     whose slot m is seen by camera cam_idx[m]; returns (i, j, e (B,P))."""
-    pi, pj = np.triu_indices(uv.shape[1], 1)
+    pi, pj = _slot_pairs(uv.shape[1])
     ci, cj = cam_idx[pi], cam_idx[pj]
     e = epipolar_pair_affinities(uv[:, pi, 0], uv[:, pi, 1], uv[:, pj, 0],
                                  uv[:, pj, 1], f_table[ci, cj], f_table[cj, ci],
@@ -155,23 +170,29 @@ def filter_tracked_batch(uv, alive, cam_idx, f_table, alpha, pred, origins,
     is each joint's predicted 3D point. Per joint, while any surviving
     pair scores negative, the first worst pair in (i, j) slot order
     loses the member whose back-projected ray lies farther from the
-    prediction (i on a tie). Returns the keep mask (B,M).
+    prediction (i on a tie). Only joints with a negative pair back-project
+    their rays. Returns the keep mask (B,M).
     """
     m = uv.shape[1]
     pi, pj, e = _slot_pair_affinities(uv, cam_idx, f_table, alpha)
-    rays = back_project_dir(uv[..., 0], uv[..., 1], krinv_table[cam_idx])
-    dist = point_ray_distance(pred[:, None, :], origins[cam_idx], rays)
     alive = alive.copy()
-    rows = np.arange(uv.shape[0])
+    rows = np.flatnonzero((alive[:, pi] & alive[:, pj] & (e < 0.0)).any(axis=1))
+    if rows.size == 0:
+        return alive
+    uv, e, sub = uv[rows], e[rows], alive[rows]
+    rays = back_project_dir(uv[..., 0], uv[..., 1], krinv_table[cam_idx])
+    dist = point_ray_distance(pred[rows, None, :], origins[cam_idx], rays)
+    at = np.arange(rows.size)
     for _ in range(m - 1):
-        negative = alive[:, pi] & alive[:, pj] & (e < 0.0)
+        negative = sub[:, pi] & sub[:, pj] & (e < 0.0)
         worst = np.where(negative, e, 0.0).argmin(axis=1)
-        hit = negative[rows, worst]
+        hit = negative[at, worst]
         if not hit.any():
             break
         wi, wj = pi[worst], pj[worst]
-        drop = np.where(dist[rows, wi] >= dist[rows, wj], wi, wj)
-        alive[rows[hit], drop[hit]] = False
+        drop = np.where(dist[at, wi] >= dist[at, wj], wi, wj)
+        sub[at[hit], drop[hit]] = False
+    alive[rows] = sub
     return alive
 
 
@@ -216,8 +237,12 @@ def triangulate_batch(uvn, pmats, weights, keep):
 
     uvn (...,M,2) are pixels mapped into [-1,1], pmats (...,M,3,4) the
     matching conditioned projection matrices, weights (...,M) and keep
-    (...,M) the per-view weights and the views to use. Each point is
-    solved by its own SVD of a (2M,4) system whose unused rows are zero.
+    (...,M) the per-view weights and the views to use. Each point's
+    (2M,4) system A, unused rows zero, is reduced to its normal matrix
+    AᵀA (4,4), and the eigenvector of the smallest eigenvalue is the
+    homogeneous point. The eigenvalues are the squared singular values
+    of A, but eigh resolves them only to about eps·σ1², so σ3/σ1 is known
+    only down to about 1e-8: the rank test flags σ3 <= 1e-7·σ1.
     Returns (xyz (...,3), status (...)).
     """
     w = weights[..., None]
@@ -226,13 +251,17 @@ def triangulate_batch(uvn, pmats, weights, keep):
     rows_v = w * (uvn[..., 1, None] * p[..., 2, :] - p[..., 1, :])
     a = np.where(keep[..., None, None], np.stack((rows_u, rows_v), axis=-2), 0.0)
     a = a.reshape(a.shape[:-3] + (-1, 4))
-    finite = np.isfinite(a).all(axis=(-2, -1))
-    a[~finite] = 0.0
-    _, sigma, vh = np.linalg.svd(a, full_matrices=False)
-    x = vh[..., 3, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.matmul(a.swapaxes(-1, -2), a)
+    # eigh raises on a non-finite matrix, which a huge finite pixel can give
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    m[~finite] = 0.0
+    lam, vec = np.linalg.eigh(m)
+    x = vec[..., :, 0]
     n = np.sqrt(x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1] + x[..., 2] * x[..., 2])
     status = np.where(np.abs(x[..., 3]) <= 1e-12 * n, 3, 0)
-    rank_deficient = (sigma[..., 0] <= 0.0) | (sigma[..., 2] <= 1e-10 * sigma[..., 0])
+    # σ3 <= 1e-7·σ1, on the eigenvalues λ = σ²
+    rank_deficient = (lam[..., 3] <= 0.0) | (lam[..., 1] <= 1e-14 * lam[..., 3])
     status = np.where(rank_deficient | ~finite, 2, status)
     status = np.where(keep.sum(axis=-1) < 2, 1, status)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -466,21 +495,25 @@ def assignment_lex(values, allowed):
 
 
 def causal_gaussian_smooth(times, joints, sigma_frames, fps, t_now):
-    """Weighted mean of a trailing window of skeletons.
+    """Weighted mean of trailing windows of skeletons.
 
-    times (B,), joints (B,N,3) ordered oldest to newest. Gaussian weights
-    over the age in frames, renormalized over whatever history exists.
+    times (...,B), joints (...,B,N,3), each window ordered oldest to
+    newest; returns (...,N,3). Gaussian weights over the age in frames,
+    renormalized over the window. A slot at time -inf weighs exactly 0,
+    and 0.0 + w·x == w·x, so windows of different lengths batch
+    together right-aligned behind -inf times and zero joints.
     """
-    out = np.zeros(joints.shape[1:])
-    wsum = 0.0
-    for t, skeleton in zip(times, joints):
-        z = (t_now - t) * fps / sigma_frames
-        # math.exp: np.exp may round differently from the C library
-        w = math.exp(-0.5 * z * z)
-        wsum += w
-        out += w * skeleton
-    if wsum > 0.0:
-        out /= wsum
+    z = (t_now - times) * fps / sigma_frames
+    # math.exp: np.exp may round differently from the C library
+    w = np.array([math.exp(v) for v in (-0.5 * z * z).ravel().tolist()]
+                 ).reshape(z.shape)
+    out = np.zeros(joints.shape[:-3] + joints.shape[-2:])
+    wsum = np.zeros(times.shape[:-1])
+    for k in range(times.shape[-1]):
+        wsum += w[..., k]
+        out += w[..., k, None, None] * joints[..., k, :, :]
+    scale = wsum[..., None, None]
+    np.divide(out, scale, out=out, where=scale > 0.0)
     return out
 
 

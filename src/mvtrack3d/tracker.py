@@ -14,7 +14,6 @@ smaller than detector noise and nothing could ever match.
 from __future__ import annotations
 
 import time as _time
-from collections import deque
 from dataclasses import dataclass, field, fields, replace
 from enum import IntEnum
 
@@ -135,8 +134,11 @@ class Track:
         self.last_poses = dict(poses)
         self.misses = 0
         self.created_frame = frame
-        self.history = deque(maxlen=window)
-        self.history.append((skeleton.time_s, skeleton.joints.copy()))
+        # the last `window` raw skeletons, right-aligned behind time -inf
+        self.history_times = np.full(window, -np.inf)
+        self.history_times[-1] = skeleton.time_s
+        self.history_joints = np.zeros((window,) + skeleton.joints.shape)
+        self.history_joints[-1] = skeleton.joints
 
     def predict(self, t: float) -> np.ndarray:
         """Constant-velocity extrapolation of the smoothed joints to time t."""
@@ -146,24 +148,33 @@ class Track:
         flags = np.full(self.skeleton.n_joints, JointFlag.PREDICTED, dtype=np.uint8)
         return Skeleton3D(t, self.predict(t), flags)
 
-    def advance(self, raw: Skeleton3D, config: TrackerConfig, fps: float) -> Skeleton3D:
-        """Fold a freshly reconstructed skeleton into the track state."""
-        self.history.append((raw.time_s, raw.joints.copy()))
-        if config.smoothing and len(self.history) > 1:
-            times = np.array([h[0] for h in self.history])
-            stack = np.ascontiguousarray(np.stack([h[1] for h in self.history]))
+    @staticmethod
+    def advance(tracks: list, t: float, joints: np.ndarray, flags: np.ndarray,
+                config: TrackerConfig, fps: float) -> list:
+        """Fold freshly reconstructed skeletons at time t, joints (T,N,3)
+        and flags (T,N), into the state of each of the T tracks, smoothing
+        all of them in one call. Returns the new skeletons in order."""
+        if config.smoothing and tracks[0].history_times.size > 1:
+            # the history is read only here, so only smoothing keeps it
+            times = np.array([tr.history_times for tr in tracks])
+            history = np.array([tr.history_joints for tr in tracks])
+            times = np.concatenate((times[:, 1:], np.full((len(tracks), 1), t)),
+                                   axis=1)
+            history = np.concatenate((history[:, 1:], joints[:, None]), axis=1)
             smoothed = kernels.causal_gaussian_smooth(
-                times, stack, config.smooth_sigma, fps, raw.time_s
+                times, history, config.smooth_sigma, fps, t
             )
+            for track, row_t, row_j in zip(tracks, times, history):
+                track.history_times = row_t
+                track.history_joints = row_j
         else:
-            smoothed = raw.joints.copy()
-        prev_t = self.skeleton.time_s
-        prev_joints = self.skeleton.joints
-        dt = raw.time_s - prev_t
-        if dt > 0:
-            self.velocity = (smoothed - prev_joints) / dt
-        self.skeleton = Skeleton3D(raw.time_s, smoothed, raw.flags.copy())
-        return self.skeleton
+            smoothed = joints.copy()
+        for track, row, row_flags in zip(tracks, smoothed, flags):
+            dt = t - track.skeleton.time_s
+            if dt > 0:
+                track.velocity = (row - track.skeleton.joints) / dt
+            track.skeleton = Skeleton3D(t, row, row_flags)
+        return [track.skeleton for track in tracks]
 
 
 class PoseTracker:
@@ -266,27 +277,29 @@ class PoseTracker:
         n_joints = observed[0][0].skeleton.n_joints
         obs_uv = np.zeros((n_tracks, n_joints, len(rig), 2))
         obs_valid = np.zeros((n_tracks, n_joints, len(rig)), dtype=bool)
-        weights = np.zeros((n_tracks, len(rig)))
-        pred = np.empty((n_tracks, n_joints, 3))
+        slots = []   # (track row, camera index, pose) per recent pose
         for k, (track, recent) in enumerate(observed):
             if not recent:
                 raise NoRecentObservations(
                     f"track {track.track_id} has no pose within the window"
                 )
-            for cam_id, pose in recent.items():
-                ci = rig.index_of[cam_id]
-                obs_uv[k, :, ci] = pose.uv
-                obs_valid[k, :, ci] = pose.valid
-                age_frames = max(t - pose.time_s, 0.0) * rig.fps
-                weights[k, ci] = np.exp(-cfg.affinity.lambda_a * age_frames)
-            pred[k] = track.predict(t)
+            slots.extend((k, rig.index_of[cam_id], pose)
+                         for cam_id, pose in recent.items())
+        ks, cis, poses = zip(*slots)
+        obs_uv[ks, :, cis] = np.array([pose.uv for pose in poses])
+        obs_valid[ks, :, cis] = np.array([pose.valid for pose in poses])
+        age_frames = np.maximum(t - np.array([pose.time_s for pose in poses]),
+                                0.0) * rig.fps
+        weights = np.zeros((n_tracks, len(rig)))
+        weights[ks, cis] = np.exp(-cfg.affinity.lambda_a * age_frames)
+        tracks = [track for track, _ in observed]
+        pred = np.array([track.predict(t) for track in tracks])
         joints, flags = kernels.reconstruct_joints(
             obs_uv, obs_valid, weights, pred,
             rig.f_table, rig.origins, rig.krinv_table, rig.pn_table,
             rig.su, rig.sv, cfg.affinity.alpha_epi, cfg.joints_filter,
         )
-        return [track.advance(Skeleton3D(t, joints[k], flags[k]), cfg, rig.fps)
-                for k, (track, _) in enumerate(observed)]
+        return Track.advance(tracks, t, joints, flags, cfg, rig.fps)
 
     # -- initialization ----------------------------------------------
 

@@ -149,8 +149,8 @@ def reference_pose_score(camera, skel_joints, skel_valid, dt, pose_uv,
     return float(aff[ok].mean())
 
 
-def weighted_dlt(cameras, uvs, weights):
-    """Independent conditioned homogeneous least-squares triangulation."""
+def _dlt_rows(cameras, uvs, weights):
+    """The conditioned (2M,4) homogeneous system of M weighted views."""
     rows = []
     for cam, uv, w in zip(cameras, uvs, weights):
         cond = np.array([
@@ -163,9 +163,30 @@ def weighted_dlt(cameras, uvs, weights):
         vn = uv[1] * (2.0 / cam.height) - 1.0
         rows.append(w * (un * pn[2] - pn[0]))
         rows.append(w * (vn * pn[2] - pn[1]))
-    _, _, vt = np.linalg.svd(np.stack(rows))
+    return np.stack(rows)
+
+
+def weighted_dlt(cameras, uvs, weights):
+    """Independent conditioned homogeneous least-squares triangulation."""
+    _, _, vt = np.linalg.svd(_dlt_rows(cameras, uvs, weights))
     x = vt[-1]
     return x[:3] / x[3]
+
+
+def weighted_dlt_status(cameras, uvs, weights):
+    """weighted_dlt by the SVD of the system itself, with the kernels'
+    status codes: 1 below two views, 2 when the singular values have
+    sigma3 <= 1e-7 sigma1, 3 when the null vector's w <= 1e-12 |xyz|.
+    Returns (xyz, status), xyz zero unless status is 0."""
+    if len(cameras) < 2:
+        return np.zeros(3), 1
+    _, sigma, vt = np.linalg.svd(_dlt_rows(cameras, uvs, weights))
+    x = vt[-1]
+    if sigma[0] <= 0.0 or sigma[2] <= 1e-7 * sigma[0]:
+        return np.zeros(3), 2
+    if abs(x[3]) <= 1e-12 * np.linalg.norm(x[:3]):
+        return np.zeros(3), 3
+    return x[:3] / x[3], 0
 
 
 def _epipolar_line_distance(cam_a, uv_a, cam_b, uv_b):

@@ -279,8 +279,12 @@ def _detection_probe(**fields):
     (_detection_probe(poses=[[[100.0, {}, 0.9]] * N]), "shape"),
     (_detection_probe(poses=[[]]), "shape"),
     (_detection_probe(poses=[[[1.0, 2.0]] * N]), "shape"),
+    (_detection_probe(poses=[[[100.0, None, 0.9]] * N]), "not a number"),
+    (_detection_probe(poses=[[[100.0, "1.5", 0.9]] * N]), "not a number"),
+    (_detection_probe(poses=[[[None] * 3] * N]), "not a number"),
 ], ids=["poses-int", "frame-str", "time-null", "camera-list", "ragged",
-        "joint-str", "joint-object", "empty-pose", "two-columns"])
+        "joint-str", "joint-object", "empty-pose", "two-columns",
+        "joint-null", "joint-numeric-str", "pose-all-null"])
 def test_malformed_detection_records_raise_parse_error(tmp_path, record,
                                                        match):
     path = tmp_path / "det.jsonl"

@@ -1,4 +1,5 @@
-"""Array kernels against the scalar references in helpers, bit for bit.
+"""Array kernels against the scalar references in helpers, bit for bit,
+except triangulation, which is held to the SVD within a tolerance.
 
 Inputs are generated: rigs from a random seed, pixels near true
 projections with noise and gross outliers, invalid joints whose pixels
@@ -19,6 +20,7 @@ from helpers import (
     reference_epipolar_pose_score,
     reference_init_filter,
     reference_smooth,
+    weighted_dlt_status,
 )
 
 ALPHA = 30.0
@@ -247,3 +249,107 @@ def test_smoothing_matches_scalar_reference(seed, n_hist, n_joints, sigma, fps):
     assert_same_bits(got, want)
     if n_hist == 1:
         assert_same_bits(got, joints[0])
+
+    # a batch of tracks with every history length 1..n_hist, right-aligned
+    # behind -inf times and zero joints, in one call
+    lengths = rng.permutation(np.arange(1, n_hist + 1))
+    batch_t = np.full((n_hist, n_hist), -np.inf)
+    batch_j = np.zeros((n_hist, n_hist, n_joints, 3))
+    tracks = []
+    for k, length in enumerate(lengths):
+        frames = np.sort(rng.choice(np.arange(-20, 0), size=length,
+                                    replace=False))
+        frames[-1] = 0
+        t_k = frames / fps
+        j_k = rng.normal(0.0, 1.0, size=(length, n_joints, 3))
+        batch_t[k, n_hist - length:] = t_k
+        batch_j[k, n_hist - length:] = j_k
+        tracks.append((t_k, j_k))
+    got = kernels.causal_gaussian_smooth(batch_t, batch_j, sigma, fps, 0.0)
+    for k, (t_k, j_k) in enumerate(tracks):
+        assert_same_bits(got[k], reference_smooth(t_k, j_k, sigma, fps, 0.0))
+
+
+def _conditioned(cams, uv):
+    """Pixels (M,2) mapped into [-1,1] and the cameras' conditioned
+    projection matrices (M,3,4), the kernel's inputs."""
+    size = np.array([[c.width, c.height] for c in cams], dtype=np.float64)
+    return uv * (2.0 / size) - 1.0, np.stack([c.conditioned_projection()
+                                             for c in cams])
+
+
+def _project_direction(cam, d):
+    h = cam.K @ cam.R @ d
+    return h[:2] / h[2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=SEEDS, n_views=st.integers(2, 5), noise=st.floats(0.0, 5.0),
+       outlier=st.floats(0.0, 200.0),
+       case=st.sampled_from(("point", "twins", "infinity")))
+def test_triangulation_matches_svd_reference(seed, n_views, noise, outlier,
+                                             case):
+    """Same status as the SVD of the weighted system on every case, and
+    the same point within 1e-6 (1 + |x|) where it is 0: noisy views, one
+    view up to 200 px off, weights 1e-4..1 and dropped views; one camera
+    repeated (rank 2); and a direction seen by adjacent cameras (a point
+    at infinity)."""
+    rng = np.random.default_rng(seed)
+    weights = 10.0 ** rng.uniform(-4.0, 0.0, size=n_views)
+    keep = np.ones(n_views, np.bool_)
+    if case == "infinity":
+        # adjacent cameras of an 8-ring and a direction in front of each;
+        # the rows see it exactly, so only near-equal weights keep the
+        # SVD's own w within 1e-12
+        n_views = min(n_views, 3)
+        cams = random_ring_rig(rng, n_cams=8)[:n_views]
+        d = sum(c.R[2] for c in cams)
+        uv = np.stack([_project_direction(c, d) for c in cams])
+        weights = rng.uniform(0.5, 1.0, size=n_views)
+        keep = keep[:n_views]
+    else:
+        p = points_near_origin(rng, 1)[0]
+        if case == "twins":
+            cam = random_ring_rig(rng, n_cams=1)[0]
+            cams = [cam] * n_views
+            uv = np.tile(geometry.project(p, cam)
+                         + rng.normal(0.0, noise, size=2), (n_views, 1))
+        else:
+            cams = random_ring_rig(rng, n_cams=n_views)
+            uv = np.stack([geometry.project(p, c) for c in cams])
+            uv += rng.normal(0.0, noise, size=uv.shape)
+            ang = rng.uniform(0.0, 2.0 * np.pi)
+            uv[rng.integers(n_views)] += outlier * np.array([np.cos(ang),
+                                                             np.sin(ang)])
+            keep = rng.random(n_views) >= 0.2
+    uvn, pmats = _conditioned(cams, uv)
+    xyz, status = kernels.triangulate_batch(uvn[None], pmats[None],
+                                            weights[None], keep[None])
+    want_xyz, want_status = weighted_dlt_status(
+        [c for c, k in zip(cams, keep) if k], uv[keep], weights[keep])
+    assert status[0] == want_status
+    if case == "twins":
+        assert want_status == 2
+    if case == "infinity":
+        assert want_status == 3
+    if want_status == 0:
+        err = np.abs(xyz[0] - want_xyz).max()
+        assert err <= 1e-6 * (1.0 + np.abs(want_xyz).max()), err
+
+
+def test_triangulation_flags_non_finite_systems_rank_deficient(rng):
+    """A NaN pixel, or one so large that AᵀA overflows, gives status 2
+    for its own point instead of an error for the batch."""
+    cams = random_ring_rig(rng, n_cams=3)
+    p = points_near_origin(rng, 1)[0]
+    uv = np.stack([geometry.project(p, c) for c in cams])
+    uvn, pmats = _conditioned(cams, uv)
+    batch = np.repeat(uvn[None], 4, axis=0)
+    batch[1, 0, 0] = np.nan
+    batch[2, 1, 1] = 1e200
+    batch[3, 2, 0] = -1e300
+    xyz, status = kernels.triangulate_batch(batch, pmats, np.ones((4, 3)),
+                                            np.ones((4, 3), np.bool_))
+    assert status.tolist() == [0, 2, 2, 2]
+    assert np.abs(xyz[0] - p).max() < 1e-9
+    assert not xyz[1:].any()

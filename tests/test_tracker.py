@@ -93,7 +93,8 @@ def test_constant_velocity_prediction(rng):
     assert np.array_equal(track.predict(0.2), joints0)
 
     sk1 = Skeleton3D(0.04, joints0 + vel * 0.04, np.zeros(N, np.uint8))
-    track.advance(sk1, no_smoothing(), FPS)
+    Track.advance([track], sk1.time_s, sk1.joints[None], sk1.flags[None],
+                  no_smoothing(), FPS)
     predicted = track.predict(0.12)
     expected = sk1.joints + vel * 0.08
     assert np.max(np.abs(predicted - expected)) < 1e-12
@@ -209,8 +210,8 @@ def test_reconstruction_does_not_depend_on_batch_companions():
                 alone = solo.reconstruct([(solo_track, recent)], bundle)[0]
                 assert np.array_equal(alone.joints, together[k].joints)
                 assert np.array_equal(alone.flags, together[k].flags)
-                assert np.array_equal(solo_track.history[-1][1],
-                                      track.history[-1][1])
+                assert np.array_equal(solo_track.history_joints,
+                                      track.history_joints)
                 flags_seen.update(alone.flags.tolist())
                 compared += 1
         tracker.step(bundle)
