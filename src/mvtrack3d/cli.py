@@ -124,7 +124,7 @@ def _cmd_eval(args) -> int:
 
 def _bench_once(frames: int, seed: int) -> dict:
     """Run `track`'s loop, read -> step -> write, on an exported stock
-    scene and time each part."""
+    scene, then `eval` on the tracks it wrote, and time each part."""
     cfg = synth.SceneConfig(seed=seed, n_cameras=5, n_actors=4,
                             n_frames=frames, noise_px=1.0)
     scene = synth.generate(cfg)
@@ -143,8 +143,9 @@ def _bench_once(frames: int, seed: int) -> dict:
         bundles = fileio.load_detections(paths["detections"],
                                          config.affinity, cameras)
         parse = write = 0.0
-        with fileio.TrackWriter(os.path.join(tmp, "tracks.jsonl"),
-                                schema.name, schema.n_joints) as writer:
+        tracks_path = os.path.join(tmp, "tracks.jsonl")
+        with fileio.TrackWriter(tracks_path, schema.name,
+                                schema.n_joints) as writer:
             t0 = clock()
             while True:
                 t1 = clock()
@@ -158,6 +159,10 @@ def _bench_once(frames: int, seed: int) -> dict:
                 writer.write(bundle.frame, bundle.time_s, out)
                 write += clock() - t3
             wall = clock() - t0
+        t0 = clock()
+        pcp_evaluate(fileio.load_tracks(tracks_path),
+                     fileio.load_ground_truth(paths["ground_truth"]), schema)
+        evaluate = clock() - t0
     stage = tracker.stage_means_ms
     per_frame = 1e3 / max(frames, 1)
     return {
@@ -168,6 +173,7 @@ def _bench_once(frames: int, seed: int) -> dict:
         "initialize_ms": stage["initialize"],
         "write_ms": write * per_frame,
         "total_ms": wall * per_frame,
+        "eval_ms": evaluate * per_frame,
     }
 
 
@@ -180,6 +186,7 @@ def _cmd_bench(args) -> int:
     print(f"  initialization {result['initialize_ms']:8.3f} ms/frame")
     print(f"  write          {result['write_ms']:8.3f} ms/frame")
     print(f"  full frame     {result['total_ms']:8.3f} ms/frame")
+    print(f"  eval           {result['eval_ms']:8.3f} ms/frame")
     print("RESULT " + json.dumps(result, separators=(",", ":")))
     return 0
 
@@ -226,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", choices=("text", "records"), default="text")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("bench", help="time read, tracker stages and write "
-                                          "on a stock scene")
+    p = sub.add_parser("bench", help="time read, tracker stages, write "
+                                          "and eval on a stock scene")
     p.add_argument("--frames", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_bench)

@@ -71,6 +71,50 @@ def _field(record: dict, key: str, cast, lineno: int, path: str,
                          f"{cast.__name__}, got {value!r}") from None
 
 
+def _joint_array(value, n_joints: int, lineno: int, path: str, what: str,
+                 row: str) -> np.ndarray:
+    """One record's (K, N, 3) joint rows as a float64 array; an empty
+    list gives (0, N, 3) and ints convert to floats. A ragged list, or
+    null, strings, booleans alone and ints past int64, which give numpy
+    an object, str or bool array, raise ParseError naming the line."""
+    shape = f"(K, {n_joints or 'N'}, 3) of {row} rows"
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{path}:{lineno}: {what} must be numbers in a "
+                         f"rectangular {shape} shape: {exc}") from None
+    if arr.dtype != np.float64:
+        if arr.dtype.kind not in "iu":
+            raise ParseError(f"{path}:{lineno}: {what} must be numbers in a "
+                             f"rectangular {shape} shape, found a value "
+                             f"that is not a number")
+        arr = arr.astype(np.float64)
+    if arr.shape == (0,):
+        return arr.reshape(0, n_joints, 3)
+    if arr.ndim != 3 or arr.shape[2] != 3 or (
+            n_joints and arr.shape[1] != n_joints):
+        raise ParseError(f"{path}:{lineno}: {what} shape {arr.shape} does "
+                         f"not match {shape}")
+    return arr
+
+
+def _reject_booleans(arr: np.ndarray, value, lineno: int, path: str,
+                     what: str) -> None:
+    """Raise ParseError for a true or false among the numbers of value,
+    which _joint_array read into arr as 1.0 or 0.0: only the cells of arr
+    that hold 0 or 1 are looked up in value."""
+    hits = (arr == 0.0) | (arr == 1.0)
+    if not hits.any():
+        return
+    for index in zip(*np.nonzero(hits)):
+        cell = value
+        for i in index:
+            cell = cell[i]
+        if isinstance(cell, bool):
+            raise ParseError(f"{path}:{lineno}: {what} must be numbers, "
+                             f"found {json.dumps(cell)}, not a number")
+
+
 def _objects(record: dict, key: str, lineno: int, path: str) -> list:
     """record[key], which must be a list of JSON objects."""
     value = _require(record, key, lineno, path)
@@ -213,31 +257,8 @@ def load_detections(path: str,
         frame = _field(rec, "frame", int, lineno, path)
         cam_id = _field(rec, "camera", int, lineno, path)
         time_s = _field(rec, "time_s", float, lineno, path)
-        poses = _require(rec, "poses", lineno, path)
-        try:
-            arr = np.asarray(poses)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(
-                f"{path}:{lineno}: poses must be numbers in a rectangular "
-                f"(P, N, 3) shape: {exc}"
-            ) from None
-        if arr.dtype != np.float64:
-            # ints convert to floats; null, strings, booleans alone and
-            # ints past int64 give an object, str or bool array
-            if arr.dtype.kind not in "iu":
-                raise ParseError(
-                    f"{path}:{lineno}: poses must be numbers in a rectangular "
-                    f"(P, N, 3) shape, found a value that is not a number"
-                )
-            arr = arr.astype(np.float64)
-        if arr.shape == (0,):
-            arr = arr.reshape(0, n_joints, 3)
-        elif arr.ndim != 3 or arr.shape[2] != 3 or (
-                n_joints and arr.shape[1] != n_joints):
-            raise ParseError(
-                f"{path}:{lineno}: poses shape {arr.shape} does not match "
-                f"(P, {n_joints or 'N'}, 3) of (u, v, conf) rows"
-            )
+        arr = _joint_array(_require(rec, "poses", lineno, path), n_joints,
+                           lineno, path, "poses", "(u, v, conf)")
         if last_frame is not None and frame < last_frame:
             raise NonMonotonicFrames(
                 f"{path}:{lineno}: frame {frame} after frame {last_frame}"
@@ -323,25 +344,21 @@ def load_tracks(path: str) -> TrackFile:
     for lineno, rec in records:
         frame = _field(rec, "frame", int, lineno, path)
         time_s = _field(rec, "time_s", float, lineno, path)
-        actors: dict[int, np.ndarray] = {}
-        flags: dict[int, np.ndarray] = {}
-        for entry in _objects(rec, "tracks", lineno, path):
-            tid = _field(entry, "id", int, lineno, path)
-            rows = _require(entry, "joints", lineno, path)
-            try:
-                xyz = [(float(x), float(y), float(z)) for x, y, z, _ in rows]
-                codes = [CHAR_FLAGS[row[3]] for row in rows]
-            except (TypeError, ValueError, KeyError, OverflowError):
-                raise ParseError(
-                    f"{path}:{lineno}: joint row must be [X,Y,Z,flag]"
-                ) from None
-            if n_joints and len(xyz) != n_joints:
-                raise ParseError(
-                    f"{path}:{lineno}: track {tid} has {len(xyz)} joints, "
-                    f"header says {n_joints}"
-                )
-            actors[tid] = np.array(xyz, dtype=np.float64).reshape(-1, 3)
-            flags[tid] = np.array(codes, dtype=np.uint8)
+        entries = _objects(rec, "tracks", lineno, path)
+        ids = [_field(entry, "id", int, lineno, path) for entry in entries]
+        rows = [_require(entry, "joints", lineno, path) for entry in entries]
+        try:
+            xyz = [[(x, y, z) for x, y, z, _ in joints] for joints in rows]
+            codes = [[CHAR_FLAGS[row[3]] for row in joints] for joints in rows]
+        except (TypeError, ValueError, KeyError):
+            raise ParseError(
+                f"{path}:{lineno}: joint row must be [X,Y,Z,flag]"
+            ) from None
+        joints = _joint_array(xyz, n_joints, lineno, path, "track joints",
+                              "(X, Y, Z)")
+        _reject_booleans(joints, xyz, lineno, path, "track joints")
+        actors = dict(zip(ids, joints))
+        flags = dict(zip(ids, np.array(codes, dtype=np.uint8)))
         frames.append(TrackFrame(frame, time_s, actors, flags))
     return TrackFile(schema, n_joints, frames)
 
@@ -407,25 +424,15 @@ def load_ground_truth(path: str) -> GroundTruthFile:
                 f"{path}:{lineno}: frame {frame} after frame {last}"
             )
         last = frame
-        actors: dict[int, np.ndarray] = {}
-        masks: dict[int, np.ndarray] = {}
-        for entry in _objects(rec, "actors", lineno, path):
-            aid = _field(entry, "id", int, lineno, path)
-            try:
-                joints = np.asarray(_require(entry, "joints", lineno, path),
-                                    dtype=np.float64)
-            except (TypeError, ValueError, OverflowError):
-                raise ParseError(f"{path}:{lineno}: actor {aid} joints must "
-                                 f"be numbers in an (N, 3) shape") from None
-            if joints.ndim != 2 or joints.shape[1] != 3 or (
-                    n_joints and joints.shape[0] != n_joints):
-                raise ParseError(
-                    f"{path}:{lineno}: actor {aid} joints shape "
-                    f"{joints.shape} does not match header"
-                )
-            actors[aid] = joints
-            if "mask" in entry:
-                masks[aid] = np.asarray(entry["mask"], dtype=bool)
+        entries = _objects(rec, "actors", lineno, path)
+        ids = [_field(entry, "id", int, lineno, path) for entry in entries]
+        value = [_require(entry, "joints", lineno, path) for entry in entries]
+        joints = _joint_array(value, n_joints, lineno, path, "actor joints",
+                              "(X, Y, Z)")
+        _reject_booleans(joints, value, lineno, path, "actor joints")
+        actors = dict(zip(ids, joints))
+        masks = {aid: np.asarray(entry["mask"], dtype=bool)
+                 for aid, entry in zip(ids, entries) if "mask" in entry}
         frames.append(GroundTruthFrame(frame, actors, masks))
     return GroundTruthFile(schema, n_joints, frames)
 

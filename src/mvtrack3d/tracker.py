@@ -218,19 +218,19 @@ class PoseTracker:
         dts = np.maximum(elapsed * rig.fps, 1.0)
         if aff.max_dt is not None:
             dts = np.minimum(dts, aff.max_dt * rig.fps)
-        pts = np.stack([tr.skeleton.joints for tr in tracks])
+        pts = np.array([tr.skeleton.joints for tr in tracks])
         if cfg.project_predicted:
-            velocity = np.stack([tr.velocity for tr in tracks])
+            velocity = np.array([tr.velocity for tr in tracks])
             pts = pts + velocity * elapsed[..., None, None]
-        track_valid = (np.stack([tr.skeleton.flags for tr in tracks])
+        track_valid = (np.array([tr.skeleton.flags for tr in tracks])
                        != JointFlag.MISSING)
         width = max(len(poses) for _, _, poses in seen)
         n_joints = tracks[0].skeleton.n_joints
         pose_uv = np.zeros((len(seen), width, n_joints, 2))
         pose_valid = np.zeros((len(seen), width, n_joints), dtype=bool)
         for k, (_, _, poses) in enumerate(seen):
-            pose_uv[k, :len(poses)] = np.stack([p.uv for p in poses])
-            pose_valid[k, :len(poses)] = np.stack([p.valid for p in poses])
+            pose_uv[k, :len(poses)] = np.array([p.uv for p in poses])
+            pose_valid[k, :len(poses)] = np.array([p.valid for p in poses])
         scores = kernels.score_pose_pairs(
             pts, track_valid, dts, rig.k_table[cam_idx], rig.r_table[cam_idx],
             rig.origins[cam_idx], pose_uv, pose_valid,
@@ -320,10 +320,10 @@ class PoseTracker:
             members = [m for cluster in clusters for m in cluster]
             cj = np.array([c for c, _ in members])
             pair_scores = kernels.epipolar_pose_score(
-                np.stack([p.uv for _, p in members])[:, None],
-                np.stack([p.valid for _, p in members])[:, None],
-                np.stack([p.uv for p in cands]),
-                np.stack([p.valid for p in cands]),
+                np.array([p.uv for _, p in members])[:, None],
+                np.array([p.valid for _, p in members])[:, None],
+                np.array([p.uv for p in cands]),
+                np.array([p.valid for p in cands]),
                 rig.f_table[cj, ci][:, None], rig.f_table[ci, cj][:, None],
                 aff.alpha_epi,
             )

@@ -367,9 +367,11 @@ def reference_score_actor(pred, gt, schema, mask=None):
 def reference_pcp_counts(pred_frames, gt_frames, schema):
     """Recompute per-(actor, part) limb correctness counts from scratch.
 
-    Matching mirrors the documented rule: greedily pair the globally
-    closest (ground-truth actor, prediction) by mean joint distance, ties
-    to the smaller ids; sort-then-sweep realizes the same greedy order.
+    Matching mirrors the documented rule through reference_match_actors:
+    greedily pair the globally closest (ground-truth actor, prediction)
+    by mean joint distance, ties to the smaller ids, and a NaN distance
+    only as the first free pair. (A sort of the pairs cannot order NaN
+    distances, which a NaN joint or an all-False mask gives.)
     """
     preds = {f.frame: f for f in pred_frames}
     counts = {}
@@ -382,27 +384,8 @@ def reference_pcp_counts(pred_frames, gt_frames, schema):
         pf = preds.get(gtf.frame)
         actors = pf.actors if pf is not None else {}
         masks = getattr(gtf, "masks", None) or {}
-        gids = sorted(gtf.actors)
-        pids = sorted(actors)
-        pairs = []
-        for gi, g in enumerate(gids):
-            gt_j = np.asarray(gtf.actors[g], dtype=np.float64)
-            sel = np.asarray(masks[g], bool) if g in masks else None
-            for pi, p in enumerate(pids):
-                d = np.linalg.norm(np.asarray(actors[p], np.float64) - gt_j,
-                                   axis=1)
-                mean = d[sel].mean() if sel is not None else d.mean()
-                pairs.append((mean, gi, pi))
-        pairs.sort()
-        used_g, used_p = set(), set()
-        match = {}
-        for _, gi, pi in pairs:
-            if gi in used_g or pi in used_p:
-                continue
-            used_g.add(gi)
-            used_p.add(pi)
-            match[gids[gi]] = pids[pi]
-        for g in gids:
+        match = reference_match_actors(actors, gtf.actors, masks)
+        for g in sorted(gtf.actors):
             gt_j = np.asarray(gtf.actors[g], dtype=np.float64)
             mask = masks.get(g)
             pred_j = None

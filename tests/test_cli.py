@@ -198,7 +198,7 @@ def test_bench_reports_stage_timings(capsys):
     payload = json.loads(line[len("RESULT "):])
     assert payload["frames"] == 3
     assert {"parse_ms", "associate_ms", "reconstruct_ms",
-            "initialize_ms", "write_ms", "total_ms"} <= set(payload)
+            "initialize_ms", "write_ms", "total_ms", "eval_ms"} <= set(payload)
 
 
 def test_module_entry_point_prints_usage():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvtrack3d.errors import SchemaMismatch
 from mvtrack3d.evaluation import (
@@ -231,6 +232,104 @@ def test_report_matches_reference_scorer_on_random_pairs(rng):
             for part, score in parts.items():
                 want = expected.get(actor, {}).get(part, (0, 0))
                 assert (score.correct, score.total) == want
+
+
+def random_run(rng, n_frames, n_actors, mask_kinds, nonfinite):
+    """Ground truth and predictions of a run in which each actor enters
+    at a random frame and may leave again. Some actors are predicted
+    with every limb on the correctness boundary (boundary_actor), the
+    rest with noise. Prediction frames go missing, predictions drop out,
+    repeat another prediction (a tie), or come from nowhere; some hold a
+    NaN or infinite joint. Masks are drawn from mask_kinds: all True,
+    partial or all False."""
+    start = rng.integers(0, n_frames, n_actors)
+    stop = np.where(rng.random(n_actors) < 0.3,
+                    rng.integers(0, n_frames + 1, n_actors), n_frames)
+    # (ground truth, boundary prediction or None); actors move 1 m a
+    # frame, which keeps the boundary ties exact
+    base = [boundary_actor(rng, exact=True) if rng.random() < 0.3
+            else (points_near_origin(rng, N), None)
+            for _ in range(n_actors)]
+    gt_frames, pred_frames = [], []
+    for f in range(n_frames):
+        actors = {a: base[a][0] + f for a in range(n_actors)
+                  if start[a] <= f < stop[a]}
+        if actors and rng.random() < 0.1:   # two actors in one place
+            a, b = rng.choice(list(actors), 2)
+            actors[int(b)] = actors[int(a)].copy()
+        masks = {}
+        for a in actors:
+            kind = mask_kinds[int(rng.integers(len(mask_kinds)))]
+            if kind == "all":
+                masks[a] = np.ones(N, dtype=bool)
+            elif kind == "partial":
+                masks[a] = rng.random(N) > 0.3
+            elif kind == "empty":
+                masks[a] = np.zeros(N, dtype=bool)
+        gt_frames.append(GroundTruthFrame(f, actors, masks))
+        if rng.random() < 0.15:
+            continue   # no prediction frame
+        preds = {}
+        for a, joints in actors.items():
+            if rng.random() < 0.2:
+                continue
+            if base[a][1] is not None:
+                preds[a + 100] = base[a][1] + f
+            else:
+                scale = float(rng.choice([0.0, 0.01, 0.05, 0.15, 0.4]))
+                preds[a + 100] = joints + rng.normal(0, scale, (N, 3))
+        for tid in rng.choice(range(200, 210), int(rng.integers(0, 3)),
+                              replace=False):
+            if preds and rng.random() < 0.5:
+                preds[int(tid)] = preds[int(rng.choice(list(preds)))].copy()
+            else:
+                preds[int(tid)] = points_near_origin(rng, N)
+        if nonfinite:
+            for tid in preds:
+                if rng.random() < 0.2:
+                    preds[tid] = preds[tid].copy()
+                    preds[tid][rng.integers(N), rng.integers(3)] = \
+                        rng.choice([np.nan, np.inf, -np.inf])
+        pred_frames.append(TrackFrame(f, f / 25.0, preds))
+    return pred_frames, gt_frames
+
+
+def test_all_true_mask_ties_as_no_mask(rng):
+    # two actors in one place, the second with a mask that keeps every
+    # joint: their distances are equal, so the smaller id wins
+    every_joint = np.ones(N, dtype=bool)
+    for _ in range(200):
+        gt = points_near_origin(rng, N)
+        preds = {7: gt + rng.normal(0, 0.1, (N, 3)),
+                 8: gt + rng.normal(0, 0.1, (N, 3))}
+        assert match_actors(preds, {0: gt, 1: gt.copy()}, SYNTH14,
+                            {1: every_joint}) == \
+            match_actors(preds, {0: gt, 1: gt.copy()}, SYNTH14) == \
+            reference_match_actors(preds, {0: gt, 1: gt}, {1: every_joint})
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_frames=st.integers(1, 30),
+       n_actors=st.integers(0, 12),
+       mask_kinds=st.lists(st.sampled_from(["none", "all", "partial",
+                                            "empty"]), min_size=1,
+                           max_size=4),
+       nonfinite=st.booleans())
+def test_report_matches_reference_scorer_on_random_runs(
+        seed, n_frames, n_actors, mask_kinds, nonfinite):
+    pred_frames, gt_frames = random_run(np.random.default_rng(seed),
+                                        n_frames, n_actors, mask_kinds,
+                                        nonfinite)
+    report = pcp_evaluate(pred_frames, gt_frames, SYNTH14)
+    expected = reference_pcp_counts(pred_frames, gt_frames, SYNTH14)
+    first_seen = dict.fromkeys(a for f in gt_frames for a in sorted(f.actors))
+    assert list(report.per_actor) == list(first_seen)
+    for actor, parts in report.per_actor.items():
+        assert list(parts) == list(PARTS)
+        for part, score in parts.items():
+            want = expected.get(actor, {}).get(part, (0, 0))
+            assert (score.correct, score.total) == want
 
 
 def test_report_rendering_is_stable(rng):

@@ -352,8 +352,20 @@ _GOOD_TRACK = {"id": 1, "joints": [[0.0, 0.0, 1.0, "T"]] * N}
     {"frame": 0, "time_s": 0.0, "tracks": [dict(_GOOD_TRACK, joints=7)]},
     {"frame": "abc", "time_s": 0.0, "tracks": []},
     {"frame": 0, "time_s": None, "tracks": []},
+    {"frame": 0, "time_s": 0.0, "tracks": [
+        dict(_GOOD_TRACK, joints=[[0.0, "1.5", 1.0, "T"]] * N)]},
+    {"frame": 0, "time_s": 0.0, "tracks": [
+        dict(_GOOD_TRACK, joints=[[0.0, 0.0, True, "T"]] * N)]},
+    {"frame": 0, "time_s": 0.0, "tracks": [
+        _GOOD_TRACK, dict(_GOOD_TRACK, id=2, joints=[[0.5, False, 1.0, "T"]]
+                          + _GOOD_TRACK["joints"][1:])]},
+    {"frame": 0, "time_s": 0.0, "tracks": [
+        _GOOD_TRACK, dict(_GOOD_TRACK, id=2,
+                          joints=_GOOD_TRACK["joints"][1:])]},
 ], ids=["missing-id", "tracks-int", "track-int", "id-str", "coord-str",
-        "flag-list", "short-row", "joints-int", "frame-str", "time-null"])
+        "flag-list", "short-row", "joints-int", "frame-str", "time-null",
+        "coord-numeric-str", "coord-true", "second-track-false",
+        "second-track-short"])
 def test_malformed_track_records_raise_parse_error(tmp_path, record):
     path = tmp_path / "tracks.jsonl"
     header = {"format": "mvtrack3d/tracks", "format_version": 1,
@@ -382,8 +394,22 @@ _ACTOR = {"id": 0, "joints": [[0.0, 0.0, 1.0]] * N}
     ("ground_truth", load_ground_truth,
      {"frame": 0, "actors": [dict(_ACTOR, joints=[[0.0, "y", 1.0]] * N)]}),
     ("ground_truth", load_ground_truth, {"frame": None, "actors": []}),
+    ("ground_truth", load_ground_truth,
+     {"frame": 0, "actors": [dict(_ACTOR, joints=[[0.0, None, 1.0]] * N)]}),
+    ("ground_truth", load_ground_truth,
+     {"frame": 0, "actors": [dict(_ACTOR, joints=[[0.0, "1.5", 1.0]] * N)]}),
+    ("ground_truth", load_ground_truth,
+     {"frame": 0, "actors": [dict(_ACTOR, joints=[[0.0, 0.5, True]] * N)]}),
+    ("ground_truth", load_ground_truth,
+     {"frame": 0, "actors": [_ACTOR, dict(_ACTOR, id=1, joints=[[
+         0.5, 0.5, False]] + _ACTOR["joints"][1:])]}),
+    ("ground_truth", load_ground_truth,
+     {"frame": 0, "actors": [_ACTOR, dict(_ACTOR, id=1,
+                                          joints=_ACTOR["joints"][1:])]}),
 ], ids=["K-int", "R-nested", "o-str", "id-list", "fps-null", "actors-int",
-        "missing-id", "joint-str", "frame-null"])
+        "missing-id", "joint-str", "frame-null", "joint-null",
+        "joint-numeric-str", "joint-true", "second-actor-false",
+        "second-actor-short"])
 def test_malformed_calibration_and_ground_truth_raise_parse_error(
         tmp_path, fmt, loader, record):
     path = tmp_path / "x.jsonl"
