@@ -1,5 +1,10 @@
 """Online reconstruction and tracking of multiple 3D human skeletons
-from calibrated multi-camera 2D pose detections."""
+from calibrated multi-camera 2D pose detections.
+
+The top level holds the library entry points and the error types; the
+rest is reached through the submodules (geometry, kernels, tracker,
+fileio, evaluation, synth, ...).
+"""
 
 from .errors import (
     ConfigError,
@@ -7,81 +12,37 @@ from .errors import (
     DegenerateGeometry,
     DepthNonPositive,
     InsufficientObservations,
-    InvalidInterval,
     MvTrackError,
     NonMonotonicFrames,
     NonMonotonicTime,
     NoRecentObservations,
-    NoValidJoints,
     ParseError,
     SchemaMismatch,
     SingularProjection,
     ValidationError,
 )
-from .geometry import (
-    CameraCalibration,
-    CameraRig,
-    Line2D,
-    Ray3D,
-    back_project_ray,
-    epipolar_line,
-    fundamental_matrix,
-    point_line_distance_2d,
-    point_ray_distance_3d,
-    project,
-    triangulate,
-)
-from .schema import SYNTH14, JointSchema, get_schema, register_schema
-from .affinity import (
-    PRESETS,
-    AffinityConfig,
-    Pose2D,
-    body_aware_affinity,
-    epipolar_joint_affinity,
-    epipolar_pose_affinity,
-    joint_affinity,
-    pose_track_affinity,
-    preset,
-)
-from .assignment import Matching
-from .assignment import solve as solve_assignment
-from .tracker import (
-    FrameBundle,
-    JointFlag,
-    PoseTracker,
-    Skeleton3D,
-    Track,
-    TrackerConfig,
-)
-from .evaluation import PartScore, PcpReport, match_actors, pcp_evaluate, score_actor
-from .fileio import (
-    GroundTruthFile,
-    GroundTruthFrame,
-    TrackFile,
-    TrackFrame,
-    TrackWriter,
-    load_calibration,
-    load_corruption,
-    load_detections,
-    load_ground_truth,
-    load_tracks,
-    save_calibration,
-    save_ground_truth,
-    write_corruption,
-    write_detections,
-)
-from .synth import (
-    SceneConfig,
-    SyntheticScene,
-    corrupt_pose,
-    corrupted_benchmark_config,
-    generate,
-    ring_cameras,
-)
+from .geometry import CameraCalibration, CameraRig
+from .affinity import AffinityConfig, preset
+from .tracker import PoseTracker, TrackerConfig
+from .synth import SceneConfig, generate
+from .evaluation import pcp_evaluate
+from .fileio import TrackWriter, load_calibration, load_detections
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "CameraCalibration",
+    "CameraRig",
+    "AffinityConfig",
+    "preset",
+    "TrackerConfig",
+    "PoseTracker",
+    "SceneConfig",
+    "generate",
+    "pcp_evaluate",
+    "load_detections",
+    "load_calibration",
+    "TrackWriter",
     "MvTrackError",
     "ConfigError",
     "ValidationError",
@@ -92,67 +53,7 @@ __all__ = [
     "DegenerateBaseline",
     "DegenerateGeometry",
     "InsufficientObservations",
-    "InvalidInterval",
-    "NoValidJoints",
     "NoRecentObservations",
     "NonMonotonicFrames",
     "NonMonotonicTime",
-    "CameraCalibration",
-    "CameraRig",
-    "Ray3D",
-    "Line2D",
-    "project",
-    "back_project_ray",
-    "fundamental_matrix",
-    "epipolar_line",
-    "point_line_distance_2d",
-    "point_ray_distance_3d",
-    "triangulate",
-    "JointSchema",
-    "SYNTH14",
-    "get_schema",
-    "register_schema",
-    "AffinityConfig",
-    "PRESETS",
-    "preset",
-    "Pose2D",
-    "joint_affinity",
-    "pose_track_affinity",
-    "body_aware_affinity",
-    "epipolar_joint_affinity",
-    "epipolar_pose_affinity",
-    "Matching",
-    "solve_assignment",
-    "PoseTracker",
-    "TrackerConfig",
-    "Track",
-    "Skeleton3D",
-    "FrameBundle",
-    "JointFlag",
-    "PartScore",
-    "PcpReport",
-    "pcp_evaluate",
-    "score_actor",
-    "match_actors",
-    "TrackWriter",
-    "TrackFile",
-    "TrackFrame",
-    "GroundTruthFile",
-    "GroundTruthFrame",
-    "load_calibration",
-    "save_calibration",
-    "load_detections",
-    "write_detections",
-    "load_tracks",
-    "load_ground_truth",
-    "save_ground_truth",
-    "load_corruption",
-    "write_corruption",
-    "SceneConfig",
-    "SyntheticScene",
-    "generate",
-    "corrupt_pose",
-    "ring_cameras",
-    "corrupted_benchmark_config",
-    "pcp_evaluate",
 ]

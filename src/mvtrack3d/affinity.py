@@ -1,18 +1,19 @@
-"""2D-3D and 2D-2D pose affinities.
+"""Association settings and detected 2D poses.
 
-Two families of scores: time-scaled image-distance affinity between a
-tracked 3D skeleton's projection and a detected 2D pose, and symmetric
-epipolar affinity between 2D poses seen from different cameras.
+The thresholds and presets here feed the two families of scores, which
+kernels computes over whole frames: time-scaled image-distance affinity
+between a tracked 3D skeleton's projection and a detected 2D pose
+(score_pose_pairs), and symmetric epipolar affinity between 2D poses
+seen from different cameras (epipolar_pose_score).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import geometry, kernels
-from .errors import ConfigError, InvalidInterval, NoValidJoints
+from .errors import ConfigError
 from .geometry import CameraCalibration
 
 _FLOAT_MAX = float(np.finfo(np.float64).max)
@@ -81,7 +82,7 @@ PRESETS = {
 def preset(name: str) -> AffinityConfig:
     try:
         return PRESETS[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ConfigError(
             f"unknown preset {name!r}, expected one of {sorted(PRESETS)}"
         ) from None
@@ -148,90 +149,3 @@ class Pose2D:
     @property
     def n_joints(self) -> int:
         return self.uv.shape[0]
-
-
-def _effective_dt(dt: float, config: AffinityConfig) -> float:
-    if config.max_dt is not None:
-        return min(dt, config.max_dt)
-    return dt
-
-
-def joint_affinity(x, x_proj, dt: float, config: AffinityConfig) -> float:
-    """Affinity of one detected joint to one projected skeleton joint.
-
-    Linear in image distance, reaching zero at alpha_2d * dt px, decayed
-    by exp(-lambda_a * dt). dt must be positive.
-    """
-    if dt <= 0:
-        raise InvalidInterval(f"dt must be positive, got {dt}")
-    dt = _effective_dt(dt, config)
-    d = float(np.hypot(x[0] - x_proj[0], x[1] - x_proj[1]))
-    return (1.0 - d / (config.alpha_2d * dt)) * float(np.exp(-config.lambda_a * dt))
-
-
-def _score_single(pose: Pose2D, skeleton, camera: CameraCalibration,
-                  config: AffinityConfig, part_aware: bool) -> float:
-    dt = pose.time_s - skeleton.time_s
-    min_dt = (1.0 / camera.fps) * (1.0 - 1e-9)
-    if dt < min_dt:
-        raise InvalidInterval(
-            f"pose at {pose.time_s} is not later than skeleton at {skeleton.time_s} "
-            f"by at least one frame interval"
-        )
-    if not pose.valid.any():
-        raise NoValidJoints("pose has no joints above the confidence floor")
-    track_pts = np.ascontiguousarray(skeleton.joints.reshape(1, -1, 3))
-    track_valid = np.ascontiguousarray(
-        (skeleton.flags != kernels.FLAG_MISSING).reshape(1, -1)
-    )
-    dts = np.array([_effective_dt(dt, config)])
-    scores = kernels.score_pose_pairs(
-        track_pts, track_valid, dts, camera.K, camera.R, camera.o,
-        np.ascontiguousarray(pose.uv.reshape(1, -1, 2)),
-        np.ascontiguousarray(pose.valid.reshape(1, -1)),
-        config.alpha_2d, config.lambda_a, config.epsilon, part_aware,
-    )
-    return float(scores[0, 0])
-
-
-def pose_track_affinity(pose: Pose2D, skeleton, camera: CameraCalibration,
-                        config: AffinityConfig) -> float:
-    """Part-aware affinity between a 2D pose and a tracked skeleton.
-
-    Mean of the strictly positive joint affinities against the skeleton's
-    projection into the pose's camera; zero when fewer than epsilon
-    joints score positive.
-    """
-    return _score_single(pose, skeleton, camera, config, part_aware=True)
-
-
-def body_aware_affinity(pose: Pose2D, skeleton, camera: CameraCalibration,
-                        config: AffinityConfig) -> float:
-    """Whole-body baseline score: plain mean over all comparable joints."""
-    return _score_single(pose, skeleton, camera, config, part_aware=False)
-
-
-def epipolar_joint_affinity(x_i, x_j, cam_i: CameraCalibration,
-                            cam_j: CameraCalibration,
-                            config: AffinityConfig) -> float:
-    """Symmetric epipolar affinity of two pixels in different cameras."""
-    f_ij = geometry.fundamental_matrix(cam_i, cam_j)
-    f_ji = geometry.fundamental_matrix(cam_j, cam_i)
-    return float(kernels.epipolar_pair_affinities(
-        float(x_i[0]), float(x_i[1]), float(x_j[0]), float(x_j[1]),
-        f_ij, f_ji, config.alpha_epi,
-    ))
-
-
-def epipolar_pose_affinity(pose_i: Pose2D, pose_j: Pose2D,
-                           cam_i: CameraCalibration, cam_j: CameraCalibration,
-                           config: AffinityConfig) -> float:
-    """Summed per-joint epipolar affinity over mutually valid joints."""
-    if pose_i.n_joints != pose_j.n_joints:
-        raise ValueError("poses have different joint counts")
-    f_ij = geometry.fundamental_matrix(cam_i, cam_j)
-    f_ji = geometry.fundamental_matrix(cam_j, cam_i)
-    return float(kernels.epipolar_pose_score(
-        pose_i.uv, pose_i.valid, pose_j.uv, pose_j.valid,
-        f_ij, f_ji, config.alpha_epi,
-    ))

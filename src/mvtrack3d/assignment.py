@@ -19,12 +19,6 @@ class Matching:
     unmatched_cols: tuple
     total: float
 
-    def col_of_row(self, row: int):
-        for r, c in self.pairs:
-            if r == row:
-                return c
-        return None
-
 
 def solve(values, min_affinity: float = 0.0) -> Matching:
     """Maximum-total partial matching using only entries above min_affinity.

@@ -15,7 +15,7 @@ import tempfile
 import time
 
 from . import fileio, synth
-from .affinity import PRESETS
+from .affinity import PRESETS, AffinityConfig, preset
 from .errors import ConfigError, MvTrackError
 from .evaluation import pcp_evaluate
 from .geometry import CameraRig
@@ -42,26 +42,25 @@ def _require_files(*paths: str) -> None:
             raise FileNotFoundError(path)
 
 
-def _merged_overrides(args) -> tuple[str | None, dict]:
-    """Apply precedence: preset name, then config file, then --set."""
+def _merged_overrides(args) -> tuple[AffinityConfig | None, dict]:
+    """Apply precedence: preset, then config file, then --set. Returns the
+    named preset's affinity settings, or None, and the overrides."""
     file_cfg = {}
     if getattr(args, "config", None):
         _require_files(args.config)
         file_cfg = dict(fileio.load_config_file(args.config))
-    preset = getattr(args, "preset", None) or file_cfg.pop("preset", None)
-    if preset is not None and preset not in PRESETS:
-        raise ConfigError(f"unknown preset {preset!r}, "
-                          f"choose from {sorted(PRESETS)}")
+    in_file = file_cfg.pop("preset", None)
+    name = getattr(args, "preset", None) or in_file
     file_cfg.update(_parse_set(getattr(args, "set", None)))
-    return preset, file_cfg
+    return (None if name is None else preset(name)), file_cfg
 
 
 # -- subcommands --------------------------------------------------------
 
 
 def _cmd_synth(args) -> int:
-    preset, overrides = _merged_overrides(args)
-    if preset is not None:
+    affinity, overrides = _merged_overrides(args)
+    if affinity is not None:
         raise ConfigError("presets configure tracking, not scene synthesis")
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -75,9 +74,9 @@ def _cmd_synth(args) -> int:
 
 def _cmd_track(args) -> int:
     _require_files(args.calib, args.detections)
-    preset, overrides = _merged_overrides(args)
-    config = TrackerConfig(affinity=PRESETS[preset]) if preset \
-        else TrackerConfig()
+    affinity, overrides = _merged_overrides(args)
+    config = TrackerConfig() if affinity is None \
+        else TrackerConfig(affinity=affinity)
     if overrides:
         config = config.with_overrides(**overrides)
     config = config.with_overrides(part_aware=not args.no_part_aware,
@@ -128,7 +127,7 @@ def _bench_once(frames: int, seed: int) -> dict:
     cfg = synth.SceneConfig(seed=seed, n_cameras=5, n_actors=4,
                             n_frames=frames, noise_px=1.0)
     scene = synth.generate(cfg)
-    config = TrackerConfig(affinity=PRESETS["shelf"])
+    config = TrackerConfig(affinity=preset("shelf"))
     clock = time.perf_counter
     with tempfile.TemporaryDirectory() as tmp:
         paths = scene.export(tmp)

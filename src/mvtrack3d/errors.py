@@ -25,14 +25,6 @@ class DegenerateGeometry(MvTrackError):
     """Observation rays do not intersect in a unique finite point."""
 
 
-class InvalidInterval(MvTrackError):
-    """Time difference is below the minimum allowed interval."""
-
-
-class NoValidJoints(MvTrackError):
-    """A pose contains no joints above the confidence floor."""
-
-
 class NoRecentObservations(MvTrackError):
     """A track has no matched 2D pose inside the time window."""
 

@@ -115,6 +115,16 @@ def _reject_booleans(arr: np.ndarray, value, lineno: int, path: str,
                              f"found {json.dumps(cell)}, not a number")
 
 
+def _mask(value, n_joints: int, lineno: int, path: str) -> np.ndarray:
+    """A ground-truth joint mask, which must be a list of n_joints JSON
+    booleans, as a bool array."""
+    if (not isinstance(value, list) or len(value) != n_joints
+            or not all(isinstance(v, bool) for v in value)):
+        raise ParseError(f"{path}:{lineno}: mask must be a list of "
+                         f"{n_joints} booleans, got {json.dumps(value)}")
+    return np.array(value, dtype=bool)
+
+
 def _objects(record: dict, key: str, lineno: int, path: str) -> list:
     """record[key], which must be a list of JSON objects."""
     value = _require(record, key, lineno, path)
@@ -257,8 +267,10 @@ def load_detections(path: str,
         frame = _field(rec, "frame", int, lineno, path)
         cam_id = _field(rec, "camera", int, lineno, path)
         time_s = _field(rec, "time_s", float, lineno, path)
-        arr = _joint_array(_require(rec, "poses", lineno, path), n_joints,
-                           lineno, path, "poses", "(u, v, conf)")
+        value = _require(rec, "poses", lineno, path)
+        arr = _joint_array(value, n_joints, lineno, path, "poses",
+                           "(u, v, conf)")
+        _reject_booleans(arr, value, lineno, path, "poses")
         if last_frame is not None and frame < last_frame:
             raise NonMonotonicFrames(
                 f"{path}:{lineno}: frame {frame} after frame {last_frame}"
@@ -431,7 +443,7 @@ def load_ground_truth(path: str) -> GroundTruthFile:
                               "(X, Y, Z)")
         _reject_booleans(joints, value, lineno, path, "actor joints")
         actors = dict(zip(ids, joints))
-        masks = {aid: np.asarray(entry["mask"], dtype=bool)
+        masks = {aid: _mask(entry["mask"], joints.shape[1], lineno, path)
                  for aid, entry in zip(ids, entries) if "mask" in entry}
         frames.append(GroundTruthFrame(frame, actors, masks))
     return GroundTruthFile(schema, n_joints, frames)

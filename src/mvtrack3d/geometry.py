@@ -210,10 +210,11 @@ def triangulate(pixels, cameras, weights=None) -> np.ndarray:
         uvn[i, 0] = uv[i, 0] * (2.0 / cam.width) - 1.0
         uvn[i, 1] = uv[i, 1] * (2.0 / cam.height) - 1.0
         pmats[i] = cam.conditioned_projection()
-    xyz, status = kernels.triangulate_normalized(uvn, pmats, w)
-    if status != 0:
+    xyz, status = kernels.triangulate_batch(uvn[None], pmats[None], w[None],
+                                            np.ones((1, m), np.bool_))
+    if status[0] != 0:
         raise DegenerateGeometry("observation rays do not define a unique finite point")
-    return xyz
+    return xyz[0]
 
 
 class CameraRig:

@@ -12,7 +12,7 @@ Elementwise expressions follow the scalar order of operations and sums
 run left to right, so each element's result does not depend on the
 batch it is computed in.
 
-Status codes returned by triangulate_batch and triangulate_normalized:
+Status codes returned by triangulate_batch:
   0 ok, 1 too few rows, 2 rank deficient, 3 point at infinity.
 Rank deficient means σ3 <= 1e-7·σ1 for the singular values of A. The
 eigenvalues of AᵀA carry an error of about eps·σ1², so σ3/σ1 cannot be
@@ -267,13 +267,6 @@ def triangulate_batch(uvn, pmats, weights, keep):
     with np.errstate(divide="ignore", invalid="ignore"):
         xyz = np.where((status == 0)[..., None], x[..., :3] / x[..., 3, None], 0.0)
     return xyz, status
-
-
-def triangulate_normalized(uvn, pmats, weights):
-    """triangulate_batch for one point seen in every view of uvn (M,2), returns (xyz, status)."""
-    keep = np.ones((1, uvn.shape[0]), np.bool_)
-    xyz, status = triangulate_batch(uvn[None], pmats[None], weights[None], keep)
-    return xyz[0], int(status[0])
 
 
 def reconstruct_joints(obs_uv, obs_valid, weights, pred, f_table, origins,

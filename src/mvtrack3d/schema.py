@@ -67,7 +67,3 @@ def get_schema(name: str) -> JointSchema:
         return _REGISTRY[name]
     except KeyError:
         raise SchemaMismatch(f"unknown joint schema {name!r}") from None
-
-
-def register_schema(schema: JointSchema) -> None:
-    _REGISTRY[schema.name] = schema

@@ -20,7 +20,7 @@ from enum import IntEnum
 import numpy as np
 
 from . import assignment, kernels
-from .affinity import AffinityConfig, Pose2D
+from .affinity import AffinityConfig
 from .errors import (
     ConfigError,
     NonMonotonicTime,
@@ -76,11 +76,6 @@ class FrameBundle:
     time_s: float
     poses: dict
 
-    def all_poses(self):
-        for cam_id in self.poses:
-            for pose in self.poses[cam_id]:
-                yield cam_id, pose
-
 
 @dataclass(frozen=True)
 class TrackerConfig:
@@ -97,7 +92,6 @@ class TrackerConfig:
     smooth_window: int = 5
     smooth_sigma: float = 1.0
     miss_limit: int | None = None
-    project_predicted: bool = False
 
     def __post_init__(self):
         if self.smooth_window < 1:
@@ -127,13 +121,12 @@ class Track:
     """State of one tracked person."""
 
     def __init__(self, track_id: int, skeleton: Skeleton3D, poses: dict,
-                 frame: int, window: int):
+                 window: int):
         self.track_id = track_id
         self.skeleton = skeleton
         self.velocity = np.zeros_like(skeleton.joints)
         self.last_poses = dict(poses)
         self.misses = 0
-        self.created_frame = frame
         # the last `window` raw skeletons, right-aligned behind time -inf
         self.history_times = np.full(window, -np.inf)
         self.history_times[-1] = skeleton.time_s
@@ -219,9 +212,6 @@ class PoseTracker:
         if aff.max_dt is not None:
             dts = np.minimum(dts, aff.max_dt * rig.fps)
         pts = np.array([tr.skeleton.joints for tr in tracks])
-        if cfg.project_predicted:
-            velocity = np.array([tr.velocity for tr in tracks])
-            pts = pts + velocity * elapsed[..., None, None]
         track_valid = (np.array([tr.skeleton.flags for tr in tracks])
                        != JointFlag.MISSING)
         width = max(len(poses) for _, _, poses in seen)
@@ -393,7 +383,7 @@ class PoseTracker:
             if skeleton is None:
                 continue
             poses = {self.rig.cameras[ci].cam_id: pose for ci, pose in cluster}
-            track = Track(self._next_id, skeleton, poses, bundle.frame,
+            track = Track(self._next_id, skeleton, poses,
                           self.config.smooth_window)
             self._next_id += 1
             new_tracks.append(track)

@@ -1,25 +1,27 @@
-"""Pose-to-track and cross-view affinity scores."""
+"""The paper's affinity equations, through the kernels the tracker calls:
+pose-to-track scores (kernels.score_pose_pairs), cross-view epipolar
+affinities (kernels.epipolar_pair_affinities, kernels.epipolar_pose_score)
+and the tracker's staleness clamp; then configuration and pose
+construction."""
 
 import math
 
 import numpy as np
 import pytest
 
-from mvtrack3d import affinity, geometry
-from mvtrack3d.affinity import (
-    PRESETS,
-    AffinityConfig,
-    Pose2D,
-    body_aware_affinity,
-    epipolar_joint_affinity,
-    epipolar_pose_affinity,
-    joint_affinity,
-    pose_track_affinity,
-    preset,
-)
-from mvtrack3d.errors import ConfigError, InvalidInterval, NoValidJoints
+from mvtrack3d import geometry, kernels
+from mvtrack3d.affinity import PRESETS, AffinityConfig, Pose2D, preset
+from mvtrack3d.errors import ConfigError
+from mvtrack3d.geometry import CameraCalibration, CameraRig
 from mvtrack3d.schema import SYNTH14
-from mvtrack3d.tracker import JointFlag, Skeleton3D
+from mvtrack3d.tracker import (
+    FrameBundle,
+    JointFlag,
+    PoseTracker,
+    Skeleton3D,
+    Track,
+    TrackerConfig,
+)
 
 from helpers import (
     look_at_camera,
@@ -43,49 +45,152 @@ def make_skeleton(joints, t):
                       np.zeros(len(joints), np.uint8))
 
 
+def pose_score(pose, skel, cam, cfg, part_aware=True):
+    """One cell of kernels.score_pose_pairs: the pose seen by cam against
+    the skeleton, staleness pose.time_s - skel.time_s."""
+    scores = kernels.score_pose_pairs(
+        skel.joints[None], (skel.flags != JointFlag.MISSING)[None],
+        np.array([pose.time_s - skel.time_s]), cam.K, cam.R, cam.o,
+        pose.uv[None], pose.valid[None],
+        cfg.alpha_2d, cfg.lambda_a, cfg.epsilon, part_aware)
+    return float(scores[0, 0])
+
+
+def exact_camera():
+    """Camera at the origin looking down +z with f = 500 px and principal
+    point (400, 300): a point at depth 5 m whose X and Y are multiples of
+    1/100 m projects onto an exactly representable pixel."""
+    intr = [[500.0, 0.0, 400.0], [0.0, 500.0, 300.0], [0.0, 0.0, 1.0]]
+    return CameraCalibration(0, intr, np.eye(3), np.zeros(3), 800, 600, 25.0)
+
+
+def scores_against(targets, poses_uv, dt, cfg, part_aware):
+    """kernels.score_pose_pairs of one skeleton, whose joints project
+    exactly onto the pixels targets (N,2), against the fully valid poses
+    poses_uv (P,N,2) at staleness dt; returns (P,)."""
+    cam = exact_camera()
+    targets = np.asarray(targets, float)
+    pts = np.column_stack([(targets - [400.0, 300.0]) / 100.0,
+                           np.full(len(targets), 5.0)])
+    assert (kernels.project_points(pts, cam.K, cam.R, cam.o)[0]
+            == targets).all()
+    poses_uv = np.asarray(poses_uv, float)
+    return kernels.score_pose_pairs(
+        pts[None], np.ones((1, len(pts)), bool), np.array([dt]),
+        cam.K, cam.R, cam.o, poses_uv, np.ones(poses_uv.shape[:2], bool),
+        cfg.alpha_2d, cfg.lambda_a, cfg.epsilon, part_aware)[0]
+
+
+def joint_affinities(target, xs, dt, cfg):
+    """Affinity of each detected pixel of xs (P,2) to a skeleton joint
+    projecting onto target: the plain-mean score of a one-joint pose is
+    that joint's affinity."""
+    return scores_against([target], np.asarray(xs, float)[:, None], dt, cfg,
+                          part_aware=False)
+
+
+def pair_affinity(a, b, cam_a, cam_b, cfg):
+    """kernels.epipolar_pair_affinities of pixel a in cam_a and b in cam_b."""
+    return float(kernels.epipolar_pair_affinities(
+        float(a[0]), float(a[1]), float(b[0]), float(b[1]),
+        geometry.fundamental_matrix(cam_a, cam_b),
+        geometry.fundamental_matrix(cam_b, cam_a), cfg.alpha_epi))
+
+
+def pose_pair_score(pose_a, pose_b, cam_a, cam_b, cfg):
+    """kernels.epipolar_pose_score of pose_a in cam_a and pose_b in cam_b."""
+    return float(kernels.epipolar_pose_score(
+        pose_a.uv, pose_a.valid, pose_b.uv, pose_b.valid,
+        geometry.fundamental_matrix(cam_a, cam_b),
+        geometry.fundamental_matrix(cam_b, cam_a), cfg.alpha_epi))
+
+
 # -- single-joint affinity ----------------------------------------------
 
 
 def test_joint_affinity_half_tolerance_value():
     cfg = AffinityConfig(alpha_2d=70.0, lambda_a=3.0)
     # displacement of 1.4 px against a 70 px/s tolerance over 40 ms
-    got = joint_affinity((101.4, 50.0), (100.0, 50.0), 0.04, cfg)
+    got = joint_affinities((100.0, 50.0), [(101.4, 50.0)], 0.04, cfg)[0]
     assert got == pytest.approx(0.5 * math.exp(-0.12), abs=1e-12)
     assert got == pytest.approx(0.4435, abs=5e-5)
 
 
 def test_joint_affinity_zero_displacement_is_pure_decay():
     cfg = AffinityConfig(alpha_2d=70.0, lambda_a=3.0)
-    got = joint_affinity((100.0, 50.0), (100.0, 50.0), 0.04, cfg)
+    got = joint_affinities((100.0, 50.0), [(100.0, 50.0)], 0.04, cfg)[0]
     assert got == pytest.approx(math.exp(-3.0 * 0.04), abs=1e-15)
 
 
 def test_joint_affinity_zero_at_tolerance_negative_beyond():
     cfg = AffinityConfig(alpha_2d=4.0, lambda_a=1.0)
     # tolerance 4 px/s * 0.25 s = 1 px exactly
-    assert joint_affinity((1.0, 0.0), (0.0, 0.0), 0.25, cfg) == 0.0
-    assert joint_affinity((2.5, 0.0), (0.0, 0.0), 0.25, cfg) < 0.0
+    at, beyond = joint_affinities((0.0, 0.0), [(1.0, 0.0), (2.5, 0.0)],
+                                  0.25, cfg)
+    assert at == 0.0
+    assert beyond < 0.0
+    # part-aware scoring keeps only strictly positive joints, so a joint
+    # exactly at the tolerance neither counts toward epsilon nor enters
+    # the mean
+    targets = [(0.0, 0.0), (100.0, 50.0)]
+    pose = [[(1.0, 0.0), (100.0, 50.0)]]
+    decay = math.exp(-0.25)
+    for epsilon, part in ((1, decay), (2, 0.0)):
+        cfg = AffinityConfig(alpha_2d=4.0, lambda_a=1.0, epsilon=epsilon)
+        assert scores_against(targets, pose, 0.25, cfg, True)[0] == part
+        assert scores_against(targets, pose, 0.25, cfg, False)[0] == (
+            0.5 * decay)
 
 
 def test_joint_affinity_monotone_in_displacement(rng):
     cfg = AffinityConfig(alpha_2d=60.0, lambda_a=3.0)
     dt = float(rng.uniform(0.04, 0.4))
-    vals = [joint_affinity((d, 0.0), (0.0, 0.0), dt, cfg)
-            for d in np.linspace(0.0, 200.0, 50)]
+    vals = joint_affinities(
+        (0.0, 0.0), [(d, 0.0) for d in np.linspace(0.0, 200.0, 50)], dt, cfg)
     assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
-def test_joint_affinity_staleness_clamp():
-    cfg = AffinityConfig(alpha_2d=60.0, lambda_a=3.0, max_dt=0.1)
-    clamped = joint_affinity((3.0, 0.0), (0.0, 0.0), 5.0, cfg)
-    assert clamped == joint_affinity((3.0, 0.0), (0.0, 0.0), 0.1, cfg)
+def test_joint_affinity_staleness_clamp(monkeypatch):
+    """The tracker clamps staleness at max_dt: a track 20 frames stale
+    scores a pose, and so takes or leaves it, exactly as a track max_dt
+    stale does."""
+    cam = look_at_camera(0, [6.0, 0.0, 3.0], [0.0, 0.0, 1.0], fps=4.0)
+    pts = points_near_origin(np.random.default_rng(5), N)
+    uv = np.stack([geometry.project(p, cam) for p in pts])
+    scored = []
+    score_pose_pairs = kernels.score_pose_pairs
 
+    def recording(*args):
+        scored.append(score_pose_pairs(*args))
+        return scored[-1]
 
-def test_joint_affinity_rejects_non_positive_dt():
-    cfg = AffinityConfig()
-    for dt in (0.0, -0.04):
-        with pytest.raises(InvalidInterval):
-            joint_affinity((0.0, 0.0), (0.0, 0.0), dt, cfg)
+    monkeypatch.setattr(kernels, "score_pose_pairs", recording)
+
+    def run(max_dt, stale_frames, shift_px):
+        """(score, matched) of a pose shifted by shift_px against a track
+        last updated stale_frames frames earlier, at 4 fps."""
+        cfg = AffinityConfig(alpha_2d=60.0, lambda_a=0.1, epsilon=10,
+                             max_dt=max_dt)
+        tracker = PoseTracker(CameraRig([cam]), TrackerConfig(affinity=cfg))
+        t = 6.0
+        track = Track(1, make_skeleton(pts, t - stale_frames / 4.0), {},
+                      window=5)
+        tracker.tracks = [track]
+        joints = np.column_stack([uv + [shift_px, 0.0], np.full(N, 0.9)])
+        pose = Pose2D.from_detection(cam.cam_id, t, joints, cfg, frame=24)
+        tracker.step(FrameBundle(24, t, {cam.cam_id: [pose]}))
+        return float(scored[-1][0, 0, 0]), track.last_poses.get(
+            cam.cam_id) is pose
+
+    # max_dt 0.5 s is 2 frames, a tolerance of 120 px
+    stale, fresh = run(0.5, 20, 60.0), run(0.5, 2, 60.0)
+    assert stale == fresh
+    assert stale[0] == pytest.approx(0.5 * math.exp(-0.2), abs=1e-9)
+    assert stale[1]
+    assert run(0.5, 20, 150.0) == run(0.5, 2, 150.0) == (0.0, False)
+    # unclamped, the 20-frame tolerance of 1200 px takes the far pose
+    score, matched = run(None, 20, 150.0)
+    assert score > 0.0 and matched
 
 
 # -- pose-to-track scores ------------------------------------------------
@@ -104,10 +209,10 @@ def test_pose_track_affinity_exact_projection(rng):
     pose = make_pose(cam, uv, dt)
     cfg = AffinityConfig(alpha_2d=60.0, lambda_a=3.0, epsilon=10)
     expected = math.exp(-3.0 * 0.04)
-    assert pose_track_affinity(pose, skel, cam, cfg) == pytest.approx(
+    assert pose_score(pose, skel, cam, cfg) == pytest.approx(
         expected, abs=1e-12)
-    assert body_aware_affinity(pose, skel, cam, cfg) == pytest.approx(
-        expected, abs=1e-12)
+    assert pose_score(pose, skel, cam, cfg, part_aware=False) == (
+        pytest.approx(expected, abs=1e-12))
 
 
 def test_part_aware_needs_epsilon_positive_joints(rng):
@@ -117,8 +222,8 @@ def test_part_aware_needs_epsilon_positive_joints(rng):
     pose = make_pose(cam, uv, dt)
     all_joints = AffinityConfig(alpha_2d=60.0, epsilon=N)
     most_joints = AffinityConfig(alpha_2d=60.0, epsilon=N - 1)
-    assert pose_track_affinity(pose, skel, cam, all_joints) == 0.0
-    assert pose_track_affinity(pose, skel, cam, most_joints) > 0.0
+    assert pose_score(pose, skel, cam, all_joints) == 0.0
+    assert pose_score(pose, skel, cam, most_joints) > 0.0
 
 
 def test_part_aware_ignores_outlier_joints_baseline_does_not(rng):
@@ -132,8 +237,8 @@ def test_part_aware_ignores_outlier_joints_baseline_does_not(rng):
     uv[13, 0] += 11.0
     pose = make_pose(cam, uv, 0.25)
     cfg = AffinityConfig(alpha_2d=4.0, lambda_a=0.0, epsilon=10)
-    part = pose_track_affinity(pose, skel, cam, cfg)
-    body = body_aware_affinity(pose, skel, cam, cfg)
+    part = pose_score(pose, skel, cam, cfg)
+    body = pose_score(pose, skel, cam, cfg, part_aware=False)
     assert part == pytest.approx(0.8, abs=1e-9)
     assert body == pytest.approx((13 * 0.8 - 10.0) / 14.0, abs=1e-9)
     assert body == pytest.approx(0.0286, abs=5e-5)
@@ -150,8 +255,8 @@ def test_part_aware_dominates_baseline_when_positive(rng):
         pose = make_pose(cam, uv, 0.04)
         cfg = AffinityConfig(alpha_2d=60.0, lambda_a=3.0,
                              epsilon=int(rng.integers(1, N + 1)))
-        part = pose_track_affinity(pose, skel, cam, cfg)
-        body = body_aware_affinity(pose, skel, cam, cfg)
+        part = pose_score(pose, skel, cam, cfg)
+        body = pose_score(pose, skel, cam, cfg, part_aware=False)
         if part > 0.0:
             assert part >= body - 1e-12
 
@@ -161,44 +266,26 @@ def test_pose_scores_match_reference_implementation(rng):
         cam = random_ring_rig(rng, n_cams=1)[0]
         pts = points_near_origin(rng, N)
         t_pose = float(rng.uniform(0.04, 0.12))
-        skel = make_skeleton(pts, 0.0)
         # random joint validity on both sides, random displacement scales
         flags = np.where(rng.random(N) < 0.2, JointFlag.MISSING,
                          JointFlag.TRIANGULATED).astype(np.uint8)
-        skel = Skeleton3D(0.0, skel.joints, flags)
+        skel = Skeleton3D(0.0, pts, flags)
         uv = np.stack([geometry.project(p, cam) for p in pts])
         uv = uv + rng.normal(0.0, rng.uniform(0.5, 30.0), size=uv.shape)
         conf = np.where(rng.random(N) < 0.2, 0.01, 0.9)
         pose = Pose2D.from_detection(
             cam.cam_id, t_pose, np.column_stack([uv, conf]),
             AffinityConfig(), camera=cam)
-        if not pose.valid.any():
-            continue
         cfg = AffinityConfig(alpha_2d=float(rng.uniform(20, 90)),
                              lambda_a=float(rng.uniform(0, 5)),
                              epsilon=int(rng.integers(0, N + 1)))
-        for part_aware, fn in ((True, pose_track_affinity),
-                               (False, body_aware_affinity)):
+        for part_aware in (True, False):
             expected = reference_pose_score(
                 cam, skel.joints, skel.flags != JointFlag.MISSING, t_pose,
                 pose.uv, pose.valid, cfg.alpha_2d, cfg.lambda_a,
                 cfg.epsilon, part_aware)
-            assert fn(pose, skel, cam, cfg) == pytest.approx(
-                expected, abs=1e-10)
-
-
-def test_pose_score_requires_full_frame_interval(rng):
-    cam, skel, uv, _ = exact_projection_setup(rng)
-    pose = make_pose(cam, uv, 0.01)  # less than 1/25 s after the skeleton
-    with pytest.raises(InvalidInterval):
-        pose_track_affinity(pose, skel, cam, AffinityConfig())
-
-
-def test_pose_score_requires_valid_joints(rng):
-    cam, skel, uv, dt = exact_projection_setup(rng)
-    pose = make_pose(cam, uv, dt, conf=0.0)
-    with pytest.raises(NoValidJoints):
-        pose_track_affinity(pose, skel, cam, AffinityConfig())
+            assert pose_score(pose, skel, cam, cfg, part_aware) == (
+                pytest.approx(expected, abs=1e-10))
 
 
 # -- epipolar affinity ---------------------------------------------------
@@ -210,7 +297,7 @@ def test_epipolar_joint_affinity_exact_correspondence(rng):
     p = points_near_origin(rng, 1)[0]
     a = geometry.project(p, cams[0])
     b = geometry.project(p, cams[1])
-    assert epipolar_joint_affinity(a, b, cams[0], cams[1], cfg) == (
+    assert pair_affinity(a, b, cams[0], cams[1], cfg) == (
         pytest.approx(1.0, abs=1e-9))
 
 
@@ -225,7 +312,7 @@ def test_epipolar_joint_affinity_matches_line_distance_form(rng):
         d_ba = geometry.point_line_distance_2d(
             a, geometry.epipolar_line(b, cams[1], cams[0]))
         expected = 1.0 - (d_ab + d_ba) / (2.0 * cfg.alpha_epi)
-        assert epipolar_joint_affinity(a, b, cams[0], cams[1], cfg) == (
+        assert pair_affinity(a, b, cams[0], cams[1], cfg) == (
             pytest.approx(expected, abs=1e-9))
 
 
@@ -235,8 +322,8 @@ def test_epipolar_joint_affinity_symmetric(rng):
     for _ in range(50):
         a = rng.uniform(0, [cams[0].width, cams[0].height])
         b = rng.uniform(0, [cams[1].width, cams[1].height])
-        lhs = epipolar_joint_affinity(a, b, cams[0], cams[1], cfg)
-        rhs = epipolar_joint_affinity(b, a, cams[1], cams[0], cfg)
+        lhs = pair_affinity(a, b, cams[0], cams[1], cfg)
+        rhs = pair_affinity(b, a, cams[1], cams[0], cfg)
         assert abs(lhs - rhs) <= 1e-9
 
 
@@ -245,7 +332,7 @@ def test_epipolar_joint_affinity_neutral_at_epipole(rng):
     cfg = AffinityConfig(alpha_epi=30.0)
     epipole = geometry.project(cams[1].o, cams[0])
     other = rng.uniform(0, [cams[1].width, cams[1].height])
-    assert epipolar_joint_affinity(epipole, other, cams[0], cams[1], cfg) == 0.0
+    assert pair_affinity(epipole, other, cams[0], cams[1], cfg) == 0.0
 
 
 def test_epipolar_pose_affinity_counts_mutually_valid_joints(rng):
@@ -256,7 +343,7 @@ def test_epipolar_pose_affinity_counts_mutually_valid_joints(rng):
     uv_b = np.stack([geometry.project(p, cams[1]) for p in pts])
     pose_a = make_pose(cams[0], uv_a, 0.0)
     pose_b = make_pose(cams[1], uv_b, 0.0)
-    got = epipolar_pose_affinity(pose_a, pose_b, cams[0], cams[1], cfg)
+    got = pose_pair_score(pose_a, pose_b, cams[0], cams[1], cfg)
     assert got == pytest.approx(float(N), abs=1e-6)
 
     conf = np.full(N, 0.9)
@@ -264,22 +351,13 @@ def test_epipolar_pose_affinity_counts_mutually_valid_joints(rng):
     partial = Pose2D.from_detection(
         cams[1].cam_id, 0.0, np.column_stack([uv_b, conf]), cfg,
         camera=cams[1])
-    got = epipolar_pose_affinity(pose_a, partial, cams[0], cams[1], cfg)
+    got = pose_pair_score(pose_a, partial, cams[0], cams[1], cfg)
     assert got == pytest.approx(float(N - 4), abs=1e-6)
 
     blank = Pose2D.from_detection(
         cams[1].cam_id, 0.0,
         np.column_stack([uv_b, np.zeros(N)]), cfg, camera=cams[1])
-    assert epipolar_pose_affinity(pose_a, blank, cams[0], cams[1], cfg) == 0.0
-
-
-def test_epipolar_pose_affinity_rejects_mixed_joint_counts(rng):
-    cams = random_ring_rig(rng, n_cams=2)
-    cfg = AffinityConfig()
-    short = make_pose(cams[0], np.zeros((5, 2)) + 300.0, 0.0)
-    full = make_pose(cams[1], np.zeros((N, 2)) + 300.0, 0.0)
-    with pytest.raises(ValueError):
-        epipolar_pose_affinity(short, full, cams[0], cams[1], cfg)
+    assert pose_pair_score(pose_a, blank, cams[0], cams[1], cfg) == 0.0
 
 
 def test_epipolar_pose_affinity_prefers_true_pairing(clean_scene):
@@ -291,7 +369,7 @@ def test_epipolar_pose_affinity_prefers_true_pairing(clean_scene):
     poses_b = bundle.poses[cams[1].cam_id]
     for i, pa in enumerate(poses_a):
         actor = scene.actor_of[(0, cams[0].cam_id, i)]
-        scores = [epipolar_pose_affinity(pa, pb, cams[0], cams[1], cfg)
+        scores = [pose_pair_score(pa, pb, cams[0], cams[1], cfg)
                   for pb in poses_b]
         best = int(np.argmax(scores))
         assert scene.actor_of[(0, cams[1].cam_id, best)] == actor

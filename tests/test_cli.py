@@ -119,6 +119,36 @@ def test_invalid_override_value_fails_cleanly(capsys, tmp_path):
         "--out", str(tmp_path / "t.jsonl"), "--set", "epsilon")
     assert code == 1
     assert "=" in err
+    # a setting the tracker no longer has
+    code, out, err = track(capsys, paths, tmp_path / "t.jsonl",
+                           "--set", "project_predicted=true")
+    assert code == 1
+    assert err == "error: unknown affinity parameter 'project_predicted'\n"
+
+
+@pytest.mark.parametrize("preset", ["warehouse", ["shelf"]])
+def test_unknown_preset_in_config_file_fails_cleanly(capsys, tmp_path,
+                                                     preset):
+    paths = synth_scene(capsys, tmp_path, **CLEAN)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"preset": preset}))
+    code, out, err = track(capsys, paths, tmp_path / "t.jsonl",
+                           "--config", str(cfg))
+    assert code == 1
+    assert err.startswith("error: unknown preset")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_preset_flag_beats_the_config_file_preset(capsys, tmp_path):
+    paths = synth_scene(capsys, tmp_path, **CLEAN)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"preset": "shelf"}')
+    flag_only, both = tmp_path / "flag.jsonl", tmp_path / "both.jsonl"
+    assert track(capsys, paths, flag_only, "--preset", "campus")[0] == 0
+    code, out, err = track(capsys, paths, both, "--preset", "campus",
+                           "--config", str(cfg))
+    assert code == 0, err
+    assert both.read_bytes() == flag_only.read_bytes()
 
 
 def test_ablation_switches_change_the_output(capsys, tmp_path):

@@ -282,9 +282,10 @@ def _detection_probe(**fields):
     (_detection_probe(poses=[[[100.0, None, 0.9]] * N]), "not a number"),
     (_detection_probe(poses=[[[100.0, "1.5", 0.9]] * N]), "not a number"),
     (_detection_probe(poses=[[[None] * 3] * N]), "not a number"),
+    (_detection_probe(poses=[[[100.0, True, 0.9]] * N]), "not a number"),
 ], ids=["poses-int", "frame-str", "time-null", "camera-list", "ragged",
         "joint-str", "joint-object", "empty-pose", "two-columns",
-        "joint-null", "joint-numeric-str", "pose-all-null"])
+        "joint-null", "joint-numeric-str", "pose-all-null", "joint-true"])
 def test_malformed_detection_records_raise_parse_error(tmp_path, record,
                                                        match):
     path = tmp_path / "det.jsonl"
@@ -406,10 +407,15 @@ _ACTOR = {"id": 0, "joints": [[0.0, 0.0, 1.0]] * N}
     ("ground_truth", load_ground_truth,
      {"frame": 0, "actors": [_ACTOR, dict(_ACTOR, id=1,
                                           joints=_ACTOR["joints"][1:])]}),
+    ("ground_truth", load_ground_truth,
+     {"frame": 0, "actors": [dict(_ACTOR, mask=[True, "no", None]
+                                  + [True] * (N - 3))]}),
+    ("ground_truth", load_ground_truth,
+     {"frame": 0, "actors": [dict(_ACTOR, mask=[True] * 3)]}),
 ], ids=["K-int", "R-nested", "o-str", "id-list", "fps-null", "actors-int",
         "missing-id", "joint-str", "frame-null", "joint-null",
         "joint-numeric-str", "joint-true", "second-actor-false",
-        "second-actor-short"])
+        "second-actor-short", "mask-not-bool", "mask-short"])
 def test_malformed_calibration_and_ground_truth_raise_parse_error(
         tmp_path, fmt, loader, record):
     path = tmp_path / "x.jsonl"

@@ -89,7 +89,7 @@ def test_constant_velocity_prediction(rng):
     joints0 = points_near_origin(rng, N)
     vel = rng.uniform(-1.0, 1.0, size=(N, 3))
     sk0 = Skeleton3D(0.0, joints0, np.zeros(N, np.uint8))
-    track = Track(1, sk0, {}, 0, window=5)
+    track = Track(1, sk0, {}, window=5)
     assert np.array_equal(track.predict(0.2), joints0)
 
     sk1 = Skeleton3D(0.04, joints0 + vel * 0.04, np.zeros(N, np.uint8))
