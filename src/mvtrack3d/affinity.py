@@ -1,10 +1,14 @@
-"""Association settings and detected 2D poses.
+"""Association settings and the validity of detected 2D joints.
 
 The thresholds and presets here feed the two families of scores, which
 kernels computes over whole frames: time-scaled image-distance affinity
 between a tracked 3D skeleton's projection and a detected 2D pose
 (score_pose_pairs), and symmetric epipolar affinity between 2D poses
 seen from different cameras (epipolar_pose_score).
+
+A camera's detections at one frame are one float64 (P,N,3) array, one
+row of N (u, v, confidence) joints per pose; valid_joints decides which
+of those P*N joints the scores and the triangulation may use.
 """
 
 from __future__ import annotations
@@ -49,7 +53,8 @@ class AffinityConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numeric):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
-        if self.max_dt is not None and not isinstance(self.max_dt, numeric):
+        if self.max_dt is not None and (isinstance(self.max_dt, bool)
+                                        or not isinstance(self.max_dt, numeric)):
             raise ConfigError(f"max_dt must be a number or null, got {self.max_dt!r}")
         if self.alpha_2d <= 0 or self.alpha_epi <= 0:
             raise ConfigError("alpha_2d and alpha_epi must be positive")
@@ -88,64 +93,24 @@ def preset(name: str) -> AffinityConfig:
         ) from None
 
 
-@dataclass
-class Pose2D:
-    """One detected 2D pose: pixel coordinates, confidences, validity mask."""
+def valid_joints(joints: np.ndarray, config: AffinityConfig,
+                 camera: CameraCalibration | None = None) -> np.ndarray:
+    """Validity (P,N) of a float64 (P,N,3) array of (u, v, confidence)
+    detections seen by one camera.
 
-    cam_id: int
-    time_s: float
-    uv: np.ndarray
-    conf: np.ndarray
-    valid: np.ndarray
-    frame: int = -1
-
-    @classmethod
-    def from_detection(cls, cam_id: int, time_s: float, joints,
-                       config: AffinityConfig,
-                       camera: CameraCalibration | None = None,
-                       frame: int = -1) -> "Pose2D":
-        """Build a pose from an (N,3) array of (u, v, confidence) rows.
-
-        Joints below the confidence floor, with non-finite coordinates, or
-        farther than image_margin outside the image are marked invalid.
-        """
-        arr = np.asarray(joints, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != 3:
-            raise ValueError(f"expected (N,3) joint array, got {arr.shape}")
-        return cls.from_detections(cam_id, time_s, arr[None], config,
-                                   camera=camera, frame=frame)[0]
-
-    @classmethod
-    def from_detections(cls, cam_id: int, time_s: float, joints: np.ndarray,
-                        config: AffinityConfig,
-                        camera: CameraCalibration | None = None,
-                        frame: int = -1) -> list["Pose2D"]:
-        """Build one pose per row of a float64 (P,N,3) array of
-        (u, v, confidence) detections seen by one camera at one time.
-
-        The caller checks the shape. Validity is decided for all P*N
-        joints at once, by the rule from_detection documents; each pose
-        holds C-contiguous row slices of the batch arrays.
-        """
-        # One test for every column: a joint is valid when u, v and conf
-        # all lie in [lo, hi]. The finite range stands for "finite" (NaN
-        # fails every comparison), the floor bounds conf from below, and
-        # a camera narrows u and v to the image plus its margin.
-        lo = [-_FLOAT_MAX, -_FLOAT_MAX, config.conf_floor]
-        hi = [_FLOAT_MAX, _FLOAT_MAX, _FLOAT_MAX]
-        if camera is not None:
-            m = config.image_margin
-            lo[0] = lo[1] = max(-m, -_FLOAT_MAX)
-            hi[0] = min(camera.width + m, _FLOAT_MAX)
-            hi[1] = min(camera.height + m, _FLOAT_MAX)
-        valid = ((joints >= lo) & (joints <= hi)).all(axis=2)
-        uv = np.ascontiguousarray(joints[:, :, :2])
-        conf = np.ascontiguousarray(joints[:, :, 2])
-        time_s = float(time_s)
-        frame = int(frame)
-        return [cls(cam_id, time_s, uv[p], conf[p], valid[p], frame)
-                for p in range(joints.shape[0])]
-
-    @property
-    def n_joints(self) -> int:
-        return self.uv.shape[0]
+    A joint is invalid below the confidence floor, with a non-finite
+    coordinate or confidence, or, when the camera is given, farther than
+    image_margin outside its image. The caller checks the shape.
+    """
+    # One test for every column: a joint is valid when u, v and conf
+    # all lie in [lo, hi]. The finite range stands for "finite" (NaN
+    # fails every comparison), the floor bounds conf from below, and
+    # a camera narrows u and v to the image plus its margin.
+    lo = [-_FLOAT_MAX, -_FLOAT_MAX, config.conf_floor]
+    hi = [_FLOAT_MAX, _FLOAT_MAX, _FLOAT_MAX]
+    if camera is not None:
+        m = config.image_margin
+        lo[0] = lo[1] = max(-m, -_FLOAT_MAX)
+        hi[0] = min(camera.width + m, _FLOAT_MAX)
+        hi[1] = min(camera.height + m, _FLOAT_MAX)
+    return ((joints >= lo) & (joints <= hi)).all(axis=2)

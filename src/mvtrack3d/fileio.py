@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .affinity import AffinityConfig, Pose2D
+from .affinity import AffinityConfig, valid_joints
 from .errors import NonMonotonicFrames, ParseError, ValidationError
 from .geometry import CameraCalibration
 from .tracker import CHAR_FLAGS, FLAG_CHARS, FrameBundle, Skeleton3D
@@ -245,11 +245,13 @@ def load_detections(path: str,
                     ) -> Iterator[FrameBundle]:
     """Stream FrameBundles from a detections file.
 
-    Each record's poses must form a rectangular (P, N, 3) array of
-    numbers; an empty list means the camera saw no one. Joint validity is
-    recomputed from confidences (and image bounds when cameras are given)
-    by Pose2D.from_detections, so a file written from synth poses parses
-    back to the same masks. Frames must be non-decreasing.
+    Each record holds one camera's poses at one frame, which must form a
+    rectangular (P, N, 3) array of numbers; an empty list means the
+    camera saw no one. A second record for the same camera in one frame
+    is an error. Joint validity is recomputed from confidences (and
+    image bounds when cameras are given) by affinity.valid_joints, so a
+    file written from synth poses parses back to the same masks. Frames
+    must be non-decreasing.
     """
     cfg = config if config is not None else AffinityConfig()
     cam_by_id = {c.cam_id: c for c in cameras} if cameras is not None else {}
@@ -280,13 +282,15 @@ def load_detections(path: str,
             yield current
             current = None
         if current is None:
-            current = FrameBundle(frame=frame, time_s=time_s, poses={})
+            current = FrameBundle(frame, time_s, {}, {}, {})
+        elif cam_id in current.poses:
+            raise ParseError(f"{path}:{lineno}: a second record for camera "
+                             f"{cam_id} in frame {frame}")
         elif time_s > current.time_s:
             current.time_s = time_s
-        current.poses.setdefault(cam_id, []).extend(Pose2D.from_detections(
-            cam_id, time_s, arr, cfg, camera=cam_by_id.get(cam_id),
-            frame=frame,
-        ))
+        current.poses[cam_id] = arr
+        current.valid[cam_id] = valid_joints(arr, cfg, cam_by_id.get(cam_id))
+        current.times[cam_id] = time_s
     if current is not None:
         yield current
 

@@ -233,7 +233,6 @@ class CameraRig:
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate camera ids in rig")
         self.cameras = list(cameras)
-        self.index_of = {c.cam_id: i for i, c in enumerate(self.cameras)}
         n = len(self.cameras)
         self.f_table = np.zeros((n, n, 3, 3))
         for i, ci in enumerate(self.cameras):

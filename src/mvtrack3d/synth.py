@@ -34,7 +34,7 @@ from typing import Iterator
 import numpy as np
 
 from . import fileio
-from .affinity import AffinityConfig, Pose2D
+from .affinity import AffinityConfig, valid_joints
 from .errors import ConfigError
 from .geometry import CameraCalibration
 from .schema import SYNTH14, get_schema
@@ -259,25 +259,26 @@ def project_exact(camera: CameraCalibration, joints: np.ndarray) -> np.ndarray:
     return (h[:2] / h[2]).T
 
 
-def corrupt_pose(pose: Pose2D, cfg: SceneConfig, rng: np.random.Generator,
+def corrupt_pose(uv: np.ndarray, cfg: SceneConfig, rng: np.random.Generator,
                  camera: CameraCalibration | None = None,
                  outlier_rates: np.ndarray | None = None,
-                 ) -> tuple[Pose2D, list[dict]]:
-    """Apply noise, outliers, and occlusion to one pose.
+                 ) -> tuple[np.ndarray, list[dict]]:
+    """Apply noise, outliers, and occlusion to one pose's pixels uv (N,2).
 
-    Returns the corrupted pose plus one {"joint", "class"} record per
-    joint. Gaussian noise goes on every joint; each joint independently
-    becomes an outlier, displaced from its noisy position by exactly
-    cfg.outlier_px in a uniform random direction (directions are redrawn
-    up to 32 times until the target lands inside the image); with
-    occlusion probability one contiguous limb group has its confidence
-    dropped below the validity floor. Occluded beats outlier beats noisy.
+    Returns the corrupted pose as (N,3) rows of (u, v, confidence) plus
+    one {"joint", "class"} record per joint. Gaussian noise goes on every
+    joint; each joint independently becomes an outlier, displaced from
+    its noisy position by exactly cfg.outlier_px in a uniform random
+    direction (directions are redrawn up to 32 times until the target
+    lands inside the image); with occlusion probability one contiguous
+    limb group has its confidence dropped below the validity floor.
+    Occluded beats outlier beats noisy.
 
     outlier_rates overrides cfg.outlier_rate per joint; the burst
     machinery in generate() uses it to target one body half.
     """
-    n = pose.n_joints
-    uv = pose.uv + rng.normal(0.0, cfg.noise_px, size=(n, 2))
+    n = uv.shape[0]
+    uv = uv + rng.normal(0.0, cfg.noise_px, size=(n, 2))
     classes = np.full(
         n, CLASS_NOISY if cfg.noise_px > 0 else CLASS_CLEAN, dtype=np.uint8
     )
@@ -305,13 +306,9 @@ def corrupt_pose(pose: Pose2D, cfg: SceneConfig, rng: np.random.Generator,
             classes[j] = CLASS_OCCLUDED
         conf[list(group)] = rng.uniform(0.02, 0.07, size=len(group))
 
-    joints = np.column_stack([uv, conf])
-    out = Pose2D.from_detection(pose.cam_id, pose.time_s, joints,
-                                AffinityConfig(), camera=camera,
-                                frame=pose.frame)
     records = [{"joint": j, "class": CLASS_NAMES[int(classes[j])]}
                for j in range(n)]
-    return out, records
+    return np.column_stack([uv, conf]), records
 
 
 @dataclass
@@ -341,12 +338,11 @@ class SyntheticScene:
         ]
 
     def detection_records(self) -> Iterator[tuple[int, float, int, np.ndarray]]:
+        n_joints = self.schema.n_joints
         for bundle in self.bundles:
             for cam_id, poses in bundle.poses.items():
-                arr = np.stack(
-                    [np.column_stack([p.uv, p.conf]) for p in poses]
-                ) if poses else np.zeros((0, self.schema.n_joints, 3))
-                yield bundle.frame, bundle.time_s, cam_id, arr
+                yield (bundle.frame, bundle.time_s, cam_id,
+                       np.reshape(poses, (-1, n_joints, 3)))
 
     def export(self, out_dir: str) -> dict[str, str]:
         """Write calibration, detections, ground truth, and the corruption
@@ -395,9 +391,9 @@ def generate(cfg: SceneConfig) -> SyntheticScene:
     burst_group = np.zeros((cfg.n_cameras, cfg.n_actors), dtype=np.int64)
     for f in range(cfg.n_frames):
         t = float(times[f])
-        poses_by_cam: dict[int, list[Pose2D]] = {}
+        bundle = FrameBundle(f, t, {}, {}, {})
         for ci, cam in enumerate(cameras):
-            kept: list[tuple[int, Pose2D, list[dict]]] = []
+            kept: list[tuple[int, np.ndarray, list[dict]]] = []
             for a in range(cfg.n_actors):
                 rates = None
                 if chain is not None:
@@ -421,19 +417,13 @@ def generate(cfg: SceneConfig) -> SyntheticScene:
                             cfg.outlier_burst
                 if rng.random() < cfg.dropout_rate:
                     continue
-                uv = project_exact(cam, gt[f, a])
-                clean = Pose2D(cam_id=cam.cam_id, time_s=t, uv=uv,
-                               conf=np.ones(n_joints),
-                               valid=np.ones(n_joints, dtype=bool),
-                               frame=f)
-                pose, records = corrupt_pose(clean, cfg, rng, camera=cam,
+                pose, records = corrupt_pose(project_exact(cam, gt[f, a]),
+                                             cfg, rng, camera=cam,
                                              outlier_rates=rates)
                 kept.append((a, pose, records))
             order = rng.permutation(len(kept)) if kept else []
-            cam_poses = []
             for pose_idx, src in enumerate(order):
-                a, pose, records = kept[src]
-                cam_poses.append(pose)
+                a, _, records = kept[src]
                 actor_of[(f, cam.cam_id, pose_idx)] = a
                 codes = np.empty(n_joints, dtype=np.uint8)
                 for rec in records:
@@ -447,8 +437,13 @@ def generate(cfg: SceneConfig) -> SyntheticScene:
                         "actor": a,
                     })
                 class_of[(f, cam.cam_id, pose_idx)] = codes
-            poses_by_cam[cam.cam_id] = cam_poses
-        bundles.append(FrameBundle(frame=f, time_s=t, poses=poses_by_cam))
+            poses = np.reshape([kept[src][1] for src in order],
+                               (-1, n_joints, 3))
+            bundle.poses[cam.cam_id] = poses
+            bundle.valid[cam.cam_id] = valid_joints(poses, AffinityConfig(),
+                                                    cam)
+            bundle.times[cam.cam_id] = t
+        bundles.append(bundle)
 
     return SyntheticScene(
         config=cfg, cameras=cameras, bundles=bundles, gt=gt, times=times,

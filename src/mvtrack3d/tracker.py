@@ -70,11 +70,17 @@ class Skeleton3D:
 
 @dataclass
 class FrameBundle:
-    """All detections of one frame, grouped per camera id."""
+    """All detections of one frame: per camera id, poses is the float64
+    (P,N,3) array of its P poses' (u, v, confidence) rows as read, valid
+    their (P,N) joint validity (affinity.valid_joints) and times its
+    record's time in seconds. time_s is the latest of those times; a
+    camera with no poses is left out or holds an empty array."""
 
     frame: int
     time_s: float
     poses: dict
+    valid: dict
+    times: dict
 
 
 @dataclass(frozen=True)
@@ -94,6 +100,18 @@ class TrackerConfig:
     miss_limit: int | None = None
 
     def __post_init__(self):
+        integer = (int, np.integer)
+        for name, kinds, what in (
+                ("part_aware", bool, "true or false"),
+                ("joints_filter", bool, "true or false"),
+                ("smoothing", bool, "true or false"),
+                ("smooth_window", integer, "an integer"),
+                ("miss_limit", integer + (type(None),), "an integer or null"),
+                ("smooth_sigma", integer + (float,), "a number")):
+            value = getattr(self, name)
+            if not isinstance(value, kinds) or (
+                    kinds is not bool and isinstance(value, bool)):
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
         if self.smooth_window < 1:
             raise ConfigError("smooth_window must be at least 1")
         if self.smooth_sigma <= 0:
@@ -109,6 +127,13 @@ class TrackerConfig:
 
     def with_overrides(self, **kwargs) -> "TrackerConfig":
         own = {f.name for f in fields(self) if f.name != "affinity"}
+        shared = {f.name for f in fields(self.affinity)}
+        unknown = sorted(set(kwargs) - own - shared)
+        if unknown:
+            raise ConfigError(
+                f"unknown parameter {unknown[0]!r}; tracker parameters: "
+                f"{', '.join(sorted(own))}; affinity parameters: "
+                f"{', '.join(sorted(shared))}")
         tracker_kwargs = {k: v for k, v in kwargs.items() if k in own}
         affinity_kwargs = {k: v for k, v in kwargs.items() if k not in own}
         cfg = replace(self, **tracker_kwargs) if tracker_kwargs else self
@@ -118,20 +143,33 @@ class TrackerConfig:
 
 
 class Track:
-    """State of one tracked person."""
+    """State of one tracked person, with its freshest matched view from
+    each of the rig's C cameras: the frame (-inf until a match) and time
+    of that view (C,), its pixels view_uv (N,C,2) and validity (N,C)."""
 
-    def __init__(self, track_id: int, skeleton: Skeleton3D, poses: dict,
+    def __init__(self, track_id: int, skeleton: Skeleton3D, n_cams: int,
                  window: int):
         self.track_id = track_id
         self.skeleton = skeleton
         self.velocity = np.zeros_like(skeleton.joints)
-        self.last_poses = dict(poses)
+        self.view_frame = np.full(n_cams, -np.inf)
+        self.view_time = np.zeros(n_cams)
+        self.view_uv = np.zeros((skeleton.n_joints, n_cams, 2))
+        self.view_valid = np.zeros((skeleton.n_joints, n_cams), dtype=bool)
         self.misses = 0
         # the last `window` raw skeletons, right-aligned behind time -inf
         self.history_times = np.full(window, -np.inf)
         self.history_times[-1] = skeleton.time_s
         self.history_joints = np.zeros((window,) + skeleton.joints.shape)
         self.history_joints[-1] = skeleton.joints
+
+    def see(self, ci, frame: int, time_s, uv: np.ndarray, valid: np.ndarray):
+        """Make the pose uv (N,2), valid (N,) seen at frame and time_s the
+        view from camera index ci, or M such poses (N,M,...) from M indices."""
+        self.view_frame[ci] = frame
+        self.view_time[ci] = time_s
+        self.view_uv[:, ci] = uv
+        self.view_valid[:, ci] = valid
 
     def predict(self, t: float) -> np.ndarray:
         """Constant-velocity extrapolation of the smoothed joints to time t."""
@@ -190,21 +228,21 @@ class PoseTracker:
 
         Every camera with detections is scored in one batch, its poses
         padded with invalid joints to the largest count, and then matched
-        on its own columns. Updates each matched track's freshest pose
-        for that camera and returns ({cam_id: unmatched poses}, {track
-        ids matched this frame}).
+        on its own columns. Each matched pose becomes its track's view
+        from that camera. Returns ({camera index: unmatched pose rows},
+        {track ids matched this frame}).
         """
         cfg = self.config
         aff = cfg.affinity
         rig = self.rig
         tracks = self.tracks
-        seen = [(ci, cam.cam_id, bundle.poses[cam.cam_id])
-                for ci, cam in enumerate(rig.cameras)
-                if bundle.poses.get(cam.cam_id)]
+        seen = [(ci, cam.cam_id) for ci, cam in enumerate(rig.cameras)
+                if len(bundle.poses.get(cam.cam_id, ()))]
         if not tracks or not seen:
-            return {cam_id: list(poses) for _, cam_id, poses in seen}, set()
-        cam_idx = np.array([ci for ci, _, _ in seen])
-        cam_t = np.array([poses[0].time_s for _, _, poses in seen])
+            return {ci: range(len(bundle.poses[cam_id]))
+                    for ci, cam_id in seen}, set()
+        cam_idx = np.array([ci for ci, _ in seen])
+        cam_t = np.array([bundle.times[cam_id] for _, cam_id in seen])
         track_t = np.array([tr.skeleton.time_s for tr in tracks])
         elapsed = cam_t[:, None] - track_t[None, :]
         # staleness in frame intervals, never below one frame
@@ -214,13 +252,13 @@ class PoseTracker:
         pts = np.array([tr.skeleton.joints for tr in tracks])
         track_valid = (np.array([tr.skeleton.flags for tr in tracks])
                        != JointFlag.MISSING)
-        width = max(len(poses) for _, _, poses in seen)
+        counts = [len(bundle.poses[cam_id]) for _, cam_id in seen]
         n_joints = tracks[0].skeleton.n_joints
-        pose_uv = np.zeros((len(seen), width, n_joints, 2))
-        pose_valid = np.zeros((len(seen), width, n_joints), dtype=bool)
-        for k, (_, _, poses) in enumerate(seen):
-            pose_uv[k, :len(poses)] = np.array([p.uv for p in poses])
-            pose_valid[k, :len(poses)] = np.array([p.valid for p in poses])
+        pose_uv = np.zeros((len(seen), max(counts), n_joints, 2))
+        pose_valid = np.zeros((len(seen), max(counts), n_joints), dtype=bool)
+        for k, ((_, cam_id), p) in enumerate(zip(seen, counts)):
+            pose_uv[k, :p] = bundle.poses[cam_id][..., :2]
+            pose_valid[k, :p] = bundle.valid[cam_id]
         scores = kernels.score_pose_pairs(
             pts, track_valid, dts, rig.k_table[cam_idx], rig.r_table[cam_idx],
             rig.origins[cam_idx], pose_uv, pose_valid,
@@ -228,61 +266,39 @@ class PoseTracker:
         )
         unmatched = {}
         matched_ids = set()
-        for k, (_, cam_id, poses) in enumerate(seen):
-            match = assignment.solve(scores[k, :, :len(poses)], 0.0)
+        for k, ((ci, _), p, t) in enumerate(zip(seen, counts, cam_t.tolist())):
+            match = assignment.solve(scores[k, :, :p], 0.0)
             for ti, pi in match.pairs:
-                tracks[ti].last_poses[cam_id] = poses[pi]
+                tracks[ti].see(ci, bundle.frame, t, pose_uv[k, pi],
+                               pose_valid[k, pi])
                 matched_ids.add(tracks[ti].track_id)
-            unmatched[cam_id] = [poses[pi] for pi in match.unmatched_cols]
+            unmatched[ci] = match.unmatched_cols
         return unmatched, matched_ids
 
     # -- reconstruction ----------------------------------------------
 
-    def _recent_poses(self, track: Track, bundle: FrameBundle):
-        """Freshest matched pose per camera still inside the window."""
-        tau = self.config.affinity.tau
-        recent = {}
-        for cam_id, pose in track.last_poses.items():
-            if pose.frame >= 0:
-                age = bundle.frame - pose.frame
-                if 0 <= age < tau:
-                    recent[cam_id] = pose
-            else:
-                age_s = bundle.time_s - pose.time_s
-                if 0 <= age_s < tau / self.rig.fps:
-                    recent[cam_id] = pose
-        return recent
+    def reconstruct(self, tracks: list, recent: np.ndarray,
+                    bundle: FrameBundle) -> list:
+        """Triangulate tracks from their recent views and advance their states.
 
-    def reconstruct(self, observed, bundle: FrameBundle) -> list:
-        """Triangulate tracks from their recent poses and advance their states.
-
-        observed is a list of (track, recent poses per camera id) pairs;
-        all tracks go through the kernels as one batch. Returns the new
-        skeletons in the same order.
+        recent (T,C) marks the cameras whose view of each of the T tracks
+        lies inside the window; all tracks go through the kernels as one
+        batch. Returns the new skeletons in the same order.
         """
         cfg = self.config
         t = bundle.time_s
         rig = self.rig
-        n_tracks = len(observed)
-        n_joints = observed[0][0].skeleton.n_joints
-        obs_uv = np.zeros((n_tracks, n_joints, len(rig), 2))
-        obs_valid = np.zeros((n_tracks, n_joints, len(rig)), dtype=bool)
-        slots = []   # (track row, camera index, pose) per recent pose
-        for k, (track, recent) in enumerate(observed):
-            if not recent:
-                raise NoRecentObservations(
-                    f"track {track.track_id} has no pose within the window"
-                )
-            slots.extend((k, rig.index_of[cam_id], pose)
-                         for cam_id, pose in recent.items())
-        ks, cis, poses = zip(*slots)
-        obs_uv[ks, :, cis] = np.array([pose.uv for pose in poses])
-        obs_valid[ks, :, cis] = np.array([pose.valid for pose in poses])
-        age_frames = np.maximum(t - np.array([pose.time_s for pose in poses]),
-                                0.0) * rig.fps
-        weights = np.zeros((n_tracks, len(rig)))
-        weights[ks, cis] = np.exp(-cfg.affinity.lambda_a * age_frames)
-        tracks = [track for track, _ in observed]
+        blind = np.flatnonzero(~recent.any(axis=1))
+        if blind.size:
+            raise NoRecentObservations(f"track {tracks[blind[0]].track_id} "
+                                       f"has no pose within the window")
+        obs_uv = np.array([track.view_uv for track in tracks])
+        obs_valid = (np.array([track.view_valid for track in tracks])
+                     & recent[:, None, :])
+        view_time = np.array([track.view_time for track in tracks])
+        age_frames = np.maximum(t - view_time[recent], 0.0) * rig.fps
+        weights = np.zeros(recent.shape)
+        weights[recent] = np.exp(-cfg.affinity.lambda_a * age_frames)
         pred = np.array([track.predict(t) for track in tracks])
         joints, flags = kernels.reconstruct_joints(
             obs_uv, obs_valid, weights, pred,
@@ -293,27 +309,29 @@ class PoseTracker:
 
     # -- initialization ----------------------------------------------
 
-    def _cluster_unmatched(self, unmatched: dict):
-        """Greedy cross-view clustering of unmatched poses, camera by camera."""
+    def _cluster_unmatched(self, views: dict):
+        """Greedy cross-view clustering of unmatched poses, camera by camera.
+
+        views maps a camera index to its pixels (P,N,2), validity (P,N)
+        and unmatched pose rows; each cluster is a list of (camera index,
+        row), one per camera.
+        """
         aff = self.config.affinity
         rig = self.rig
         clusters: list[list] = []
-        for ci, cam in enumerate(rig.cameras):
-            cands = unmatched.get(cam.cam_id) or []
-            if not cands:
-                continue
+        for ci, (uv, valid, rows) in sorted(views.items()):
             if not clusters:
-                clusters = [[(ci, p)] for p in cands]
+                clusters = [[(ci, r)] for r in rows]
                 continue
             # score every (cluster member, candidate) pair, then keep each
             # cluster's best member
             members = [m for cluster in clusters for m in cluster]
             cj = np.array([c for c, _ in members])
+            member_uv = np.array([views[c][0][r] for c, r in members])
+            member_valid = np.array([views[c][1][r] for c, r in members])
             pair_scores = kernels.epipolar_pose_score(
-                np.array([p.uv for _, p in members])[:, None],
-                np.array([p.valid for _, p in members])[:, None],
-                np.array([p.uv for p in cands]),
-                np.array([p.valid for p in cands]),
+                member_uv[:, None], member_valid[:, None],
+                uv[list(rows)], valid[list(rows)],
                 rig.f_table[cj, ci][:, None], rig.f_table[ci, cj][:, None],
                 aff.alpha_epi,
             )
@@ -321,31 +339,31 @@ class PoseTracker:
             scores = np.maximum.reduceat(pair_scores, starts, axis=0)
             match = assignment.solve(scores, 0.0)
             for k, l in match.pairs:
-                clusters[k].append((ci, cands[l]))
+                clusters[k].append((ci, rows[l]))
             for l in match.unmatched_cols:
-                clusters.append([(ci, cands[l])])
+                clusters.append([(ci, rows[l])])
         return clusters
 
-    def _init_skeleton(self, cluster, t: float) -> Skeleton3D | None:
+    def _init_skeleton(self, uv: np.ndarray, valid: np.ndarray,
+                       cam_idx: np.ndarray, t: float) -> Skeleton3D | None:
         """Triangulate a cross-view cluster into a first skeleton.
 
-        Joints with fewer than two consistent views are placed on a
-        single view's ray at the skeleton centroid depth, or at the
-        centroid itself, and flagged predicted. Returns None when not a
-        single joint triangulates.
+        uv (N,M,2) and valid (N,M) hold the cluster's M poses, seen by
+        the cameras cam_idx (M,). Joints with fewer than two consistent
+        views are placed on a single view's ray at the skeleton centroid
+        depth, or at the centroid itself, and flagged predicted. Returns
+        None when not a single joint triangulates.
         """
         cfg = self.config
         rig = self.rig
-        cam_idx = np.array([ci for ci, _ in cluster], dtype=np.int64)
-        uv = np.stack([pose.uv for _, pose in cluster], axis=1)
-        keep = np.stack([pose.valid for _, pose in cluster], axis=1)
+        keep = valid
         if cfg.joints_filter:
             keep = kernels.filter_init_mask(uv, keep, cam_idx, rig.f_table,
                                             cfg.affinity.alpha_epi)
         uvn = np.stack((uv[..., 0] * rig.su[cam_idx] - 1.0,
                         uv[..., 1] * rig.sv[cam_idx] - 1.0), axis=-1)
         xyz, status = kernels.triangulate_batch(
-            uvn, rig.pn_table[cam_idx], np.ones(len(cluster)), keep
+            uvn, rig.pn_table[cam_idx], np.ones(len(cam_idx)), keep
         )
         tri = status == 0
         if not tri.any():
@@ -353,12 +371,11 @@ class PoseTracker:
         joints = np.where(tri[:, None], xyz, 0.0)
         flags = np.where(tri, JointFlag.TRIANGULATED, JointFlag.PREDICTED)
         centroid = joints[tri].mean(axis=0)
-        first_valid = cluster[0][1].valid
         for n in np.flatnonzero(~tri):
             kept = np.flatnonzero(keep[n])
             if kept.size:
                 slot = kept[0]
-            elif first_valid[n]:
+            elif valid[n, 0]:
                 slot = 0
             else:
                 joints[n] = centroid
@@ -375,16 +392,23 @@ class PoseTracker:
 
     def initialize(self, unmatched: dict, bundle: FrameBundle) -> list:
         """Spawn tracks from cross-view clusters of unmatched poses."""
+        ids = [cam.cam_id for cam in self.rig.cameras]
+        views = {ci: (bundle.poses[ids[ci]][..., :2], bundle.valid[ids[ci]], rows)
+                 for ci, rows in unmatched.items() if len(rows)}
         new_tracks = []
-        for cluster in self._cluster_unmatched(unmatched):
+        for cluster in self._cluster_unmatched(views):
             if len(cluster) < 2:
                 continue
-            skeleton = self._init_skeleton(cluster, bundle.time_s)
+            cam_idx = np.array([ci for ci, _ in cluster], dtype=np.int64)
+            uv = np.stack([views[ci][0][r] for ci, r in cluster], axis=1)
+            valid = np.stack([views[ci][1][r] for ci, r in cluster], axis=1)
+            times = [bundle.times[ids[ci]] for ci, _ in cluster]
+            skeleton = self._init_skeleton(uv, valid, cam_idx, bundle.time_s)
             if skeleton is None:
                 continue
-            poses = {self.rig.cameras[ci].cam_id: pose for ci, pose in cluster}
-            track = Track(self._next_id, skeleton, poses,
+            track = Track(self._next_id, skeleton, len(self.rig),
                           self.config.smooth_window)
+            track.see(cam_idx, bundle.frame, times, uv, valid)
             self._next_id += 1
             new_tracks.append(track)
         return new_tracks
@@ -405,21 +429,24 @@ class PoseTracker:
         unmatched, matched_ids = self._associate(bundle)
         t1 = _time.perf_counter()
         emissions = {}
-        observed = []
-        for track in self.tracks:
-            recent = self._recent_poses(track, bundle)
-            if recent:
-                observed.append((track, recent))
-            else:
-                emissions[track.track_id] = track.predicted_skeleton(bundle.time_s)
-            if track.track_id in matched_ids:
-                track.misses = 0
-            else:
-                track.misses += 1
-        if observed:
-            skeletons = self.reconstruct(observed, bundle)
-            for (track, _), skeleton in zip(observed, skeletons):
-                emissions[track.track_id] = skeleton
+        tracks = self.tracks
+        if tracks:
+            recent = (bundle.frame - np.array([tr.view_frame for tr in tracks])
+                      < self.config.affinity.tau)
+            observed = recent.any(axis=1)
+            for track, seen in zip(tracks, observed.tolist()):
+                if not seen:
+                    emissions[track.track_id] = track.predicted_skeleton(
+                        bundle.time_s)
+                if track.track_id in matched_ids:
+                    track.misses = 0
+                else:
+                    track.misses += 1
+            if observed.any():
+                active = [tr for tr, seen in zip(tracks, observed) if seen]
+                skeletons = self.reconstruct(active, recent[observed], bundle)
+                for track, skeleton in zip(active, skeletons):
+                    emissions[track.track_id] = skeleton
         t2 = _time.perf_counter()
         new_tracks = self.initialize(unmatched, bundle)
         t3 = _time.perf_counter()

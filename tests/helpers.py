@@ -5,7 +5,8 @@ is used to check: camera construction, an exhaustive assignment search, a
 from-scratch pose scorer, a weighted linear triangulator, a one-joint
 greedy epipolar filter, a limb-correctness scorer, a one-joint-at-a-time
 detections reader and the per-float file writers. Tests compare library
-output against these.
+output against these, and build the frames they feed the tracker with
+make_bundle.
 
 The scalar references (epipolar pair affinity and pose score, the
 initialization filter, smoothing, the greedy actor matcher, per-limb
@@ -19,10 +20,11 @@ import math
 
 import numpy as np
 
+from mvtrack3d.affinity import AffinityConfig, valid_joints
 from mvtrack3d.evaluation import match_actors
 from mvtrack3d.fileio import TrackFrame
 from mvtrack3d.geometry import CameraCalibration, CameraRig
-from mvtrack3d.tracker import PoseTracker
+from mvtrack3d.tracker import FrameBundle, PoseTracker
 
 
 def look_at_camera(cam_id, position, target, focal=700.0, width=800,
@@ -461,11 +463,26 @@ def mean_triangulated_error(pred_frames, gt_frames, schema, flag_value=0):
     return total / count if count else float("nan")
 
 
-def reference_read_detections(records, conf_floor, image_margin,
+def make_bundle(frame, time_s, poses, config=None, cameras=()):
+    """FrameBundle of poses, {camera id: (P,N,3) (u, v, conf) rows}, every
+    camera seen at time_s. Validity comes from affinity.valid_joints with
+    config (AffinityConfig() when None) and the camera of that id among
+    cameras, if there is one."""
+    cfg = config or AffinityConfig()
+    cam_by_id = {c.cam_id: c for c in cameras}
+    arrays = {c: np.asarray(p, dtype=np.float64) for c, p in poses.items()}
+    return FrameBundle(
+        frame, time_s, arrays,
+        {c: valid_joints(a, cfg, cam_by_id.get(c)) for c, a in arrays.items()},
+        {c: time_s for c in arrays})
+
+
+def reference_read_detections(records, n_joints, conf_floor, image_margin,
                               cameras=()):
     """What a detections file of these (frame, time_s, camera id, poses)
-    records parses to, deciding validity one joint at a time: a list of
-    (frame, time_s, {camera id: [(uv, conf, valid, frame, time_s)]}).
+    records, one per camera and frame, parses to, deciding validity one
+    joint at a time: a list of (frame, time_s, {camera id: (poses
+    (P,N,3), valid (P,N), time_s)}).
 
     A joint is valid when u, v and its confidence are finite, the
     confidence is at or above the floor and, for a camera in `cameras`,
@@ -479,21 +496,19 @@ def reference_read_detections(records, conf_floor, image_margin,
         bundle = bundles[-1]
         bundle[1] = max(bundle[1], time_s)
         cam = cam_by_id.get(cam_id)
-        out = bundle[2].setdefault(cam_id, [])
-        for pose in poses:
-            uv = np.empty((len(pose), 2))
-            conf = np.empty(len(pose))
-            valid = np.empty(len(pose), dtype=bool)
+        arr = np.empty((len(poses), n_joints, 3))
+        valid = np.empty((len(poses), n_joints), dtype=bool)
+        for p, pose in enumerate(poses):
             for j, (u, v, c) in enumerate(pose):
-                uv[j, 0], uv[j, 1], conf[j] = u, v, c
+                arr[p, j, 0], arr[p, j, 1], arr[p, j, 2] = u, v, c
                 ok = (math.isfinite(u) and math.isfinite(v)
                       and math.isfinite(c) and c >= conf_floor)
                 if ok and cam is not None:
                     m = image_margin
                     ok = (-m <= u <= cam.width + m
                           and -m <= v <= cam.height + m)
-                valid[j] = ok
-            out.append((uv, conf, valid, frame, time_s))
+                valid[p, j] = ok
+        bundle[2][cam_id] = (arr, valid, time_s)
     return [tuple(b) for b in bundles]
 
 

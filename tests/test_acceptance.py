@@ -101,14 +101,16 @@ def test_criterion_4_outlier_filter_precision_recall(capsys):
         f = bundle.frame
         by_actor = {}
         for ci, cam in enumerate(rig.cameras):
-            for pi, pose in enumerate(bundle.poses.get(cam.cam_id, [])):
+            valid = bundle.valid[cam.cam_id]
+            for pi, pose in enumerate(bundle.poses[cam.cam_id]):
                 actor = scene.actor_of[(f, cam.cam_id, pi)]
                 codes = scene.class_of[(f, cam.cam_id, pi)]
-                by_actor.setdefault(actor, []).append((ci, pose, codes))
+                by_actor.setdefault(actor, []).append(
+                    (ci, pose, valid[pi], codes))
         for actor, views in by_actor.items():
             for n in range(schema.n_joints):
-                rows = [(ci, pose.uv[n], codes[n])
-                        for ci, pose, codes in views if pose.valid[n]]
+                rows = [(ci, pose[n, :2], codes[n])
+                        for ci, pose, valid, codes in views if valid[n]]
                 if len(rows) < 2:
                     continue
                 uvs = np.array([r[1] for r in rows])

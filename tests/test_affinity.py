@@ -1,8 +1,8 @@
 """The paper's affinity equations, through the kernels the tracker calls:
 pose-to-track scores (kernels.score_pose_pairs), cross-view epipolar
 affinities (kernels.epipolar_pair_affinities, kernels.epipolar_pose_score)
-and the tracker's staleness clamp; then configuration and pose
-construction."""
+and the tracker's staleness clamp; then configuration and joint
+validity."""
 
 import math
 
@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 
 from mvtrack3d import geometry, kernels
-from mvtrack3d.affinity import PRESETS, AffinityConfig, Pose2D, preset
+from mvtrack3d.affinity import PRESETS, AffinityConfig, preset, valid_joints
 from mvtrack3d.errors import ConfigError
 from mvtrack3d.geometry import CameraCalibration, CameraRig
 from mvtrack3d.schema import SYNTH14
 from mvtrack3d.tracker import (
-    FrameBundle,
     JointFlag,
     PoseTracker,
     Skeleton3D,
@@ -25,6 +24,7 @@ from mvtrack3d.tracker import (
 
 from helpers import (
     look_at_camera,
+    make_bundle,
     points_near_origin,
     random_ring_rig,
     reference_pose_score,
@@ -33,11 +33,17 @@ from helpers import (
 N = SYNTH14.n_joints
 
 
-def make_pose(cam, uv, t, conf=0.9, frame=-1, cfg=None):
+def make_pose(cam, uv, t, conf=0.9, cfg=None):
+    """A one-pose bundle: pixels uv (N,2) at confidence conf seen by cam
+    at time t."""
     joints = np.column_stack([uv, np.full(len(uv), conf)])
-    return Pose2D.from_detection(cam.cam_id, t, joints,
-                                 cfg or AffinityConfig(), camera=cam,
-                                 frame=frame)
+    return make_bundle(0, t, {cam.cam_id: joints[None]}, cfg, [cam])
+
+
+def pose_arrays(pose, cam):
+    """uv (N,2), valid (N,) and time of the one pose of make_pose."""
+    return (pose.poses[cam.cam_id][0, :, :2], pose.valid[cam.cam_id][0],
+            pose.times[cam.cam_id])
 
 
 def make_skeleton(joints, t):
@@ -47,11 +53,12 @@ def make_skeleton(joints, t):
 
 def pose_score(pose, skel, cam, cfg, part_aware=True):
     """One cell of kernels.score_pose_pairs: the pose seen by cam against
-    the skeleton, staleness pose.time_s - skel.time_s."""
+    the skeleton, staleness the pose's time less skel.time_s."""
+    uv, valid, time_s = pose_arrays(pose, cam)
     scores = kernels.score_pose_pairs(
         skel.joints[None], (skel.flags != JointFlag.MISSING)[None],
-        np.array([pose.time_s - skel.time_s]), cam.K, cam.R, cam.o,
-        pose.uv[None], pose.valid[None],
+        np.array([time_s - skel.time_s]), cam.K, cam.R, cam.o,
+        uv[None], valid[None],
         cfg.alpha_2d, cfg.lambda_a, cfg.epsilon, part_aware)
     return float(scores[0, 0])
 
@@ -99,8 +106,10 @@ def pair_affinity(a, b, cam_a, cam_b, cfg):
 
 def pose_pair_score(pose_a, pose_b, cam_a, cam_b, cfg):
     """kernels.epipolar_pose_score of pose_a in cam_a and pose_b in cam_b."""
+    uv_a, valid_a, _ = pose_arrays(pose_a, cam_a)
+    uv_b, valid_b, _ = pose_arrays(pose_b, cam_b)
     return float(kernels.epipolar_pose_score(
-        pose_a.uv, pose_a.valid, pose_b.uv, pose_b.valid,
+        uv_a, valid_a, uv_b, valid_b,
         geometry.fundamental_matrix(cam_a, cam_b),
         geometry.fundamental_matrix(cam_b, cam_a), cfg.alpha_epi))
 
@@ -173,14 +182,15 @@ def test_joint_affinity_staleness_clamp(monkeypatch):
                              max_dt=max_dt)
         tracker = PoseTracker(CameraRig([cam]), TrackerConfig(affinity=cfg))
         t = 6.0
-        track = Track(1, make_skeleton(pts, t - stale_frames / 4.0), {},
+        track = Track(1, make_skeleton(pts, t - stale_frames / 4.0), 1,
                       window=5)
         tracker.tracks = [track]
         joints = np.column_stack([uv + [shift_px, 0.0], np.full(N, 0.9)])
-        pose = Pose2D.from_detection(cam.cam_id, t, joints, cfg, frame=24)
-        tracker.step(FrameBundle(24, t, {cam.cam_id: [pose]}))
-        return float(scored[-1][0, 0, 0]), track.last_poses.get(
-            cam.cam_id) is pose
+        tracker.step(make_bundle(24, t, {cam.cam_id: joints[None]}, cfg))
+        # the track's view from the camera is this pose, at this frame
+        matched = bool(track.view_frame[0] == 24 and np.array_equal(
+            track.view_uv[:, 0], joints[:, :2]))
+        return float(scored[-1][0, 0, 0]), matched
 
     # max_dt 0.5 s is 2 frames, a tolerance of 120 px
     stale, fresh = run(0.5, 20, 60.0), run(0.5, 2, 60.0)
@@ -273,16 +283,16 @@ def test_pose_scores_match_reference_implementation(rng):
         uv = np.stack([geometry.project(p, cam) for p in pts])
         uv = uv + rng.normal(0.0, rng.uniform(0.5, 30.0), size=uv.shape)
         conf = np.where(rng.random(N) < 0.2, 0.01, 0.9)
-        pose = Pose2D.from_detection(
-            cam.cam_id, t_pose, np.column_stack([uv, conf]),
-            AffinityConfig(), camera=cam)
+        pose = make_bundle(0, t_pose, {cam.cam_id: np.column_stack(
+            [uv, conf])[None]}, AffinityConfig(), [cam])
+        pose_uv, pose_valid, _ = pose_arrays(pose, cam)
         cfg = AffinityConfig(alpha_2d=float(rng.uniform(20, 90)),
                              lambda_a=float(rng.uniform(0, 5)),
                              epsilon=int(rng.integers(0, N + 1)))
         for part_aware in (True, False):
             expected = reference_pose_score(
                 cam, skel.joints, skel.flags != JointFlag.MISSING, t_pose,
-                pose.uv, pose.valid, cfg.alpha_2d, cfg.lambda_a,
+                pose_uv, pose_valid, cfg.alpha_2d, cfg.lambda_a,
                 cfg.epsilon, part_aware)
             assert pose_score(pose, skel, cam, cfg, part_aware) == (
                 pytest.approx(expected, abs=1e-10))
@@ -348,15 +358,11 @@ def test_epipolar_pose_affinity_counts_mutually_valid_joints(rng):
 
     conf = np.full(N, 0.9)
     conf[:4] = 0.0
-    partial = Pose2D.from_detection(
-        cams[1].cam_id, 0.0, np.column_stack([uv_b, conf]), cfg,
-        camera=cams[1])
+    partial = make_pose(cams[1], uv_b, 0.0, conf=conf, cfg=cfg)
     got = pose_pair_score(pose_a, partial, cams[0], cams[1], cfg)
     assert got == pytest.approx(float(N - 4), abs=1e-6)
 
-    blank = Pose2D.from_detection(
-        cams[1].cam_id, 0.0,
-        np.column_stack([uv_b, np.zeros(N)]), cfg, camera=cams[1])
+    blank = make_pose(cams[1], uv_b, 0.0, conf=0.0, cfg=cfg)
     assert pose_pair_score(pose_a, blank, cams[0], cams[1], cfg) == 0.0
 
 
@@ -369,8 +375,10 @@ def test_epipolar_pose_affinity_prefers_true_pairing(clean_scene):
     poses_b = bundle.poses[cams[1].cam_id]
     for i, pa in enumerate(poses_a):
         actor = scene.actor_of[(0, cams[0].cam_id, i)]
-        scores = [pose_pair_score(pa, pb, cams[0], cams[1], cfg)
-                  for pb in poses_b]
+        pose_a = make_pose(cams[0], pa[:, :2], 0.0, pa[:, 2])
+        scores = [pose_pair_score(
+            pose_a, make_pose(cams[1], pb[:, :2], 0.0, pb[:, 2]),
+            cams[0], cams[1], cfg) for pb in poses_b]
         best = int(np.argmax(scores))
         assert scene.actor_of[(0, cams[1].cam_id, best)] == actor
 
@@ -409,13 +417,15 @@ def test_affinity_config_validation():
     with pytest.raises(ConfigError):
         AffinityConfig(max_dt=0.0)
     with pytest.raises(ConfigError):
+        AffinityConfig(max_dt=True)
+    with pytest.raises(ConfigError):
         AffinityConfig(epsilon="ten")
     with pytest.raises(ConfigError):
         AffinityConfig().with_overrides(alpha="typo")
     assert AffinityConfig().with_overrides(alpha_2d=45.0).alpha_2d == 45.0
 
 
-def test_pose_from_detection_validity_rules():
+def test_valid_joints_rules():
     cam = look_at_camera(0, [5.0, 0.0, 2.0], [0.0, 0.0, 1.0])
     cfg = AffinityConfig(conf_floor=0.1, image_margin=10.0)
     joints = np.array([
@@ -427,11 +437,11 @@ def test_pose_from_detection_validity_rules():
         [810.0, 610.0, 0.9],        # on the far margin: valid
         [400.0, 610.5, 0.9],        # below the far margin
     ])
-    pose = Pose2D.from_detection(0, 0.0, joints, cfg, camera=cam)
-    assert pose.valid.tolist() == [True, False, False, True, False, True,
-                                   False]
-    no_cam = Pose2D.from_detection(0, 0.0, joints, cfg)
-    assert no_cam.valid.tolist() == [True, False, False, True, True, True,
-                                     True]
+    valid = valid_joints(joints[None], cfg, camera=cam)
+    assert valid.tolist() == [[True, False, False, True, False, True,
+                               False]]
+    no_cam = valid_joints(joints[None], cfg)
+    assert no_cam.tolist() == [[True, False, False, True, True, True,
+                                True]]
     with pytest.raises(ValueError):
-        Pose2D.from_detection(0, 0.0, np.zeros((4, 2)), cfg)
+        valid_joints(np.zeros((1, 4, 2)), cfg)

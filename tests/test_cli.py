@@ -123,7 +123,19 @@ def test_invalid_override_value_fails_cleanly(capsys, tmp_path):
     code, out, err = track(capsys, paths, tmp_path / "t.jsonl",
                            "--set", "project_predicted=true")
     assert code == 1
-    assert err == "error: unknown affinity parameter 'project_predicted'\n"
+    assert err == (
+        "error: unknown parameter 'project_predicted'; tracker parameters: "
+        "joints_filter, miss_limit, part_aware, smooth_sigma, smooth_window, "
+        "smoothing; affinity parameters: alpha_2d, alpha_epi, conf_floor, "
+        "epsilon, image_margin, lambda_a, max_dt, tau\n")
+    # values of the wrong type, each one error line naming the setting
+    for setting in ("smooth_sigma=x", "smooth_window=true", "miss_limit=2.5",
+                    "part_aware=no", "max_dt=true", "smooth_windw=3"):
+        code, out, err = track(capsys, paths, tmp_path / "t.jsonl",
+                               "--set", setting)
+        assert code == 1, setting
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert setting.split("=")[0] in err
 
 
 @pytest.mark.parametrize("preset", ["warehouse", ["shelf"]])

@@ -123,12 +123,9 @@ def test_detections_roundtrip(tmp_path, rng):
         assert b.time_s == f / 25.0
         for c in range(2):
             original = next(r[3] for r in rows if r[0] == f and r[2] == c)
-            for pose, orig in zip(b.poses[c], original):
-                assert np.array_equal(pose.uv, orig[:, :2])
-                assert np.array_equal(pose.conf, orig[:, 2])
-                assert pose.frame == f
-    assert all(p.valid.all() for b in bundles
-               for poses in b.poses.values() for p in poses)
+            assert np.array_equal(b.poses[c], original)
+            assert b.times[c] == f / 25.0
+    assert all(valid.all() for b in bundles for valid in b.valid.values())
 
 
 def test_detections_validity_recomputed_from_confidence(tmp_path, rng):
@@ -137,11 +134,10 @@ def test_detections_validity_recomputed_from_confidence(tmp_path, rng):
     path = tmp_path / "det.jsonl"
     write_detections(rows, str(path), SYNTH14.name, N)
     bundle = next(load_detections(str(path)))
-    pose = bundle.poses[0][0]
-    assert not pose.valid[3]
+    assert not bundle.valid[0][0, 3]
     strict = AffinityConfig(conf_floor=0.9)
     bundle = next(load_detections(str(path), config=strict))
-    assert bundle.poses[0][0].valid.sum() < N
+    assert bundle.valid[0][0].sum() < N
 
 
 def test_detections_reject_frame_regressions(tmp_path, rng):
@@ -190,7 +186,7 @@ def test_detections_missing_field_is_reported(tmp_path):
 # floor and image-margin boundaries (800x600 images, 10 px margin) and
 # their neighbouring floats, so a flipped comparison or a dropped term
 # changes some joint's validity. A record may hold no poses (`[]`), which
-# must leave its camera in the bundle with an empty list.
+# must leave its camera in the bundle with an empty (0, N, 3) array.
 _FLOOR = 0.1
 _MARGIN = 10.0
 _EDGES_U = [-10.0, math.nextafter(-10.0, -math.inf), 810.0,
@@ -208,12 +204,18 @@ _CONFS = st.one_of(st.floats(0.0, 1.0), st.sampled_from(
 
 @st.composite
 def _detection_records(draw, n_joints=3):
+    """One to five records, at most one per camera in a frame."""
     records = []
     frame = 0
+    used = set()
     for _ in range(draw(st.integers(1, 5))):
-        frame += draw(st.integers(0, 2))
+        step = draw(st.integers(0, 2))
+        if step or len(used) == 3:
+            frame += max(step, 1)
+            used = set()
         time_s = frame / 25.0 + draw(st.sampled_from([0.0, 0.001]))
-        cam_id = draw(st.integers(0, 2))
+        cam_id = draw(st.sampled_from(sorted({0, 1, 2} - used)))
+        used.add(cam_id)
         n_poses = draw(st.integers(0, 3))
         poses = [[[draw(_PIXELS_U), draw(_PIXELS_V), draw(_CONFS)]
                   for _ in range(n_joints)] for _ in range(n_poses)]
@@ -237,24 +239,22 @@ def test_batched_reader_matches_per_joint_reference(tmp_path_factory,
     cameras = cameras if with_cameras else None
     cfg = AffinityConfig(conf_floor=_FLOOR, image_margin=_MARGIN)
     got = list(load_detections(str(path), cfg, cameras))
-    want = reference_read_detections(records, _FLOOR, _MARGIN,
+    want = reference_read_detections(records, 3, _FLOOR, _MARGIN,
                                      cameras or ())
     assert len(got) == len(want)
     for bundle, (frame, time_s, by_cam) in zip(got, want):
         assert (bundle.frame, bundle.time_s) == (frame, time_s)
         assert sorted(bundle.poses) == sorted(by_cam)
-        for cam_id, ref_poses in by_cam.items():
-            assert len(bundle.poses[cam_id]) == len(ref_poses)
-            for pose, (uv, conf, valid, pframe, ptime) in zip(
-                    bundle.poses[cam_id], ref_poses):
-                assert (pose.cam_id, pose.frame, pose.time_s) == (
-                    cam_id, pframe, ptime)
-                for mine, ref in ((pose.uv, uv), (pose.conf, conf),
-                                  (pose.valid, valid)):
-                    assert mine.dtype == ref.dtype
-                    assert mine.shape == ref.shape
-                    assert mine.flags.c_contiguous
-                    assert mine.tobytes() == ref.tobytes()
+        assert sorted(bundle.valid) == sorted(by_cam)
+        assert sorted(bundle.times) == sorted(by_cam)
+        for cam_id, (poses, valid, ptime) in by_cam.items():
+            assert bundle.times[cam_id] == ptime
+            for mine, ref in ((bundle.poses[cam_id], poses),
+                              (bundle.valid[cam_id], valid)):
+                assert mine.dtype == ref.dtype
+                assert mine.shape == ref.shape
+                assert mine.flags.c_contiguous
+                assert mine.tobytes() == ref.tobytes()
 
 
 _HEADER = {"format": "mvtrack3d/detections", "format_version": 1,
@@ -283,16 +283,22 @@ def _detection_probe(**fields):
     (_detection_probe(poses=[[[100.0, "1.5", 0.9]] * N]), "not a number"),
     (_detection_probe(poses=[[[None] * 3] * N]), "not a number"),
     (_detection_probe(poses=[[[100.0, True, 0.9]] * N]), "not a number"),
+    ([_detection_probe(camera=1), _detection_probe(),
+      _detection_probe(time_s=0.001)], "second record for camera 0"),
 ], ids=["poses-int", "frame-str", "time-null", "camera-list", "ragged",
         "joint-str", "joint-object", "empty-pose", "two-columns",
-        "joint-null", "joint-numeric-str", "pose-all-null", "joint-true"])
+        "joint-null", "joint-numeric-str", "pose-all-null", "joint-true",
+        "camera-twice"])
 def test_malformed_detection_records_raise_parse_error(tmp_path, record,
                                                        match):
+    """Each probe is one record, or a list of records whose last is bad."""
+    records = record if isinstance(record, list) else [record]
     path = tmp_path / "det.jsonl"
-    path.write_text(json.dumps(_HEADER) + "\n" + json.dumps(record) + "\n")
+    path.write_text("".join(json.dumps(r) + "\n"
+                            for r in [_HEADER] + records))
     with pytest.raises(ParseError, match=match) as err:
         list(load_detections(str(path)))
-    assert "det.jsonl:2:" in str(err.value)
+    assert f"det.jsonl:{len(records) + 1}:" in str(err.value)
 
 
 # -- tracks -----------------------------------------------------------------

@@ -320,7 +320,7 @@ def test_camera_rig_tables_and_validation(rng):
                 continue
             expected = geometry.fundamental_matrix(cams[i], cams[j])
             assert np.max(np.abs(rig.f_table[i, j] - expected)) < 1e-12
-        assert rig.index_of[cams[i].cam_id] == i
+        assert rig.cameras[i] is cams[i]
         assert np.array_equal(rig.origins[i], cams[i].o)
     with pytest.raises(ValidationError, match="duplicate"):
         CameraRig([cams[0], cams[0]])

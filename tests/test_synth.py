@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mvtrack3d import fileio, geometry, synth
-from mvtrack3d.affinity import AffinityConfig, Pose2D
+from mvtrack3d.affinity import AffinityConfig, valid_joints
 from mvtrack3d.errors import ConfigError
 from mvtrack3d.schema import SYNTH14
 from mvtrack3d.synth import (
@@ -76,14 +76,15 @@ def test_noise_free_detections_project_the_ground_truth(clean_scene):
     for f in (0, 57, 200):
         bundle = scene.bundles[f]
         for cam in scene.cameras:
+            valid = bundle.valid[cam.cam_id]
             for pi, pose in enumerate(bundle.poses[cam.cam_id]):
                 actor = scene.actor_of[(f, cam.cam_id, pi)]
                 gt = scene.gt[f, actor]
                 direct = np.stack([geometry.project(p, cam) for p in gt])
-                assert np.max(np.abs(pose.uv - direct)) < 1e-9
+                assert np.max(np.abs(pose[:, :2] - direct)) < 1e-9
                 exact = synth.project_exact(cam, gt)
-                assert np.max(np.abs(pose.uv - exact)) < 1e-6
-                assert pose.valid.all()
+                assert np.max(np.abs(pose[:, :2] - exact)) < 1e-6
+                assert valid[pi].all()
 
 
 def test_noise_free_triangulation_recovers_ground_truth(clean_scene):
@@ -98,7 +99,7 @@ def test_noise_free_triangulation_recovers_ground_truth(clean_scene):
     for actor, obs in pose_of_actor.items():
         for n in range(N):
             point = geometry.triangulate(
-                [pose.uv[n] for _, pose in obs],
+                [pose[n, :2] for _, pose in obs],
                 [cam for cam, _ in obs])
             assert np.linalg.norm(point - scene.gt[f, actor, n]) < 1e-6
 
@@ -135,10 +136,9 @@ def test_export_round_trips_through_the_readers(tmp_path, noisy_scene):
         got = sample.poses[cam.cam_id]
         want = orig.poses[cam.cam_id]
         assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert np.array_equal(g.uv, w.uv)
-            assert np.array_equal(g.conf, w.conf)
-            assert np.array_equal(g.valid, w.valid)
+        assert np.array_equal(got, want)
+        assert np.array_equal(sample.valid[cam.cam_id], orig.valid[cam.cam_id])
+        assert sample.times[cam.cam_id] == orig.times[cam.cam_id]
 
     gt = fileio.load_ground_truth(paths["ground_truth"])
     assert len(gt.frames) == scene.gt.shape[0]
@@ -152,10 +152,10 @@ def test_export_round_trips_through_the_readers(tmp_path, noisy_scene):
 
 
 def base_pose(uv_value=None):
-    uv = uv_value if uv_value is not None else np.tile(
-        [400.0, 300.0], (N, 1))
-    arr = np.column_stack([uv, np.full(N, 0.9)])
-    return Pose2D.from_detection(0, 0.0, arr, AffinityConfig(), frame=0)
+    """Pixels (N,2) of a pose, all at the image center by default."""
+    if uv_value is not None:
+        return uv_value
+    return np.tile([400.0, 300.0], (N, 1))
 
 
 def test_corrupt_pose_outlier_magnitude_is_exact():
@@ -166,7 +166,7 @@ def test_corrupt_pose_outlier_magnitude_is_exact():
     for _ in range(200):
         out, records = corrupt_pose(pose, cfg, rng)
         assert all(r["class"] == "outlier" for r in records)
-        d = np.linalg.norm(out.uv - pose.uv, axis=1)
+        d = np.linalg.norm(out[:, :2] - pose, axis=1)
         assert np.allclose(d, 60.0, atol=1e-9)
         displaced += N
     assert displaced == 200 * N
@@ -179,8 +179,8 @@ def test_corrupt_pose_outliers_stay_inside_the_image():
     pose = base_pose(uv)
     for _ in range(100):
         out, _ = corrupt_pose(pose, cfg, rng)
-        assert np.all(out.uv[:, 0] >= 0) and np.all(out.uv[:, 0] <= cfg.width)
-        assert np.all(out.uv[:, 1] >= 0) and np.all(out.uv[:, 1] <= cfg.height)
+        assert np.all(out[:, 0] >= 0) and np.all(out[:, 0] <= cfg.width)
+        assert np.all(out[:, 1] >= 0) and np.all(out[:, 1] <= cfg.height)
 
 
 def test_corrupt_pose_occlusion_hits_one_limb_group():
@@ -189,13 +189,14 @@ def test_corrupt_pose_occlusion_hits_one_limb_group():
     pose = base_pose()
     for _ in range(50):
         out, records = corrupt_pose(pose, cfg, rng)
+        valid = valid_joints(out[None], AffinityConfig())[0]
         occluded = np.array([r["class"] == "occluded" for r in records])
         group = tuple(np.where(occluded)[0])
         assert group in OCCLUSION_GROUPS
-        assert np.all(out.conf[list(group)] < 0.1)
-        assert not out.valid[list(group)].any()
+        assert np.all(out[list(group), 2] < 0.1)
+        assert not valid[list(group)].any()
         others = [j for j in range(N) if j not in group]
-        assert out.valid[others].all()
+        assert valid[others].all()
 
 
 def test_corruption_sidecar_classifies_every_joint_once(noisy_scene):

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from mvtrack3d import geometry, kernels, synth
-from mvtrack3d.affinity import AffinityConfig, Pose2D
+from mvtrack3d.affinity import AffinityConfig
 from mvtrack3d.errors import ConfigError, NonMonotonicTime
 from mvtrack3d.geometry import CameraRig
 from mvtrack3d.tracker import (
-    FrameBundle,
     JointFlag,
     PoseTracker,
     Skeleton3D,
@@ -21,6 +20,7 @@ from mvtrack3d.schema import SYNTH14
 
 from helpers import (
     count_identity_switches,
+    make_bundle,
     points_near_origin,
     random_ring_rig,
     reference_tracked_filter,
@@ -34,17 +34,11 @@ FPS = 25.0
 
 def exact_bundle(cams, joints, frame, conf=0.9, cfg=None):
     """FrameBundle of exact projections of one skeleton into every camera."""
-    cfg = cfg or AffinityConfig()
-    t = frame / FPS
     poses = {}
     for cam in cams:
         uv = np.stack([geometry.project(p, cam) for p in joints])
-        arr = np.column_stack([uv, np.full(N, conf)])
-        poses[cam.cam_id] = [
-            Pose2D.from_detection(cam.cam_id, t, arr, cfg, camera=cam,
-                                  frame=frame)
-        ]
-    return FrameBundle(frame=frame, time_s=t, poses=poses)
+        poses[cam.cam_id] = np.column_stack([uv, np.full(N, conf)])[None]
+    return make_bundle(frame, frame / FPS, poses, cfg, cams)
 
 
 def no_smoothing():
@@ -69,6 +63,17 @@ def test_tracker_config_defaults_and_overrides():
         TrackerConfig(smooth_sigma=0.0)
     with pytest.raises(ConfigError):
         TrackerConfig(miss_limit=-1)
+    for bad in (dict(smooth_window=True), dict(smooth_window=2.0),
+                dict(miss_limit=2.5), dict(miss_limit=False),
+                dict(smooth_sigma="x"), dict(smooth_sigma=True),
+                dict(part_aware="no"), dict(joints_filter=1),
+                dict(smoothing=None)):
+        with pytest.raises(ConfigError):
+            TrackerConfig(**bad)
+    with pytest.raises(ConfigError, match="smooth_windw") as err:
+        cfg.with_overrides(smooth_windw=3)
+    assert "smooth_window" in str(err.value)
+    assert "alpha_2d" in str(err.value)
 
 
 def test_skeleton_validation(rng):
@@ -89,7 +94,7 @@ def test_constant_velocity_prediction(rng):
     joints0 = points_near_origin(rng, N)
     vel = rng.uniform(-1.0, 1.0, size=(N, 3))
     sk0 = Skeleton3D(0.0, joints0, np.zeros(N, np.uint8))
-    track = Track(1, sk0, {}, window=5)
+    track = Track(1, sk0, 1, window=5)
     assert np.array_equal(track.predict(0.2), joints0)
 
     sk1 = Skeleton3D(0.04, joints0 + vel * 0.04, np.zeros(N, np.uint8))
@@ -160,9 +165,8 @@ def test_unobserved_joint_falls_back_to_prediction(rng):
 
     bundle = exact_bundle(cams, joints0, 1)
     for cam in cams:
-        pose = bundle.poses[cam.cam_id][0]
-        pose.conf[5] = 0.0
-        pose.valid[5] = False
+        bundle.poses[cam.cam_id][0, 5, 2] = 0.0
+        bundle.valid[cam.cam_id][0, 5] = False
     expected = track.predict(1 / FPS)[5]
     out = tracker.step(bundle)
     sk = out[0][1]
@@ -195,19 +199,24 @@ def test_reconstruction_does_not_depend_on_batch_companions():
         seed=23, n_cameras=4, n_actors=3, n_frames=30, noise_px=1.5,
         outlier_rate=0.15, outlier_px=150.0, occlusion_rate=0.2))
     tracker = PoseTracker(CameraRig(scene.cameras), TrackerConfig())
+    tau = tracker.config.affinity.tau
     compared = 0
     flags_seen = set()
     for bundle in scene.bundles:
         batch = copy.deepcopy(tracker)
-        observed = [(tr, batch._recent_poses(tr, bundle)) for tr in batch.tracks]
-        observed = [(tr, rec) for tr, rec in observed if rec]
-        if len(observed) >= 2:
-            together = batch.reconstruct(observed, bundle)
-            for k, (track, recent) in enumerate(observed):
+        view_frame = np.reshape([tr.view_frame for tr in batch.tracks],
+                                (-1, len(batch.rig)))
+        recent = bundle.frame - view_frame < tau
+        rows = np.flatnonzero(recent.any(axis=1))
+        if len(rows) >= 2:
+            observed = [batch.tracks[r] for r in rows]
+            together = batch.reconstruct(observed, recent[rows], bundle)
+            for k, (track, r) in enumerate(zip(observed, rows)):
                 solo = copy.deepcopy(tracker)
-                solo_track = next(tr for tr in solo.tracks
-                                  if tr.track_id == track.track_id)
-                alone = solo.reconstruct([(solo_track, recent)], bundle)[0]
+                solo_track = solo.tracks[r]
+                assert solo_track.track_id == track.track_id
+                alone = solo.reconstruct([solo_track], recent[[r]],
+                                         bundle)[0]
                 assert np.array_equal(alone.joints, together[k].joints)
                 assert np.array_equal(alone.flags, together[k].flags)
                 assert np.array_equal(solo_track.history_joints,
@@ -246,23 +255,19 @@ def test_part_aware_matching_survives_limb_outliers(noisy_scene):
             tracker.step(bundle)
 
         bundle = scene.bundles[k]
-        poses = [p for p in bundle.poses[cam0.cam_id]]
-        target = poses[0]
-        uv = target.uv.copy()
+        poses = bundle.poses[cam0.cam_id].copy()
+        uv = poses[0, :, :2]
         for j in legs:
             uv[j, 0] += 200.0 if uv[j, 0] < cam0.width - 250.0 else -200.0
-        arr = np.column_stack([uv, target.conf])
-        corrupted = Pose2D.from_detection(
-            cam0.cam_id, target.time_s, arr, cfg.affinity, camera=cam0,
-            frame=bundle.frame)
-        assert corrupted.valid[legs].all()
-        poses[0] = corrupted
-        patched = FrameBundle(frame=bundle.frame, time_s=bundle.time_s,
-                              poses={**bundle.poses,
-                                     cam0.cam_id: poses})
+        patched = make_bundle(bundle.frame, bundle.time_s,
+                              {**bundle.poses, cam0.cam_id: poses},
+                              cfg.affinity, scene.cameras)
+        assert patched.valid[cam0.cam_id][0, legs].all()
         tracker.step(patched)
+        # camera 0's view of some track is the corrupted pose, this frame
         results[part_aware] = any(
-            tr.last_poses.get(cam0.cam_id) is corrupted
+            tr.view_frame[0] == bundle.frame
+            and np.array_equal(tr.view_uv[:, 0], poses[0, :, :2])
             for tr in tracker.tracks)
     assert results[True] is True
     assert results[False] is False
@@ -438,7 +443,7 @@ def test_no_initialization_from_a_single_camera(rng):
     tracker = PoseTracker(CameraRig(cams), TrackerConfig())
     bundle = exact_bundle(cams, points_near_origin(rng, N), 0)
     only = {cams[0].cam_id: bundle.poses[cams[0].cam_id]}
-    out = tracker.step(FrameBundle(frame=0, time_s=0.0, poses=only))
+    out = tracker.step(make_bundle(0, 0.0, only, cameras=cams))
     assert out == []
     assert tracker.tracks == []
 
@@ -457,15 +462,20 @@ def test_track_retirement_and_fresh_ids(rng):
     tau = tracker.config.affinity.tau
 
     alive_frames = 0
+    ages = set()
     for k in range(2, 2 + limit + 1):
-        out = tracker.step(FrameBundle(frame=k, time_s=k / FPS, poses={}))
+        out = tracker.step(make_bundle(k, k / FPS, {}))
         if out:
             alive_frames += 1
             sk = out[0][1]
             age = k - 1
-            if age >= tau:
-                assert np.all(sk.flags == JointFlag.PREDICTED)
+            ages.add(age)
+            # views less than tau frames old still triangulate
+            expected = (JointFlag.PREDICTED if age >= tau
+                        else JointFlag.TRIANGULATED)
+            assert np.all(sk.flags == expected)
     assert alive_frames == limit
+    assert {tau - 1, tau} <= ages
     assert tracker.tracks == []
 
     k = 2 + limit + 1
