@@ -5,7 +5,13 @@ Every file starts with a header record carrying the format name, a format
 version, and (for joint-bearing formats) the joint schema name. One
 self-describing JSON object per line after that; matrices row-major;
 meters for world coordinates, pixels for image coordinates, seconds for
-time. Floats serialize through repr so a write/load cycle is exact.
+time. Every float is written as repr writes it, so a write/load cycle is
+exact: orjson writes a record whose floats are all 0 or have
+1e-4 <= |x| < 1e16, where its text is repr's, and the json module writes
+any other record, keeping repr's exponent form (9.9e-05, 1e+16). orjson
+also reads every line; the json module reads a line orjson refuses, which
+takes the NaN and Infinity literals and words the error of a line that is
+not JSON.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+import orjson
 
 from .affinity import AffinityConfig, valid_joints
 from .errors import NonMonotonicFrames, ParseError, ValidationError
@@ -39,11 +46,47 @@ def _floats(values) -> list:
     return np.asarray(values, dtype=np.float64).ravel().tolist()
 
 
-def _parse_line(line: str, lineno: int, path: str) -> dict:
+def _line(record: dict) -> bytes:
+    return (_dumps(record) + "\n").encode()
+
+
+def _encode(record: dict, floats: np.ndarray) -> bytes:
+    """record as one line of JSON, newline included, byte for byte what
+    _dumps writes. floats holds every float of record. When each is 0 or
+    has 1e-4 <= |x| < 1e16, orjson prints it as repr does and writes the
+    line; any other record, and one holding an int orjson cannot hold,
+    goes through _dumps, which raises ValueError for NaN and inf."""
+    a = np.abs(floats)
+    if ((a < 1e16) & ((a >= 1e-4) | (a == 0.0))).all():
+        try:
+            return orjson.dumps(record, option=orjson.OPT_APPEND_NEWLINE)
+        except orjson.JSONEncodeError:
+            pass
+    return _line(record)
+
+
+def _parse_line(line: bytes, lineno: int, path: str) -> dict | None:
+    """The record on one raw line of a file, or None for a blank line.
+
+    A line orjson refuses is decoded as UTF-8, stripped of Unicode
+    whitespace and given to json.loads, which takes the NaN and Infinity
+    literals json.dumps writes and words the error of a line that is not
+    JSON."""
     try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
+        record = orjson.loads(line)
+    except orjson.JSONDecodeError:
+        try:
+            text = line.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}:{lineno}: invalid UTF-8: {exc.reason} "
+                             f"at byte {exc.start}") from None
+        if not text:
+            return None
+        try:
+            record = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(
+                f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
     if not isinstance(record, dict):
         raise ParseError(f"{path}:{lineno}: expected an object record")
     return record
@@ -55,28 +98,39 @@ def _require(record: dict, key: str, lineno: int, path: str):
     return record[key]
 
 
+# The JSON values each _field cast takes: a bool is never a number, and
+# nothing is coerced.
+_ACCEPTS = {int: (int,), float: (float, int), str: (str,)}
+
+
 def _field(record: dict, key: str, cast, lineno: int, path: str,
            default=None):
     """record[key] passed through cast (int, float, str), or default when
-    the key is absent and a default is given; a value the cast rejects
-    raises ParseError naming the line."""
+    the key is absent and a default is given. An int field takes a JSON
+    integer, a float field an integer or a float and a str field a
+    string; any other value raises ParseError naming the line."""
     if default is not None and key not in record:
         value = default
     else:
         value = _require(record, key, lineno, path)
-    try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"{path}:{lineno}: field '{key}' must be "
-                         f"{cast.__name__}, got {value!r}") from None
+    if type(value) in _ACCEPTS[cast]:
+        try:
+            return cast(value)
+        except OverflowError:
+            pass
+    raise ParseError(f"{path}:{lineno}: field '{key}' must be "
+                     f"{cast.__name__}, got {value!r}")
 
 
 def _joint_array(value, n_joints: int, lineno: int, path: str, what: str,
                  row: str) -> np.ndarray:
     """One record's (K, N, 3) joint rows as a float64 array; an empty
-    list gives (0, N, 3) and ints convert to floats. A ragged list, or
-    null, strings, booleans alone and ints past int64, which give numpy
-    an object, str or bool array, raise ParseError naming the line."""
+    list gives (0, N, 3) and ints convert to floats. orjson reads an int
+    below -2**63 or above 2**64 - 1 as the nearest float, as it reads the
+    same number written with a decimal point. A ragged list, or null,
+    strings, booleans alone and ints too large for a float, which give
+    numpy an object, str or bool array, raise ParseError naming the
+    line."""
     shape = f"(K, {n_joints or 'N'}, 3) of {row} rows"
     try:
         arr = np.asarray(value)
@@ -136,12 +190,16 @@ def _objects(record: dict, key: str, lineno: int, path: str) -> list:
 
 
 def _read_records(path: str) -> Iterator[tuple[int, dict]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            yield lineno, _parse_line(line, lineno, path)
+    """(line number, record) for each line that is not blank. Lines end
+    at \\n, \\r\\n or a lone \\r, as in a file read as text."""
+    lineno = 0
+    with open(path, "rb") as fh:
+        for chunk in fh:
+            for line in chunk.splitlines() if b"\r" in chunk else (chunk,):
+                lineno += 1
+                record = _parse_line(line, lineno, path)
+                if record is not None:
+                    yield lineno, record
 
 
 def _check_header(record: dict, expected: str, lineno: int, path: str) -> dict:
@@ -215,18 +273,19 @@ def load_calibration(path: str) -> list[CameraCalibration]:
 def write_detections(records: Iterable[tuple[int, float, int, np.ndarray]],
                      path: str, schema_name: str, n_joints: int) -> None:
     """Write (frame, time_s, camera id, (P,N,3) pose array) records."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dumps({"format": DETECTIONS_FORMAT,
-                         "format_version": FORMAT_VERSION,
-                         "schema": schema_name,
-                         "n_joints": int(n_joints)}) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(_line({"format": DETECTIONS_FORMAT,
+                        "format_version": FORMAT_VERSION,
+                        "schema": schema_name,
+                        "n_joints": int(n_joints)}))
         for frame, time_s, cam_id, poses in records:
-            fh.write(_dumps({
+            poses = np.asarray(poses, dtype=np.float64)
+            fh.write(_encode({
                 "frame": int(frame),
                 "camera": int(cam_id),
                 "time_s": float(time_s),
-                "poses": np.asarray(poses, dtype=np.float64).tolist(),
-            }) + "\n")
+                "poses": poses.tolist(),
+            }, np.append(poses, time_s)))
 
 
 def read_detections_header(path: str) -> dict:
@@ -302,24 +361,38 @@ class TrackWriter:
     """Streaming tracks-file writer; one record per frame, flushed as written."""
 
     def __init__(self, path: str, schema_name: str, n_joints: int):
-        self._fh = open(path, "w", encoding="utf-8")
-        self._fh.write(_dumps({"format": TRACKS_FORMAT,
-                               "format_version": FORMAT_VERSION,
-                               "schema": schema_name,
-                               "n_joints": int(n_joints)}) + "\n")
+        self._fh = open(path, "wb")
+        self._fh.write(_line({"format": TRACKS_FORMAT,
+                              "format_version": FORMAT_VERSION,
+                              "schema": schema_name,
+                              "n_joints": int(n_joints)}))
         self._fh.flush()
 
     def write(self, frame: int, time_s: float,
               skeletons: Sequence[tuple[int, Skeleton3D]]) -> None:
+        """Write one frame's record; a NaN or inf joint or time raises
+        ValidationError naming the frame (and track) and writes nothing."""
         tracks = [
             {"id": int(track_id),
              "joints": [[*xyz, FLAG_CHARS[code]] for xyz, code in
                         zip(skel.joints.tolist(), skel.flags.tolist())]}
             for track_id, skel in skeletons
         ]
-        self._fh.write(_dumps({"frame": int(frame),
-                               "time_s": float(time_s),
-                               "tracks": tracks}) + "\n")
+        record = {"frame": int(frame), "time_s": float(time_s),
+                  "tracks": tracks}
+        floats = np.concatenate(
+            [skel.joints.ravel() for _, skel in skeletons] + [[time_s]])
+        try:
+            line = _encode(record, floats)
+        except ValueError:
+            for track_id, skel in skeletons:
+                if not np.isfinite(skel.joints).all():
+                    raise ValidationError(
+                        f"frame {frame}: track {track_id} has a joint that "
+                        f"is not finite") from None
+            raise ValidationError(f"frame {frame}: time_s {time_s!r} is not "
+                                  f"finite") from None
+        self._fh.write(line)
         self._fh.flush()
 
     def close(self) -> None:
@@ -399,11 +472,11 @@ class GroundTruthFile:
 def save_ground_truth(frames: Iterable[GroundTruthFrame], path: str,
                       schema_name: str, n_joints: int) -> None:
     last = None
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dumps({"format": GROUND_TRUTH_FORMAT,
-                         "format_version": FORMAT_VERSION,
-                         "schema": schema_name,
-                         "n_joints": int(n_joints)}) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(_line({"format": GROUND_TRUTH_FORMAT,
+                        "format_version": FORMAT_VERSION,
+                        "schema": schema_name,
+                        "n_joints": int(n_joints)}))
         for gt in frames:
             if last is not None and gt.frame <= last:
                 raise ValidationError(
@@ -411,15 +484,17 @@ def save_ground_truth(frames: Iterable[GroundTruthFrame], path: str,
                 )
             last = gt.frame
             actors = []
-            for aid in gt.actors:
-                entry = {"id": int(aid),
-                         "joints": np.asarray(gt.actors[aid],
-                                              dtype=np.float64).tolist()}
+            floats = [[]]
+            for aid, xyz in gt.actors.items():
+                xyz = np.asarray(xyz, dtype=np.float64)
+                floats.append(xyz.ravel())
+                entry = {"id": int(aid), "joints": xyz.tolist()}
                 if aid in gt.masks:
                     entry["mask"] = np.asarray(gt.masks[aid],
                                                dtype=bool).tolist()
                 actors.append(entry)
-            fh.write(_dumps({"frame": int(gt.frame), "actors": actors}) + "\n")
+            fh.write(_encode({"frame": int(gt.frame), "actors": actors},
+                             np.concatenate(floats)))
 
 
 def load_ground_truth(path: str) -> GroundTruthFile:

@@ -285,20 +285,43 @@ def _detection_probe(**fields):
     (_detection_probe(poses=[[[100.0, True, 0.9]] * N]), "not a number"),
     ([_detection_probe(camera=1), _detection_probe(),
       _detection_probe(time_s=0.001)], "second record for camera 0"),
+    (b'{"frame":0,"camera":0,"time_s":0.0,"poses":[],"note":"caf\xe9"}',
+     "UTF-8"),
+    (_detection_probe(frame=3.7), "frame"),
+    (_detection_probe(camera=True), "camera"),
+    (_detection_probe(camera=1.9), "camera"),
+    (_detection_probe(time_s=True), "time_s"),
+    (_detection_probe(time_s="0.5"), "time_s"),
+    (_detection_probe(frame=2 ** 64), "frame"),
 ], ids=["poses-int", "frame-str", "time-null", "camera-list", "ragged",
         "joint-str", "joint-object", "empty-pose", "two-columns",
         "joint-null", "joint-numeric-str", "pose-all-null", "joint-true",
-        "camera-twice"])
+        "camera-twice", "latin-1-bytes", "frame-float", "camera-true",
+        "camera-float", "time-true", "time-numeric-str", "frame-wide-int"])
 def test_malformed_detection_records_raise_parse_error(tmp_path, record,
                                                        match):
-    """Each probe is one record, or a list of records whose last is bad."""
+    """Each probe is one record, or a list of records whose last is bad;
+    a bytes probe is written as the raw line."""
     records = record if isinstance(record, list) else [record]
     path = tmp_path / "det.jsonl"
-    path.write_text("".join(json.dumps(r) + "\n"
-                            for r in [_HEADER] + records))
+    path.write_bytes(b"".join(
+        (r if isinstance(r, bytes) else json.dumps(r).encode()) + b"\n"
+        for r in [_HEADER] + records))
     with pytest.raises(ParseError, match=match) as err:
         list(load_detections(str(path)))
     assert f"det.jsonl:{len(records) + 1}:" in str(err.value)
+
+
+def test_line_ends_and_blank_lines_read_as_text(tmp_path):
+    """Lines end at \\n, \\r\\n or a lone \\r, and a line of whitespace,
+    form feeds and no-break spaces included, is skipped but counted."""
+    good = json.dumps(_detection_probe())
+    path = tmp_path / "det.jsonl"
+    path.write_bytes("\r\n".join([json.dumps(_HEADER), good]).encode()
+                     + b"\r" + " \x0c\u00a0".encode() + b"\n"
+                     + good.replace('"frame": 0', '"frame": "x"').encode())
+    with pytest.raises(ParseError, match="det.jsonl:4: field 'frame'"):
+        list(load_detections(str(path)))
 
 
 # -- tracks -----------------------------------------------------------------
@@ -582,3 +605,115 @@ def test_writers_match_per_float_references_byte_for_byte(tmp_path, rng):
     save_ground_truth(gt, str(path), SYNTH14.name, N)
     assert path.read_text() == reference_ground_truth_text(
         gt, SYNTH14.name, N)
+
+
+# -- the record codec ------------------------------------------------------------
+
+
+def test_track_writer_refuses_non_finite_values(tmp_path):
+    good = Skeleton3D(0.0, np.zeros((N, 3)), np.zeros(N, np.uint8))
+    path = tmp_path / "tracks.jsonl"
+    with TrackWriter(str(path), SYNTH14.name, N) as writer:
+        writer.write(0, 0.0, [(1, good)])
+        for value in (math.nan, math.inf, -math.inf):
+            joints = np.zeros((N, 3))
+            joints[4, 1] = value
+            bad = Skeleton3D(0.28, joints, np.zeros(N, np.uint8))
+            with pytest.raises(ValidationError, match="frame 7: track 2 "):
+                writer.write(7, 0.28, [(1, good), (2, bad)])
+            with pytest.raises(ValidationError, match="frame 8: time_s"):
+                writer.write(8, value, [(1, good)])
+    assert [f.frame for f in load_tracks(str(path)).frames] == [0]
+
+
+# Floats on both sides of the range where orjson prints repr's text, and
+# the values the range rule must send to json: subnormals, -0.0, NaN, inf.
+_EDGE_FLOATS = [1e-4, 1e16, 0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308]
+_EDGE_FLOATS = [x for v in _EDGE_FLOATS for x in (
+    v, -v, math.nextafter(v, 0.0), math.nextafter(v, math.inf))]
+_CODEC_FLOATS = st.one_of(st.floats(), st.floats(-1e3, 1e3),
+                          st.sampled_from(_EDGE_FLOATS + _NON_FINITE))
+
+
+@st.composite
+def _track_records(draw):
+    """A tracks record and an array of every float in it."""
+    time_s = draw(_CODEC_FLOATS)
+    floats = [time_s]
+    tracks = []
+    for track_id in range(draw(st.integers(0, 3))):
+        rows = draw(st.lists(st.tuples(_CODEC_FLOATS, _CODEC_FLOATS,
+                                       _CODEC_FLOATS), max_size=4))
+        floats += [v for row in rows for v in row]
+        tracks.append({"id": track_id, "joints": [
+            [*row, draw(st.sampled_from("TPM"))] for row in rows]})
+    record = {"frame": draw(st.integers() | st.sampled_from(
+                  [-2 ** 63 - 1, -2 ** 63, 2 ** 64 - 1, 2 ** 64])),
+              "time_s": time_s, "tracks": tracks}
+    return record, np.array(floats)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_track_records())
+def test_encode_writes_what_json_writes(case):
+    record, floats = case
+    if np.isfinite(floats).all():
+        assert fileio._encode(record, floats) == (
+            fileio._dumps(record) + "\n").encode()
+    else:
+        with pytest.raises(ValueError):
+            fileio._encode(record, floats)
+
+
+def test_encode_takes_orjson_inside_the_range(monkeypatch):
+    calls = []
+    monkeypatch.setattr(fileio, "_line",
+                        lambda record: calls.append(record) or b"")
+    inside = [1e-4, -1e-4, math.nextafter(1e16, 0.0), 0.0, -0.0, 3.25]
+    for x in inside:
+        fileio._encode({"x": x}, np.array([x]))
+    assert calls == []
+    outside = [math.nextafter(1e-4, 0.0), 1e16, -1e16, 5e-324, math.inf]
+    for x in outside:
+        fileio._encode({"x": x}, np.array([x]))
+    assert calls == [{"x": x} for x in outside]
+
+
+# Text with lone surrogates too, which json reads from their \\u escapes
+# and orjson refuses.
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 63, 2 ** 64 - 1)
+    | _CODEC_FLOATS | _TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=500, deadline=None)
+@given(record=st.dictionaries(_TEXT, _JSON_VALUES, max_size=5),
+       ascii_only=st.booleans(), pad=st.sampled_from(["", " ", "\t", "\r\n"]))
+def test_parse_line_reads_what_json_reads(record, ascii_only, pad):
+    text = json.dumps(record, ensure_ascii=ascii_only)
+    if not text.isascii() and any(0xD800 <= ord(c) < 0xE000 for c in text):
+        text = json.dumps(record)  # a lone surrogate has no UTF-8 form
+    line = (pad + text + pad + "\n").encode()
+    assert repr(fileio._parse_line(line, 1, "x")) == repr(json.loads(text))
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=st.integers(2 ** 64, 2 ** 1023) | st.integers(-2 ** 1023,
+                                                           -2 ** 63 - 1))
+def test_wide_pose_integer_reads_as_the_nearest_float(tmp_path_factory,
+                                                      value):
+    path = tmp_path_factory.mktemp("det") / "det.jsonl"
+    pose = json.dumps([[[100.0, 200.0, 0.9]] * (N - 1) + [[value, 5.0, 0.9]]])
+    lines = [json.dumps(_HEADER)] + [
+        f'{{"frame":{f},"camera":0,"time_s":{f / 25.0},"poses":{pose}}}'
+        for f, pose in enumerate([pose, pose.replace(str(value),
+                                                     f"{value}.0")])]
+    path.write_text("\n".join(lines) + "\n")
+    as_int, as_float = (b.poses[0][0, -1, 0]
+                        for b in load_detections(str(path)))
+    assert as_int == as_float == float(value)

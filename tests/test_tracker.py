@@ -484,6 +484,32 @@ def test_track_retirement_and_fresh_ids(rng):
     assert out[0][0] != old_id
 
 
+def test_stale_view_stays_out_of_the_filter(rng):
+    """A track seen by three cameras at frame 0 and still predicted
+    there; by frame tau the person has moved, and cameras 0 and 1 see the
+    new pose. Camera 2's view, tau frames old, matches the prediction and
+    not the fresh views: inside the window it makes the filter drop a
+    fresh view and the joints move off the new pose, outside it must
+    not."""
+    cams = random_ring_rig(rng, n_cams=3)
+    tracker = PoseTracker(CameraRig(cams), no_smoothing())
+    old = points_near_origin(rng, N)
+    tracker.step(exact_bundle(cams, old, 0))
+    tau = tracker.config.affinity.tau
+    new = old + np.array([0.5, -0.4, 0.3])
+    uv = np.stack([[geometry.project(p, cam) for p in new] for cam in cams[:2]],
+                  axis=1)
+    tracker.tracks[0].see([0, 1], tau, tau / FPS, uv, np.ones((N, 2), bool))
+    inside = copy.deepcopy(tracker)
+    inside.tracks[0].view_frame[2] = 1
+
+    (_, sk), = tracker.step(make_bundle(tau, tau / FPS, {}))
+    assert np.all(sk.flags == JointFlag.TRIANGULATED)
+    np.testing.assert_allclose(sk.joints, new, atol=1e-6)
+    (_, sk), = inside.step(make_bundle(tau, tau / FPS, {}))
+    assert np.abs(sk.joints - new).max() > 0.1
+
+
 def test_rejects_non_monotonic_input(rng):
     cams = random_ring_rig(rng, n_cams=3)
     tracker = PoseTracker(CameraRig(cams), TrackerConfig())
