@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import CameraCalibration
+from .schema import check_field_types, check_known_keys
 
 _FLOAT_MAX = float(np.finfo(np.float64).max)
 
@@ -47,20 +48,12 @@ class AffinityConfig:
     max_dt: float | None = None
 
     def __post_init__(self):
-        numeric = (int, float, np.integer, np.floating)
-        for name in ("alpha_2d", "alpha_epi", "tau", "epsilon", "lambda_a",
-                     "conf_floor", "image_margin"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numeric):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
-        if self.max_dt is not None and (isinstance(self.max_dt, bool)
-                                        or not isinstance(self.max_dt, numeric)):
-            raise ConfigError(f"max_dt must be a number or null, got {self.max_dt!r}")
+        check_field_types(self)
         if self.alpha_2d <= 0 or self.alpha_epi <= 0:
             raise ConfigError("alpha_2d and alpha_epi must be positive")
-        if self.tau < 1 or int(self.tau) != self.tau:
+        if self.tau < 1:
             raise ConfigError("tau must be a positive integer frame count")
-        if self.epsilon < 0 or int(self.epsilon) != self.epsilon:
+        if self.epsilon < 0:
             raise ConfigError("epsilon must be a non-negative integer")
         if self.lambda_a < 0:
             raise ConfigError("lambda_a must be non-negative")
@@ -70,10 +63,7 @@ class AffinityConfig:
             raise ConfigError("max_dt must be positive when set")
 
     def with_overrides(self, **kwargs) -> "AffinityConfig":
-        known = {f.name for f in fields(self)}
-        for key in kwargs:
-            if key not in known:
-                raise ConfigError(f"unknown affinity parameter {key!r}")
+        check_known_keys(kwargs, affinity={f.name for f in fields(self)})
         return replace(self, **kwargs)
 
 

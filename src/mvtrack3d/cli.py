@@ -31,7 +31,7 @@ def _parse_set(pairs: list[str]) -> dict:
         key, raw = pair.split("=", 1)
         try:
             out[key.strip()] = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an int past the digit limit
             out[key.strip()] = raw
     return out
 
@@ -85,11 +85,10 @@ def _cmd_track(args) -> int:
     cameras = fileio.load_calibration(args.calib)
     rig = CameraRig(cameras)
     header = fileio.read_detections_header(args.detections)
-    schema_name = header.get("schema", "synth14")
-    n_joints = int(header.get("n_joints", get_schema(schema_name).n_joints))
     tracker = PoseTracker(rig, config)
     frames = 0
-    with fileio.TrackWriter(args.out, schema_name, n_joints) as writer:
+    with fileio.TrackWriter(args.out, header["schema"],
+                            header["n_joints"]) as writer:
         for bundle in fileio.load_detections(
                 args.detections, config.affinity, cameras):
             writer.write(bundle.frame, bundle.time_s, tracker.step(bundle))

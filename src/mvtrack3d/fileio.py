@@ -2,10 +2,11 @@
 ground truth, and synthetic corruption labels.
 
 Every file starts with a header record carrying the format name, a format
-version, and (for joint-bearing formats) the joint schema name. One
-self-describing JSON object per line after that; matrices row-major;
-meters for world coordinates, pixels for image coordinates, seconds for
-time. Every float is written as repr writes it, so a write/load cycle is
+version, and (for joint-bearing formats) the joint schema name and joint
+count. One self-describing JSON object per line after that; matrices
+row-major; meters for world coordinates, pixels for image coordinates,
+seconds for time. Fields follow the type rule of configs (schema.accepts).
+Every float is written as repr writes it, so a write/load cycle is
 exact: orjson writes a record whose floats are all 0 or have
 1e-4 <= |x| < 1e16, where its text is repr's, and the json module writes
 any other record, keeping repr's exponent form (9.9e-05, 1e+16). orjson
@@ -27,6 +28,7 @@ import orjson
 from .affinity import AffinityConfig, valid_joints
 from .errors import NonMonotonicFrames, ParseError, ValidationError
 from .geometry import CameraCalibration
+from .schema import accepts, describe
 from .tracker import CHAR_FLAGS, FLAG_CHARS, FrameBundle, Skeleton3D
 
 FORMAT_VERSION = 1
@@ -65,6 +67,17 @@ def _encode(record: dict, floats: np.ndarray) -> bytes:
     return _line(record)
 
 
+def _json_int(text: str) -> int | float:
+    """A JSON integer as orjson reads it: one outside [-2**63, 2**64 - 1]
+    is the nearest float, as the same number with a decimal point reads
+    (inf past the largest float)."""
+    if len(text) <= 20:  # -2**63 and 2**64 - 1 have 20 characters
+        value = int(text)
+        if -2 ** 63 <= value < 2 ** 64:
+            return value
+    return float(text)
+
+
 def _parse_line(line: bytes, lineno: int, path: str) -> dict | None:
     """The record on one raw line of a file, or None for a blank line.
 
@@ -83,110 +96,71 @@ def _parse_line(line: bytes, lineno: int, path: str) -> dict | None:
         if not text:
             return None
         try:
-            record = json.loads(text)
+            record = json.loads(text, parse_int=_json_int)
         except json.JSONDecodeError as exc:
             raise ParseError(
                 f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
+        except RecursionError:
+            raise ParseError(
+                f"{path}:{lineno}: invalid JSON: nested too deeply") from None
     if not isinstance(record, dict):
         raise ParseError(f"{path}:{lineno}: expected an object record")
     return record
 
 
-def _require(record: dict, key: str, lineno: int, path: str):
+def _field(record: dict, key: str, kind: str | None, lineno: int,
+           path: str):
+    """record[key], which must be present and, unless kind is None, of
+    that kind (see schema.accepts), else ParseError names the line. A
+    float field's value is returned as a float."""
     if key not in record:
         raise ParseError(f"{path}:{lineno}: missing field '{key}'")
-    return record[key]
-
-
-# The JSON values each _field cast takes: a bool is never a number, and
-# nothing is coerced.
-_ACCEPTS = {int: (int,), float: (float, int), str: (str,)}
-
-
-def _field(record: dict, key: str, cast, lineno: int, path: str,
-           default=None):
-    """record[key] passed through cast (int, float, str), or default when
-    the key is absent and a default is given. An int field takes a JSON
-    integer, a float field an integer or a float and a str field a
-    string; any other value raises ParseError naming the line."""
-    if default is not None and key not in record:
-        value = default
-    else:
-        value = _require(record, key, lineno, path)
-    if type(value) in _ACCEPTS[cast]:
-        try:
-            return cast(value)
-        except OverflowError:
-            pass
+    value = record[key]
+    if kind is None or accepts(kind, value):
+        return float(value) if kind == "float" else value
     raise ParseError(f"{path}:{lineno}: field '{key}' must be "
-                     f"{cast.__name__}, got {value!r}")
+                     f"{describe(kind)}, got {value!r}")
 
 
-def _joint_array(value, n_joints: int, lineno: int, path: str, what: str,
-                 row: str) -> np.ndarray:
-    """One record's (K, N, 3) joint rows as a float64 array; an empty
-    list gives (0, N, 3) and ints convert to floats. orjson reads an int
-    below -2**63 or above 2**64 - 1 as the nearest float, as it reads the
-    same number written with a decimal point. A ragged list, or null,
-    strings, booleans alone and ints too large for a float, which give
-    numpy an object, str or bool array, raise ParseError naming the
-    line."""
-    shape = f"(K, {n_joints or 'N'}, 3) of {row} rows"
+def _numbers(value, shape: tuple, lineno: int, path: str,
+             what: str) -> np.ndarray:
+    """value, JSON numbers in nested lists, as a float64 array of shape,
+    in which None matches any length; an empty list is zero rows of the
+    rest. A ragged list, and a null, string or boolean among the numbers,
+    raise ParseError naming the line."""
     try:
         arr = np.asarray(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}:{lineno}: {what} must be numbers in a "
-                         f"rectangular {shape} shape: {exc}") from None
+                         f"rectangular shape: {exc}") from None
     if arr.dtype != np.float64:
         if arr.dtype.kind not in "iu":
             raise ParseError(f"{path}:{lineno}: {what} must be numbers in a "
-                             f"rectangular {shape} shape, found a value "
-                             f"that is not a number")
+                             f"rectangular shape, found a value that is not "
+                             f"a number")
         arr = arr.astype(np.float64)
-    if arr.shape == (0,):
-        return arr.reshape(0, n_joints, 3)
-    if arr.ndim != 3 or arr.shape[2] != 3 or (
-            n_joints and arr.shape[1] != n_joints):
+    if arr.shape == (0,) and shape[0] is None:
+        try:
+            arr = arr.reshape(0, *shape[1:])
+        except ValueError:  # a length past numpy's limit, refused below
+            pass
+    if (arr.ndim != len(shape) or arr.shape[1:] != shape[1:]
+            or shape[0] not in (None, arr.shape[0])):
+        want = ", ".join("K" if n is None else str(n) for n in shape)
         raise ParseError(f"{path}:{lineno}: {what} shape {arr.shape} does "
-                         f"not match {shape}")
-    return arr
-
-
-def _reject_booleans(arr: np.ndarray, value, lineno: int, path: str,
-                     what: str) -> None:
-    """Raise ParseError for a true or false among the numbers of value,
-    which _joint_array read into arr as 1.0 or 0.0: only the cells of arr
-    that hold 0 or 1 are looked up in value."""
+                         f"not match ({want})")
+    # numpy reads true and false among numbers as 1 and 0: look up in
+    # value only the cells that hold 0 or 1.
     hits = (arr == 0.0) | (arr == 1.0)
-    if not hits.any():
-        return
-    for index in zip(*np.nonzero(hits)):
-        cell = value
-        for i in index:
-            cell = cell[i]
-        if isinstance(cell, bool):
-            raise ParseError(f"{path}:{lineno}: {what} must be numbers, "
-                             f"found {json.dumps(cell)}, not a number")
-
-
-def _mask(value, n_joints: int, lineno: int, path: str) -> np.ndarray:
-    """A ground-truth joint mask, which must be a list of n_joints JSON
-    booleans, as a bool array."""
-    if (not isinstance(value, list) or len(value) != n_joints
-            or not all(isinstance(v, bool) for v in value)):
-        raise ParseError(f"{path}:{lineno}: mask must be a list of "
-                         f"{n_joints} booleans, got {json.dumps(value)}")
-    return np.array(value, dtype=bool)
-
-
-def _objects(record: dict, key: str, lineno: int, path: str) -> list:
-    """record[key], which must be a list of JSON objects."""
-    value = _require(record, key, lineno, path)
-    if not isinstance(value, list) or not all(
-            isinstance(v, dict) for v in value):
-        raise ParseError(f"{path}:{lineno}: field '{key}' must be a list of "
-                         f"objects")
-    return value
+    if hits.any():
+        for index in zip(*np.nonzero(hits)):
+            cell = value
+            for i in index:
+                cell = cell[i]
+            if isinstance(cell, bool):
+                raise ParseError(f"{path}:{lineno}: {what} must be numbers, "
+                                 f"found {json.dumps(cell)}, not a number")
+    return arr
 
 
 def _read_records(path: str) -> Iterator[tuple[int, dict]]:
@@ -202,29 +176,38 @@ def _read_records(path: str) -> Iterator[tuple[int, dict]]:
                     yield lineno, record
 
 
-def _check_header(record: dict, expected: str, lineno: int, path: str) -> dict:
-    fmt = record.get("format")
-    if fmt != expected:
-        raise ParseError(
-            f"{path}:{lineno}: expected {expected} header, found {fmt!r}"
-        )
-    version = record.get("format_version")
+def _open(path: str, fmt: str) -> tuple[dict, Iterator[tuple[int, dict]]]:
+    """The header of a file of format fmt and its (line number, record)
+    pairs after the header. The header must name fmt and FORMAT_VERSION,
+    and a joint-bearing one a schema (str) and n_joints (int >= 1)."""
+    records = _read_records(path)
+    try:
+        lineno, header = next(records)
+    except StopIteration:
+        raise ParseError(f"{path}: empty file, expected header record")
+    if header.get("format") != fmt:
+        raise ParseError(f"{path}:{lineno}: expected {fmt} header, found "
+                         f"{header.get('format')!r}")
+    version = _field(header, "format_version", "int", lineno, path)
     if version != FORMAT_VERSION:
         raise ParseError(
-            f"{path}:{lineno}: unsupported format_version {version!r}"
-        )
-    return record
+            f"{path}:{lineno}: unsupported format_version {version!r}")
+    if fmt in (DETECTIONS_FORMAT, TRACKS_FORMAT, GROUND_TRUTH_FORMAT):
+        _field(header, "schema", "str", lineno, path)
+        if _field(header, "n_joints", "int", lineno, path) < 1:
+            raise ParseError(f"{path}:{lineno}: n_joints must be at least 1")
+    return header, records
 
 
 # -- calibration ------------------------------------------------------
 
 
 def save_calibration(cameras: Sequence[CameraCalibration], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dumps({"format": CALIBRATION_FORMAT,
-                         "format_version": FORMAT_VERSION}) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(_line({"format": CALIBRATION_FORMAT,
+                        "format_version": FORMAT_VERSION}))
         for cam in cameras:
-            fh.write(_dumps({
+            fh.write(_line({
                 "id": int(cam.cam_id),
                 "K": _floats(cam.K),
                 "R": _floats(cam.R),
@@ -232,31 +215,21 @@ def save_calibration(cameras: Sequence[CameraCalibration], path: str) -> None:
                 "width": int(cam.width),
                 "height": int(cam.height),
                 "fps": float(cam.fps),
-            }) + "\n")
+            }))
 
 
 def load_calibration(path: str) -> list[CameraCalibration]:
     """Read a calibration file; rotation orthonormality is re-validated."""
     cameras: list[CameraCalibration] = []
-    records = _read_records(path)
-    try:
-        lineno, header = next(records)
-    except StopIteration:
-        raise ParseError(f"{path}: empty file, expected header record")
-    _check_header(header, CALIBRATION_FORMAT, lineno, path)
+    _, records = _open(path, CALIBRATION_FORMAT)
     for lineno, rec in records:
-        try:
-            k, r, o = (np.array(_require(rec, key, lineno, path),
-                                dtype=np.float64) for key in ("K", "R", "o"))
-            if k.shape != (9,) or r.shape != (9,) or o.shape != (3,):
-                raise ValueError
-        except (TypeError, ValueError, OverflowError):
-            raise ParseError(
-                f"{path}:{lineno}: K/R/o must have 9/9/3 numbers") from None
-        cam_id = _field(rec, "id", int, lineno, path)
-        width = _field(rec, "width", int, lineno, path)
-        height = _field(rec, "height", int, lineno, path)
-        fps = _field(rec, "fps", float, lineno, path)
+        k, r, o = (_numbers(_field(rec, key, None, lineno, path), (size,),
+                            lineno, path, key)
+                   for key, size in (("K", 9), ("R", 9), ("o", 3)))
+        cam_id = _field(rec, "id", "int", lineno, path)
+        width = _field(rec, "width", "int", lineno, path)
+        height = _field(rec, "height", "int", lineno, path)
+        fps = _field(rec, "fps", "float", lineno, path)
         try:
             cameras.append(CameraCalibration(
                 cam_id=cam_id, K=k.reshape(3, 3), R=r.reshape(3, 3), o=o,
@@ -289,13 +262,10 @@ def write_detections(records: Iterable[tuple[int, float, int, np.ndarray]],
 
 
 def read_detections_header(path: str) -> dict:
-    """Return the header record of a detections file."""
-    records = _read_records(path)
-    try:
-        lineno, header = next(records)
-    except StopIteration:
-        raise ParseError(f"{path}: empty file, expected header record")
-    return _check_header(header, DETECTIONS_FORMAT, lineno, path)
+    """Return the checked header record of a detections file."""
+    header, records = _open(path, DETECTIONS_FORMAT)
+    records.close()
+    return header
 
 
 def load_detections(path: str,
@@ -314,24 +284,17 @@ def load_detections(path: str,
     """
     cfg = config if config is not None else AffinityConfig()
     cam_by_id = {c.cam_id: c for c in cameras} if cameras is not None else {}
-    records = _read_records(path)
-    try:
-        lineno, header = next(records)
-    except StopIteration:
-        raise ParseError(f"{path}: empty file, expected header record")
-    _check_header(header, DETECTIONS_FORMAT, lineno, path)
-    n_joints = _field(header, "n_joints", int, lineno, path, default=0)
+    header, records = _open(path, DETECTIONS_FORMAT)
+    shape = (None, header["n_joints"], 3)
 
     current: FrameBundle | None = None
     last_frame = None
     for lineno, rec in records:
-        frame = _field(rec, "frame", int, lineno, path)
-        cam_id = _field(rec, "camera", int, lineno, path)
-        time_s = _field(rec, "time_s", float, lineno, path)
-        value = _require(rec, "poses", lineno, path)
-        arr = _joint_array(value, n_joints, lineno, path, "poses",
-                           "(u, v, conf)")
-        _reject_booleans(arr, value, lineno, path, "poses")
+        frame = _field(rec, "frame", "int", lineno, path)
+        cam_id = _field(rec, "camera", "int", lineno, path)
+        time_s = _field(rec, "time_s", "float", lineno, path)
+        arr = _numbers(_field(rec, "poses", None, lineno, path), shape,
+                       lineno, path, "poses")
         if last_frame is not None and frame < last_frame:
             raise NonMonotonicFrames(
                 f"{path}:{lineno}: frame {frame} after frame {last_frame}"
@@ -421,21 +384,16 @@ class TrackFile:
 
 
 def load_tracks(path: str) -> TrackFile:
-    records = _read_records(path)
-    try:
-        lineno, header = next(records)
-    except StopIteration:
-        raise ParseError(f"{path}: empty file, expected header record")
-    _check_header(header, TRACKS_FORMAT, lineno, path)
-    schema = _field(header, "schema", str, lineno, path, default="")
-    n_joints = _field(header, "n_joints", int, lineno, path, default=0)
+    header, records = _open(path, TRACKS_FORMAT)
+    n_joints = header["n_joints"]
     frames: list[TrackFrame] = []
     for lineno, rec in records:
-        frame = _field(rec, "frame", int, lineno, path)
-        time_s = _field(rec, "time_s", float, lineno, path)
-        entries = _objects(rec, "tracks", lineno, path)
-        ids = [_field(entry, "id", int, lineno, path) for entry in entries]
-        rows = [_require(entry, "joints", lineno, path) for entry in entries]
+        frame = _field(rec, "frame", "int", lineno, path)
+        time_s = _field(rec, "time_s", "float", lineno, path)
+        entries = _field(rec, "tracks", "list[dict]", lineno, path)
+        ids = [_field(entry, "id", "int", lineno, path) for entry in entries]
+        rows = [_field(entry, "joints", None, lineno, path)
+                for entry in entries]
         try:
             xyz = [[(x, y, z) for x, y, z, _ in joints] for joints in rows]
             codes = [[CHAR_FLAGS[row[3]] for row in joints] for joints in rows]
@@ -443,13 +401,12 @@ def load_tracks(path: str) -> TrackFile:
             raise ParseError(
                 f"{path}:{lineno}: joint row must be [X,Y,Z,flag]"
             ) from None
-        joints = _joint_array(xyz, n_joints, lineno, path, "track joints",
-                              "(X, Y, Z)")
-        _reject_booleans(joints, xyz, lineno, path, "track joints")
+        joints = _numbers(xyz, (None, n_joints, 3), lineno, path,
+                          "track joints")
         actors = dict(zip(ids, joints))
         flags = dict(zip(ids, np.array(codes, dtype=np.uint8)))
         frames.append(TrackFrame(frame, time_s, actors, flags))
-    return TrackFile(schema, n_joints, frames)
+    return TrackFile(header["schema"], n_joints, frames)
 
 
 # -- ground truth -----------------------------------------------------
@@ -498,34 +455,32 @@ def save_ground_truth(frames: Iterable[GroundTruthFrame], path: str,
 
 
 def load_ground_truth(path: str) -> GroundTruthFile:
-    records = _read_records(path)
-    try:
-        lineno, header = next(records)
-    except StopIteration:
-        raise ParseError(f"{path}: empty file, expected header record")
-    _check_header(header, GROUND_TRUTH_FORMAT, lineno, path)
-    schema = _field(header, "schema", str, lineno, path, default="")
-    n_joints = _field(header, "n_joints", int, lineno, path, default=0)
+    header, records = _open(path, GROUND_TRUTH_FORMAT)
+    n_joints = header["n_joints"]
     frames: list[GroundTruthFrame] = []
     last = None
     for lineno, rec in records:
-        frame = _field(rec, "frame", int, lineno, path)
+        frame = _field(rec, "frame", "int", lineno, path)
         if last is not None and frame <= last:
             raise NonMonotonicFrames(
                 f"{path}:{lineno}: frame {frame} after frame {last}"
             )
         last = frame
-        entries = _objects(rec, "actors", lineno, path)
-        ids = [_field(entry, "id", int, lineno, path) for entry in entries]
-        value = [_require(entry, "joints", lineno, path) for entry in entries]
-        joints = _joint_array(value, n_joints, lineno, path, "actor joints",
-                              "(X, Y, Z)")
-        _reject_booleans(joints, value, lineno, path, "actor joints")
+        entries = _field(rec, "actors", "list[dict]", lineno, path)
+        ids = [_field(entry, "id", "int", lineno, path) for entry in entries]
+        value = [_field(entry, "joints", None, lineno, path)
+                 for entry in entries]
+        joints = _numbers(value, (None, n_joints, 3), lineno, path,
+                          "actor joints")
         actors = dict(zip(ids, joints))
-        masks = {aid: _mask(entry["mask"], joints.shape[1], lineno, path)
+        masks = {aid: np.array(_field(entry, "mask", "list[bool]", lineno,
+                                      path))
                  for aid, entry in zip(ids, entries) if "mask" in entry}
+        if any(mask.shape != (n_joints,) for mask in masks.values()):
+            raise ParseError(f"{path}:{lineno}: mask must be a list of "
+                             f"{n_joints} booleans")
         frames.append(GroundTruthFrame(frame, actors, masks))
-    return GroundTruthFile(schema, n_joints, frames)
+    return GroundTruthFile(header["schema"], n_joints, frames)
 
 
 # -- corruption sidecar -----------------------------------------------
@@ -534,25 +489,21 @@ def load_ground_truth(path: str) -> GroundTruthFile:
 def write_corruption(records: Iterable[dict], path: str,
                      schema_name: str) -> None:
     """Write per-joint corruption labels {frame, camera, pose, joint, class}."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dumps({"format": CORRUPTION_FORMAT,
-                         "format_version": FORMAT_VERSION,
-                         "schema": schema_name}) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(_line({"format": CORRUPTION_FORMAT,
+                        "format_version": FORMAT_VERSION,
+                        "schema": schema_name}))
         for rec in records:
-            fh.write(_dumps(rec) + "\n")
+            fh.write(_line(rec))
 
 
 def load_corruption(path: str) -> list[dict]:
-    records = _read_records(path)
-    try:
-        lineno, header = next(records)
-    except StopIteration:
-        raise ParseError(f"{path}: empty file, expected header record")
-    _check_header(header, CORRUPTION_FORMAT, lineno, path)
+    _, records = _open(path, CORRUPTION_FORMAT)
     out = []
     for lineno, rec in records:
-        for key in ("frame", "camera", "pose", "joint", "class"):
-            _require(rec, key, lineno, path)
+        for key, kind in (("frame", "int"), ("camera", "int"), ("pose", "int"),
+                          ("joint", "int"), ("class", "str")):
+            _field(rec, key, kind, lineno, path)
         out.append(rec)
     return out
 
@@ -561,11 +512,14 @@ def load_config_file(path: str) -> dict:
     """Read a JSON object of configuration overrides."""
     if not os.path.exists(path):
         raise FileNotFoundError(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON: {exc.msg}") from exc
+    with open(path, "rb") as fh:
+        text = fh.read()
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, nested too deep
+        raise ParseError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ParseError(f"{path}: config must be a JSON object")
     return data

@@ -37,7 +37,7 @@ from . import fileio
 from .affinity import AffinityConfig, valid_joints
 from .errors import ConfigError
 from .geometry import CameraCalibration
-from .schema import SYNTH14, get_schema
+from .schema import SYNTH14, check_field_types, check_known_keys, get_schema
 from .tracker import FrameBundle
 
 CLASS_CLEAN = 0
@@ -121,6 +121,9 @@ class SceneConfig:
     schema_name: str = "synth14"
 
     def __post_init__(self):
+        check_field_types(self)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for name in ("outlier_rate", "occlusion_rate", "dropout_rate"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -135,9 +138,8 @@ class SceneConfig:
                                   f"got {self.outlier_burst}")
             if self.outlier_burst_frames < 1.0:
                 raise ConfigError("outlier_burst_frames must be >= 1")
-            chain = self.burst_chain()
-            if chain is not None:
-                occupancy = chain[0] / (chain[0] + chain[1])
+            if self.outlier_rate > 0.0:
+                occupancy = self._burst_occupancy()
                 if not 0.0 < occupancy <= 0.6:
                     raise ConfigError(
                         "outlier_burst too low for outlier_rate: burst "
@@ -155,11 +157,17 @@ class SceneConfig:
         get_schema(self.schema_name)
 
     def with_overrides(self, **kwargs) -> "SceneConfig":
-        known = {f.name for f in fields(self)}
-        unknown = set(kwargs) - known
-        if unknown:
-            raise ConfigError(f"unknown scene settings: {sorted(unknown)}")
+        check_known_keys(kwargs, scene={f.name for f in fields(self)})
         return replace(self, **kwargs)
+
+    def _burst_occupancy(self) -> float:
+        """Stationary share of frames inside a burst that makes the
+        long-run per-joint outlier rate equal outlier_rate; inf when
+        outlier_burst is not above the quiet rate."""
+        share = len(BURST_GROUPS[0]) / get_schema(self.schema_name).n_joints
+        quiet = 0.1 * self.outlier_rate
+        excess = share * (self.outlier_burst - quiet)
+        return (self.outlier_rate - quiet) / excess if excess > 0 else np.inf
 
     def burst_chain(self) -> tuple[float, float, float] | None:
         """Markov parameters (p_enter, p_exit, quiet_rate) for outlier
@@ -172,13 +180,10 @@ class SceneConfig:
         """
         if self.outlier_burst <= 0.0 or self.outlier_rate <= 0.0:
             return None
-        n = get_schema(self.schema_name).n_joints
-        share = len(BURST_GROUPS[0]) / n
-        quiet = 0.1 * self.outlier_rate
-        occupancy = (self.outlier_rate - quiet) / (share * (self.outlier_burst - quiet))
+        occupancy = self._burst_occupancy()
         p_exit = 1.0 / self.outlier_burst_frames
         p_enter = occupancy * p_exit / (1.0 - occupancy)
-        return p_enter, p_exit, quiet
+        return p_enter, p_exit, 0.1 * self.outlier_rate
 
 
 def ring_cameras(cfg: SceneConfig) -> list[CameraCalibration]:
@@ -387,6 +392,7 @@ def generate(cfg: SceneConfig) -> SyntheticScene:
     actor_of: dict = {}
     class_of: dict = {}
     chain = cfg.burst_chain()
+    validity = AffinityConfig()
     in_burst = np.zeros((cfg.n_cameras, cfg.n_actors), dtype=bool)
     burst_group = np.zeros((cfg.n_cameras, cfg.n_actors), dtype=np.int64)
     for f in range(cfg.n_frames):
@@ -440,8 +446,7 @@ def generate(cfg: SceneConfig) -> SyntheticScene:
             poses = np.reshape([kept[src][1] for src in order],
                                (-1, n_joints, 3))
             bundle.poses[cam.cam_id] = poses
-            bundle.valid[cam.cam_id] = valid_joints(poses, AffinityConfig(),
-                                                    cam)
+            bundle.valid[cam.cam_id] = valid_joints(poses, validity, cam)
             bundle.times[cam.cam_id] = t
         bundles.append(bundle)
 

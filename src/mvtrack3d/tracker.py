@@ -28,6 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import CameraRig
+from .schema import check_field_types, check_known_keys
 
 
 class JointFlag(IntEnum):
@@ -100,18 +101,7 @@ class TrackerConfig:
     miss_limit: int | None = None
 
     def __post_init__(self):
-        integer = (int, np.integer)
-        for name, kinds, what in (
-                ("part_aware", bool, "true or false"),
-                ("joints_filter", bool, "true or false"),
-                ("smoothing", bool, "true or false"),
-                ("smooth_window", integer, "an integer"),
-                ("miss_limit", integer + (type(None),), "an integer or null"),
-                ("smooth_sigma", integer + (float,), "a number")):
-            value = getattr(self, name)
-            if not isinstance(value, kinds) or (
-                    kinds is not bool and isinstance(value, bool)):
-                raise ConfigError(f"{name} must be {what}, got {value!r}")
+        check_field_types(self)
         if self.smooth_window < 1:
             raise ConfigError("smooth_window must be at least 1")
         if self.smooth_sigma <= 0:
@@ -128,12 +118,7 @@ class TrackerConfig:
     def with_overrides(self, **kwargs) -> "TrackerConfig":
         own = {f.name for f in fields(self) if f.name != "affinity"}
         shared = {f.name for f in fields(self.affinity)}
-        unknown = sorted(set(kwargs) - own - shared)
-        if unknown:
-            raise ConfigError(
-                f"unknown parameter {unknown[0]!r}; tracker parameters: "
-                f"{', '.join(sorted(own))}; affinity parameters: "
-                f"{', '.join(sorted(shared))}")
+        check_known_keys(kwargs, tracker=own, affinity=shared)
         tracker_kwargs = {k: v for k, v in kwargs.items() if k in own}
         affinity_kwargs = {k: v for k, v in kwargs.items() if k not in own}
         cfg = replace(self, **tracker_kwargs) if tracker_kwargs else self

@@ -6,7 +6,8 @@ from-scratch pose scorer, a weighted linear triangulator, a one-joint
 greedy epipolar filter, a limb-correctness scorer, a one-joint-at-a-time
 detections reader and the per-float file writers. Tests compare library
 output against these, and build the frames they feed the tracker with
-make_bundle.
+make_bundle. The hypothesis strategies at the end draw floats and JSON
+values for the codec tests and the input fuzzers.
 
 The scalar references (epipolar pair affinity and pose score, the
 initialization filter, smoothing, the greedy actor matcher, per-limb
@@ -19,6 +20,7 @@ import json
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from mvtrack3d.affinity import AffinityConfig, valid_joints
 from mvtrack3d.evaluation import match_actors
@@ -575,3 +577,28 @@ def reference_ground_truth_text(frames, schema_name, n_joints):
         text += _reference_dumps({"frame": int(gt.frame),
                                   "actors": actors}) + "\n"
     return text
+
+
+# -- hypothesis strategies ---------------------------------------------------
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+# Floats on both sides of the range where orjson prints repr's text, and
+# the values the range rule must send to json: subnormals, -0.0, NaN, inf.
+_EDGE_FLOATS = [1e-4, 1e16, 0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308]
+_EDGE_FLOATS = [x for v in _EDGE_FLOATS for x in (
+    v, -v, math.nextafter(v, 0.0), math.nextafter(v, math.inf))]
+CODEC_FLOATS = st.one_of(st.floats(), st.floats(-1e3, 1e3),
+                         st.sampled_from(_EDGE_FLOATS + NON_FINITE))
+
+# Text with lone surrogates too, which json reads from their \\u escapes
+# and orjson refuses.
+JSON_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 63, 2 ** 64 - 1)
+    | CODEC_FLOATS | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=20)

@@ -420,6 +420,10 @@ def test_affinity_config_validation():
         AffinityConfig(max_dt=True)
     with pytest.raises(ConfigError):
         AffinityConfig(epsilon="ten")
+    for bad in (dict(tau=3.0), dict(epsilon=10.0), dict(alpha_2d=None),
+                dict(lambda_a=False)):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            AffinityConfig(**bad)
     with pytest.raises(ConfigError):
         AffinityConfig().with_overrides(alpha="typo")
     assert AffinityConfig().with_overrides(alpha_2d=45.0).alpha_2d == 45.0

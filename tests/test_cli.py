@@ -5,8 +5,15 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mvtrack3d.affinity import AffinityConfig
 from mvtrack3d.cli import main
+from mvtrack3d.errors import MvTrackError
+from mvtrack3d.synth import SceneConfig
+from mvtrack3d.tracker import TrackerConfig
+
+from helpers import JSON_VALUES
 
 
 def run_cli(capsys, *argv):
@@ -136,6 +143,56 @@ def test_invalid_override_value_fails_cleanly(capsys, tmp_path):
         assert code == 1, setting
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert setting.split("=")[0] in err
+
+
+@pytest.mark.parametrize("setting", ["n_actors=x", "noise_px=true",
+                                     "seed=1.5", "n_frames=2.5", 'fps="25"'])
+def test_wrong_typed_scene_setting_fails_cleanly(capsys, tmp_path, setting):
+    code, out, err = run_cli(capsys, "synth", "--out-dir",
+                             str(tmp_path / "s"), "--set", setting)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert setting.split("=")[0] in err
+
+
+@pytest.mark.parametrize("field,value", [("n_joints", "abc"), ("schema", 5)])
+def test_malformed_detections_header_fails_cleanly(capsys, tmp_path, field,
+                                                   value):
+    paths = synth_scene(capsys, tmp_path, **CLEAN)
+    lines = open(paths["detections"]).read().splitlines()
+    lines[0] = json.dumps(dict(json.loads(lines[0]), **{field: value}))
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    code, out, err = track(capsys, dict(paths, detections=str(bad)),
+                           tmp_path / "t.jsonl")
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "bad.jsonl:1:" in err and field in err
+
+
+_CONFIGS = [AffinityConfig(), TrackerConfig(), SceneConfig()]
+
+
+@st.composite
+def _overrides(draw):
+    """A config and overrides for it, as --set or a config file gives
+    them: any JSON value under a valid key, or under a misspelt one."""
+    config = draw(st.sampled_from(_CONFIGS))
+    keys = {f for f in vars(config) if f != "affinity"}
+    if isinstance(config, TrackerConfig):
+        keys |= set(vars(config.affinity))
+    key = st.sampled_from(sorted(keys)) | st.sampled_from(["affinity", "tua"])
+    return config, draw(st.dictionaries(key, JSON_VALUES, max_size=3))
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_overrides())
+def test_config_overrides_raise_only_library_errors(case):
+    config, overrides = case
+    try:
+        config.with_overrides(**overrides)
+    except MvTrackError:
+        pass
 
 
 @pytest.mark.parametrize("preset", ["warehouse", ["shelf"]])

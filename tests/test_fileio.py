@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from mvtrack3d import fileio
 from mvtrack3d.affinity import AffinityConfig
 from mvtrack3d.errors import (
+    MvTrackError,
     NonMonotonicFrames,
     ParseError,
     ValidationError,
@@ -33,6 +34,10 @@ from mvtrack3d.schema import SYNTH14
 from mvtrack3d.tracker import Skeleton3D
 
 from helpers import (
+    CODEC_FLOATS,
+    JSON_TEXT,
+    JSON_VALUES,
+    NON_FINITE,
     look_at_camera,
     points_near_origin,
     random_ring_rig,
@@ -193,13 +198,12 @@ _EDGES_U = [-10.0, math.nextafter(-10.0, -math.inf), 810.0,
             math.nextafter(810.0, math.inf), -0.0]
 _EDGES_V = [-10.0, math.nextafter(-10.0, -math.inf), 610.0,
             math.nextafter(610.0, math.inf)]
-_NON_FINITE = [math.nan, math.inf, -math.inf]
 _PIXELS_U = st.one_of(st.floats(-40.0, 850.0),
-                      st.sampled_from(_EDGES_U + _NON_FINITE))
+                      st.sampled_from(_EDGES_U + NON_FINITE))
 _PIXELS_V = st.one_of(st.floats(-40.0, 650.0),
-                      st.sampled_from(_EDGES_V + _NON_FINITE))
+                      st.sampled_from(_EDGES_V + NON_FINITE))
 _CONFS = st.one_of(st.floats(0.0, 1.0), st.sampled_from(
-    [_FLOOR, math.nextafter(_FLOOR, 0.0), 1.0] + _NON_FINITE))
+    [_FLOOR, math.nextafter(_FLOOR, 0.0), 1.0] + NON_FINITE))
 
 
 @st.composite
@@ -293,11 +297,13 @@ def _detection_probe(**fields):
     (_detection_probe(time_s=True), "time_s"),
     (_detection_probe(time_s="0.5"), "time_s"),
     (_detection_probe(frame=2 ** 64), "frame"),
+    (b"[" * 100_000, "invalid JSON"),
 ], ids=["poses-int", "frame-str", "time-null", "camera-list", "ragged",
         "joint-str", "joint-object", "empty-pose", "two-columns",
         "joint-null", "joint-numeric-str", "pose-all-null", "joint-true",
         "camera-twice", "latin-1-bytes", "frame-float", "camera-true",
-        "camera-float", "time-true", "time-numeric-str", "frame-wide-int"])
+        "camera-float", "time-true", "time-numeric-str", "frame-wide-int",
+        "nested-too-deep"])
 def test_malformed_detection_records_raise_parse_error(tmp_path, record,
                                                        match):
     """Each probe is one record, or a list of records whose last is bad;
@@ -310,6 +316,24 @@ def test_malformed_detection_records_raise_parse_error(tmp_path, record,
     with pytest.raises(ParseError, match=match) as err:
         list(load_detections(str(path)))
     assert f"det.jsonl:{len(records) + 1}:" in str(err.value)
+
+
+@pytest.mark.parametrize("header,records,where", [
+    (dict(_HEADER, n_joints="abc"), [], 1),
+    (dict(_HEADER, n_joints=2.0), [], 1),
+    (dict(_HEADER, n_joints=0), [], 1),
+    (dict(_HEADER, schema=5), [], 1),
+    ({k: v for k, v in _HEADER.items() if k != "n_joints"}, [], 1),
+    (dict(_HEADER, format_version=True), [], 1),
+    (dict(_HEADER, n_joints=2 ** 62), [_detection_probe(poses=[])], 2),
+], ids=["n-joints-str", "n-joints-float", "n-joints-zero", "schema-int",
+        "n-joints-missing", "version-true", "n-joints-huge"])
+def test_malformed_detection_headers_raise_parse_error(tmp_path, header,
+                                                       records, where):
+    path = tmp_path / "det.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in [header] + records))
+    with pytest.raises(ParseError, match=f"det.jsonl:{where}:"):
+        list(load_detections(str(path)))
 
 
 def test_line_ends_and_blank_lines_read_as_text(tmp_path):
@@ -418,6 +442,13 @@ _ACTOR = {"id": 0, "joints": [[0.0, 0.0, 1.0]] * N}
     ("calibration", load_calibration, dict(_CAMERA, o=[0.0, "z", 0.0])),
     ("calibration", load_calibration, dict(_CAMERA, id=[0])),
     ("calibration", load_calibration, dict(_CAMERA, fps=None)),
+    ("calibration", load_calibration,
+     dict(_CAMERA, K=["700"] + _CAMERA["K"][1:])),
+    ("calibration", load_calibration,
+     dict(_CAMERA, K=_CAMERA["K"][:8] + [True])),
+    ("calibration", load_calibration,
+     dict(_CAMERA, K=[None] + _CAMERA["K"][1:])),
+    ("calibration", load_calibration, dict(_CAMERA, o=[0.0, 0.0])),
     ("ground_truth", load_ground_truth, {"frame": 0, "actors": 5}),
     ("ground_truth", load_ground_truth,
      {"frame": 0, "actors": [{"joints": _ACTOR["joints"]}]}),
@@ -441,7 +472,8 @@ _ACTOR = {"id": 0, "joints": [[0.0, 0.0, 1.0]] * N}
                                   + [True] * (N - 3))]}),
     ("ground_truth", load_ground_truth,
      {"frame": 0, "actors": [dict(_ACTOR, mask=[True] * 3)]}),
-], ids=["K-int", "R-nested", "o-str", "id-list", "fps-null", "actors-int",
+], ids=["K-int", "R-nested", "o-str", "id-list", "fps-null", "K-numeric-str",
+        "K-true", "K-null", "o-short", "actors-int",
         "missing-id", "joint-str", "frame-null", "joint-null",
         "joint-numeric-str", "joint-true", "second-actor-false",
         "second-actor-short", "mask-not-bool", "mask-short"])
@@ -538,6 +570,10 @@ def test_config_file_loading(tmp_path):
     path.write_text("{nope")
     with pytest.raises(ParseError, match="invalid JSON"):
         load_config_file(str(path))
+    for text in (b'{"n_frames": "caf\xe9"}', b"[" * 100_000):
+        path.write_bytes(text)
+        with pytest.raises(ParseError, match="invalid JSON"):
+            load_config_file(str(path))
     with pytest.raises(FileNotFoundError):
         load_config_file(str(tmp_path / "missing.json"))
 
@@ -626,25 +662,15 @@ def test_track_writer_refuses_non_finite_values(tmp_path):
     assert [f.frame for f in load_tracks(str(path)).frames] == [0]
 
 
-# Floats on both sides of the range where orjson prints repr's text, and
-# the values the range rule must send to json: subnormals, -0.0, NaN, inf.
-_EDGE_FLOATS = [1e-4, 1e16, 0.0, -0.0, 5e-324, 2.2250738585072014e-308,
-                1.7976931348623157e308]
-_EDGE_FLOATS = [x for v in _EDGE_FLOATS for x in (
-    v, -v, math.nextafter(v, 0.0), math.nextafter(v, math.inf))]
-_CODEC_FLOATS = st.one_of(st.floats(), st.floats(-1e3, 1e3),
-                          st.sampled_from(_EDGE_FLOATS + _NON_FINITE))
-
-
 @st.composite
 def _track_records(draw):
     """A tracks record and an array of every float in it."""
-    time_s = draw(_CODEC_FLOATS)
+    time_s = draw(CODEC_FLOATS)
     floats = [time_s]
     tracks = []
     for track_id in range(draw(st.integers(0, 3))):
-        rows = draw(st.lists(st.tuples(_CODEC_FLOATS, _CODEC_FLOATS,
-                                       _CODEC_FLOATS), max_size=4))
+        rows = draw(st.lists(st.tuples(CODEC_FLOATS, CODEC_FLOATS,
+                                       CODEC_FLOATS), max_size=4))
         floats += [v for row in rows for v in row]
         tracks.append({"id": track_id, "joints": [
             [*row, draw(st.sampled_from("TPM"))] for row in rows]})
@@ -680,19 +706,8 @@ def test_encode_takes_orjson_inside_the_range(monkeypatch):
     assert calls == [{"x": x} for x in outside]
 
 
-# Text with lone surrogates too, which json reads from their \\u escapes
-# and orjson refuses.
-_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
-_JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-2 ** 63, 2 ** 64 - 1)
-    | _CODEC_FLOATS | _TEXT,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(_TEXT, inner, max_size=4),
-    max_leaves=20)
-
-
 @settings(max_examples=500, deadline=None)
-@given(record=st.dictionaries(_TEXT, _JSON_VALUES, max_size=5),
+@given(record=st.dictionaries(JSON_TEXT, JSON_VALUES, max_size=5),
        ascii_only=st.booleans(), pad=st.sampled_from(["", " ", "\t", "\r\n"]))
 def test_parse_line_reads_what_json_reads(record, ascii_only, pad):
     text = json.dumps(record, ensure_ascii=ascii_only)
@@ -708,12 +723,72 @@ def test_parse_line_reads_what_json_reads(record, ascii_only, pad):
 def test_wide_pose_integer_reads_as_the_nearest_float(tmp_path_factory,
                                                       value):
     path = tmp_path_factory.mktemp("det") / "det.jsonl"
-    pose = json.dumps([[[100.0, 200.0, 0.9]] * (N - 1) + [[value, 5.0, 0.9]]])
+    pose = json.dumps([[[100.0, 200.0, 0.9]] * (N - 2) + [
+        [1.0, 2.0, 0.9], [value, 5.0, 0.9]]])
+    # A NaN on the line sends it to the json module, which must read the
+    # int as orjson does.
+    with_nan = pose.replace("[1.0, 2.0, 0.9]", "[1.0, 2.0, NaN]")
     lines = [json.dumps(_HEADER)] + [
         f'{{"frame":{f},"camera":0,"time_s":{f / 25.0},"poses":{pose}}}'
         for f, pose in enumerate([pose, pose.replace(str(value),
-                                                     f"{value}.0")])]
+                                                     f"{value}.0"), with_nan])]
     path.write_text("\n".join(lines) + "\n")
-    as_int, as_float = (b.poses[0][0, -1, 0]
-                        for b in load_detections(str(path)))
-    assert as_int == as_float == float(value)
+    bundles = list(load_detections(str(path)))
+    assert [b.poses[0][0, -1, 0] for b in bundles] == [float(value)] * 3
+    assert math.isnan(bundles[2].poses[0][0, -2, 2])
+
+
+# -- fuzzing the readers -----------------------------------------------------------
+
+
+_RECORDS = {
+    "calibration": (load_calibration, _CAMERA),
+    "detections": (lambda path: list(load_detections(path)),
+                   _detection_probe()),
+    "tracks": (load_tracks,
+               {"frame": 0, "time_s": 0.0, "tracks": [_GOOD_TRACK]}),
+    "ground_truth": (load_ground_truth, {"frame": 0, "actors": [
+        dict(_ACTOR, mask=[True] * N)]}),
+    "corruption": (load_corruption, {"frame": 0, "camera": 1, "pose": 0,
+                                     "joint": 5, "class": "outlier"}),
+}
+
+
+@st.composite
+def _mutated(draw, record):
+    """record, with some fields of it and of each first list entry that
+    is an object set to any JSON value, and some deleted."""
+    record = json.loads(json.dumps(record))
+    targets = [record] + [v[0] for v in record.values() if isinstance(
+        v, list) and v and isinstance(v[0], dict)]
+    for target in targets:
+        keys = st.sampled_from(sorted(target))
+        target.update(draw(st.dictionaries(keys, JSON_VALUES, max_size=3)))
+        for key in draw(st.sets(keys, max_size=2)):
+            del target[key]
+    return record
+
+
+@st.composite
+def _fuzzed_files(draw):
+    """A loader and the lines of a file of its format: a header and two
+    records, any of them with fields changed by _mutated."""
+    fmt = draw(st.sampled_from(sorted(_RECORDS)))
+    loader, record = _RECORDS[fmt]
+    header = {"format": f"mvtrack3d/{fmt}", "format_version": 1,
+              "schema": SYNTH14.name, "n_joints": N}
+    lines = [draw(st.just(header) | _mutated(header)),
+             record, draw(_mutated(record))]
+    return loader, [json.dumps(line) for line in lines]
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=_fuzzed_files())
+def test_readers_raise_only_library_errors(tmp_path_factory, case):
+    loader, lines = case
+    path = tmp_path_factory.mktemp("fuzz") / "x.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        loader(str(path))
+    except MvTrackError as exc:
+        assert "x.jsonl" in str(exc)

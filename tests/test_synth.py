@@ -1,6 +1,7 @@
 """Synthetic multi-camera scene generator."""
 
 import filecmp
+import math
 import os
 
 import numpy as np
@@ -284,6 +285,13 @@ def test_burst_configuration_validation():
                     outlier_burst_frames=0.5)
     with pytest.raises(ConfigError):
         SceneConfig(outlier_burst=1.5)
+    # a burst rate at the quiet rate (0.1 * outlier_rate), and bursts that
+    # never end, once divided by zero
+    with pytest.raises(ConfigError, match="too low"):
+        SceneConfig(outlier_rate=0.5, outlier_burst=0.05)
+    assert SceneConfig(outlier_rate=0.1, outlier_burst=0.9,
+                       outlier_burst_frames=math.inf).burst_chain()[:2] == (
+        0.0, 0.0)
 
 
 def test_benchmark_configuration_is_a_two_camera_burst_scene():
@@ -308,7 +316,13 @@ def test_scene_config_validation():
         SceneConfig(outlier_rate=1.5)
     with pytest.raises(ConfigError):
         SceneConfig(fps=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="n_camels") as err:
         SceneConfig().with_overrides(n_camels=4)
+    assert "n_cameras" in str(err.value)
+    for bad in (dict(n_actors="x"), dict(noise_px=True), dict(seed=1.5),
+                dict(n_frames=2.5), dict(fps="25"), dict(seed=-1),
+                dict(schema_name=None), dict(width=800.0)):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            SceneConfig(**bad)
     with pytest.raises(Exception):
         generate(SceneConfig(schema_name="unknown99"))

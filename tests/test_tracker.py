@@ -67,7 +67,8 @@ def test_tracker_config_defaults_and_overrides():
                 dict(miss_limit=2.5), dict(miss_limit=False),
                 dict(smooth_sigma="x"), dict(smooth_sigma=True),
                 dict(part_aware="no"), dict(joints_filter=1),
-                dict(smoothing=None)):
+                dict(smoothing=None), dict(affinity=None),
+                dict(affinity={"tau": 3})):
         with pytest.raises(ConfigError):
             TrackerConfig(**bad)
     with pytest.raises(ConfigError, match="smooth_windw") as err:
