@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import CameraCalibration
-from .schema import check_field_types, check_known_keys
+from .schema import check_field_types, check_finite, check_known_keys
 
 _FLOAT_MAX = float(np.finfo(np.float64).max)
 
@@ -49,6 +49,7 @@ class AffinityConfig:
 
     def __post_init__(self):
         check_field_types(self)
+        check_finite(self)
         if self.alpha_2d <= 0 or self.alpha_epi <= 0:
             raise ConfigError("alpha_2d and alpha_epi must be positive")
         if self.tau < 1:

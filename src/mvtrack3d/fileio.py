@@ -12,7 +12,8 @@ exact: orjson writes a record whose floats are all 0 or have
 any other record, keeping repr's exponent form (9.9e-05, 1e+16). orjson
 also reads every line; the json module reads a line orjson refuses, which
 takes the NaN and Infinity literals and words the error of a line that is
-not JSON.
+not JSON. The corruption sidecar's records of ints and ASCII strings go
+through orjson too, where its text is json's.
 """
 
 from __future__ import annotations
@@ -64,6 +65,28 @@ def _encode(record: dict, floats: np.ndarray) -> bytes:
             return orjson.dumps(record, option=orjson.OPT_APPEND_NEWLINE)
         except orjson.JSONEncodeError:
             pass
+    return _line(record)
+
+
+# The value types of a record _encode_plain may give to orjson.
+_PLAIN = frozenset((int, str))
+
+
+def _encode_plain(record: dict) -> bytes:
+    """record as one line of JSON, newline included, byte for byte what
+    _dumps writes. orjson writes a record whose values are ints and
+    strings the same way, unless a string holds a character past ASCII
+    or DEL (json escapes those; orjson writes them raw) or an int does
+    not fit 64 bits (orjson refuses it); _dumps writes those and any
+    record holding another type."""
+    if _PLAIN.issuperset(map(type, record.values())):
+        try:
+            line = orjson.dumps(record, option=orjson.OPT_APPEND_NEWLINE)
+        except orjson.JSONEncodeError:
+            pass
+        else:
+            if line.isascii() and b"\x7f" not in line:
+                return line
     return _line(record)
 
 
@@ -494,7 +517,7 @@ def write_corruption(records: Iterable[dict], path: str,
                         "format_version": FORMAT_VERSION,
                         "schema": schema_name}))
         for rec in records:
-            fh.write(_line(rec))
+            fh.write(_encode_plain(rec))
 
 
 def load_corruption(path: str) -> list[dict]:

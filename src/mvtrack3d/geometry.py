@@ -112,23 +112,6 @@ class Ray3D:
         return self.origin + t * self.direction
 
 
-@dataclass(frozen=True)
-class Line2D:
-    """Image line a*u + b*v + c = 0, normalized so a^2 + b^2 = 1."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        n = np.hypot(self.a, self.b)
-        if not np.isfinite(n) or n < 1e-12:
-            raise ValidationError("line normal must be non-zero")
-        object.__setattr__(self, "a", self.a / n)
-        object.__setattr__(self, "b", self.b / n)
-        object.__setattr__(self, "c", self.c / n)
-
-
 def project(point, camera: CameraCalibration) -> np.ndarray:
     """Pixel of a world point, raises DepthNonPositive behind the camera."""
     pts = np.ascontiguousarray(point, dtype=np.float64).reshape(1, 3)
@@ -163,20 +146,6 @@ def fundamental_matrix(cam_src: CameraCalibration, cam_dst: CameraCalibration) -
     ])
     f = np.linalg.inv(cam_dst.K).T @ tx @ r_rel @ np.linalg.inv(cam_src.K)
     return np.ascontiguousarray(f)
-
-
-def epipolar_line(pixel, cam_src: CameraCalibration, cam_dst: CameraCalibration) -> Line2D:
-    """Line in cam_dst on which the match of a cam_src pixel must lie."""
-    f = fundamental_matrix(cam_src, cam_dst)
-    hom = f @ np.array([float(pixel[0]), float(pixel[1]), 1.0])
-    if np.hypot(hom[0], hom[1]) < 1e-12:
-        raise DegenerateGeometry("pixel coincides with the epipole, line undefined")
-    return Line2D(a=hom[0], b=hom[1], c=hom[2])
-
-
-def point_line_distance_2d(pixel, line: Line2D) -> float:
-    """Perpendicular pixel-to-line distance."""
-    return abs(line.a * float(pixel[0]) + line.b * float(pixel[1]) + line.c)
 
 
 def point_ray_distance_3d(point, ray: Ray3D) -> float:

@@ -5,8 +5,12 @@ epipolar filters and the cross-view pose score work on stacked arrays;
 triangulation is one batched LAPACK eigensolve of every joint's 4×4
 normal matrix AᵀA. Loops remain only over camera pairs, greedy removal
 steps and the smoothing window, and in the assignment: one scalar
-rectangular Hungarian solve per call, over Python lists, whose duals
-settle the tie-break without solving again.
+rectangular Hungarian solve per call of assignment_lex, over Python
+lists, whose duals settle the tie-break without solving again.
+assignment.solve calls it only for a matrix whose rows contest a column
+or whose best matching is nearly tied; a single numpy pass over a
+frame's stack of matrices settles every matrix with a unique best
+matching.
 
 Elementwise expressions follow the scalar order of operations and sums
 run left to right, so each element's result does not depend on the

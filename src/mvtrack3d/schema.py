@@ -57,6 +57,15 @@ def check_field_types(obj) -> None:
                 f"{f.name} must be {describe(f.type)}, got {value!r}")
 
 
+def check_finite(obj) -> None:
+    """Raise ConfigError for the first float field of the dataclass obj
+    that is NaN or infinite."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
+
+
 def check_known_keys(keys, **groups) -> None:
     """Raise ConfigError for the first of keys, in sorted order, that no
     group holds, listing the names of each group: groups maps a group

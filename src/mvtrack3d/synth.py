@@ -89,6 +89,16 @@ BURST_GROUPS = (
 
 _OUTLIER_RETRIES = 32
 
+# generate holds every joint view of a scene in memory, about 350 bytes
+# each (its pixels and validity, its corruption record and its class
+# label), so this many take about 1.7 GB; the largest scene in the
+# benchmark or the acceptance tests has 252,000.
+MAX_JOINT_VIEWS = 5_000_000
+# Image sizes allocate nothing, but an exported scene must load back,
+# and past 2**64 - 1 the calibration file's width does not read back as
+# an int. No sensor in use is wider than about 20,000 px.
+MAX_IMAGE_PX = 1 << 16
+
 
 @dataclass(frozen=True)
 class SceneConfig:
@@ -154,7 +164,15 @@ class SceneConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.width <= 0 or self.height <= 0:
             raise ConfigError("image size must be positive")
-        get_schema(self.schema_name)
+        if max(self.width, self.height) > MAX_IMAGE_PX:
+            raise ConfigError(f"width and height must be at most "
+                              f"{MAX_IMAGE_PX} px, got {self.width}x"
+                              f"{self.height}")
+        views = (self.n_frames * self.n_cameras * self.n_actors
+                 * get_schema(self.schema_name).n_joints)
+        if views > MAX_JOINT_VIEWS:
+            raise ConfigError(f"n_frames * n_cameras * n_actors * n_joints is "
+                              f"{views}, past {MAX_JOINT_VIEWS} joint views")
 
     def with_overrides(self, **kwargs) -> "SceneConfig":
         check_known_keys(kwargs, scene={f.name for f in fields(self)})

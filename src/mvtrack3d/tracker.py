@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import CameraRig
-from .schema import check_field_types, check_known_keys
+from .schema import check_field_types, check_finite, check_known_keys
 
 
 class JointFlag(IntEnum):
@@ -84,6 +84,12 @@ class FrameBundle:
     times: dict
 
 
+# Each track keeps its last smooth_window skeletons, 42 float64 apiece at
+# 14 joints, and every frame copies the windows of all live tracks; this
+# many frames, 40 s at 25 fps, is 0.34 MB a track.
+MAX_SMOOTH_WINDOW = 1000
+
+
 @dataclass(frozen=True)
 class TrackerConfig:
     """Tracker behavior knobs on top of the affinity thresholds.
@@ -102,8 +108,10 @@ class TrackerConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.smooth_window < 1:
-            raise ConfigError("smooth_window must be at least 1")
+        check_finite(self)
+        if not 1 <= self.smooth_window <= MAX_SMOOTH_WINDOW:
+            raise ConfigError(f"smooth_window must lie in [1, "
+                              f"{MAX_SMOOTH_WINDOW}], got {self.smooth_window}")
         if self.smooth_sigma <= 0:
             raise ConfigError("smooth_sigma must be positive")
         if self.miss_limit is not None and self.miss_limit < 0:
@@ -212,10 +220,11 @@ class PoseTracker:
         """Per-camera bipartite matching of detections to live tracks.
 
         Every camera with detections is scored in one batch, its poses
-        padded with invalid joints to the largest count, and then matched
-        on its own columns. Each matched pose becomes its track's view
-        from that camera. Returns ({camera index: unmatched pose rows},
-        {track ids matched this frame}).
+        padded with invalid joints to the largest count, and the whole
+        stack is matched in one call, each camera on its own columns.
+        Each matched pose becomes its track's view from that camera.
+        Returns ({camera index: unmatched pose rows}, {track ids matched
+        this frame}).
         """
         cfg = self.config
         aff = cfg.affinity
@@ -251,8 +260,9 @@ class PoseTracker:
         )
         unmatched = {}
         matched_ids = set()
-        for k, ((ci, _), p, t) in enumerate(zip(seen, counts, cam_t.tolist())):
-            match = assignment.solve(scores[k, :, :p], 0.0)
+        matches = assignment.solve(scores, 0.0, counts)
+        for k, ((ci, _), t, match) in enumerate(zip(seen, cam_t.tolist(),
+                                                    matches)):
             for ti, pi in match.pairs:
                 tracks[ti].see(ci, bundle.frame, t, pose_uv[k, pi],
                                pose_valid[k, pi])

@@ -2,9 +2,10 @@
 
 Everything here is implemented independently of the library internals it
 is used to check: camera construction, an exhaustive assignment search, a
-from-scratch pose scorer, a weighted linear triangulator, a one-joint
-greedy epipolar filter, a limb-correctness scorer, a one-joint-at-a-time
-detections reader and the per-float file writers. Tests compare library
+from-scratch pose scorer, image lines and epipolar lines, a weighted
+linear triangulator, a one-joint greedy epipolar filter, a
+limb-correctness scorer, a one-joint-at-a-time detections reader and the
+per-float file writers. Tests compare library
 output against these, and build the frames they feed the tracker with
 make_bundle. The hypothesis strategies at the end draw floats and JSON
 values for the codec tests and the input fuzzers.
@@ -18,6 +19,7 @@ batched kernels compute, so the kernels must match them bit for bit.
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import strategies as st
@@ -193,12 +195,47 @@ def weighted_dlt_status(cameras, uvs, weights):
     return x[:3] / x[3], 0
 
 
-def _epipolar_line_distance(cam_a, uv_a, cam_b, uv_b):
-    """Pixel distance of uv_b from the image in cam_b of the ray through uv_a,
-    None when that image degenerates to a point (uv_b sits on the epipole)."""
+@dataclass(frozen=True)
+class Line2D:
+    """Image line a*u + b*v + c = 0, normalized so a^2 + b^2 = 1."""
+
+    a: float
+    b: float
+    c: float
+
+    def __post_init__(self):
+        n = np.hypot(self.a, self.b)
+        if not np.isfinite(n) or n < 1e-12:
+            raise ValueError("line normal must be non-zero")
+        object.__setattr__(self, "a", self.a / n)
+        object.__setattr__(self, "b", self.b / n)
+        object.__setattr__(self, "c", self.c / n)
+
+
+def _ray_images(cam_a, uv_a, cam_b):
+    """Homogeneous images in cam_b of two points on the ray through pixel
+    uv_a of cam_a: cam_a's center and the point one unit beyond it."""
     direction = np.linalg.solve(cam_a.K @ cam_a.R, [uv_a[0], uv_a[1], 1.0])
     h1 = cam_b.K @ cam_b.R @ (cam_a.o - cam_b.o)
     h2 = cam_b.K @ cam_b.R @ (cam_a.o + direction - cam_b.o)
+    return h1, h2
+
+
+def epipolar_line(pixel, cam_src, cam_dst):
+    """Line in cam_dst on which the match of a cam_src pixel must lie,
+    through the images of two points of the pixel's ray."""
+    return Line2D(*np.cross(*_ray_images(cam_src, pixel, cam_dst)))
+
+
+def point_line_distance_2d(pixel, line):
+    """Perpendicular pixel-to-line distance."""
+    return abs(line.a * float(pixel[0]) + line.b * float(pixel[1]) + line.c)
+
+
+def _epipolar_line_distance(cam_a, uv_a, cam_b, uv_b):
+    """Pixel distance of uv_b from the image in cam_b of the ray through uv_a,
+    None when that image degenerates to a point (uv_b sits on the epipole)."""
+    h1, h2 = _ray_images(cam_a, uv_a, cam_b)
     line = np.cross(h1, h2)
     norm = np.hypot(line[0], line[1])
     if norm < 1e-12 * max(np.linalg.norm(h1) * np.linalg.norm(h2), 1.0):

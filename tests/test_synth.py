@@ -324,5 +324,12 @@ def test_scene_config_validation():
                 dict(schema_name=None), dict(width=800.0)):
         with pytest.raises(ConfigError, match=next(iter(bad))):
             SceneConfig(**bad)
+    # sizes past the caps, refused before generate allocates anything
+    for bad in (dict(n_cameras=10 ** 21), dict(n_frames=10 ** 6),
+                dict(n_frames=5000, n_cameras=10, n_actors=8),
+                dict(width=1 << 17), dict(height=10 ** 30)):
+        with pytest.raises(ConfigError):
+            SceneConfig(**bad)
+    assert SceneConfig(n_frames=5000, n_cameras=10, n_actors=7)
     with pytest.raises(Exception):
         generate(SceneConfig(schema_name="unknown99"))

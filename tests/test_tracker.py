@@ -1,6 +1,7 @@
 """Online tracker: association, filtered reconstruction, lifecycle."""
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -68,9 +69,12 @@ def test_tracker_config_defaults_and_overrides():
                 dict(smooth_sigma="x"), dict(smooth_sigma=True),
                 dict(part_aware="no"), dict(joints_filter=1),
                 dict(smoothing=None), dict(affinity=None),
-                dict(affinity={"tau": 3})):
+                dict(affinity={"tau": 3}), dict(smooth_window=1001),
+                dict(smooth_window=10 ** 12), dict(smooth_sigma=math.inf),
+                dict(smooth_sigma=math.nan)):
         with pytest.raises(ConfigError):
             TrackerConfig(**bad)
+    assert TrackerConfig(smooth_window=1000).smooth_window == 1000
     with pytest.raises(ConfigError, match="smooth_windw") as err:
         cfg.with_overrides(smooth_windw=3)
     assert "smooth_window" in str(err.value)
