@@ -3,18 +3,24 @@
 Projection, pose scoring (every camera of a frame at once), both
 epipolar filters and the cross-view pose score work on stacked arrays;
 triangulation is one batched LAPACK eigensolve of every joint's 4×4
-normal matrix AᵀA. Loops remain only over camera pairs, greedy removal
-steps and the smoothing window, and in the assignment: one scalar
-rectangular Hungarian solve per call of assignment_lex, over Python
-lists, whose duals settle the tie-break without solving again.
-assignment.solve calls it only for a matrix whose rows contest a column
-or whose best matching is nearly tied; a single numpy pass over a
-frame's stack of matrices settles every matrix with a unique best
-matching.
+normal matrix AᵀA. Track initialization calls the cross-view pose score
+once per frame, over every pair of cameras, and the initialization
+filter and triangulation once, over every new track. Loops remain only
+over greedy removal steps, the smoothing window and the cameras of the
+tracker's greedy clustering, which joins one camera's poses at a time,
+and in the assignment: one scalar rectangular Hungarian solve per call
+of assignment_lex, over Python lists, whose duals settle the tie-break
+without solving again. assignment.solve calls it only for a matrix
+whose rows contest a column or whose best matching is nearly tied; a
+single numpy pass over a frame's stack of matrices settles every matrix
+with a unique best matching.
 
 Elementwise expressions follow the scalar order of operations and sums
 run left to right, so each element's result does not depend on the
-batch it is computed in.
+batch it is computed in. A dead slot, one whose observation is not
+alive, adds exact zeros to the filters' sums and zero rows to AᵀA, so
+a joint gets the same bits whether absent cameras sit as dead slots
+between its live ones or are left out.
 
 Status codes returned by triangulate_batch:
   0 ok, 1 too few rows, 2 rank deficient, 3 point at infinity.
@@ -84,10 +90,12 @@ def epipolar_pair_affinities(ua, va, ub, vb, f_ab, f_ba, alpha):
     mc = f_ba[..., 2, 0] * ub + f_ba[..., 2, 1] * vb + f_ba[..., 2, 2]
     n2 = np.sqrt(ma * ma + mb * mb)
     on_epipole = (n1 < 1e-12) | (n2 < 1e-12)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a tiny alpha overflows the quotient to inf, which scores -inf
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         d1 = np.abs(la * ub + lb * vb + lc) / n1
         d2 = np.abs(ma * ua + mb * va + mc) / n2
-    return np.where(on_epipole, 0.0, 1.0 - (d1 + d2) / (2.0 * alpha))
+        a = 1.0 - (d1 + d2) / (2.0 * alpha)
+    return np.where(on_epipole, 0.0, a)
 
 
 def epipolar_pose_score(uv_a, valid_a, uv_b, valid_b, f_ab, f_ba, alpha):
@@ -124,13 +132,16 @@ def score_pose_pairs(track_pts, track_valid, dts, K, R, o, poses_uv, poses_valid
     """
     uv, depth = project_points(track_pts, K[..., None, None, :, :],
                                R[..., None, None, :, :], o[..., None, None, :])
-    tol = (alpha_2d * dts)[..., None, None]
-    # math.exp per track: np.exp may round differently from the C library
-    decay = np.array([math.exp(-lam * dt) for dt in dts.ravel()]
-                     ).reshape(dts.shape)[..., None, None]
     du = poses_uv[..., None, :, :, 0] - uv[..., :, None, :, 0]
     dv = poses_uv[..., None, :, :, 1] - uv[..., :, None, :, 1]
-    a = (1.0 - np.sqrt(du * du + dv * dv) / tol) * decay
+    # an extreme alpha_2d overflows tol, or a distance over it, to inf, and
+    # an extreme lam the exponent of the decay to -inf, a decay of 0
+    with np.errstate(over="ignore"):
+        tol = (alpha_2d * dts)[..., None, None]
+        # math.exp per track: np.exp may round unlike the C library
+        decay = np.array([math.exp(-lam * dt) for dt in dts.ravel()]
+                         ).reshape(dts.shape)[..., None, None]
+        a = (1.0 - np.sqrt(du * du + dv * dv) / tol) * decay
     use = (track_valid[..., :, None, :] & poses_valid[..., None, :, :]
            & (depth > 0.0)[..., :, None, :])
     if part_aware:
@@ -500,9 +511,12 @@ def causal_gaussian_smooth(times, joints, sigma_frames, fps, t_now):
     and 0.0 + w·x == w·x, so windows of different lengths batch
     together right-aligned behind -inf times and zero joints.
     """
-    z = (t_now - times) * fps / sigma_frames
+    # a tiny sigma overflows z, or its square, to inf: a weight of 0
+    with np.errstate(over="ignore"):
+        z = (t_now - times) * fps / sigma_frames
+        exponent = -0.5 * z * z
     # math.exp: np.exp may round differently from the C library
-    w = np.array([math.exp(v) for v in (-0.5 * z * z).ravel().tolist()]
+    w = np.array([math.exp(v) for v in exponent.ravel().tolist()]
                  ).reshape(z.shape)
     out = np.zeros(joints.shape[:-3] + joints.shape[-2:])
     wsum = np.zeros(times.shape[:-1])

@@ -57,12 +57,13 @@ def check_field_types(obj) -> None:
                 f"{f.name} must be {describe(f.type)}, got {value!r}")
 
 
-def check_finite(obj) -> None:
+def check_finite(obj, allow_inf=()) -> None:
     """Raise ConfigError for the first float field of the dataclass obj
-    that is NaN or infinite."""
+    that is NaN or infinite; the fields named in allow_inf may be +inf."""
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if isinstance(value, float) and not np.isfinite(value):
+        if (isinstance(value, float) and not np.isfinite(value)
+                and not (value == np.inf and f.name in allow_inf)):
             raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 

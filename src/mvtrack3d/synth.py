@@ -37,7 +37,13 @@ from . import fileio
 from .affinity import AffinityConfig, valid_joints
 from .errors import ConfigError
 from .geometry import CameraCalibration
-from .schema import SYNTH14, check_field_types, check_known_keys, get_schema
+from .schema import (
+    SYNTH14,
+    check_field_types,
+    check_finite,
+    check_known_keys,
+    get_schema,
+)
 from .tracker import FrameBundle
 
 CLASS_CLEAN = 0
@@ -132,6 +138,8 @@ class SceneConfig:
 
     def __post_init__(self):
         check_field_types(self)
+        # bursts that never end take outlier_burst_frames=inf
+        check_finite(self, allow_inf=("outlier_burst_frames",))
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for name in ("outlier_rate", "occlusion_rate", "dropout_rate"):

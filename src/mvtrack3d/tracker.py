@@ -3,7 +3,13 @@
 Each frame: match every camera's detections to live tracks with the
 part-aware affinity, rebuild each matched track from its freshest pose
 per camera (filtered, time-weighted triangulation), then cluster the
-leftover detections across cameras to spawn new tracks.
+leftover detections across cameras to spawn new tracks. Each stage
+hands its kernels the whole frame: one scoring call and one assignment
+call for association, one filter and triangulation call for the live
+tracks, and, for initialization, one cross-view scoring call and one
+filter and triangulation call for every new track. Only the greedy
+clustering of initialization stays sequential, one assignment per
+camera.
 
 Staleness entering the affinity tolerance and the triangulation weights
 is measured in frame intervals, so alpha_2d and lambda_a act per frame
@@ -293,7 +299,9 @@ class PoseTracker:
         view_time = np.array([track.view_time for track in tracks])
         age_frames = np.maximum(t - view_time[recent], 0.0) * rig.fps
         weights = np.zeros(recent.shape)
-        weights[recent] = np.exp(-cfg.affinity.lambda_a * age_frames)
+        # an extreme lambda_a overflows the exponent to -inf: a weight of 0
+        with np.errstate(over="ignore"):
+            weights[recent] = np.exp(-cfg.affinity.lambda_a * age_frames)
         pred = np.array([track.predict(t) for track in tracks])
         joints, flags = kernels.reconstruct_joints(
             obs_uv, obs_valid, weights, pred,
@@ -304,106 +312,125 @@ class PoseTracker:
 
     # -- initialization ----------------------------------------------
 
-    def _cluster_unmatched(self, views: dict):
+    def _cluster_unmatched(self, cams: np.ndarray, uv: np.ndarray,
+                           valid: np.ndarray, counts: list) -> list:
         """Greedy cross-view clustering of unmatched poses, camera by camera.
 
-        views maps a camera index to its pixels (P,N,2), validity (P,N)
-        and unmatched pose rows; each cluster is a list of (camera index,
-        row), one per camera.
+        uv (K,P,N,2) and valid (K,P,N) hold the unmatched poses of the K
+        rig cameras cams, in rig order, padded with invalid poses to the
+        largest count; camera k has counts[k]. Every (earlier, later)
+        camera pair is scored in one call. Each camera's poses then join
+        the clusters built so far, every earlier pose being a member of
+        one: a cluster scores a pose by its best member, and one
+        assignment per camera settles the joins. Each cluster is a list
+        of (k, pose), one per camera in camera order.
         """
-        aff = self.config.affinity
-        rig = self.rig
-        clusters: list[list] = []
-        for ci, (uv, valid, rows) in sorted(views.items()):
-            if not clusters:
-                clusters = [[(ci, r)] for r in rows]
-                continue
-            # score every (cluster member, candidate) pair, then keep each
-            # cluster's best member
-            members = [m for cluster in clusters for m in cluster]
-            cj = np.array([c for c, _ in members])
-            member_uv = np.array([views[c][0][r] for c, r in members])
-            member_valid = np.array([views[c][1][r] for c, r in members])
-            pair_scores = kernels.epipolar_pose_score(
-                member_uv[:, None], member_valid[:, None],
-                uv[list(rows)], valid[list(rows)],
-                rig.f_table[cj, ci][:, None], rig.f_table[ci, cj][:, None],
-                aff.alpha_epi,
-            )
+        f_table = self.rig.f_table
+        first, later = np.triu_indices(len(cams), 1)
+        pair_scores = kernels.epipolar_pose_score(
+            uv[first, :, None], valid[first, :, None],
+            uv[later, None], valid[later, None],
+            f_table[cams[first], cams[later]][:, None, None],
+            f_table[cams[later], cams[first]][:, None, None],
+            self.config.affinity.alpha_epi,
+        )
+        pair_of = np.zeros((len(cams), len(cams)), np.int64)
+        pair_of[first, later] = np.arange(first.size)
+        clusters = [[(0, p)] for p in range(counts[0])]
+        for k in range(1, len(cams)):
+            member_k, member_p = np.array(
+                [m for cluster in clusters for m in cluster]).T
             starts = np.cumsum([0] + [len(c) for c in clusters[:-1]])
-            scores = np.maximum.reduceat(pair_scores, starts, axis=0)
+            scores = np.maximum.reduceat(
+                pair_scores[pair_of[member_k, k], member_p, :counts[k]],
+                starts, axis=0)
             match = assignment.solve(scores, 0.0)
-            for k, l in match.pairs:
-                clusters[k].append((ci, rows[l]))
-            for l in match.unmatched_cols:
-                clusters.append([(ci, rows[l])])
+            for c, p in match.pairs:
+                clusters[c].append((k, p))
+            for p in match.unmatched_cols:
+                clusters.append([(k, p)])
         return clusters
 
-    def _init_skeleton(self, uv: np.ndarray, valid: np.ndarray,
-                       cam_idx: np.ndarray, t: float) -> Skeleton3D | None:
-        """Triangulate a cross-view cluster into a first skeleton.
+    def initialize(self, unmatched: dict, bundle: FrameBundle) -> list:
+        """Spawn tracks from cross-view clusters of unmatched poses.
 
-        uv (N,M,2) and valid (N,M) hold the cluster's M poses, seen by
-        the cameras cam_idx (M,). Joints with fewer than two consistent
-        views are placed on a single view's ray at the skeleton centroid
-        depth, or at the centroid itself, and flagged predicted. Returns
-        None when not a single joint triangulates.
+        Every cluster of two or more poses is filtered and triangulated
+        in one batch, laid out as in reconstruct: slot c holds the pose
+        from rig camera c, and cameras outside the cluster are dead
+        slots. Joints with fewer than two consistent views are placed on
+        a single view's ray at the skeleton centroid depth, or at the
+        centroid itself, and flagged predicted. A cluster in which not a
+        single joint triangulates spawns no track.
         """
+        seen = [ci for ci in sorted(unmatched) if len(unmatched[ci])]
+        if len(seen) < 2:
+            return []
         cfg = self.config
         rig = self.rig
-        keep = valid
+        ids = [cam.cam_id for cam in rig.cameras]
+        rows = [list(unmatched[ci]) for ci in seen]
+        counts = [len(r) for r in rows]
+        n_joints = bundle.poses[ids[seen[0]]].shape[1]
+        uv = np.zeros((len(seen), max(counts), n_joints, 2))
+        valid = np.zeros(uv.shape[:-1], dtype=bool)
+        for k, (ci, r) in enumerate(zip(seen, rows)):
+            uv[k, :len(r)] = bundle.poses[ids[ci]][r, :, :2]
+            valid[k, :len(r)] = bundle.valid[ids[ci]][r]
+        cams = np.array(seen)
+        clusters = [c for c in self._cluster_unmatched(cams, uv, valid, counts)
+                    if len(c) >= 2]
+        if not clusters:
+            return []
+        n_cams = len(rig)
+        owner = np.repeat(np.arange(len(clusters)), [len(c) for c in clusters])
+        member_k, member_p = np.array([m for c in clusters for m in c]).T
+        seed_uv = np.zeros((len(clusters), n_joints, n_cams, 2))
+        seed_valid = np.zeros(seed_uv.shape[:-1], dtype=bool)
+        seed_uv[owner, :, cams[member_k]] = uv[member_k, member_p]
+        seed_valid[owner, :, cams[member_k]] = valid[member_k, member_p]
+        flat_uv = seed_uv.reshape(-1, n_cams, 2)
+        keep = seed_valid.reshape(-1, n_cams)
         if cfg.joints_filter:
-            keep = kernels.filter_init_mask(uv, keep, cam_idx, rig.f_table,
-                                            cfg.affinity.alpha_epi)
-        uvn = np.stack((uv[..., 0] * rig.su[cam_idx] - 1.0,
-                        uv[..., 1] * rig.sv[cam_idx] - 1.0), axis=-1)
-        xyz, status = kernels.triangulate_batch(
-            uvn, rig.pn_table[cam_idx], np.ones(len(cam_idx)), keep
-        )
-        tri = status == 0
-        if not tri.any():
-            return None
-        joints = np.where(tri[:, None], xyz, 0.0)
-        flags = np.where(tri, JointFlag.TRIANGULATED, JointFlag.PREDICTED)
-        centroid = joints[tri].mean(axis=0)
-        for n in np.flatnonzero(~tri):
-            kept = np.flatnonzero(keep[n])
-            if kept.size:
-                slot = kept[0]
-            elif valid[n, 0]:
-                slot = 0
-            else:
-                joints[n] = centroid
-                continue
-            ci = cam_idx[slot]
-            direction = kernels.back_project_dir(uv[n, slot, 0], uv[n, slot, 1],
-                                                 rig.krinv_table[ci])
-            depth = float(np.dot(centroid - rig.origins[ci], direction))
-            if depth <= 0:
-                joints[n] = centroid
-            else:
-                joints[n] = rig.origins[ci] + depth * direction
-        return Skeleton3D(t, joints, flags)
-
-    def initialize(self, unmatched: dict, bundle: FrameBundle) -> list:
-        """Spawn tracks from cross-view clusters of unmatched poses."""
-        ids = [cam.cam_id for cam in self.rig.cameras]
-        views = {ci: (bundle.poses[ids[ci]][..., :2], bundle.valid[ids[ci]], rows)
-                 for ci, rows in unmatched.items() if len(rows)}
+            keep = kernels.filter_init_mask(flat_uv, keep, np.arange(n_cams),
+                                            rig.f_table, cfg.affinity.alpha_epi)
+        uvn = np.stack((flat_uv[..., 0] * rig.su - 1.0,
+                        flat_uv[..., 1] * rig.sv - 1.0), axis=-1)
+        xyz, status = kernels.triangulate_batch(uvn, rig.pn_table,
+                                                np.ones(n_cams), keep)
+        xyz = xyz.reshape(len(clusters), n_joints, 3)
+        ok = (status == 0).reshape(len(clusters), n_joints)
+        keep = keep.reshape(seed_valid.shape)
         new_tracks = []
-        for cluster in self._cluster_unmatched(views):
-            if len(cluster) < 2:
+        for i, cluster in enumerate(clusters):
+            tri = ok[i]
+            if not tri.any():
                 continue
-            cam_idx = np.array([ci for ci, _ in cluster], dtype=np.int64)
-            uv = np.stack([views[ci][0][r] for ci, r in cluster], axis=1)
-            valid = np.stack([views[ci][1][r] for ci, r in cluster], axis=1)
-            times = [bundle.times[ids[ci]] for ci, _ in cluster]
-            skeleton = self._init_skeleton(uv, valid, cam_idx, bundle.time_s)
-            if skeleton is None:
-                continue
-            track = Track(self._next_id, skeleton, len(self.rig),
-                          self.config.smooth_window)
-            track.see(cam_idx, bundle.frame, times, uv, valid)
+            cam_idx = cams[[k for k, _ in cluster]]
+            joints = np.where(tri[:, None], xyz[i], 0.0)
+            flags = np.where(tri, JointFlag.TRIANGULATED, JointFlag.PREDICTED)
+            centroid = joints[tri].mean(axis=0)
+            for n in np.flatnonzero(~tri):
+                kept = np.flatnonzero(keep[i, n])
+                if kept.size:
+                    ci = kept[0]
+                elif seed_valid[i, n, cam_idx[0]]:
+                    ci = cam_idx[0]
+                else:
+                    joints[n] = centroid
+                    continue
+                direction = kernels.back_project_dir(
+                    seed_uv[i, n, ci, 0], seed_uv[i, n, ci, 1],
+                    rig.krinv_table[ci])
+                depth = float(np.dot(centroid - rig.origins[ci], direction))
+                if depth <= 0:
+                    joints[n] = centroid
+                else:
+                    joints[n] = rig.origins[ci] + depth * direction
+            skeleton = Skeleton3D(bundle.time_s, joints, flags)
+            track = Track(self._next_id, skeleton, n_cams, cfg.smooth_window)
+            track.see(cam_idx, bundle.frame,
+                      [bundle.times[ids[ci]] for ci in cam_idx.tolist()],
+                      seed_uv[i][:, cam_idx], seed_valid[i][:, cam_idx])
             self._next_id += 1
             new_tracks.append(track)
         return new_tracks

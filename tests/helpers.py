@@ -4,11 +4,12 @@ Everything here is implemented independently of the library internals it
 is used to check: camera construction, an exhaustive assignment search, a
 from-scratch pose scorer, image lines and epipolar lines, a weighted
 linear triangulator, a one-joint greedy epipolar filter, a
-limb-correctness scorer, a one-joint-at-a-time detections reader and the
-per-float file writers. Tests compare library
-output against these, and build the frames they feed the tracker with
-make_bundle. The hypothesis strategies at the end draw floats and JSON
-values for the codec tests and the input fuzzers.
+limb-correctness scorer, a one-joint-at-a-time detections reader, the
+per-float file writers, and a track initializer that seeds one cluster at
+a time with the same kernels. Tests compare library output against these,
+and build the frames they feed the tracker with make_bundle. The
+hypothesis strategies at the end draw floats and JSON values for the
+codec tests and the input fuzzers.
 
 The scalar references (epipolar pair affinity and pose score, the
 initialization filter, smoothing, the greedy actor matcher, per-limb
@@ -24,11 +25,18 @@ from dataclasses import dataclass
 import numpy as np
 from hypothesis import strategies as st
 
+from mvtrack3d import assignment, kernels
 from mvtrack3d.affinity import AffinityConfig, valid_joints
 from mvtrack3d.evaluation import match_actors
 from mvtrack3d.fileio import TrackFrame
 from mvtrack3d.geometry import CameraCalibration, CameraRig
-from mvtrack3d.tracker import FrameBundle, PoseTracker
+from mvtrack3d.tracker import (
+    FrameBundle,
+    JointFlag,
+    PoseTracker,
+    Skeleton3D,
+    Track,
+)
 
 
 def look_at_camera(cam_id, position, target, focal=700.0, width=800,
@@ -616,6 +624,108 @@ def reference_ground_truth_text(frames, schema_name, n_joints):
     return text
 
 
+def _reference_clusters(tracker, views):
+    """Greedy cross-view clustering of unmatched poses, one scoring call
+    per camera step over a freshly stacked list of the members so far.
+
+    views maps a camera index to its pixels (P,N,2), validity (P,N) and
+    unmatched pose rows; each cluster is a list of (camera index, row),
+    one per camera.
+    """
+    aff = tracker.config.affinity
+    rig = tracker.rig
+    clusters = []
+    for ci, (uv, valid, rows) in sorted(views.items()):
+        if not clusters:
+            clusters = [[(ci, r)] for r in rows]
+            continue
+        members = [m for cluster in clusters for m in cluster]
+        cj = np.array([c for c, _ in members])
+        member_uv = np.array([views[c][0][r] for c, r in members])
+        member_valid = np.array([views[c][1][r] for c, r in members])
+        pair_scores = kernels.epipolar_pose_score(
+            member_uv[:, None], member_valid[:, None],
+            uv[list(rows)], valid[list(rows)],
+            rig.f_table[cj, ci][:, None], rig.f_table[ci, cj][:, None],
+            aff.alpha_epi)
+        starts = np.cumsum([0] + [len(c) for c in clusters[:-1]])
+        scores = np.maximum.reduceat(pair_scores, starts, axis=0)
+        match = assignment.solve(scores, 0.0)
+        for k, col in match.pairs:
+            clusters[k].append((ci, rows[col]))
+        for col in match.unmatched_cols:
+            clusters.append([(ci, rows[col])])
+    return clusters
+
+
+def _reference_seed(tracker, uv, valid, cam_idx, t):
+    """A cluster's first skeleton, filtered and triangulated on its own:
+    uv (N,M,2) and valid (N,M) hold its M poses, seen by the cameras
+    cam_idx (M,), in M slots. None when no joint triangulates."""
+    cfg = tracker.config
+    rig = tracker.rig
+    keep = valid
+    if cfg.joints_filter:
+        keep = kernels.filter_init_mask(uv, keep, cam_idx, rig.f_table,
+                                        cfg.affinity.alpha_epi)
+    uvn = np.stack((uv[..., 0] * rig.su[cam_idx] - 1.0,
+                    uv[..., 1] * rig.sv[cam_idx] - 1.0), axis=-1)
+    xyz, status = kernels.triangulate_batch(
+        uvn, rig.pn_table[cam_idx], np.ones(len(cam_idx)), keep)
+    tri = status == 0
+    if not tri.any():
+        return None
+    joints = np.where(tri[:, None], xyz, 0.0)
+    flags = np.where(tri, JointFlag.TRIANGULATED, JointFlag.PREDICTED)
+    centroid = joints[tri].mean(axis=0)
+    for n in np.flatnonzero(~tri):
+        kept = np.flatnonzero(keep[n])
+        if kept.size:
+            slot = kept[0]
+        elif valid[n, 0]:
+            slot = 0
+        else:
+            joints[n] = centroid
+            continue
+        ci = cam_idx[slot]
+        direction = kernels.back_project_dir(uv[n, slot, 0], uv[n, slot, 1],
+                                             rig.krinv_table[ci])
+        depth = float(np.dot(centroid - rig.origins[ci], direction))
+        if depth <= 0:
+            joints[n] = centroid
+        else:
+            joints[n] = rig.origins[ci] + depth * direction
+    return Skeleton3D(t, joints, flags)
+
+
+def reference_initialize(tracker, unmatched, bundle):
+    """PoseTracker.initialize one cluster at a time: the clustering
+    scores each camera step on its own, and each cluster of two or more
+    poses is filtered and triangulated alone, in as many slots as it has
+    poses. Takes the next track ids from tracker and returns the new
+    tracks."""
+    ids = [cam.cam_id for cam in tracker.rig.cameras]
+    views = {ci: (bundle.poses[ids[ci]][..., :2], bundle.valid[ids[ci]], rows)
+             for ci, rows in unmatched.items() if len(rows)}
+    new_tracks = []
+    for cluster in _reference_clusters(tracker, views):
+        if len(cluster) < 2:
+            continue
+        cam_idx = np.array([ci for ci, _ in cluster], dtype=np.int64)
+        uv = np.stack([views[ci][0][r] for ci, r in cluster], axis=1)
+        valid = np.stack([views[ci][1][r] for ci, r in cluster], axis=1)
+        times = [bundle.times[ids[ci]] for ci, _ in cluster]
+        skeleton = _reference_seed(tracker, uv, valid, cam_idx, bundle.time_s)
+        if skeleton is None:
+            continue
+        track = Track(tracker._next_id, skeleton, len(tracker.rig),
+                      tracker.config.smooth_window)
+        track.see(cam_idx, bundle.frame, times, uv, valid)
+        tracker._next_id += 1
+        new_tracks.append(track)
+    return new_tracks
+
+
 # -- hypothesis strategies ---------------------------------------------------
 
 
@@ -639,3 +749,4 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(JSON_TEXT, inner, max_size=4),
     max_leaves=20)
+

@@ -150,7 +150,10 @@ def test_invalid_override_value_fails_cleanly(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("setting", ["n_actors=x", "noise_px=true",
-                                     "seed=1.5", "n_frames=2.5", 'fps="25"'])
+                                     "seed=1.5", "n_frames=2.5", 'fps="25"',
+                                     "noise_px=NaN", "outlier_px=NaN",
+                                     "ring_radius=Infinity",
+                                     "outlier_burst_frames=NaN"])
 def test_wrong_typed_scene_setting_fails_cleanly(capsys, tmp_path, setting):
     code, out, err = run_cli(capsys, "synth", "--out-dir",
                              str(tmp_path / "s"), "--set", setting)
@@ -230,6 +233,10 @@ _TRACK_KEYS = sorted({f for f in vars(TrackerConfig()) if f != "affinity"}
 @given(key=st.sampled_from(_TRACK_KEYS), value=JSON_VALUES)
 @example(key="smooth_window", value=10 ** 12)
 @example(key="alpha_epi", value=5e-324)
+@example(key="alpha_2d", value=5e-324)
+@example(key="alpha_2d", value=1.7976931348623157e308)
+@example(key="lambda_a", value=1.7976931348623157e308)
+@example(key="smooth_sigma", value=5e-324)
 @example(key="alpha_2d", value=math.nan)
 @example(key="max_dt", value=math.inf)
 def test_track_setting_exits_cleanly(tiny_scene, key, value):

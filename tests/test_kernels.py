@@ -209,6 +209,46 @@ def test_init_filter_does_not_depend_on_batch_companions(
         assert alone[0].tolist() == together[b].tolist()
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=SEEDS, n_cams=st.integers(2, 6), n_points=st.integers(1, 8),
+       outlier_rate=st.sampled_from([0.0, 0.2, 0.5]),
+       dead_rate=st.sampled_from([0.0, 0.2, 0.6]),
+       filler=st.sampled_from(["zero", "nan", "pixels"]))
+def test_dead_slots_change_no_bit_of_init_filter_or_triangulation(
+        seed, n_cams, n_points, outlier_rate, dead_rate, filler):
+    """Initialization lays a cluster out with one slot per rig camera,
+    the cameras outside the cluster as dead slots between live ones.
+    Filtering and triangulating that layout keeps and computes, bit for
+    bit, what the compacted layout of the members alone does."""
+    rng = np.random.default_rng(seed)
+    cams = random_ring_rig(rng, n_cams=n_cams)
+    rig = CameraRig(cams)
+    members = np.sort(rng.choice(n_cams, rng.integers(2, n_cams + 1),
+                                 replace=False))
+    absent = np.setdiff1d(np.arange(n_cams), members)
+    uv = noisy_views(rng, cams, np.arange(n_cams), n_points, outlier_rate)
+    uv[:, absent] = {"zero": 0.0, "nan": np.nan,
+                     "pixels": uv[:, absent] + 40.0}[filler]
+    alive = rng.random(uv.shape[:2]) >= dead_rate
+    alive[:, absent] = False
+    spread = kernels.filter_init_mask(uv, alive, np.arange(n_cams),
+                                      rig.f_table, ALPHA)
+    compact = kernels.filter_init_mask(uv[:, members], alive[:, members],
+                                       members, rig.f_table, ALPHA)
+    assert spread[:, members].tolist() == compact.tolist()
+    assert not spread[:, absent].any()
+    uvn = np.stack((uv[..., 0] * rig.su - 1.0, uv[..., 1] * rig.sv - 1.0),
+                   axis=-1)
+    for keep in (alive, spread):
+        xyz, status = kernels.triangulate_batch(uvn, rig.pn_table,
+                                                np.ones(n_cams), keep)
+        want_xyz, want_status = kernels.triangulate_batch(
+            uvn[:, members], rig.pn_table[members], np.ones(len(members)),
+            keep[:, members])
+        assert_same_bits(xyz, want_xyz)
+        assert status.tolist() == want_status.tolist()
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=SEEDS, shift=st.floats(-300.0, 300.0))
 def test_init_filter_breaks_row_sum_ties_toward_the_first_slot(seed, shift):

@@ -3,6 +3,7 @@
 import filecmp
 import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -331,5 +332,14 @@ def test_scene_config_validation():
         with pytest.raises(ConfigError):
             SceneConfig(**bad)
     assert SceneConfig(n_frames=5000, n_cameras=10, n_actors=7)
+    # NaN passes every range test, so each float field is probed
+    floats = [f.name for f in fields(SceneConfig) if f.type == "float"]
+    for name in floats:
+        for bad in (math.nan, math.inf, -math.inf):
+            if name == "outlier_burst_frames" and bad == math.inf:
+                continue
+            with pytest.raises(ConfigError, match=name):
+                SceneConfig(**{name: bad})
+    assert SceneConfig(outlier_burst_frames=math.inf)
     with pytest.raises(Exception):
         generate(SceneConfig(schema_name="unknown99"))

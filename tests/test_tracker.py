@@ -1,10 +1,12 @@
 """Online tracker: association, filtered reconstruction, lifecycle."""
 
+import collections
 import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvtrack3d import geometry, kernels, synth
 from mvtrack3d.affinity import AffinityConfig
@@ -21,9 +23,11 @@ from mvtrack3d.schema import SYNTH14
 
 from helpers import (
     count_identity_switches,
+    homogeneous_project,
     make_bundle,
     points_near_origin,
     random_ring_rig,
+    reference_initialize,
     reference_tracked_filter,
     run_tracker,
     weighted_dlt,
@@ -451,6 +455,145 @@ def test_no_initialization_from_a_single_camera(rng):
     out = tracker.step(make_bundle(0, 0.0, only, cameras=cams))
     assert out == []
     assert tracker.tracks == []
+
+
+def seeding_frame(seed, n_cams, n_actors, noise_px, occlusion, outliers):
+    """A frame for initialize on n_cams ring cameras. Each of n_actors
+    random skeletons is seen by each camera with probability 0.8, in a
+    random pose order per camera, with noise_px of pixel noise. A share
+    occlusion of the joints is occluded (confidence 0, half of them with
+    NaN pixels), and a share outliers is shifted 50-300 px. Each pose is
+    left unmatched with probability 0.8, and a camera with none left is
+    missing from the unmatched map half of the time. Every camera has its
+    own time. Returns (cameras, unmatched, bundle)."""
+    rng = np.random.default_rng(seed)
+    cams = random_ring_rig(rng, n_cams=n_cams)
+    centers = rng.uniform([-1.2, -1.2, 0.0], [1.2, 1.2, 0.0], (n_actors, 1, 3))
+    actors = centers + rng.uniform([-0.3, -0.3, 0.2], [0.3, 0.3, 1.8],
+                                   (n_actors, N, 3))
+    poses, unmatched = {}, {}
+    for ci, cam in enumerate(cams):
+        order = rng.permutation(n_actors)
+        seen = order[rng.random(n_actors) < 0.8]
+        pose = np.full((len(seen), N, 3), 0.9)
+        for k, a in enumerate(seen):
+            pose[k, :, :2] = homogeneous_project(cam, actors[a])[0]
+        pose[..., :2] += rng.normal(0.0, noise_px, pose[..., :2].shape)
+        bad = rng.random(pose.shape[:2]) < outliers
+        ang = rng.uniform(0.0, 2.0 * np.pi, pose.shape[:2])
+        shift = rng.uniform(50.0, 300.0, pose.shape[:2])[..., None]
+        pose[bad, :2] += (shift * np.stack((np.cos(ang), np.sin(ang)),
+                                           axis=-1))[bad]
+        hidden = rng.random(pose.shape[:2]) < occlusion
+        pose[hidden, 2] = 0.0
+        pose[hidden & (rng.random(pose.shape[:2]) < 0.5), :2] = np.nan
+        poses[cam.cam_id] = pose
+        rows = tuple(np.flatnonzero(rng.random(len(seen)) < 0.8).tolist())
+        if rows or rng.random() < 0.5:
+            unmatched[ci] = rows
+    bundle = make_bundle(4, 4 / FPS, poses, cameras=cams)
+    bundle.times = {cam.cam_id: bundle.time_s - 0.001 * rng.integers(0, 3)
+                    for cam in cams}
+    return cams, unmatched, bundle
+
+
+def assert_same_seeding(config, cams, unmatched, bundle, first_id=1):
+    """PoseTracker.initialize spawns, bit for bit, the tracks that
+    reference_initialize seeds one cluster at a time; returns them."""
+    tracker = PoseTracker(CameraRig(cams), config)
+    reference = PoseTracker(CameraRig(cams), config)
+    tracker._next_id = reference._next_id = first_id
+    got = tracker.initialize(unmatched, bundle)
+    want = reference_initialize(reference, unmatched, bundle)
+    assert [t.track_id for t in got] == [t.track_id for t in want]
+    assert tracker._next_id == reference._next_id
+    for g, w in zip(got, want):
+        assert g.skeleton.time_s == w.skeleton.time_s
+        assert g.skeleton.joints.tobytes() == w.skeleton.joints.tobytes()
+        assert g.skeleton.flags.tolist() == w.skeleton.flags.tolist()
+        for name in ("view_frame", "view_time", "view_uv", "view_valid",
+                     "history_times", "history_joints"):
+            assert getattr(g, name).tobytes() == getattr(w, name).tobytes()
+    return got
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_cams=st.integers(2, 5),
+       n_actors=st.integers(0, 6), noise_px=st.sampled_from([0.0, 1.0, 8.0]),
+       occlusion=st.sampled_from([0.0, 0.2, 0.6]),
+       outliers=st.sampled_from([0.0, 0.1, 0.3]), joints_filter=st.booleans())
+def test_seeding_matches_one_cluster_at_a_time(seed, n_cams, n_actors,
+                                               noise_px, occlusion, outliers,
+                                               joints_filter):
+    """The same clusters, track ids, joints, flags and views as seeding
+    each cluster alone, in as many slots as it has poses."""
+    cams, unmatched, bundle = seeding_frame(seed, n_cams, n_actors, noise_px,
+                                            occlusion, outliers)
+    assert_same_seeding(TrackerConfig(joints_filter=joints_filter), cams,
+                        unmatched, bundle, first_id=1 + seed % 50)
+
+
+def test_seeding_puts_a_one_view_joint_at_centroid_depth(rng):
+    cams = random_ring_rig(rng, n_cams=2)
+    poses = exact_bundle(cams, points_near_origin(rng, N), 0).poses
+    poses[cams[1].cam_id][0, 3, 2] = 0.0
+    bundle = make_bundle(0, 0.0, poses, cameras=cams)
+    track, = assert_same_seeding(TrackerConfig(), cams, {0: (0,), 1: (0,)},
+                                 bundle)
+    flags = track.skeleton.flags
+    assert flags[3] == JointFlag.PREDICTED
+    assert np.all(np.delete(flags, 3) == JointFlag.TRIANGULATED)
+    # on camera 0's ray through the joint, at the depth of the centroid
+    joints = track.skeleton.joints
+    centroid = np.delete(joints, 3, axis=0).mean(axis=0)
+    ray = cams[0].krinv @ np.append(poses[cams[0].cam_id][0, 3, :2], 1.0)
+    ray /= np.linalg.norm(ray)
+    expected = cams[0].o + np.dot(centroid - cams[0].o, ray) * ray
+    assert np.allclose(joints[3], expected, atol=1e-9)
+
+
+def test_seeding_skips_a_camera_with_no_unmatched_pose(rng):
+    cams = random_ring_rig(rng, n_cams=3)
+    bundle = exact_bundle(cams, points_near_origin(rng, N), 5)
+    track, = assert_same_seeding(TrackerConfig(), cams,
+                                 {0: (0,), 1: (), 2: (0,)}, bundle)
+    assert track.view_frame.tolist() == [5, -math.inf, 5]
+    assert not track.view_valid[:, 1].any()
+    assert np.all(track.skeleton.flags == JointFlag.TRIANGULATED)
+
+
+def test_a_lone_pose_spawns_no_track(rng):
+    cams = random_ring_rig(rng, n_cams=2)
+    body = rng.uniform([-0.3, -0.3, 0.2], [0.3, 0.3, 1.8], (N, 3))
+    near, far = body + [-0.8, -0.8, 0.0], body + [0.8, 0.8, 0.0]
+    one = exact_bundle(cams, near, 0).poses
+    two = exact_bundle(cams, far, 0).poses
+    poses = {cams[0].cam_id: np.concatenate((two[cams[0].cam_id],
+                                             one[cams[0].cam_id])),
+             cams[1].cam_id: one[cams[1].cam_id]}
+    bundle = make_bundle(0, 0.0, poses, cameras=cams)
+    track, = assert_same_seeding(TrackerConfig(), cams, {0: (0, 1), 1: (0,)},
+                                 bundle, first_id=7)
+    assert track.track_id == 7
+    # camera 0's second pose, the one camera 1 also sees
+    near_pose = poses[cams[0].cam_id][1, :, :2]
+    assert track.view_uv[:, 0].tolist() == near_pose.tolist()
+
+
+def test_initialization_scores_filters_and_triangulates_once(clean_scene,
+                                                              monkeypatch):
+    calls = collections.Counter()
+    for name in ("epipolar_pose_score", "filter_init_mask",
+                 "triangulate_batch"):
+        def counted(*args, _fn=getattr(kernels, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(kernels, name, counted)
+    tracker = PoseTracker(CameraRig(clean_scene.cameras), TrackerConfig())
+    tracker.step(clean_scene.bundles[0])
+    assert len(tracker.tracks) == clean_scene.config.n_actors
+    assert calls == {"epipolar_pose_score": 1, "filter_init_mask": 1,
+                     "triangulate_batch": 1}
 
 
 # -- lifecycle -----------------------------------------------------------
