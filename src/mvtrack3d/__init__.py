@@ -15,7 +15,6 @@ from .errors import (
     MvTrackError,
     NonMonotonicFrames,
     NonMonotonicTime,
-    NoRecentObservations,
     ParseError,
     SchemaMismatch,
     SingularProjection,
@@ -53,7 +52,6 @@ __all__ = [
     "DegenerateBaseline",
     "DegenerateGeometry",
     "InsufficientObservations",
-    "NoRecentObservations",
     "NonMonotonicFrames",
     "NonMonotonicTime",
 ]

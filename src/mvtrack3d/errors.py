@@ -25,10 +25,6 @@ class DegenerateGeometry(MvTrackError):
     """Observation rays do not intersect in a unique finite point."""
 
 
-class NoRecentObservations(MvTrackError):
-    """A track has no matched 2D pose inside the time window."""
-
-
 class NonMonotonicFrames(MvTrackError):
     """Frame indices in a stream went backwards."""
 

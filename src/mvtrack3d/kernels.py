@@ -211,13 +211,6 @@ def filter_tracked_batch(uv, alive, cam_idx, f_table, alpha, pred, origins,
     return alive
 
 
-def filter_tracked_mask(uvs, cam_idx, f_table, alpha, pred, origins, krinv_table):
-    """filter_tracked_batch for the observations uvs (M,2) of a single joint."""
-    alive = np.ones((1, uvs.shape[0]), np.bool_)
-    return filter_tracked_batch(uvs[None], alive, cam_idx, f_table, alpha,
-                                pred[None], origins, krinv_table)[0]
-
-
 def filter_init_mask(uv, alive, cam_idx, f_table, alpha):
     """Epipolar consistency filter used when no 3D prediction exists yet.
 

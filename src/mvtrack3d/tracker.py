@@ -11,6 +11,11 @@ filter and triangulation call for every new track. Only the greedy
 clustering of initialization stays sequential, one assignment per
 camera.
 
+All track state is one TrackTable, whose columns each stage reads and
+writes whole: ids, time, misses (T,); joints, velocity (T,N,3); flags
+(T,N); view_frame, view_time (T,C); view_uv (T,N,C,2); view_valid
+(T,N,C); history_times (T,W); history_joints (T,W,N,3).
+
 Staleness entering the affinity tolerance and the triangulation weights
 is measured in frame intervals, so alpha_2d and lambda_a act per frame
 of staleness here. At 25 fps the preset tolerances would otherwise be
@@ -22,6 +27,7 @@ from __future__ import annotations
 import time as _time
 from dataclasses import dataclass, field, fields, replace
 from enum import IntEnum
+from itertools import chain
 
 import numpy as np
 
@@ -30,7 +36,6 @@ from .affinity import AffinityConfig
 from .errors import (
     ConfigError,
     NonMonotonicTime,
-    NoRecentObservations,
     ValidationError,
 )
 from .geometry import CameraRig
@@ -66,13 +71,6 @@ class Skeleton3D:
             raise ValidationError(f"joints must be (N,3), got {self.joints.shape}")
         if self.flags.shape != (self.joints.shape[0],):
             raise ValidationError("flags must align with joints")
-
-    @property
-    def n_joints(self) -> int:
-        return self.joints.shape[0]
-
-    def copy(self) -> "Skeleton3D":
-        return Skeleton3D(self.time_s, self.joints.copy(), self.flags.copy())
 
 
 @dataclass
@@ -141,70 +139,85 @@ class TrackerConfig:
         return cfg
 
 
-class Track:
-    """State of one tracked person, with its freshest matched view from
-    each of the rig's C cameras: the frame (-inf until a match) and time
-    of that view (C,), its pixels view_uv (N,C,2) and validity (N,C)."""
+class TrackTable:
+    """The state of every live track, one row per track and one column
+    per attribute, for T tracks, N joints and C rig cameras: ids (T,), in
+    birth order; time (T,) of each track's last skeleton, its joints and
+    velocity (T,N,3) and its JointFlag per joint, flags (T,N); misses (T,),
+    frames since the last 2D match; view_frame (-inf until a match) and
+    view_time (T,C) of the freshest matched view from each camera, its
+    pixels view_uv (T,N,C,2) and joint validity view_valid (T,N,C); and
+    the last W raw skeletons, history_times (T,W) and history_joints
+    (T,W,N,3), right-aligned behind time -inf. W is the smoothing window,
+    and 0 when smoothing, the history's only reader, is off.
+    """
 
-    def __init__(self, track_id: int, skeleton: Skeleton3D, n_cams: int,
-                 window: int):
-        self.track_id = track_id
-        self.skeleton = skeleton
-        self.velocity = np.zeros_like(skeleton.joints)
-        self.view_frame = np.full(n_cams, -np.inf)
-        self.view_time = np.zeros(n_cams)
-        self.view_uv = np.zeros((skeleton.n_joints, n_cams, 2))
-        self.view_valid = np.zeros((skeleton.n_joints, n_cams), dtype=bool)
-        self.misses = 0
-        # the last `window` raw skeletons, right-aligned behind time -inf
-        self.history_times = np.full(window, -np.inf)
-        self.history_times[-1] = skeleton.time_s
-        self.history_joints = np.zeros((window,) + skeleton.joints.shape)
-        self.history_joints[-1] = skeleton.joints
+    def __init__(self, n_cams: int, config: TrackerConfig, ids=(),
+                 time_s: float = 0.0, joints=np.zeros((0, 0, 3)),
+                 flags=np.zeros((0, 0))):
+        """Rows for the tracks ids (T,), born at time_s with the skeletons
+        joints (T,N,3) and flags (T,N) and no view yet; none by default."""
+        count, n_joints = np.shape(flags)
+        window = config.smooth_window if config.smoothing else 0
+        self.ids = np.array(ids, dtype=np.int64)
+        self.time = np.full(count, time_s, dtype=np.float64)
+        self.misses = np.zeros(count, dtype=np.int64)
+        self.joints = np.array(joints, dtype=np.float64)
+        self.velocity = np.zeros_like(self.joints)
+        self.flags = np.array(flags, dtype=np.uint8)
+        self.view_frame = np.full((count, n_cams), -np.inf)
+        self.view_time = np.zeros((count, n_cams))
+        self.view_uv = np.zeros((count, n_joints, n_cams, 2))
+        self.view_valid = np.zeros((count, n_joints, n_cams), dtype=bool)
+        self.history_times = np.full((count, window), -np.inf)
+        self.history_joints = np.zeros((count, window, n_joints, 3))
+        if window:
+            self.history_times[:, -1] = time_s
+            self.history_joints[:, -1] = self.joints
 
-    def see(self, ci, frame: int, time_s, uv: np.ndarray, valid: np.ndarray):
-        """Make the pose uv (N,2), valid (N,) seen at frame and time_s the
-        view from camera index ci, or M such poses (N,M,...) from M indices."""
-        self.view_frame[ci] = frame
-        self.view_time[ci] = time_s
-        self.view_uv[:, ci] = uv
-        self.view_valid[:, ci] = valid
+    def __len__(self) -> int:
+        return self.ids.size
+
+    def take(self, keep: np.ndarray) -> None:
+        """Keep only the rows that the boolean mask keep (T,) marks."""
+        vars(self).update({k: col[keep] for k, col in vars(self).items()})
+
+    def extend(self, other: "TrackTable") -> None:
+        """Append copies of other's rows."""
+        mine = vars(self) if len(self) else {}
+        vars(self).update({k: np.concatenate((mine[k], col)) if mine
+                           else col.copy() for k, col in vars(other).items()})
 
     def predict(self, t: float) -> np.ndarray:
-        """Constant-velocity extrapolation of the smoothed joints to time t."""
-        return self.skeleton.joints + self.velocity * (t - self.skeleton.time_s)
+        """Constant-velocity extrapolation of the joints to time t."""
+        return self.joints + self.velocity * (t - self.time)[:, None, None]
 
-    def predicted_skeleton(self, t: float) -> Skeleton3D:
-        flags = np.full(self.skeleton.n_joints, JointFlag.PREDICTED, dtype=np.uint8)
-        return Skeleton3D(t, self.predict(t), flags)
+    def advance(self, rows: np.ndarray, t: float, joints: np.ndarray,
+                flags: np.ndarray, sigma: float, fps: float) -> np.ndarray:
+        """Fold freshly reconstructed skeletons at time t, joints (R,N,3)
+        and flags (R,N), into the rows (R,), smoothing all of them in one
+        call. Returns the new joints (R,N,3), which the table copies."""
+        if self.history_times.shape[1] > 1:
+            times = np.concatenate((self.history_times[rows, 1:],
+                                    np.full((rows.size, 1), t)), axis=1)
+            history = np.concatenate((self.history_joints[rows, 1:],
+                                      joints[:, None]), axis=1)
+            joints = kernels.causal_gaussian_smooth(times, history, sigma,
+                                                    fps, t)
+            self.history_times[rows] = times
+            self.history_joints[rows] = history
+        dt = t - self.time[rows]
+        pos = dt > 0
+        self.velocity[rows[pos]] = ((joints[pos] - self.joints[rows[pos]])
+                                    / dt[pos, None, None])
+        self.joints[rows] = joints
+        self.flags[rows] = flags
+        self.time[rows] = t
+        return joints
 
-    @staticmethod
-    def advance(tracks: list, t: float, joints: np.ndarray, flags: np.ndarray,
-                config: TrackerConfig, fps: float) -> list:
-        """Fold freshly reconstructed skeletons at time t, joints (T,N,3)
-        and flags (T,N), into the state of each of the T tracks, smoothing
-        all of them in one call. Returns the new skeletons in order."""
-        if config.smoothing and tracks[0].history_times.size > 1:
-            # the history is read only here, so only smoothing keeps it
-            times = np.array([tr.history_times for tr in tracks])
-            history = np.array([tr.history_joints for tr in tracks])
-            times = np.concatenate((times[:, 1:], np.full((len(tracks), 1), t)),
-                                   axis=1)
-            history = np.concatenate((history[:, 1:], joints[:, None]), axis=1)
-            smoothed = kernels.causal_gaussian_smooth(
-                times, history, config.smooth_sigma, fps, t
-            )
-            for track, row_t, row_j in zip(tracks, times, history):
-                track.history_times = row_t
-                track.history_joints = row_j
-        else:
-            smoothed = joints.copy()
-        for track, row, row_flags in zip(tracks, smoothed, flags):
-            dt = t - track.skeleton.time_s
-            if dt > 0:
-                track.velocity = (row - track.skeleton.joints) / dt
-            track.skeleton = Skeleton3D(t, row, row_flags)
-        return [track.skeleton for track in tracks]
+
+# bench/spans.py wraps Track.advance by this name.
+Track = TrackTable
 
 
 class PoseTracker:
@@ -213,7 +226,9 @@ class PoseTracker:
     def __init__(self, rig, config: TrackerConfig | None = None):
         self.rig = rig if isinstance(rig, CameraRig) else CameraRig(rig)
         self.config = config or TrackerConfig()
-        self.tracks: list[Track] = []
+        self.tracks = TrackTable(len(self.rig), self.config)
+        # what initialize returns when it spawns nothing; nothing writes it
+        self._no_births = TrackTable(len(self.rig), self.config)
         self._next_id = 1
         self._last_time = -np.inf
         self._last_frame: int | None = None
@@ -228,87 +243,92 @@ class PoseTracker:
         Every camera with detections is scored in one batch, its poses
         padded with invalid joints to the largest count, and the whole
         stack is matched in one call, each camera on its own columns.
-        Each matched pose becomes its track's view from that camera.
-        Returns ({camera index: unmatched pose rows}, {track ids matched
-        this frame}).
+        Each matched pose becomes its track's view from that camera, all
+        in one write. Returns ({camera index: unmatched pose rows}, the
+        (T,) mask of the tracks matched this frame).
         """
         cfg = self.config
         aff = cfg.affinity
         rig = self.rig
-        tracks = self.tracks
+        table = self.tracks
         seen = [(ci, cam.cam_id) for ci, cam in enumerate(rig.cameras)
                 if len(bundle.poses.get(cam.cam_id, ()))]
-        if not tracks or not seen:
+        matched = np.zeros(len(table), dtype=bool)
+        if not len(table) or not seen:
             return {ci: range(len(bundle.poses[cam_id]))
-                    for ci, cam_id in seen}, set()
+                    for ci, cam_id in seen}, matched
         cam_idx = np.array([ci for ci, _ in seen])
         cam_t = np.array([bundle.times[cam_id] for _, cam_id in seen])
-        track_t = np.array([tr.skeleton.time_s for tr in tracks])
-        elapsed = cam_t[:, None] - track_t[None, :]
+        elapsed = cam_t[:, None] - table.time[None, :]
         # staleness in frame intervals, never below one frame
         dts = np.maximum(elapsed * rig.fps, 1.0)
         if aff.max_dt is not None:
             dts = np.minimum(dts, aff.max_dt * rig.fps)
-        pts = np.array([tr.skeleton.joints for tr in tracks])
-        track_valid = (np.array([tr.skeleton.flags for tr in tracks])
-                       != JointFlag.MISSING)
         counts = [len(bundle.poses[cam_id]) for _, cam_id in seen]
-        n_joints = tracks[0].skeleton.n_joints
+        n_joints = table.joints.shape[1]
         pose_uv = np.zeros((len(seen), max(counts), n_joints, 2))
         pose_valid = np.zeros((len(seen), max(counts), n_joints), dtype=bool)
         for k, ((_, cam_id), p) in enumerate(zip(seen, counts)):
             pose_uv[k, :p] = bundle.poses[cam_id][..., :2]
             pose_valid[k, :p] = bundle.valid[cam_id]
         scores = kernels.score_pose_pairs(
-            pts, track_valid, dts, rig.k_table[cam_idx], rig.r_table[cam_idx],
-            rig.origins[cam_idx], pose_uv, pose_valid,
+            table.joints, table.flags != JointFlag.MISSING, dts,
+            rig.k_table[cam_idx], rig.r_table[cam_idx], rig.origins[cam_idx],
+            pose_uv, pose_valid,
             aff.alpha_2d, aff.lambda_a, aff.epsilon, cfg.part_aware,
         )
-        unmatched = {}
-        matched_ids = set()
         matches = assignment.solve(scores, 0.0, counts)
-        for k, ((ci, _), t, match) in enumerate(zip(seen, cam_t.tolist(),
-                                                    matches)):
-            for ti, pi in match.pairs:
-                tracks[ti].see(ci, bundle.frame, t, pose_uv[k, pi],
-                               pose_valid[k, pi])
-                matched_ids.add(tracks[ti].track_id)
-            unmatched[ci] = match.unmatched_cols
-        return unmatched, matched_ids
+        pairs = chain.from_iterable(m.pairs for m in matches)
+        ti, pi = np.fromiter(chain.from_iterable(pairs),
+                             np.int64).reshape(-1, 2).T
+        k = np.repeat(np.arange(len(seen)), [len(m.pairs) for m in matches])
+        # a camera matches each track at most once: no cell is written twice
+        ci = cam_idx[k]
+        table.view_frame[ti, ci] = bundle.frame
+        table.view_time[ti, ci] = cam_t[k]
+        table.view_uv[ti, :, ci] = pose_uv[k, pi]
+        table.view_valid[ti, :, ci] = pose_valid[k, pi]
+        matched[ti] = True
+        return ({ci: m.unmatched_cols for (ci, _), m in zip(seen, matches)},
+                matched)
 
     # -- reconstruction ----------------------------------------------
 
-    def reconstruct(self, tracks: list, recent: np.ndarray,
-                    bundle: FrameBundle) -> list:
-        """Triangulate tracks from their recent views and advance their states.
+    def reconstruct(self, recent: np.ndarray, bundle: FrameBundle) -> tuple:
+        """Rebuild every track that has a view inside the window from those
+        views and advance its state; a track with none coasts on its
+        prediction.
 
-        recent (T,C) marks the cameras whose view of each of the T tracks
-        lies inside the window; all tracks go through the kernels as one
-        batch. Returns the new skeletons in the same order.
+        recent (T,C) marks the cameras whose view of each track lies
+        inside the window; the rebuilt tracks go through the kernels as
+        one batch. Returns the frame's joints (T,N,3) and flags (T,N), in
+        arrays of their own that no later frame writes.
         """
         cfg = self.config
         t = bundle.time_s
         rig = self.rig
-        blind = np.flatnonzero(~recent.any(axis=1))
-        if blind.size:
-            raise NoRecentObservations(f"track {tracks[blind[0]].track_id} "
-                                       f"has no pose within the window")
-        obs_uv = np.array([track.view_uv for track in tracks])
-        obs_valid = (np.array([track.view_valid for track in tracks])
-                     & recent[:, None, :])
-        view_time = np.array([track.view_time for track in tracks])
-        age_frames = np.maximum(t - view_time[recent], 0.0) * rig.fps
+        table = self.tracks
+        joints = table.predict(t)
+        flags = np.full(table.flags.shape, JointFlag.PREDICTED, dtype=np.uint8)
+        rows = np.flatnonzero(recent.any(axis=1))
+        if not rows.size:
+            return joints, flags
+        recent = recent[rows]
+        obs_valid = table.view_valid[rows] & recent[:, None, :]
+        ages = np.maximum(t - table.view_time[rows][recent], 0.0) * rig.fps
         weights = np.zeros(recent.shape)
         # an extreme lambda_a overflows the exponent to -inf: a weight of 0
         with np.errstate(over="ignore"):
-            weights[recent] = np.exp(-cfg.affinity.lambda_a * age_frames)
-        pred = np.array([track.predict(t) for track in tracks])
-        joints, flags = kernels.reconstruct_joints(
-            obs_uv, obs_valid, weights, pred,
+            weights[recent] = np.exp(-cfg.affinity.lambda_a * ages)
+        rebuilt, rebuilt_flags = kernels.reconstruct_joints(
+            table.view_uv[rows], obs_valid, weights, joints[rows],
             rig.f_table, rig.origins, rig.krinv_table, rig.pn_table,
             rig.su, rig.sv, cfg.affinity.alpha_epi, cfg.joints_filter,
         )
-        return Track.advance(tracks, t, joints, flags, cfg, rig.fps)
+        joints[rows] = table.advance(rows, t, rebuilt, rebuilt_flags,
+                                     cfg.smooth_sigma, rig.fps)
+        flags[rows] = rebuilt_flags
+        return joints, flags
 
     # -- initialization ----------------------------------------------
 
@@ -351,8 +371,9 @@ class PoseTracker:
                 clusters.append([(k, p)])
         return clusters
 
-    def initialize(self, unmatched: dict, bundle: FrameBundle) -> list:
-        """Spawn tracks from cross-view clusters of unmatched poses.
+    def initialize(self, unmatched: dict, bundle: FrameBundle) -> TrackTable:
+        """Spawn tracks, returned as new rows, from cross-view clusters of
+        unmatched poses.
 
         Every cluster of two or more poses is filtered and triangulated
         in one batch, laid out as in reconstruct: slot c holds the pose
@@ -360,11 +381,12 @@ class PoseTracker:
         slots. Joints with fewer than two consistent views are placed on
         a single view's ray at the skeleton centroid depth, or at the
         centroid itself, and flagged predicted. A cluster in which not a
-        single joint triangulates spawns no track.
+        single joint triangulates spawns no track. A new track's views are
+        its cluster's poses.
         """
         seen = [ci for ci in sorted(unmatched) if len(unmatched[ci])]
         if len(seen) < 2:
-            return []
+            return self._no_births
         cfg = self.config
         rig = self.rig
         ids = [cam.cam_id for cam in rig.cameras]
@@ -380,7 +402,7 @@ class PoseTracker:
         clusters = [c for c in self._cluster_unmatched(cams, uv, valid, counts)
                     if len(c) >= 2]
         if not clusters:
-            return []
+            return self._no_births
         n_cams = len(rig)
         owner = np.repeat(np.arange(len(clusters)), [len(c) for c in clusters])
         member_k, member_p = np.array([m for c in clusters for m in c]).T
@@ -397,43 +419,43 @@ class PoseTracker:
                         flat_uv[..., 1] * rig.sv - 1.0), axis=-1)
         xyz, status = kernels.triangulate_batch(uvn, rig.pn_table,
                                                 np.ones(n_cams), keep)
-        xyz = xyz.reshape(len(clusters), n_joints, 3)
         ok = (status == 0).reshape(len(clusters), n_joints)
+        joints = np.where(ok[..., None],
+                          xyz.reshape(len(clusters), n_joints, 3), 0.0)
+        flags = np.where(ok, JointFlag.TRIANGULATED, JointFlag.PREDICTED)
         keep = keep.reshape(seed_valid.shape)
-        new_tracks = []
-        for i, cluster in enumerate(clusters):
+        born = ok.any(axis=1)
+        for i in np.flatnonzero(born).tolist():
             tri = ok[i]
-            if not tri.any():
-                continue
-            cam_idx = cams[[k for k, _ in cluster]]
-            joints = np.where(tri[:, None], xyz[i], 0.0)
-            flags = np.where(tri, JointFlag.TRIANGULATED, JointFlag.PREDICTED)
-            centroid = joints[tri].mean(axis=0)
+            first = cams[clusters[i][0][0]]
+            centroid = joints[i][tri].mean(axis=0)
             for n in np.flatnonzero(~tri):
                 kept = np.flatnonzero(keep[i, n])
                 if kept.size:
                     ci = kept[0]
-                elif seed_valid[i, n, cam_idx[0]]:
-                    ci = cam_idx[0]
+                elif seed_valid[i, n, first]:
+                    ci = first
                 else:
-                    joints[n] = centroid
+                    joints[i, n] = centroid
                     continue
                 direction = kernels.back_project_dir(
                     seed_uv[i, n, ci, 0], seed_uv[i, n, ci, 1],
                     rig.krinv_table[ci])
                 depth = float(np.dot(centroid - rig.origins[ci], direction))
                 if depth <= 0:
-                    joints[n] = centroid
+                    joints[i, n] = centroid
                 else:
-                    joints[n] = rig.origins[ci] + depth * direction
-            skeleton = Skeleton3D(bundle.time_s, joints, flags)
-            track = Track(self._next_id, skeleton, n_cams, cfg.smooth_window)
-            track.see(cam_idx, bundle.frame,
-                      [bundle.times[ids[ci]] for ci in cam_idx.tolist()],
-                      seed_uv[i][:, cam_idx], seed_valid[i][:, cam_idx])
-            self._next_id += 1
-            new_tracks.append(track)
-        return new_tracks
+                    joints[i, n] = rig.origins[ci] + depth * direction
+        # the born clusters' ids count up from _next_id; take drops the rest
+        new = TrackTable(n_cams, cfg, self._next_id - 1 + np.cumsum(born),
+                         bundle.time_s, joints, flags)
+        new.view_frame[owner, cams[member_k]] = bundle.frame
+        new.view_time[owner, cams[member_k]] = np.array(
+            [bundle.times[ids[ci]] for ci in seen])[member_k]
+        new.view_uv, new.view_valid = seed_uv, seed_valid
+        new.take(born)
+        self._next_id += len(new)
+        return new
 
     # -- main loop ---------------------------------------------------
 
@@ -447,43 +469,32 @@ class PoseTracker:
             raise NonMonotonicTime(
                 f"frame {bundle.frame} is not after {self._last_frame}"
             )
+        t = bundle.time_s
+        table = self.tracks
         t0 = _time.perf_counter()
-        unmatched, matched_ids = self._associate(bundle)
+        unmatched, matched = self._associate(bundle)
         t1 = _time.perf_counter()
-        emissions = {}
-        tracks = self.tracks
-        if tracks:
-            recent = (bundle.frame - np.array([tr.view_frame for tr in tracks])
-                      < self.config.affinity.tau)
-            observed = recent.any(axis=1)
-            for track, seen in zip(tracks, observed.tolist()):
-                if not seen:
-                    emissions[track.track_id] = track.predicted_skeleton(
-                        bundle.time_s)
-                if track.track_id in matched_ids:
-                    track.misses = 0
-                else:
-                    track.misses += 1
-            if observed.any():
-                active = [tr for tr, seen in zip(tracks, observed) if seen]
-                skeletons = self.reconstruct(active, recent[observed], bundle)
-                for track, skeleton in zip(active, skeletons):
-                    emissions[track.track_id] = skeleton
+        table.misses = np.where(matched, 0, table.misses + 1)
+        joints, flags = self.reconstruct(
+            bundle.frame - table.view_frame < self.config.affinity.tau, bundle)
         t2 = _time.perf_counter()
-        new_tracks = self.initialize(unmatched, bundle)
+        new = self.initialize(unmatched, bundle)
         t3 = _time.perf_counter()
-        limit = self.config.effective_miss_limit
-        self.tracks = [tr for tr in self.tracks if tr.misses <= limit]
-        self.tracks.extend(new_tracks)
-        for track in new_tracks:
-            emissions[track.track_id] = track.skeleton
+        keep = table.misses <= self.config.effective_miss_limit
+        if not keep.all():
+            table.take(keep)
+            joints, flags = joints[keep], flags[keep]
+        if len(new):
+            table.extend(new)
         self.stage_seconds["associate"] += t1 - t0
         self.stage_seconds["reconstruct"] += t2 - t1
         self.stage_seconds["initialize"] += t3 - t2
         self.frames_processed += 1
-        self._last_time = bundle.time_s
+        self._last_time = t
         self._last_frame = bundle.frame
-        return [(tr.track_id, emissions[tr.track_id]) for tr in self.tracks]
+        return [(i, Skeleton3D(t, j, f)) for i, j, f in zip(
+            table.ids.tolist(), chain(joints, new.joints),
+            chain(flags, new.flags))]
 
     @property
     def stage_means_ms(self) -> dict:

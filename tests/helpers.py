@@ -35,7 +35,7 @@ from mvtrack3d.tracker import (
     JointFlag,
     PoseTracker,
     Skeleton3D,
-    Track,
+    TrackTable,
 )
 
 
@@ -703,11 +703,11 @@ def reference_initialize(tracker, unmatched, bundle):
     scores each camera step on its own, and each cluster of two or more
     poses is filtered and triangulated alone, in as many slots as it has
     poses. Takes the next track ids from tracker and returns the new
-    tracks."""
+    tracks' rows."""
     ids = [cam.cam_id for cam in tracker.rig.cameras]
     views = {ci: (bundle.poses[ids[ci]][..., :2], bundle.valid[ids[ci]], rows)
              for ci, rows in unmatched.items() if len(rows)}
-    new_tracks = []
+    new_tracks = TrackTable(len(tracker.rig), tracker.config)
     for cluster in _reference_clusters(tracker, views):
         if len(cluster) < 2:
             continue
@@ -718,11 +718,15 @@ def reference_initialize(tracker, unmatched, bundle):
         skeleton = _reference_seed(tracker, uv, valid, cam_idx, bundle.time_s)
         if skeleton is None:
             continue
-        track = Track(tracker._next_id, skeleton, len(tracker.rig),
-                      tracker.config.smooth_window)
-        track.see(cam_idx, bundle.frame, times, uv, valid)
+        track = TrackTable(len(tracker.rig), tracker.config,
+                           [tracker._next_id], skeleton.time_s,
+                           skeleton.joints[None], skeleton.flags[None])
+        track.view_frame[0, cam_idx] = bundle.frame
+        track.view_time[0, cam_idx] = times
+        track.view_uv[0][:, cam_idx] = uv
+        track.view_valid[0][:, cam_idx] = valid
         tracker._next_id += 1
-        new_tracks.append(track)
+        new_tracks.extend(track)
     return new_tracks
 
 

@@ -116,9 +116,10 @@ def test_criterion_4_outlier_filter_precision_recall(capsys):
                 uvs = np.array([r[1] for r in rows])
                 cam_idx = np.array([r[0] for r in rows], dtype=np.int64)
                 pred = scene.gt[f, actor, n] + rng.normal(0.0, 0.015, 3)
-                keep = kernels.filter_tracked_mask(
-                    uvs, cam_idx, rig.f_table, 30.0, pred,
-                    rig.origins, rig.krinv_table)
+                keep = kernels.filter_tracked_batch(
+                    uvs[None], np.ones((1, len(rows)), bool), cam_idx,
+                    rig.f_table, 30.0, pred[None], rig.origins,
+                    rig.krinv_table)[0]
                 for (ci, uv, code), kept in zip(rows, keep):
                     label = "outlier" if code == synth.CLASS_OUTLIER else "clean"
                     totals[label] += 1

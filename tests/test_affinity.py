@@ -18,8 +18,8 @@ from mvtrack3d.tracker import (
     JointFlag,
     PoseTracker,
     Skeleton3D,
-    Track,
     TrackerConfig,
+    TrackTable,
 )
 
 from helpers import (
@@ -184,14 +184,16 @@ def test_joint_affinity_staleness_clamp(monkeypatch):
                              max_dt=max_dt)
         tracker = PoseTracker(CameraRig([cam]), TrackerConfig(affinity=cfg))
         t = 6.0
-        track = Track(1, make_skeleton(pts, t - stale_frames / 4.0), 1,
-                      window=5)
-        tracker.tracks = [track]
+        skeleton = make_skeleton(pts, t - stale_frames / 4.0)
+        tracker.tracks.extend(TrackTable(
+            1, tracker.config, [1], skeleton.time_s, skeleton.joints[None],
+            skeleton.flags[None]))
         joints = np.column_stack([uv + [shift_px, 0.0], np.full(N, 0.9)])
         tracker.step(make_bundle(24, t, {cam.cam_id: joints[None]}, cfg))
         # the track's view from the camera is this pose, at this frame
-        matched = bool(track.view_frame[0] == 24 and np.array_equal(
-            track.view_uv[:, 0], joints[:, :2]))
+        table = tracker.tracks
+        matched = bool(table.view_frame[0, 0] == 24 and np.array_equal(
+            table.view_uv[0, :, 0], joints[:, :2]))
         return float(scored[-1][0, 0, 0]), matched
 
     # max_dt 0.5 s is 2 frames, a tolerance of 120 px

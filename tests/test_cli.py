@@ -4,12 +4,14 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import mvtrack3d
 from mvtrack3d import synth
 from mvtrack3d.affinity import AffinityConfig
 from mvtrack3d.cli import main
@@ -359,9 +361,14 @@ def test_bench_reports_stage_timings(capsys):
 
 
 def test_module_entry_point_prints_usage():
+    # the child imports the package from where this process found it
+    src = os.path.dirname(os.path.dirname(mvtrack3d.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": src + (os.pathsep + path if path else "")}
     proc = subprocess.run(
         [sys.executable, "-m", "mvtrack3d", "--help"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     for sub in ("synth", "track", "eval", "bench"):
         assert sub in proc.stdout

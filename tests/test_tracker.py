@@ -16,8 +16,8 @@ from mvtrack3d.tracker import (
     JointFlag,
     PoseTracker,
     Skeleton3D,
-    Track,
     TrackerConfig,
+    TrackTable,
 )
 from mvtrack3d.schema import SYNTH14
 
@@ -88,10 +88,7 @@ def test_tracker_config_defaults_and_overrides():
 def test_skeleton_validation(rng):
     joints = points_near_origin(rng, N)
     flags = np.zeros(N, np.uint8)
-    sk = Skeleton3D(0.0, joints, flags)
-    dup = sk.copy()
-    dup.joints[0, 0] += 1.0
-    assert sk.joints[0, 0] != dup.joints[0, 0]
+    Skeleton3D(0.0, joints, flags)
     with pytest.raises(Exception):
         Skeleton3D(0.0, joints[:, :2], flags)
 
@@ -102,20 +99,15 @@ def test_skeleton_validation(rng):
 def test_constant_velocity_prediction(rng):
     joints0 = points_near_origin(rng, N)
     vel = rng.uniform(-1.0, 1.0, size=(N, 3))
-    sk0 = Skeleton3D(0.0, joints0, np.zeros(N, np.uint8))
-    track = Track(1, sk0, 1, window=5)
-    assert np.array_equal(track.predict(0.2), joints0)
+    flags = np.zeros((1, N), np.uint8)
+    table = TrackTable(1, no_smoothing(), [1], 0.0, joints0[None], flags)
+    assert np.array_equal(table.predict(0.2)[0], joints0)
 
-    sk1 = Skeleton3D(0.04, joints0 + vel * 0.04, np.zeros(N, np.uint8))
-    Track.advance([track], sk1.time_s, sk1.joints[None], sk1.flags[None],
-                  no_smoothing(), FPS)
-    predicted = track.predict(0.12)
-    expected = sk1.joints + vel * 0.08
+    joints1 = joints0 + vel * 0.04
+    table.advance(np.array([0]), 0.04, joints1[None], flags, 1.0, FPS)
+    predicted = table.predict(0.12)[0]
+    expected = joints1 + vel * 0.08
     assert np.max(np.abs(predicted - expected)) < 1e-12
-
-    ghost = track.predicted_skeleton(0.12)
-    assert np.all(ghost.flags == JointFlag.PREDICTED)
-    assert ghost.time_s == 0.12
 
 
 # -- reconstruction ------------------------------------------------------
@@ -170,13 +162,12 @@ def test_unobserved_joint_falls_back_to_prediction(rng):
     tracker = PoseTracker(CameraRig(cams), no_smoothing())
     joints0 = points_near_origin(rng, N)
     tracker.step(exact_bundle(cams, joints0, 0))
-    track = tracker.tracks[0]
 
     bundle = exact_bundle(cams, joints0, 1)
     for cam in cams:
         bundle.poses[cam.cam_id][0, 5, 2] = 0.0
         bundle.valid[cam.cam_id][0, 5] = False
-    expected = track.predict(1 / FPS)[5]
+    expected = tracker.tracks.predict(1 / FPS)[0, 5]
     out = tracker.step(bundle)
     sk = out[0][1]
     assert sk.flags[5] == JointFlag.PREDICTED
@@ -213,24 +204,21 @@ def test_reconstruction_does_not_depend_on_batch_companions():
     flags_seen = set()
     for bundle in scene.bundles:
         batch = copy.deepcopy(tracker)
-        view_frame = np.reshape([tr.view_frame for tr in batch.tracks],
-                                (-1, len(batch.rig)))
-        recent = bundle.frame - view_frame < tau
+        recent = bundle.frame - batch.tracks.view_frame < tau
         rows = np.flatnonzero(recent.any(axis=1))
         if len(rows) >= 2:
-            observed = [batch.tracks[r] for r in rows]
-            together = batch.reconstruct(observed, recent[rows], bundle)
-            for k, (track, r) in enumerate(zip(observed, rows)):
+            joints, flags = batch.reconstruct(recent, bundle)
+            for r in rows:
                 solo = copy.deepcopy(tracker)
-                solo_track = solo.tracks[r]
-                assert solo_track.track_id == track.track_id
-                alone = solo.reconstruct([solo_track], recent[[r]],
-                                         bundle)[0]
-                assert np.array_equal(alone.joints, together[k].joints)
-                assert np.array_equal(alone.flags, together[k].flags)
-                assert np.array_equal(solo_track.history_joints,
-                                      track.history_joints)
-                flags_seen.update(alone.flags.tolist())
+                assert solo.tracks.ids[r] == batch.tracks.ids[r]
+                alone = np.zeros_like(recent)
+                alone[r] = recent[r]
+                alone_joints, alone_flags = solo.reconstruct(alone, bundle)
+                assert np.array_equal(alone_joints[r], joints[r])
+                assert np.array_equal(alone_flags[r], flags[r])
+                assert np.array_equal(solo.tracks.history_joints[r],
+                                      batch.tracks.history_joints[r])
+                flags_seen.update(alone_flags[r].tolist())
                 compared += 1
         tracker.step(bundle)
     assert compared >= 50
@@ -274,10 +262,10 @@ def test_part_aware_matching_survives_limb_outliers(noisy_scene):
         assert patched.valid[cam0.cam_id][0, legs].all()
         tracker.step(patched)
         # camera 0's view of some track is the corrupted pose, this frame
-        results[part_aware] = any(
-            tr.view_frame[0] == bundle.frame
-            and np.array_equal(tr.view_uv[:, 0], poses[0, :, :2])
-            for tr in tracker.tracks)
+        table = tracker.tracks
+        results[part_aware] = bool(np.any(
+            (table.view_frame[:, 0] == bundle.frame)
+            & (table.view_uv[:, :, 0] == poses[0, :, :2]).all(axis=(1, 2))))
     assert results[True] is True
     assert results[False] is False
 
@@ -308,9 +296,9 @@ def filter_setup(rng, n_cams=4):
 
 def test_filter_keeps_consistent_observations(rng):
     _, rig, p, uvs, idx = filter_setup(rng)
-    keep = kernels.filter_tracked_mask(uvs, idx, rig.f_table, 30.0,
-                                       p + 0.01, rig.origins,
-                                       rig.krinv_table)
+    keep = kernels.filter_tracked_batch(
+        uvs[None], np.ones((1, 4), bool), idx, rig.f_table, 30.0,
+        (p + 0.01)[None], rig.origins, rig.krinv_table)[0]
     assert keep.all()
 
 
@@ -321,9 +309,9 @@ def test_filter_removes_single_outlier(rng):
         direction = rng.normal(0.0, 1.0, 2)
         uvs[bad] += 150.0 * direction / np.linalg.norm(direction)
         pred = p + rng.normal(0.0, 0.02, 3)
-        keep = kernels.filter_tracked_mask(uvs, idx, rig.f_table, 30.0,
-                                           pred, rig.origins,
-                                           rig.krinv_table)
+        keep = kernels.filter_tracked_batch(
+            uvs[None], np.ones((1, 4), bool), idx, rig.f_table, 30.0,
+            pred[None], rig.origins, rig.krinv_table)[0]
         assert not keep[bad]
         assert keep.sum() == 3
 
@@ -331,9 +319,9 @@ def test_filter_removes_single_outlier(rng):
 def test_filter_two_views_drops_the_one_far_from_prediction(rng):
     _, rig, p, uvs, idx = filter_setup(rng, n_cams=2)
     uvs[1] += 120.0
-    keep = kernels.filter_tracked_mask(uvs, idx, rig.f_table, 30.0,
-                                       p + 0.01, rig.origins,
-                                       rig.krinv_table)
+    keep = kernels.filter_tracked_batch(
+        uvs[None], np.ones((1, 2), bool), idx, rig.f_table, 30.0,
+        (p + 0.01)[None], rig.origins, rig.krinv_table)[0]
     assert keep.tolist() == [True, False]
 
 
@@ -350,9 +338,9 @@ def test_filter_recall_and_precision_on_random_trials(rng):
             uvs[b] += rng.uniform(100.0, 300.0) * np.array(
                 [np.cos(ang), np.sin(ang)])
         pred = p + rng.normal(0.0, 0.02, 3)
-        keep = kernels.filter_tracked_mask(
-            np.ascontiguousarray(uvs), idx, rig.f_table, 30.0, pred,
-            rig.origins, rig.krinv_table)
+        keep = kernels.filter_tracked_batch(
+            uvs[None], np.ones((1, n_cams), bool), idx, rig.f_table, 30.0,
+            pred[None], rig.origins, rig.krinv_table)[0]
         for c in range(n_cams):
             if c in bad:
                 removed_bad += int(not keep[c])
@@ -370,9 +358,10 @@ def test_filter_survivors_are_pairwise_consistent(rng):
     for _ in range(100):
         cams, rig, p, uvs, idx = filter_setup(rng, n_cams=5)
         uvs += rng.normal(0.0, rng.uniform(0.5, 60.0), size=uvs.shape)
-        keep = kernels.filter_tracked_mask(
-            np.ascontiguousarray(uvs), idx, rig.f_table, 30.0,
-            p + rng.normal(0.0, 0.05, 3), rig.origins, rig.krinv_table)
+        keep = kernels.filter_tracked_batch(
+            uvs[None], np.ones((1, 5), bool), idx, rig.f_table, 30.0,
+            (p + rng.normal(0.0, 0.05, 3))[None], rig.origins,
+            rig.krinv_table)[0]
         alive = np.where(keep)[0]
         if len(alive) >= 2:
             uv, cam = uvs[alive], idx[alive]
@@ -454,7 +443,7 @@ def test_no_initialization_from_a_single_camera(rng):
     only = {cams[0].cam_id: bundle.poses[cams[0].cam_id]}
     out = tracker.step(make_bundle(0, 0.0, only, cameras=cams))
     assert out == []
-    assert tracker.tracks == []
+    assert len(tracker.tracks) == 0
 
 
 def seeding_frame(seed, n_cams, n_actors, noise_px, occlusion, outliers):
@@ -499,21 +488,17 @@ def seeding_frame(seed, n_cams, n_actors, noise_px, occlusion, outliers):
 
 def assert_same_seeding(config, cams, unmatched, bundle, first_id=1):
     """PoseTracker.initialize spawns, bit for bit, the tracks that
-    reference_initialize seeds one cluster at a time; returns them."""
+    reference_initialize seeds one cluster at a time; returns their rows."""
     tracker = PoseTracker(CameraRig(cams), config)
     reference = PoseTracker(CameraRig(cams), config)
     tracker._next_id = reference._next_id = first_id
     got = tracker.initialize(unmatched, bundle)
     want = reference_initialize(reference, unmatched, bundle)
-    assert [t.track_id for t in got] == [t.track_id for t in want]
+    assert got.ids.tolist() == want.ids.tolist()
     assert tracker._next_id == reference._next_id
-    for g, w in zip(got, want):
-        assert g.skeleton.time_s == w.skeleton.time_s
-        assert g.skeleton.joints.tobytes() == w.skeleton.joints.tobytes()
-        assert g.skeleton.flags.tolist() == w.skeleton.flags.tolist()
-        for name in ("view_frame", "view_time", "view_uv", "view_valid",
-                     "history_times", "history_joints"):
-            assert getattr(g, name).tobytes() == getattr(w, name).tobytes()
+    assert vars(got).keys() == vars(want).keys()
+    for name, column in vars(got).items():
+        assert column.tobytes() == getattr(want, name).tobytes()
     return got
 
 
@@ -538,13 +523,14 @@ def test_seeding_puts_a_one_view_joint_at_centroid_depth(rng):
     poses = exact_bundle(cams, points_near_origin(rng, N), 0).poses
     poses[cams[1].cam_id][0, 3, 2] = 0.0
     bundle = make_bundle(0, 0.0, poses, cameras=cams)
-    track, = assert_same_seeding(TrackerConfig(), cams, {0: (0,), 1: (0,)},
-                                 bundle)
-    flags = track.skeleton.flags
+    table = assert_same_seeding(TrackerConfig(), cams, {0: (0,), 1: (0,)},
+                                bundle)
+    assert len(table) == 1
+    flags = table.flags[0]
     assert flags[3] == JointFlag.PREDICTED
     assert np.all(np.delete(flags, 3) == JointFlag.TRIANGULATED)
     # on camera 0's ray through the joint, at the depth of the centroid
-    joints = track.skeleton.joints
+    joints = table.joints[0]
     centroid = np.delete(joints, 3, axis=0).mean(axis=0)
     ray = cams[0].krinv @ np.append(poses[cams[0].cam_id][0, 3, :2], 1.0)
     ray /= np.linalg.norm(ray)
@@ -555,11 +541,12 @@ def test_seeding_puts_a_one_view_joint_at_centroid_depth(rng):
 def test_seeding_skips_a_camera_with_no_unmatched_pose(rng):
     cams = random_ring_rig(rng, n_cams=3)
     bundle = exact_bundle(cams, points_near_origin(rng, N), 5)
-    track, = assert_same_seeding(TrackerConfig(), cams,
-                                 {0: (0,), 1: (), 2: (0,)}, bundle)
-    assert track.view_frame.tolist() == [5, -math.inf, 5]
-    assert not track.view_valid[:, 1].any()
-    assert np.all(track.skeleton.flags == JointFlag.TRIANGULATED)
+    table = assert_same_seeding(TrackerConfig(), cams,
+                                {0: (0,), 1: (), 2: (0,)}, bundle)
+    assert len(table) == 1
+    assert table.view_frame[0].tolist() == [5, -math.inf, 5]
+    assert not table.view_valid[0, :, 1].any()
+    assert np.all(table.flags[0] == JointFlag.TRIANGULATED)
 
 
 def test_a_lone_pose_spawns_no_track(rng):
@@ -572,12 +559,12 @@ def test_a_lone_pose_spawns_no_track(rng):
                                              one[cams[0].cam_id])),
              cams[1].cam_id: one[cams[1].cam_id]}
     bundle = make_bundle(0, 0.0, poses, cameras=cams)
-    track, = assert_same_seeding(TrackerConfig(), cams, {0: (0, 1), 1: (0,)},
-                                 bundle, first_id=7)
-    assert track.track_id == 7
+    table = assert_same_seeding(TrackerConfig(), cams,
+                                {0: (0, 1), 1: (0,)}, bundle, first_id=7)
+    assert table.ids.tolist() == [7]
     # camera 0's second pose, the one camera 1 also sees
     near_pose = poses[cams[0].cam_id][1, :, :2]
-    assert track.view_uv[:, 0].tolist() == near_pose.tolist()
+    assert table.view_uv[0, :, 0].tolist() == near_pose.tolist()
 
 
 def test_initialization_scores_filters_and_triangulates_once(clean_scene,
@@ -605,7 +592,7 @@ def test_track_retirement_and_fresh_ids(rng):
     joints = points_near_origin(rng, N)
     tracker.step(exact_bundle(cams, joints, 0))
     tracker.step(exact_bundle(cams, joints, 1))
-    old_id = tracker.tracks[0].track_id
+    old_id = tracker.tracks.ids[0]
     limit = tracker.config.effective_miss_limit
     tau = tracker.config.affinity.tau
 
@@ -616,6 +603,7 @@ def test_track_retirement_and_fresh_ids(rng):
         if out:
             alive_frames += 1
             sk = out[0][1]
+            assert sk.time_s == k / FPS
             age = k - 1
             ages.add(age)
             # views less than tau frames old still triangulate
@@ -624,12 +612,44 @@ def test_track_retirement_and_fresh_ids(rng):
             assert np.all(sk.flags == expected)
     assert alive_frames == limit
     assert {tau - 1, tau} <= ages
-    assert tracker.tracks == []
+    assert len(tracker.tracks) == 0
 
     k = 2 + limit + 1
     out = tracker.step(exact_bundle(cams, joints, k))
     assert len(out) == 1
     assert out[0][0] != old_id
+
+
+def test_returned_skeletons_never_change(clean_scene):
+    """The skeletons step returns stay as returned while later frames
+    write the track state in place: through births into an empty table,
+    births beside live tracks, retirements and a frame with no poses."""
+    scene = clean_scene
+    tracker = PoseTracker(CameraRig(scene.cameras),
+                          TrackerConfig(miss_limit=0))
+    returned, kept = [], []
+    for bundle in scene.bundles[:40]:
+        poses = dict(bundle.poses)
+        if bundle.frame == 10:
+            poses = {}
+        elif bundle.frame in (20, 21):
+            # actor 0 leaves every camera for two frames
+            poses = {c: p[[scene.actor_of[(bundle.frame, c, i)] != 0
+                           for i in range(len(p))]]
+                     for c, p in poses.items()}
+        out = tracker.step(make_bundle(bundle.frame, bundle.time_s, poses,
+                                       tracker.config.affinity, scene.cameras))
+        returned.append(out)
+        kept.append(copy.deepcopy(out))
+    ids = [[tid for tid, _ in out] for out in returned]
+    assert ids[10] == [] and len(ids[11]) == 3
+    assert len(ids[20]) == 2 and len(ids[22]) == 3
+    assert set(ids[21]) < set(ids[22]) and not set(ids[22]) <= set(ids[11])
+    for out, copies in zip(returned, kept):
+        for (tid, sk), (kid, ksk) in zip(out, copies, strict=True):
+            assert tid == kid and sk.time_s == ksk.time_s
+            assert sk.joints.tobytes() == ksk.joints.tobytes()
+            assert sk.flags.tobytes() == ksk.flags.tobytes()
 
 
 def test_stale_view_stays_out_of_the_filter(rng):
@@ -647,9 +667,13 @@ def test_stale_view_stays_out_of_the_filter(rng):
     new = old + np.array([0.5, -0.4, 0.3])
     uv = np.stack([[geometry.project(p, cam) for p in new] for cam in cams[:2]],
                   axis=1)
-    tracker.tracks[0].see([0, 1], tau, tau / FPS, uv, np.ones((N, 2), bool))
+    table = tracker.tracks
+    table.view_frame[0, :2] = tau
+    table.view_time[0, :2] = tau / FPS
+    table.view_uv[0, :, :2] = uv
+    table.view_valid[0, :, :2] = True
     inside = copy.deepcopy(tracker)
-    inside.tracks[0].view_frame[2] = 1
+    inside.tracks.view_frame[0, 2] = 1
 
     (_, sk), = tracker.step(make_bundle(tau, tau / FPS, {}))
     assert np.all(sk.flags == JointFlag.TRIANGULATED)
