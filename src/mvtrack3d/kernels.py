@@ -1,12 +1,20 @@
 """Numeric kernels, numpy array code over a whole frame at once.
 
 Projection, pose scoring (every camera of a frame at once), both
-epipolar filters and the cross-view pose score work on stacked arrays;
-triangulation is one batched LAPACK eigensolve of every joint's 4×4
-normal matrix AᵀA. Track initialization calls the cross-view pose score
-once per frame, over every pair of cameras, and the initialization
-filter and triangulation once, over every new track. Loops remain only
-over greedy removal steps, the smoothing window and the cameras of the
+epipolar filters and the cross-view pose score work on stacked arrays.
+Triangulation finds the null vector of every joint's 4×4 normal matrix
+AᵀA at once, with elementwise array code and no LAPACK call: the
+adjugate of AᵀA from its 2×2 minors, then a few steps of inverse
+iteration with it. A certificate from the residual of each vector and a
+lower bound on the second smallest eigenvalue accepts a joint only when
+both status tests are far from their thresholds and the point is within
+5e-13·(1 + |x|) of the exact one; the few joints it leaves (nearly
+parallel rays, rank deficient or non-finite systems, points at infinity)
+go through one np.linalg.eigh call over just those matrices. Track
+initialization calls the cross-view pose score once per frame, over
+every pair of cameras, and the initialization filter and triangulation
+once, over every new track. Loops remain only over greedy removal steps,
+the smoothing window, the inverse-iteration steps and the cameras of the
 tracker's greedy clustering, which joins one camera's poses at a time,
 and in the assignment: one scalar rectangular Hungarian solve per call
 of assignment_lex, over Python lists, whose duals settle the tie-break
@@ -16,17 +24,22 @@ single numpy pass over a frame's stack of matrices settles every matrix
 with a unique best matching.
 
 Elementwise expressions follow the scalar order of operations and sums
-run left to right, so each element's result does not depend on the
-batch it is computed in. A dead slot, one whose observation is not
-alive, adds exact zeros to the filters' sums and zero rows to AᵀA, so
-a joint gets the same bits whether absent cameras sit as dead slots
-between its live ones or are left out.
+run in a fixed order, left to right unless a comment says otherwise, so
+each element's result does not depend on the batch it is computed in;
+eigh works on one matrix at a time, so the fallback keeps this too. A
+dead slot, one whose observation is not alive, adds exact zeros to the
+filters' sums and zero rows to AᵀA, so a joint gets the same bits
+whether absent cameras sit as dead slots between its live ones or are
+left out.
 
 Status codes returned by triangulate_batch:
   0 ok, 1 too few rows, 2 rank deficient, 3 point at infinity.
 Rank deficient means σ3 <= 1e-7·σ1 for the singular values of A. The
 eigenvalues of AᵀA carry an error of about eps·σ1², so σ3/σ1 cannot be
 resolved below about 1e-8, and an exactly rank-2 system reads near it.
+Both solvers give every joint the same status: the certificate accepts
+only joints whose status is 0 by a wide margin, and eigh decides the
+rest with the tests above.
 """
 
 import functools
@@ -84,14 +97,15 @@ def epipolar_pair_affinities(ua, va, ub, vb, f_ab, f_ba, alpha):
     la = f_ab[..., 0, 0] * ua + f_ab[..., 0, 1] * va + f_ab[..., 0, 2]
     lb = f_ab[..., 1, 0] * ua + f_ab[..., 1, 1] * va + f_ab[..., 1, 2]
     lc = f_ab[..., 2, 0] * ua + f_ab[..., 2, 1] * va + f_ab[..., 2, 2]
-    n1 = np.sqrt(la * la + lb * lb)
     ma = f_ba[..., 0, 0] * ub + f_ba[..., 0, 1] * vb + f_ba[..., 0, 2]
     mb = f_ba[..., 1, 0] * ub + f_ba[..., 1, 1] * vb + f_ba[..., 1, 2]
     mc = f_ba[..., 2, 0] * ub + f_ba[..., 2, 1] * vb + f_ba[..., 2, 2]
-    n2 = np.sqrt(ma * ma + mb * mb)
-    on_epipole = (n1 < 1e-12) | (n2 < 1e-12)
-    # a tiny alpha overflows the quotient to inf, which scores -inf
+    # a tiny alpha overflows the quotient to inf, which scores -inf; a
+    # huge pixel, as an invalid joint may hold, overflows the line norms
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        n1 = np.sqrt(la * la + lb * lb)
+        n2 = np.sqrt(ma * ma + mb * mb)
+        on_epipole = (n1 < 1e-12) | (n2 < 1e-12)
         d1 = np.abs(la * ub + lb * vb + lc) / n1
         d2 = np.abs(ma * ua + mb * va + mc) / n2
         a = 1.0 - (d1 + d2) / (2.0 * alpha)
@@ -240,41 +254,181 @@ def filter_init_mask(uv, alive, cam_idx, f_table, alpha):
     return alive
 
 
+def _cofactor_tables():
+    """Index tables for the adjugate of a batch of symmetric 4×4 matrices
+    held as a flat (16,B) stack, read from the upper triangle.
+
+    Cofactor C_ij (i <= j) expands the 3×3 minor of M without row i and
+    column j along its first row: three products of an entry of M with a
+    signed 2×2 minor, each minor one a·b - c·d over four entries. C_ji
+    reuses the row of C_ij, so the adjugate is exactly symmetric: ten
+    cofactors, gathered into sixteen slots. Returns (minors (4,K), the
+    entries (16,3) and minors (16,3) of each cofactor's terms, the six
+    principal 2×2 minors (6,))."""
+    def flat(r, c):
+        return 4 * min(r, c) + max(r, c)
+
+    minors = []
+
+    def minor(rows, cols, sign):
+        (r0, r1), (c0, c1) = rows, cols
+        pos = tuple(sorted((flat(r0, c0), flat(r1, c1))))
+        neg = tuple(sorted((flat(r0, c1), flat(r1, c0))))
+        key = pos + neg if sign > 0 else neg + pos
+        if key not in minors:
+            minors.append(key)
+        return minors.index(key)
+
+    entries = np.zeros((16, 3), np.intp)
+    terms = np.zeros((16, 3), np.intp)
+    for i in range(4):
+        for j in range(i, 4):
+            rows = [r for r in range(4) if r != i]
+            cols = [c for c in range(4) if c != j]
+            for t, c in enumerate(cols):
+                rest = [k for k in cols if k != c]
+                entries[4 * i + j, t] = entries[4 * j + i, t] = flat(rows[0], c)
+                terms[4 * i + j, t] = terms[4 * j + i, t] = minor(
+                    rows[1:], rest, (-1) ** (i + j + t))
+    principal = [minor((r, c), (r, c), 1)
+                 for r in range(4) for c in range(r + 1, 4)]
+    return np.array(minors).T, entries, terms, np.array(principal)
+
+
+_MINORS, _COFACTOR_ENTRIES, _COFACTOR_MINORS, _PRINCIPAL = _cofactor_tables()
+_DIAGONAL = np.array([0, 5, 10, 15])
+_EPS = float(np.finfo(np.float64).eps)
+# inverse-iteration steps after the starting column
+_STEPS = 4
+
+
+def _sum4(p):
+    """(p0 + p2) + (p1 + p3) over the first axis of length 4."""
+    q = p[:2] + p[2:]
+    return q[0] + q[1]
+
+
+def _smallest_eigenvectors(m):
+    """Certified unit eigenvectors of the smallest eigenvalue λ0 of a
+    batch of symmetric positive semidefinite 4×4 matrices m (B,4,4).
+
+    Each matrix is scaled to unit trace. Its adjugate, the sum over
+    eigenpairs of the product of the other three eigenvalues times
+    v·vᵀ, weighs v0 by λ1λ2λ3 and v1 by λ0λ2λ3, so each step of inverse
+    iteration x <- adj(M)·x shrinks the error by λ0/λ1. It starts from
+    the adjugate's column with the largest diagonal entry.
+
+    The certificate bounds the error of x from the Rayleigh quotient
+    ρ = xᵀMx and the residual ‖Mx - ρx‖, both from M itself, not from
+    the rounded adjugate. e2 and e3, the sums of the principal 2×2
+    minors and of the adjugate's diagonal, are the second and third
+    elementary symmetric functions of the eigenvalues. As λ0 <= ρ,
+    λ1λ2λ3 >= e3 - ρ·e2 and λ2λ3 <= e2, so λ1 >= e3/e2 - ρ, once each
+    term is moved by a bound on its own rounding. A vector is certified
+    when the sin θ bound (‖Mx - ρx‖ + 4·eps)/(λ1 - ρ) on its angle to v0
+    is at most 5e-13·|x₄|. The rounding term covers the residual's own
+    rounding, and eigh's vector, whose error is about eps/(λ1 - λ0),
+    lies within it too. Then
+      - the point x₁:₃/x₄ moves by at most 5e-13·(1 + |x|) from the
+        exact one;
+      - λ1 > 4·eps/5e-13 > 1e-3 >= 1e-3·λ3, far from the rank test
+        (λ1 <= 1e-14·λ3), which eigh resolves to about eps·λ3;
+      - |x₄| > 1e-3 likewise, far above the point-at-infinity test
+        (|x₄| <= 1e-12·‖x₁:₃‖).
+    Returns (x (4,B), certified (B,)); x is meaningless where not
+    certified, non-finite matrices included.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        f = m.reshape(-1, 16).T
+        f = f / _sum4(f[_DIAGONAL])
+        g = f[_MINORS]
+        minors = g[0] * g[1] - g[2] * g[3]
+        t = f[_COFACTOR_ENTRIES] * minors[_COFACTOR_MINORS]
+        adj = t[:, 0] + t[:, 1] + t[:, 2]
+        diag = adj[_DIAGONAL]
+        e3 = _sum4(diag)
+        # symmetric, so a * x[:, None] holds a[i, j]·x[j] at [j, i]
+        a = (adj / e3).reshape(4, 4, -1)
+        x = a[diag.argmax(axis=0), :, np.arange(a.shape[-1])].T
+        for _ in range(_STEPS):
+            x = _sum4(a * x[:, None])
+        x = x / np.sqrt(_sum4(x * x))
+        y = _sum4(f.reshape(4, 4, -1) * x[:, None])
+        rho = _sum4(x * y)
+        r = y - rho * x
+        res = np.sqrt(_sum4(r * r))
+        p = minors[_PRINCIPAL]
+        p = p[:3] + p[3:]
+        e2 = p[0] + p[1] + p[2]
+        # each bound is moved by its own rounding: e3 sums 24 products of
+        # three entries, e2 12 of two and ρ 16, each entry at most 1 as
+        # |M_ij| <= sqrt(M_ii·M_jj) <= tr M = 1
+        gap = ((e3 - 128.0 * _EPS) / (e2 + 64.0 * _EPS)
+               - 2.0 * rho - 128.0 * _EPS)
+        certified = res + 4.0 * _EPS <= 5e-13 * np.abs(x[3]) * gap
+    return x, certified
+
+
+def _eigh_null_vectors(m):
+    """The eigh path for the matrices m (B,4,4) the certificate leaves:
+    (x (4,B), status (B,)) with status 0, 2 or 3."""
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    # eigh raises on a non-finite matrix, which a huge finite pixel can give
+    lam, vec = np.linalg.eigh(np.where(finite[:, None, None], m, 0.0))
+    x = vec[:, :, 0].T
+    n = np.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
+    # σ3 <= 1e-7·σ1, on the eigenvalues λ = σ²
+    rank_deficient = (lam[:, 3] <= 0.0) | (lam[:, 1] <= 1e-14 * lam[:, 3])
+    status = np.where(rank_deficient | ~finite, 2,
+                      np.where(np.abs(x[3]) <= 1e-12 * n, 3, 0))
+    return x, status
+
+
 def triangulate_batch(uvn, pmats, weights, keep):
     """Weighted linear triangulation of a batch of points.
 
-    uvn (...,M,2) are pixels mapped into [-1,1], pmats (...,M,3,4) the
-    matching conditioned projection matrices, weights (...,M) and keep
-    (...,M) the per-view weights and the views to use. Each point's
-    (2M,4) system A, unused rows zero, is reduced to its normal matrix
-    AᵀA (4,4), and the eigenvector of the smallest eigenvalue is the
-    homogeneous point. The eigenvalues are the squared singular values
-    of A, but eigh resolves them only to about eps·σ1², so σ3/σ1 is known
-    only down to about 1e-8: the rank test flags σ3 <= 1e-7·σ1.
+    uvn (...,M,2) are pixels mapped into [-1,1] and keep (...,M) the
+    views to use, both of the batch's shape; pmats (...,M,3,4), the
+    matching conditioned projection matrices, and weights (...,M), the
+    per-view weights, broadcast against them. Each point's (2M,4)
+    system A, unused rows zero, is reduced to its normal matrix AᵀA
+    (4,4), and the eigenvector of its smallest eigenvalue is the
+    homogeneous point (Hartley & Zisserman, Multiple View Geometry,
+    §12.2). Adjugate inverse iteration finds it for every point at once
+    (see _smallest_eigenvectors); the points it cannot certify go
+    through one np.linalg.eigh call over just those matrices, so a
+    batch whose points are all certified makes none.
+
+    Status: 0 ok, 1 fewer than two views, 2 rank deficient or
+    non-finite, 3 point at infinity (|x₄| <= 1e-12·‖x₁:₃‖). Rank
+    deficient means σ3 <= 1e-7·σ1 for the singular values of A, tested
+    on the eigenvalues λ = σ² as λ1 <= 1e-14·λ3. eigh resolves them only
+    to about eps·σ1², so σ3/σ1 is known only down to about 1e-8, and an
+    exactly rank-2 system reads near it. A certified point is far from
+    both tests, so its status is 0 by either solver.
     Returns (xyz (...,3), status (...)).
     """
-    w = weights[..., None]
-    p = pmats
-    rows_u = w * (uvn[..., 0, None] * p[..., 2, :] - p[..., 0, :])
-    rows_v = w * (uvn[..., 1, None] * p[..., 2, :] - p[..., 1, :])
-    a = np.where(keep[..., None, None], np.stack((rows_u, rows_v), axis=-2), 0.0)
-    a = a.reshape(a.shape[:-3] + (-1, 4))
     with np.errstate(over="ignore", invalid="ignore"):
+        # masked after the product: a dead slot may hold NaN or huge pixels
+        a = np.where(keep[..., None, None], weights[..., None, None]
+                     * (uvn[..., None] * pmats[..., 2:3, :]
+                        - pmats[..., :2, :]), 0.0)
+        shape = a.shape[:-3]
+        a = a.reshape((-1, 2 * a.shape[-3], 4))
         m = np.matmul(a.swapaxes(-1, -2), a)
-    # eigh raises on a non-finite matrix, which a huge finite pixel can give
-    finite = np.isfinite(m).all(axis=(-2, -1))
-    m[~finite] = 0.0
-    lam, vec = np.linalg.eigh(m)
-    x = vec[..., :, 0]
-    n = np.sqrt(x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1] + x[..., 2] * x[..., 2])
-    status = np.where(np.abs(x[..., 3]) <= 1e-12 * n, 3, 0)
-    # σ3 <= 1e-7·σ1, on the eigenvalues λ = σ²
-    rank_deficient = (lam[..., 3] <= 0.0) | (lam[..., 1] <= 1e-14 * lam[..., 3])
-    status = np.where(rank_deficient | ~finite, 2, status)
-    status = np.where(keep.sum(axis=-1) < 2, 1, status)
+    x, certified = _smallest_eigenvectors(m)
+    status = np.zeros(certified.shape, np.intp)
+    redo = np.flatnonzero(~certified)
+    if redo.size:
+        # a certified joint has rank 4, so at least two views
+        few = keep.reshape(-1, keep.shape[-1])[redo].sum(axis=1) < 2
+        status[redo] = few
+        redo = redo[~few]
+        if redo.size:
+            x[:, redo], status[redo] = _eigh_null_vectors(m[redo])
     with np.errstate(divide="ignore", invalid="ignore"):
-        xyz = np.where((status == 0)[..., None], x[..., :3] / x[..., 3, None], 0.0)
-    return xyz, status
+        xyz = np.where(status == 0, x[:3] / x[3], 0.0).T
+    return xyz.reshape(shape + (3,)), status.reshape(shape)
 
 
 def reconstruct_joints(obs_uv, obs_valid, weights, pred, f_table, origins,

@@ -5,8 +5,10 @@ is used to check: camera construction, an exhaustive assignment search, a
 from-scratch pose scorer, image lines and epipolar lines, a weighted
 linear triangulator, a one-joint greedy epipolar filter, a
 limb-correctness scorer, a one-joint-at-a-time detections reader, the
-per-float file writers, and a track initializer that seeds one cluster at
-a time with the same kernels. Tests compare library output against these,
+per-float file writers, a track initializer that seeds one cluster at a
+time with the same kernels, triangulation by one stacked LAPACK
+eigensolve and a row-by-row comparison of two runs' tracks. Tests
+compare library output against these,
 and build the frames they feed the tracker with make_bundle. The
 hypothesis strategies at the end draw floats and JSON values for the
 codec tests and the input fuzzers.
@@ -201,6 +203,45 @@ def weighted_dlt_status(cameras, uvs, weights):
     if abs(x[3]) <= 1e-12 * np.linalg.norm(x[:3]):
         return np.zeros(3), 3
     return x[:3] / x[3], 0
+
+
+def reference_normal_matrices(uvn, pmats, weights, keep):
+    """The normal matrices AᵀA (...,4,4) of triangulate_batch's weighted
+    systems, one pair of rows per view, unused views zero rows."""
+    w = weights[..., None]
+    p = pmats
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows_u = w * (uvn[..., 0, None] * p[..., 2, :] - p[..., 0, :])
+        rows_v = w * (uvn[..., 1, None] * p[..., 2, :] - p[..., 1, :])
+        a = np.where(keep[..., None, None],
+                     np.stack((rows_u, rows_v), axis=-2), 0.0)
+        a = a.reshape(a.shape[:-3] + (-1, 4))
+        return np.matmul(a.swapaxes(-1, -2), a)
+
+
+def reference_triangulate_eigh(uvn, pmats, weights, keep):
+    """triangulate_batch as one stacked np.linalg.eigh of every normal
+    matrix, the kernel's solver before adjugate inverse iteration, with
+    the same status codes: 1 below two views, 2 when rank deficient
+    (λ1 <= 1e-14·λ3 on the eigenvalues of AᵀA) or non-finite, 3 when
+    the null vector's |x₄| <= 1e-12·‖x₁:₃‖. Returns (xyz, status), xyz
+    zero unless status is 0."""
+    m = reference_normal_matrices(uvn, pmats, weights, keep)
+    # eigh raises on a non-finite matrix, which a huge finite pixel can give
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    m[~finite] = 0.0
+    lam, vec = np.linalg.eigh(m)
+    x = vec[..., :, 0]
+    n = np.sqrt(x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]
+                + x[..., 2] * x[..., 2])
+    status = np.where(np.abs(x[..., 3]) <= 1e-12 * n, 3, 0)
+    rank_deficient = (lam[..., 3] <= 0.0) | (lam[..., 1] <= 1e-14 * lam[..., 3])
+    status = np.where(rank_deficient | ~finite, 2, status)
+    status = np.where(keep.sum(axis=-1) < 2, 1, status)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xyz = np.where((status == 0)[..., None], x[..., :3] / x[..., 3, None],
+                       0.0)
+    return xyz, status
 
 
 @dataclass(frozen=True)
@@ -508,6 +549,44 @@ def mean_triangulated_error(pred_frames, gt_frames, schema, flag_value=0):
             total += float(d.sum())
             count += int(sel.sum())
     return total / count if count else float("nan")
+
+
+@dataclass
+class TrackComparison:
+    """What compare_tracks finds between two runs' frames."""
+
+    rows_only_a: list      # (frame, id) rows that only run a emitted
+    rows_only_b: list
+    flips: int             # joints triangulated in one run, not the other
+    max_move: float        # largest joint distance over shared rows
+    max_move_near: float   # the same over joints within 100 m of the origin
+
+
+def compare_tracks(a, b):
+    """Compare two runs' TrackFrame lists row by row: the (frame, id)
+    rows only one run emitted, the joints whose flag differs between
+    triangulated and not (T<->P flips) and the largest joint move, over
+    all joints of the shared rows and over those within 100 m of the
+    origin in both runs."""
+    def rows(frames):
+        return {(f.frame, tid): (f.actors[tid], f.flags[tid])
+                for f in frames for tid in f.actors}
+
+    ra, rb = rows(a), rows(b)
+    flips = 0
+    max_move = max_move_near = 0.0
+    for key in ra.keys() & rb.keys():
+        (ja, fa), (jb, fb) = ra[key], rb[key]
+        flips += int(np.count_nonzero((fa == 0) != (fb == 0)))
+        move = np.linalg.norm(ja - jb, axis=1)
+        near = ((np.linalg.norm(ja, axis=1) < 100.0)
+                & (np.linalg.norm(jb, axis=1) < 100.0))
+        max_move = max(max_move, float(move.max()))
+        if near.any():
+            max_move_near = max(max_move_near, float(move[near].max()))
+    return TrackComparison(sorted(ra.keys() - rb.keys()),
+                           sorted(rb.keys() - ra.keys()), flips, max_move,
+                           max_move_near)
 
 
 def make_bundle(frame, time_s, poses, config=None, cameras=()):

@@ -1,11 +1,14 @@
 """Array kernels against the scalar references in helpers, bit for bit,
-except triangulation, which is held to the SVD within a tolerance.
+except triangulation, which is held to the SVD and to a stacked eigh
+within a tolerance, and bit for bit to eigh where it falls back to it.
 
 Inputs are generated: rigs from a random seed, pixels near true
 projections with noise and gross outliers, invalid joints whose pixels
 are NaN, pixels sitting on an epipole, single-entry histories and
 repeated views whose affinity row sums tie.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -14,12 +17,15 @@ from mvtrack3d import geometry, kernels
 from mvtrack3d.geometry import CameraRig
 
 from helpers import (
+    look_at_camera,
     points_near_origin,
     random_ring_rig,
     reference_epipolar_pair_affinity,
     reference_epipolar_pose_score,
     reference_init_filter,
+    reference_normal_matrices,
     reference_smooth,
+    reference_triangulate_eigh,
     weighted_dlt_status,
 )
 
@@ -213,13 +219,14 @@ def test_init_filter_does_not_depend_on_batch_companions(
 @given(seed=SEEDS, n_cams=st.integers(2, 6), n_points=st.integers(1, 8),
        outlier_rate=st.sampled_from([0.0, 0.2, 0.5]),
        dead_rate=st.sampled_from([0.0, 0.2, 0.6]),
-       filler=st.sampled_from(["zero", "nan", "pixels"]))
+       filler=st.sampled_from(["zero", "nan", "pixels", "+1e300", "-1e300"]))
 def test_dead_slots_change_no_bit_of_init_filter_or_triangulation(
         seed, n_cams, n_points, outlier_rate, dead_rate, filler):
     """Initialization lays a cluster out with one slot per rig camera,
     the cameras outside the cluster as dead slots between live ones.
     Filtering and triangulating that layout keeps and computes, bit for
-    bit, what the compacted layout of the members alone does."""
+    bit, what the compacted layout of the members alone does, whatever
+    the dead slots hold: zeros, NaN, ±1e300 or other pixels."""
     rng = np.random.default_rng(seed)
     cams = random_ring_rig(rng, n_cams=n_cams)
     rig = CameraRig(cams)
@@ -227,8 +234,8 @@ def test_dead_slots_change_no_bit_of_init_filter_or_triangulation(
                                  replace=False))
     absent = np.setdiff1d(np.arange(n_cams), members)
     uv = noisy_views(rng, cams, np.arange(n_cams), n_points, outlier_rate)
-    uv[:, absent] = {"zero": 0.0, "nan": np.nan,
-                     "pixels": uv[:, absent] + 40.0}[filler]
+    uv[:, absent] = {"zero": 0.0, "nan": np.nan, "+1e300": 1e300,
+                     "-1e300": -1e300, "pixels": uv[:, absent] + 40.0}[filler]
     alive = rng.random(uv.shape[:2]) >= dead_rate
     alive[:, absent] = False
     spread = kernels.filter_init_mask(uv, alive, np.arange(n_cams),
@@ -393,3 +400,132 @@ def test_triangulation_flags_non_finite_systems_rank_deficient(rng):
     assert status.tolist() == [0, 2, 2, 2]
     assert np.abs(xyz[0] - p).max() < 1e-9
     assert not xyz[1:].any()
+
+
+TRIANGULATION_CASES = ("exact", "point", "outlier", "twins", "infinity",
+                       "parallel", "non_finite")
+MAX_VIEWS = 5
+
+
+def triangulation_case(rng, case):
+    """One joint's triangulate_batch inputs in MAX_VIEWS slots, the
+    unused slots dead and holding NaN pixels: (uvn, pmats, weights, keep).
+
+    exact: 3-5 exact views of a point at weight 1 (two views of a ring
+    can face each other across the point); point: 2-5 noisy views,
+    weights 1e-4..1 and views dropped at random; outlier: the same with
+    one view up to 200 px off; twins: one camera repeated (exact rank
+    2); infinity: a direction seen by adjacent cameras; parallel: two
+    cameras 1 mm to 5 cm apart (nearly parallel rays, a small eigenvalue
+    gap); non_finite: a point with one live pixel NaN or +-1e300."""
+    n = int(rng.integers(3 if case == "exact" else 2, MAX_VIEWS + 1))
+    weights = 10.0 ** rng.uniform(-4.0, 0.0, size=n)
+    keep = rng.random(n) >= 0.2
+    noise = rng.uniform(0.0, 5.0)
+    p = points_near_origin(rng, 1)[0]
+    if case == "twins":
+        cams = random_ring_rig(rng, n_cams=1) * n
+        uv = np.tile(geometry.project(p, cams[0])
+                     + rng.normal(0.0, noise, size=2), (n, 1))
+        keep[:] = True
+    elif case == "infinity":
+        # near-equal weights keep the null vector's w at its exact 0
+        n = min(n, 3)
+        cams = random_ring_rig(rng, n_cams=8)[:n]
+        d = sum(c.R[2] for c in cams)
+        uv = np.stack([_project_direction(c, d) for c in cams])
+        weights, keep = rng.uniform(0.5, 1.0, size=n), keep[:n] | True
+    elif case == "parallel":
+        n = 2
+        cam = random_ring_rig(rng, n_cams=1)[0]
+        step = rng.normal(size=3)
+        step *= rng.uniform(1e-3, 5e-2) / np.linalg.norm(step)
+        cams = [cam, look_at_camera(1, cam.o + step, [0.0, 0.0, 1.0])]
+        uv = np.stack([geometry.project(p, c) for c in cams])
+        uv += rng.normal(0.0, rng.uniform(0.0, 1.0), size=uv.shape)
+        weights, keep = weights[:n], keep[:n] | True
+    else:
+        cams = random_ring_rig(rng, n_cams=n)
+        uv = np.stack([geometry.project(p, c) for c in cams])
+        if case == "exact":
+            weights, keep = np.ones(n), keep | True
+        else:
+            uv += rng.normal(0.0, noise, size=uv.shape)
+        if case == "outlier":
+            ang = rng.uniform(0.0, 2.0 * np.pi)
+            uv[rng.integers(n)] += rng.uniform(0.0, 200.0) * np.array(
+                [np.cos(ang), np.sin(ang)])
+        if case == "non_finite":
+            keep[:] = True
+            uv[rng.integers(n), rng.integers(2)] = rng.choice(
+                [np.nan, 1e300, -1e300])
+    uvn, pmats = _conditioned(cams, uv)
+    pad = MAX_VIEWS - n
+    return (np.concatenate((uvn, np.full((pad, 2), np.nan))),
+            np.concatenate((pmats, np.repeat(pmats[:1], pad, axis=0))),
+            np.concatenate((weights, np.ones(pad))),
+            np.concatenate((keep, np.zeros(pad, np.bool_))))
+
+
+def triangulation_batch(rng, cases):
+    return tuple(np.stack(a) for a in zip(
+        *(triangulation_case(rng, c) for c in cases)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=SEEDS, cases=st.lists(st.sampled_from(TRIANGULATION_CASES),
+                                  min_size=1, max_size=8))
+def test_triangulation_matches_eigh_reference(seed, cases):
+    """One batch of mixed joints against one stacked eigh: the same
+    status everywhere; where the adjugate solver certified the point,
+    within 1e-12 (1 + |x|) of eigh's; everywhere else the same bits,
+    from one eigh call over exactly the joints left to it."""
+    rng = np.random.default_rng(seed)
+    batch = triangulation_batch(rng, cases)
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        xyz, status = kernels.triangulate_batch(*batch)
+    want_xyz, want_status = reference_triangulate_eigh(*batch)
+    assert status.tolist() == want_status.tolist()
+    m = reference_normal_matrices(*batch)
+    _, certified = kernels._smallest_eigenvectors(m)
+    left = ~certified & (batch[3].sum(axis=1) >= 2)
+    if left.any():
+        eigh.assert_called_once()
+        assert len(eigh.call_args.args[0]) == left.sum()
+    else:
+        eigh.assert_not_called()
+    for k, case in enumerate(cases):
+        expect = {"twins": 2, "infinity": 3, "non_finite": 2}.get(case)
+        if expect is not None:
+            assert status[k] == expect, case
+        if case == "exact":
+            assert certified[k]
+        if case == "parallel":
+            assert not certified[k]
+        if certified[k]:
+            assert status[k] == 0
+            err = np.linalg.norm(xyz[k] - want_xyz[k])
+            assert err <= 1e-12 * (1.0 + np.linalg.norm(want_xyz[k])), err
+        else:
+            assert_same_bits(xyz[k], want_xyz[k])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS)
+def test_triangulation_bits_do_not_depend_on_fallback_companions(seed):
+    """A batch mixes certified joints with joints that fall back to eigh;
+    each joint gets the same bits alone. Byte-prefix determinism relies
+    on this, as a joint's batch depends on the frame."""
+    rng = np.random.default_rng(seed)
+    cases = list(TRIANGULATION_CASES) * 2
+    rng.shuffle(cases)
+    batch = triangulation_batch(rng, cases)
+    _, certified = kernels._smallest_eigenvectors(
+        reference_normal_matrices(*batch))
+    assert certified.any() and not certified.all()
+    xyz, status = kernels.triangulate_batch(*batch)
+    for k in range(len(cases)):
+        alone_xyz, alone_status = kernels.triangulate_batch(
+            *(a[k:k + 1] for a in batch))
+        assert_same_bits(alone_xyz[0], xyz[k])
+        assert alone_status[0] == status[k]

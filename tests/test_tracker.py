@@ -3,13 +3,14 @@
 import collections
 import copy
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvtrack3d import geometry, kernels, synth
-from mvtrack3d.affinity import AffinityConfig
+from mvtrack3d.affinity import AffinityConfig, preset
 from mvtrack3d.errors import ConfigError, NonMonotonicTime
 from mvtrack3d.geometry import CameraRig
 from mvtrack3d.tracker import (
@@ -22,6 +23,7 @@ from mvtrack3d.tracker import (
 from mvtrack3d.schema import SYNTH14
 
 from helpers import (
+    compare_tracks,
     count_identity_switches,
     homogeneous_project,
     make_bundle,
@@ -29,6 +31,7 @@ from helpers import (
     random_ring_rig,
     reference_initialize,
     reference_tracked_filter,
+    reference_triangulate_eigh,
     run_tracker,
     weighted_dlt,
 )
@@ -650,6 +653,41 @@ def test_returned_skeletons_never_change(clean_scene):
             assert tid == kid and sk.time_s == ksk.time_s
             assert sk.joints.tobytes() == ksk.joints.tobytes()
             assert sk.flags.tobytes() == ksk.flags.tobytes()
+
+
+def test_tracks_match_the_eigh_triangulation(monkeypatch, capsys):
+    """Criterion 7's clean scene and 100 frames of criterion 5's corrupted
+    one, tracked with the kernel and again with triangulate_batch patched
+    to one stacked eigh. The clean scene certifies every joint, so eigh
+    never runs, and keeps every (frame, id) row and flag with joints
+    within 1e-12 m. The corrupted scene flips no T/P flag either; its
+    largest move within 100 m is printed."""
+    clean = synth.generate(synth.SceneConfig(
+        seed=19, n_cameras=5, n_actors=4, n_frames=600, noise_px=1.0))
+    clean_cfg = TrackerConfig(affinity=preset("shelf"))
+    corrupted = synth.generate(synth.corrupted_benchmark_config())
+    corrupted_cfg = TrackerConfig(
+        affinity=AffinityConfig(alpha_2d=20.0, alpha_epi=15.0, tau=3,
+                                epsilon=3, lambda_a=3.0),
+        part_aware=True, joints_filter=True, smoothing=False)
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        clean_got, _ = run_tracker(clean, clean_cfg)
+    assert eigh.call_count == 0
+    corrupted_got, _ = run_tracker(corrupted, corrupted_cfg, max_frames=100)
+    monkeypatch.setattr(kernels, "triangulate_batch",
+                        reference_triangulate_eigh)
+    clean_diff = compare_tracks(clean_got, run_tracker(clean, clean_cfg)[0])
+    corrupted_diff = compare_tracks(
+        corrupted_got, run_tracker(corrupted, corrupted_cfg, max_frames=100)[0])
+    with capsys.disabled():
+        print(f"\n[eigh reference] clean: largest move "
+              f"{clean_diff.max_move:.2e} m; corrupted: {corrupted_diff.flips}"
+              f" flips, largest move {corrupted_diff.max_move_near:.2e} m "
+              f"within 100 m ({corrupted_diff.max_move:.2e} m overall)")
+    assert clean_diff.rows_only_a == clean_diff.rows_only_b == []
+    assert clean_diff.flips == 0
+    assert clean_diff.max_move <= 1e-12
+    assert corrupted_diff.flips == 0
 
 
 def test_stale_view_stays_out_of_the_filter(rng):
