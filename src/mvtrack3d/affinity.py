@@ -19,49 +19,35 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import CameraCalibration
-from .schema import check_field_types, check_finite, check_known_keys
+from .schema import bounded, check_fields, check_known_keys
 
 _FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
 class AffinityConfig:
-    """Matching thresholds.
+    """Matching thresholds, each with its range beside its default (see
+    schema.bounded).
 
-    alpha_2d: tolerated image motion in px per second of staleness.
+    alpha_2d: tolerated image motion in px per frame of staleness.
     alpha_epi: epipolar distance in px at which 2D-2D affinity hits zero.
     tau: reconstruction window length in frames.
     epsilon: minimum count of positive joint affinities for a valid match.
-    lambda_a: staleness decay rate per second.
+    lambda_a: staleness decay rate per frame.
     conf_floor: detection confidence below which a joint is invalid.
     image_margin: px outside the image bounds a valid joint may lie.
-    max_dt: optional clamp in seconds on the staleness entering the score.
     """
 
-    alpha_2d: float = 60.0
-    alpha_epi: float = 30.0
-    tau: int = 3
-    epsilon: int = 10
-    lambda_a: float = 3.0
-    conf_floor: float = 0.1
+    alpha_2d: float = bounded(60.0, above=0)
+    alpha_epi: float = bounded(30.0, above=0)
+    tau: int = bounded(3, at_least=1)
+    epsilon: int = bounded(10, at_least=0)
+    lambda_a: float = bounded(3.0, at_least=0)
+    conf_floor: float = bounded(0.1, at_least=0, below=1)
     image_margin: float = 10.0
-    max_dt: float | None = None
 
     def __post_init__(self):
-        check_field_types(self)
-        check_finite(self)
-        if self.alpha_2d <= 0 or self.alpha_epi <= 0:
-            raise ConfigError("alpha_2d and alpha_epi must be positive")
-        if self.tau < 1:
-            raise ConfigError("tau must be a positive integer frame count")
-        if self.epsilon < 0:
-            raise ConfigError("epsilon must be a non-negative integer")
-        if self.lambda_a < 0:
-            raise ConfigError("lambda_a must be non-negative")
-        if not 0.0 <= self.conf_floor < 1.0:
-            raise ConfigError("conf_floor must lie in [0, 1)")
-        if self.max_dt is not None and self.max_dt <= 0:
-            raise ConfigError("max_dt must be positive when set")
+        check_fields(self)
 
     def with_overrides(self, **kwargs) -> "AffinityConfig":
         check_known_keys(kwargs, affinity={f.name for f in fields(self)})

@@ -19,6 +19,7 @@ through orjson too, where its text is json's.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -316,6 +317,9 @@ def load_detections(path: str,
         frame = _field(rec, "frame", "int", lineno, path)
         cam_id = _field(rec, "camera", "int", lineno, path)
         time_s = _field(rec, "time_s", "float", lineno, path)
+        if not math.isfinite(time_s):
+            raise ParseError(f"{path}:{lineno}: field 'time_s' must be "
+                             f"finite, got {time_s!r}")
         arr = _numbers(_field(rec, "poses", None, lineno, path), shape,
                        lineno, path, "poses")
         if last_frame is not None and frame < last_frame:

@@ -63,8 +63,9 @@ class CameraCalibration:
             raise ValidationError("rotation determinant must be +1, got a reflection")
         if self.width <= 0 or self.height <= 0:
             raise ValidationError("image size must be positive")
-        if self.fps <= 0:
-            raise ValidationError("fps must be positive")
+        if not 0 < self.fps < np.inf:  # NaN fails both tests
+            raise ValidationError(f"fps must be positive and finite, got "
+                                  f"{self.fps!r}")
 
     @cached_property
     def krinv(self) -> np.ndarray:

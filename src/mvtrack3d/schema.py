@@ -1,9 +1,11 @@
 """Joint layout shared by detections, tracks, ground truth, and scoring,
-and the one rule for the type of a record or config field."""
+the one rule for the type of a record or config field, and the one
+rule for the range of a config field."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import operator
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 
 import numpy as np
@@ -46,25 +48,42 @@ def describe(kind: str) -> str:
     return _KINDS[kind][1] if kind in _KINDS else f"of type {kind}"
 
 
-def check_field_types(obj) -> None:
+# The bounds a config field may declare beside its default: each key
+# names the test a value must pass against its bound, and words the error.
+_BOUNDS = {"above": operator.gt, "at_least": operator.ge,
+           "below": operator.lt, "at_most": operator.le}
+
+
+def bounded(default, **rule):
+    """A dataclass field with default and the range rule that
+    check_fields reads from its metadata: bounded(60.0, above=0) takes
+    only values above 0. The bounds go under the keys of _BOUNDS, and
+    allow_inf=True lets a float field be +inf."""
+    if not rule.keys() <= _BOUNDS.keys() | {"allow_inf"}:
+        raise TypeError(f"unknown range rule in {sorted(rule)}")
+    return field(default=default, metadata=rule)
+
+
+def check_fields(obj) -> None:
     """Raise ConfigError for the first field of the dataclass obj whose
-    value its annotation does not take. The annotations are read as
-    strings, which `from __future__ import annotations` makes them."""
+    value breaks its rule: the type its annotation names (read as a
+    string, which `from __future__ import annotations` makes it), then
+    finiteness for a float, which may be +inf only where the field
+    allows it, then every bound the field declares (see bounded). A
+    null, where the type takes one, has no bounds."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if not accepts(f.type, value):
             raise ConfigError(
                 f"{f.name} must be {describe(f.type)}, got {value!r}")
-
-
-def check_finite(obj, allow_inf=()) -> None:
-    """Raise ConfigError for the first float field of the dataclass obj
-    that is NaN or infinite; the fields named in allow_inf may be +inf."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
         if (isinstance(value, float) and not np.isfinite(value)
-                and not (value == np.inf and f.name in allow_inf)):
+                and not (value == np.inf and f.metadata.get("allow_inf"))):
             raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        for key, bound in f.metadata.items():
+            if (key in _BOUNDS and value is not None
+                    and not _BOUNDS[key](value, bound)):
+                raise ConfigError(f"{f.name} must be {key.replace('_', ' ')}"
+                                  f" {bound}, got {value!r}")
 
 
 def check_known_keys(keys, **groups) -> None:

@@ -39,8 +39,8 @@ from .errors import ConfigError
 from .geometry import CameraCalibration
 from .schema import (
     SYNTH14,
-    check_field_types,
-    check_finite,
+    bounded,
+    check_fields,
     check_known_keys,
     get_schema,
 )
@@ -108,74 +108,49 @@ MAX_IMAGE_PX = 1 << 16
 
 @dataclass(frozen=True)
 class SceneConfig:
-    """Everything that determines a synthetic scene, RNG seed included."""
+    """Everything that determines a synthetic scene, RNG seed included.
+    Each field's range sits beside its default (see schema.bounded);
+    __post_init__ checks only what spans fields."""
 
-    seed: int = 0
-    n_cameras: int = 5
-    n_actors: int = 4
-    n_frames: int = 500
-    fps: float = 25.0
-    width: int = 800
-    height: int = 600
-    focal_px: float = 700.0
-    ring_radius: float = 8.0
+    seed: int = bounded(0, at_least=0)
+    n_cameras: int = bounded(5, at_least=2)
+    n_actors: int = bounded(4, at_least=1)
+    n_frames: int = bounded(500, at_least=1)
+    fps: float = bounded(25.0, above=0)
+    width: int = bounded(800, at_least=1, at_most=MAX_IMAGE_PX)
+    height: int = bounded(600, at_least=1, at_most=MAX_IMAGE_PX)
+    focal_px: float = bounded(700.0, above=0)
+    ring_radius: float = bounded(8.0, above=0)
     camera_height: float = 4.0
     look_at_height: float = 1.0
-    arena_half: float = 2.2
+    arena_half: float = bounded(2.2, above=0)
     lane_spacing: float = 1.2
-    walk_speed: float = 0.5
+    walk_speed: float = bounded(0.5, above=0)
     swing_amp: float = 0.10
-    swing_hz: float = 0.7
+    swing_hz: float = bounded(0.7, above=0)
     bob_amp: float = 0.015
-    noise_px: float = 0.0
-    outlier_rate: float = 0.0
-    outlier_px: float = 80.0
-    outlier_burst: float = 0.0
-    outlier_burst_frames: float = 10.0
-    occlusion_rate: float = 0.0
-    dropout_rate: float = 0.0
+    noise_px: float = bounded(0.0, at_least=0)
+    outlier_rate: float = bounded(0.0, at_least=0, at_most=1)
+    outlier_px: float = bounded(80.0, at_least=0)
+    outlier_burst: float = bounded(0.0, at_least=0, at_most=1)
+    # bursts that never end take outlier_burst_frames=inf
+    outlier_burst_frames: float = bounded(10.0, allow_inf=True)
+    occlusion_rate: float = bounded(0.0, at_least=0, at_most=1)
+    dropout_rate: float = bounded(0.0, at_least=0, at_most=1)
     schema_name: str = "synth14"
 
     def __post_init__(self):
-        check_field_types(self)
-        # bursts that never end take outlier_burst_frames=inf
-        check_finite(self, allow_inf=("outlier_burst_frames",))
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        for name in ("outlier_rate", "occlusion_rate", "dropout_rate"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {v}")
-        if self.noise_px < 0:
-            raise ConfigError(f"noise_px must be >= 0, got {self.noise_px}")
-        if self.outlier_px < 0:
-            raise ConfigError(f"outlier_px must be >= 0, got {self.outlier_px}")
+        check_fields(self)
         if self.outlier_burst:
-            if not 0.0 < self.outlier_burst <= 1.0:
-                raise ConfigError(f"outlier_burst must be in (0, 1], "
-                                  f"got {self.outlier_burst}")
             if self.outlier_burst_frames < 1.0:
-                raise ConfigError("outlier_burst_frames must be >= 1")
+                raise ConfigError("outlier_burst_frames must be >= 1 while "
+                                  "outlier_burst is on")
             if self.outlier_rate > 0.0:
                 occupancy = self._burst_occupancy()
                 if not 0.0 < occupancy <= 0.6:
                     raise ConfigError(
                         "outlier_burst too low for outlier_rate: burst "
                         f"occupancy would be {occupancy:.2f}, needs (0, 0.6]")
-        if self.n_cameras < 2:
-            raise ConfigError(f"need at least 2 cameras, got {self.n_cameras}")
-        if self.n_actors < 1 or self.n_frames < 1:
-            raise ConfigError("need at least one actor and one frame")
-        for name in ("fps", "focal_px", "ring_radius", "arena_half",
-                     "walk_speed", "swing_hz"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.width <= 0 or self.height <= 0:
-            raise ConfigError("image size must be positive")
-        if max(self.width, self.height) > MAX_IMAGE_PX:
-            raise ConfigError(f"width and height must be at most "
-                              f"{MAX_IMAGE_PX} px, got {self.width}x"
-                              f"{self.height}")
         views = (self.n_frames * self.n_cameras * self.n_actors
                  * get_schema(self.schema_name).n_joints)
         if views > MAX_JOINT_VIEWS:

@@ -7,9 +7,10 @@ leftover detections across cameras to spawn new tracks. Each stage
 hands its kernels the whole frame: one scoring call and one assignment
 call for association, one filter and triangulation call for the live
 tracks, and, for initialization, one cross-view scoring call and one
-filter and triangulation call for every new track. Only the greedy
-clustering of initialization stays sequential, one assignment per
-camera.
+filter and triangulation call for every new track. Initialization
+still runs two loops in Python: the greedy clustering, one assignment
+per camera, and the placement of each born track's joints that did not
+triangulate, one back-projection per joint.
 
 All track state is one TrackTable, whose columns each stage reads and
 writes whole: ids, time, misses (T,); joints, velocity (T,N,3); flags
@@ -33,13 +34,9 @@ import numpy as np
 
 from . import assignment, kernels
 from .affinity import AffinityConfig
-from .errors import (
-    ConfigError,
-    NonMonotonicTime,
-    ValidationError,
-)
+from .errors import NonMonotonicTime, ValidationError
 from .geometry import CameraRig
-from .schema import check_field_types, check_finite, check_known_keys
+from .schema import bounded, check_fields, check_known_keys
 
 
 class JointFlag(IntEnum):
@@ -96,7 +93,8 @@ MAX_SMOOTH_WINDOW = 1000
 
 @dataclass(frozen=True)
 class TrackerConfig:
-    """Tracker behavior knobs on top of the affinity thresholds.
+    """Tracker behavior knobs on top of the affinity thresholds, each
+    with its range beside its default (see schema.bounded).
 
     miss_limit defaults to twice the reconstruction window: a track is
     retired after that many consecutive frames without a new 2D match.
@@ -106,20 +104,12 @@ class TrackerConfig:
     part_aware: bool = True
     joints_filter: bool = True
     smoothing: bool = True
-    smooth_window: int = 5
-    smooth_sigma: float = 1.0
-    miss_limit: int | None = None
+    smooth_window: int = bounded(5, at_least=1, at_most=MAX_SMOOTH_WINDOW)
+    smooth_sigma: float = bounded(1.0, above=0)
+    miss_limit: int | None = bounded(None, at_least=0)
 
     def __post_init__(self):
-        check_field_types(self)
-        check_finite(self)
-        if not 1 <= self.smooth_window <= MAX_SMOOTH_WINDOW:
-            raise ConfigError(f"smooth_window must lie in [1, "
-                              f"{MAX_SMOOTH_WINDOW}], got {self.smooth_window}")
-        if self.smooth_sigma <= 0:
-            raise ConfigError("smooth_sigma must be positive")
-        if self.miss_limit is not None and self.miss_limit < 0:
-            raise ConfigError("miss_limit must be non-negative")
+        check_fields(self)
 
     @property
     def effective_miss_limit(self) -> int:
@@ -262,8 +252,6 @@ class PoseTracker:
         elapsed = cam_t[:, None] - table.time[None, :]
         # staleness in frame intervals, never below one frame
         dts = np.maximum(elapsed * rig.fps, 1.0)
-        if aff.max_dt is not None:
-            dts = np.minimum(dts, aff.max_dt * rig.fps)
         counts = [len(bundle.poses[cam_id]) for _, cam_id in seen]
         n_joints = table.joints.shape[1]
         pose_uv = np.zeros((len(seen), max(counts), n_joints, 2))

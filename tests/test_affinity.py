@@ -1,8 +1,7 @@
 """The paper's affinity equations, through the kernels the tracker calls:
 pose-to-track scores (kernels.score_pose_pairs), cross-view epipolar
-affinities (kernels.epipolar_pair_affinities, kernels.epipolar_pose_score)
-and the tracker's staleness clamp; then configuration and joint
-validity."""
+affinities (kernels.epipolar_pair_affinities, kernels.epipolar_pose_score);
+then configuration and joint validity."""
 
 import math
 
@@ -12,15 +11,9 @@ import pytest
 from mvtrack3d import geometry, kernels
 from mvtrack3d.affinity import PRESETS, AffinityConfig, preset, valid_joints
 from mvtrack3d.errors import ConfigError
-from mvtrack3d.geometry import CameraCalibration, CameraRig
+from mvtrack3d.geometry import CameraCalibration
 from mvtrack3d.schema import SYNTH14
-from mvtrack3d.tracker import (
-    JointFlag,
-    PoseTracker,
-    Skeleton3D,
-    TrackerConfig,
-    TrackTable,
-)
+from mvtrack3d.tracker import JointFlag, Skeleton3D
 
 from helpers import (
     epipolar_line,
@@ -159,52 +152,6 @@ def test_joint_affinity_monotone_in_displacement(rng):
     vals = joint_affinities(
         (0.0, 0.0), [(d, 0.0) for d in np.linspace(0.0, 200.0, 50)], dt, cfg)
     assert all(a >= b for a, b in zip(vals, vals[1:]))
-
-
-def test_joint_affinity_staleness_clamp(monkeypatch):
-    """The tracker clamps staleness at max_dt: a track 20 frames stale
-    scores a pose, and so takes or leaves it, exactly as a track max_dt
-    stale does."""
-    cam = look_at_camera(0, [6.0, 0.0, 3.0], [0.0, 0.0, 1.0], fps=4.0)
-    pts = points_near_origin(np.random.default_rng(5), N)
-    uv = np.stack([geometry.project(p, cam) for p in pts])
-    scored = []
-    score_pose_pairs = kernels.score_pose_pairs
-
-    def recording(*args):
-        scored.append(score_pose_pairs(*args))
-        return scored[-1]
-
-    monkeypatch.setattr(kernels, "score_pose_pairs", recording)
-
-    def run(max_dt, stale_frames, shift_px):
-        """(score, matched) of a pose shifted by shift_px against a track
-        last updated stale_frames frames earlier, at 4 fps."""
-        cfg = AffinityConfig(alpha_2d=60.0, lambda_a=0.1, epsilon=10,
-                             max_dt=max_dt)
-        tracker = PoseTracker(CameraRig([cam]), TrackerConfig(affinity=cfg))
-        t = 6.0
-        skeleton = make_skeleton(pts, t - stale_frames / 4.0)
-        tracker.tracks.extend(TrackTable(
-            1, tracker.config, [1], skeleton.time_s, skeleton.joints[None],
-            skeleton.flags[None]))
-        joints = np.column_stack([uv + [shift_px, 0.0], np.full(N, 0.9)])
-        tracker.step(make_bundle(24, t, {cam.cam_id: joints[None]}, cfg))
-        # the track's view from the camera is this pose, at this frame
-        table = tracker.tracks
-        matched = bool(table.view_frame[0, 0] == 24 and np.array_equal(
-            table.view_uv[0, :, 0], joints[:, :2]))
-        return float(scored[-1][0, 0, 0]), matched
-
-    # max_dt 0.5 s is 2 frames, a tolerance of 120 px
-    stale, fresh = run(0.5, 20, 60.0), run(0.5, 2, 60.0)
-    assert stale == fresh
-    assert stale[0] == pytest.approx(0.5 * math.exp(-0.2), abs=1e-9)
-    assert stale[1]
-    assert run(0.5, 20, 150.0) == run(0.5, 2, 150.0) == (0.0, False)
-    # unclamped, the 20-frame tolerance of 1200 px takes the far pose
-    score, matched = run(None, 20, 150.0)
-    assert score > 0.0 and matched
 
 
 # -- pose-to-track scores ------------------------------------------------
@@ -419,15 +366,10 @@ def test_affinity_config_validation():
     with pytest.raises(ConfigError):
         AffinityConfig(conf_floor=1.0)
     with pytest.raises(ConfigError):
-        AffinityConfig(max_dt=0.0)
-    with pytest.raises(ConfigError):
-        AffinityConfig(max_dt=True)
-    with pytest.raises(ConfigError):
         AffinityConfig(epsilon="ten")
     for bad in (dict(tau=3.0), dict(epsilon=10.0), dict(alpha_2d=None),
                 dict(lambda_a=False), dict(alpha_2d=math.nan),
-                dict(alpha_epi=math.inf), dict(image_margin=-math.inf),
-                dict(max_dt=math.inf)):
+                dict(alpha_epi=math.inf), dict(image_margin=-math.inf)):
         with pytest.raises(ConfigError, match=next(iter(bad))):
             AffinityConfig(**bad)
     with pytest.raises(ConfigError):

@@ -140,7 +140,7 @@ def test_invalid_override_value_fails_cleanly(capsys, tmp_path):
         "error: unknown parameter 'project_predicted'; tracker parameters: "
         "joints_filter, miss_limit, part_aware, smooth_sigma, smooth_window, "
         "smoothing; affinity parameters: alpha_2d, alpha_epi, conf_floor, "
-        "epsilon, image_margin, lambda_a, max_dt, tau\n")
+        "epsilon, image_margin, lambda_a, tau\n")
     # values of the wrong type, each one error line naming the setting
     for setting in ("smooth_sigma=x", "smooth_window=true", "miss_limit=2.5",
                     "part_aware=no", "max_dt=true", "smooth_windw=3"):
@@ -149,6 +149,40 @@ def test_invalid_override_value_fails_cleanly(capsys, tmp_path):
         assert code == 1, setting
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert setting.split("=")[0] in err
+
+
+def test_removed_staleness_clamp_is_an_unknown_parameter(capsys, tmp_path):
+    paths = synth_scene(capsys, tmp_path, **CLEAN)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"max_dt": 0.5}')
+    for extra in (("--set", "max_dt=0.5"), ("--config", str(cfg))):
+        code, out, err = track(capsys, paths, tmp_path / "t.jsonl", *extra)
+        assert code == 1, extra
+        assert err.startswith("error: unknown parameter 'max_dt'; ")
+        assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("kind,field,text", [
+    ("calib", "fps", "NaN"), ("calib", "fps", "Infinity"),
+    ("calib", "fps", "-Infinity"), ("detections", "time_s", "NaN"),
+    ("detections", "time_s", "Infinity"),
+    ("detections", "time_s", "-Infinity")])
+def test_non_finite_frame_rate_or_time_fails_at_read(capsys, tmp_path, kind,
+                                                     field, text):
+    """The value replaces the field on the file's third line (its second
+    record); the run stops with one error naming that line."""
+    paths = synth_scene(capsys, tmp_path, **CLEAN)
+    lines = open(paths[kind]).read().splitlines()
+    record = json.loads(lines[2])
+    record[field] = "@"
+    lines[2] = json.dumps(record).replace('"@"', text)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    code, out, err = track(capsys, dict(paths, **{kind: str(bad)}),
+                           tmp_path / "t.jsonl")
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "bad.jsonl:3:" in err and field in err
 
 
 @pytest.mark.parametrize("setting", ["n_actors=x", "noise_px=true",

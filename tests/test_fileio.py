@@ -298,12 +298,18 @@ def _detection_probe(**fields):
     (_detection_probe(time_s="0.5"), "time_s"),
     (_detection_probe(frame=2 ** 64), "frame"),
     (b"[" * 100_000, "invalid JSON"),
+    ([_detection_probe(camera=1), _detection_probe(time_s=math.nan)],
+     "time_s"),
+    (_detection_probe(time_s=math.inf), "time_s"),
+    (_detection_probe(time_s=-math.inf), "time_s"),
+    (b'{"frame":0,"camera":0,"time_s":1e400,"poses":[]}', "time_s"),
 ], ids=["poses-int", "frame-str", "time-null", "camera-list", "ragged",
         "joint-str", "joint-object", "empty-pose", "two-columns",
         "joint-null", "joint-numeric-str", "pose-all-null", "joint-true",
         "camera-twice", "latin-1-bytes", "frame-float", "camera-true",
         "camera-float", "time-true", "time-numeric-str", "frame-wide-int",
-        "nested-too-deep"])
+        "nested-too-deep", "time-nan", "time-inf", "time-minus-inf",
+        "time-past-float"])
 def test_malformed_detection_records_raise_parse_error(tmp_path, record,
                                                        match):
     """Each probe is one record, or a list of records whose last is bad;
@@ -436,54 +442,72 @@ _CAMERA = {"id": 0, "K": [700.0, 0.0, 400.0, 0.0, 700.0, 300.0, 0.0, 0.0, 1.0],
 _ACTOR = {"id": 0, "joints": [[0.0, 0.0, 1.0]] * N}
 
 
-@pytest.mark.parametrize("fmt,loader,record", [
-    ("calibration", load_calibration, dict(_CAMERA, K=5)),
-    ("calibration", load_calibration, dict(_CAMERA, R=[[1.0] * 3] * 3)),
-    ("calibration", load_calibration, dict(_CAMERA, o=[0.0, "z", 0.0])),
-    ("calibration", load_calibration, dict(_CAMERA, id=[0])),
-    ("calibration", load_calibration, dict(_CAMERA, fps=None)),
+@pytest.mark.parametrize("fmt,loader,record,error", [
+    ("calibration", load_calibration, dict(_CAMERA, K=5), ParseError),
+    ("calibration", load_calibration, dict(_CAMERA, R=[[1.0] * 3] * 3),
+     ParseError),
+    ("calibration", load_calibration, dict(_CAMERA, o=[0.0, "z", 0.0]),
+     ParseError),
+    ("calibration", load_calibration, dict(_CAMERA, id=[0]), ParseError),
+    ("calibration", load_calibration, dict(_CAMERA, fps=None), ParseError),
     ("calibration", load_calibration,
-     dict(_CAMERA, K=["700"] + _CAMERA["K"][1:])),
+     dict(_CAMERA, K=["700"] + _CAMERA["K"][1:]), ParseError),
     ("calibration", load_calibration,
-     dict(_CAMERA, K=_CAMERA["K"][:8] + [True])),
+     dict(_CAMERA, K=_CAMERA["K"][:8] + [True]), ParseError),
     ("calibration", load_calibration,
-     dict(_CAMERA, K=[None] + _CAMERA["K"][1:])),
-    ("calibration", load_calibration, dict(_CAMERA, o=[0.0, 0.0])),
-    ("ground_truth", load_ground_truth, {"frame": 0, "actors": 5}),
+     dict(_CAMERA, K=[None] + _CAMERA["K"][1:]), ParseError),
+    ("calibration", load_calibration, dict(_CAMERA, o=[0.0, 0.0]),
+     ParseError),
+    ("ground_truth", load_ground_truth, {"frame": 0, "actors": 5},
+     ParseError),
     ("ground_truth", load_ground_truth,
-     {"frame": 0, "actors": [{"joints": _ACTOR["joints"]}]}),
+     {"frame": 0, "actors": [{"joints": _ACTOR["joints"]}]}, ParseError),
     ("ground_truth", load_ground_truth,
-     {"frame": 0, "actors": [dict(_ACTOR, joints=[[0.0, "y", 1.0]] * N)]}),
-    ("ground_truth", load_ground_truth, {"frame": None, "actors": []}),
+     {"frame": 0, "actors": [dict(_ACTOR, joints=[[0.0, "y", 1.0]] * N)]},
+     ParseError),
+    ("ground_truth", load_ground_truth, {"frame": None, "actors": []},
+     ParseError),
     ("ground_truth", load_ground_truth,
-     {"frame": 0, "actors": [dict(_ACTOR, joints=[[0.0, None, 1.0]] * N)]}),
+     {"frame": 0, "actors": [dict(_ACTOR, joints=[[0.0, None, 1.0]] * N)]},
+     ParseError),
     ("ground_truth", load_ground_truth,
-     {"frame": 0, "actors": [dict(_ACTOR, joints=[[0.0, "1.5", 1.0]] * N)]}),
+     {"frame": 0, "actors": [dict(_ACTOR, joints=[[0.0, "1.5", 1.0]] * N)]},
+     ParseError),
     ("ground_truth", load_ground_truth,
-     {"frame": 0, "actors": [dict(_ACTOR, joints=[[0.0, 0.5, True]] * N)]}),
+     {"frame": 0, "actors": [dict(_ACTOR, joints=[[0.0, 0.5, True]] * N)]},
+     ParseError),
     ("ground_truth", load_ground_truth,
      {"frame": 0, "actors": [_ACTOR, dict(_ACTOR, id=1, joints=[[
-         0.5, 0.5, False]] + _ACTOR["joints"][1:])]}),
+         0.5, 0.5, False]] + _ACTOR["joints"][1:])]}, ParseError),
     ("ground_truth", load_ground_truth,
      {"frame": 0, "actors": [_ACTOR, dict(_ACTOR, id=1,
-                                          joints=_ACTOR["joints"][1:])]}),
+                                          joints=_ACTOR["joints"][1:])]},
+     ParseError),
     ("ground_truth", load_ground_truth,
      {"frame": 0, "actors": [dict(_ACTOR, mask=[True, "no", None]
-                                  + [True] * (N - 3))]}),
+                                  + [True] * (N - 3))]}, ParseError),
     ("ground_truth", load_ground_truth,
-     {"frame": 0, "actors": [dict(_ACTOR, mask=[True] * 3)]}),
+     {"frame": 0, "actors": [dict(_ACTOR, mask=[True] * 3)]}, ParseError),
+    # a record of the right types whose frame rate no camera can have
+    ("calibration", load_calibration, dict(_CAMERA, fps=math.nan),
+     ValidationError),
+    ("calibration", load_calibration, dict(_CAMERA, fps=math.inf),
+     ValidationError),
+    ("calibration", load_calibration, dict(_CAMERA, fps=-math.inf),
+     ValidationError),
 ], ids=["K-int", "R-nested", "o-str", "id-list", "fps-null", "K-numeric-str",
         "K-true", "K-null", "o-short", "actors-int",
         "missing-id", "joint-str", "frame-null", "joint-null",
         "joint-numeric-str", "joint-true", "second-actor-false",
-        "second-actor-short", "mask-not-bool", "mask-short"])
+        "second-actor-short", "mask-not-bool", "mask-short", "fps-nan",
+        "fps-inf", "fps-minus-inf"])
 def test_malformed_calibration_and_ground_truth_raise_parse_error(
-        tmp_path, fmt, loader, record):
+        tmp_path, fmt, loader, record, error):
     path = tmp_path / "x.jsonl"
     header = {"format": f"mvtrack3d/{fmt}", "format_version": 1,
               "schema": SYNTH14.name, "n_joints": N}
     path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(error) as err:
         loader(str(path))
     assert "x.jsonl:2:" in str(err.value)
 
