@@ -146,6 +146,15 @@ def _field(record: dict, key: str, kind: str | None, lineno: int,
                      f"{describe(kind)}, got {value!r}")
 
 
+def _time(record: dict, lineno: int, path: str) -> float:
+    """record["time_s"], a finite number, else ParseError names the line."""
+    time_s = _field(record, "time_s", "float", lineno, path)
+    if not math.isfinite(time_s):
+        raise ParseError(f"{path}:{lineno}: field 'time_s' must be "
+                         f"finite, got {time_s!r}")
+    return time_s
+
+
 def _numbers(value, shape: tuple, lineno: int, path: str,
              what: str) -> np.ndarray:
     """value, JSON numbers in nested lists, as a float64 array of shape,
@@ -191,7 +200,8 @@ def _read_records(path: str) -> Iterator[tuple[int, dict]]:
     """(line number, record) for each line that is not blank. Lines end
     at \\n, \\r\\n or a lone \\r, as in a file read as text."""
     lineno = 0
-    with open(path, "rb") as fh:
+    # lines longer than the default 8 KiB buffer take its slow path
+    with open(path, "rb", buffering=1 << 16) as fh:
         for chunk in fh:
             for line in chunk.splitlines() if b"\r" in chunk else (chunk,):
                 lineno += 1
@@ -316,10 +326,7 @@ def load_detections(path: str,
     for lineno, rec in records:
         frame = _field(rec, "frame", "int", lineno, path)
         cam_id = _field(rec, "camera", "int", lineno, path)
-        time_s = _field(rec, "time_s", "float", lineno, path)
-        if not math.isfinite(time_s):
-            raise ParseError(f"{path}:{lineno}: field 'time_s' must be "
-                             f"finite, got {time_s!r}")
+        time_s = _time(rec, lineno, path)
         arr = _numbers(_field(rec, "poses", None, lineno, path), shape,
                        lineno, path, "poses")
         if last_frame is not None and frame < last_frame:
@@ -416,7 +423,7 @@ def load_tracks(path: str) -> TrackFile:
     frames: list[TrackFrame] = []
     for lineno, rec in records:
         frame = _field(rec, "frame", "int", lineno, path)
-        time_s = _field(rec, "time_s", "float", lineno, path)
+        time_s = _time(rec, lineno, path)
         entries = _field(rec, "tracks", "list[dict]", lineno, path)
         ids = [_field(entry, "id", "int", lineno, path) for entry in entries]
         rows = [_field(entry, "joints", None, lineno, path)

@@ -68,15 +68,15 @@ def check_fields(obj) -> None:
     """Raise ConfigError for the first field of the dataclass obj whose
     value breaks its rule: the type its annotation names (read as a
     string, which `from __future__ import annotations` makes it), then
-    finiteness for a float, which may be +inf only where the field
-    allows it, then every bound the field declares (see bounded). A
-    null, where the type takes one, has no bounds."""
+    finiteness for a float, numpy's too, which may be +inf only where
+    the field allows it, then every bound the field declares (see
+    bounded). A null, where the type takes one, has no bounds."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if not accepts(f.type, value):
             raise ConfigError(
                 f"{f.name} must be {describe(f.type)}, got {value!r}")
-        if (isinstance(value, float) and not np.isfinite(value)
+        if (isinstance(value, (float, np.floating)) and not np.isfinite(value)
                 and not (value == np.inf and f.metadata.get("allow_inf"))):
             raise ConfigError(f"{f.name} must be finite, got {value!r}")
         for key, bound in f.metadata.items():

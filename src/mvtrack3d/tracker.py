@@ -9,8 +9,9 @@ call for association, one filter and triangulation call for the live
 tracks, and, for initialization, one cross-view scoring call and one
 filter and triangulation call for every new track. Initialization
 still runs two loops in Python: the greedy clustering, one assignment
-per camera, and the placement of each born track's joints that did not
-triangulate, one back-projection per joint.
+per camera, and the placement of the joints that did not triangulate,
+one back-projection per joint, which visits only the born tracks that
+have such a joint. The new rows are built from the born clusters alone.
 
 All track state is one TrackTable, whose columns each stage reads and
 writes whole: ids, time, misses (T,); joints, velocity (T,N,3); flags
@@ -39,6 +40,7 @@ from .geometry import CameraRig
 from .schema import bounded, check_fields, check_known_keys
 
 
+# array code uses kernels' plain ints: numpy converts a member slowly
 class JointFlag(IntEnum):
     TRIANGULATED = kernels.FLAG_TRIANGULATED
     PREDICTED = kernels.FLAG_PREDICTED
@@ -260,7 +262,7 @@ class PoseTracker:
             pose_uv[k, :p] = bundle.poses[cam_id][..., :2]
             pose_valid[k, :p] = bundle.valid[cam_id]
         scores = kernels.score_pose_pairs(
-            table.joints, table.flags != JointFlag.MISSING, dts,
+            table.joints, table.flags != kernels.FLAG_MISSING, dts,
             rig.k_table[cam_idx], rig.r_table[cam_idx], rig.origins[cam_idx],
             pose_uv, pose_valid,
             aff.alpha_2d, aff.lambda_a, aff.epsilon, cfg.part_aware,
@@ -297,7 +299,7 @@ class PoseTracker:
         rig = self.rig
         table = self.tracks
         joints = table.predict(t)
-        flags = np.full(table.flags.shape, JointFlag.PREDICTED, dtype=np.uint8)
+        flags = np.full(table.flags.shape, kernels.FLAG_PREDICTED, np.uint8)
         rows = np.flatnonzero(recent.any(axis=1))
         if not rows.size:
             return joints, flags
@@ -321,7 +323,7 @@ class PoseTracker:
     # -- initialization ----------------------------------------------
 
     def _cluster_unmatched(self, cams: np.ndarray, uv: np.ndarray,
-                           valid: np.ndarray, counts: list) -> list:
+                           valid: np.ndarray, counts: list) -> np.ndarray:
         """Greedy cross-view clustering of unmatched poses, camera by camera.
 
         uv (K,P,N,2) and valid (K,P,N) hold the unmatched poses of the K
@@ -330,11 +332,12 @@ class PoseTracker:
         camera pair is scored in one call. Each camera's poses then join
         the clusters built so far, every earlier pose being a member of
         one: a cluster scores a pose by its best member, and one
-        assignment per camera settles the joins. Each cluster is a list
-        of (k, pose), one per camera in camera order.
+        assignment per camera settles the joins. Returns the L clusters
+        in the order they were started, as their pose (L,K) from each
+        camera, -1 where they have none.
         """
         f_table = self.rig.f_table
-        first, later = np.triu_indices(len(cams), 1)
+        first, later = kernels._slot_pairs(len(cams))
         pair_scores = kernels.epipolar_pose_score(
             uv[first, :, None], valid[first, :, None],
             uv[later, None], valid[later, None],
@@ -344,20 +347,22 @@ class PoseTracker:
         )
         pair_of = np.zeros((len(cams), len(cams)), np.int64)
         pair_of[first, later] = np.arange(first.size)
-        clusters = [[(0, p)] for p in range(counts[0])]
+        clusters = np.full((sum(counts), len(cams)), -1)
+        clusters[:counts[0], 0] = np.arange(counts[0])
+        size = counts[0]
         for k in range(1, len(cams)):
-            member_k, member_p = np.array(
-                [m for cluster in clusters for m in cluster]).T
-            starts = np.cumsum([0] + [len(c) for c in clusters[:-1]])
-            scores = np.maximum.reduceat(
-                pair_scores[pair_of[member_k, k], member_p, :counts[k]],
-                starts, axis=0)
+            member = clusters[:size, :k]
+            scores = np.where(
+                member[..., None] >= 0,
+                pair_scores[pair_of[:k, k], member, :counts[k]],
+                -np.inf).max(axis=1)
             match = assignment.solve(scores, 0.0)
-            for c, p in match.pairs:
-                clusters[c].append((k, p))
-            for p in match.unmatched_cols:
-                clusters.append([(k, p)])
-        return clusters
+            joined = np.array(match.pairs, np.int64).reshape(-1, 2)
+            clusters[joined[:, 0], k] = joined[:, 1]
+            started = match.unmatched_cols
+            clusters[size:size + len(started), k] = started
+            size += len(started)
+        return clusters[:size]
 
     def initialize(self, unmatched: dict, bundle: FrameBundle) -> TrackTable:
         """Spawn tracks, returned as new rows, from cross-view clusters of
@@ -387,13 +392,13 @@ class PoseTracker:
             uv[k, :len(r)] = bundle.poses[ids[ci]][r, :, :2]
             valid[k, :len(r)] = bundle.valid[ids[ci]][r]
         cams = np.array(seen)
-        clusters = [c for c in self._cluster_unmatched(cams, uv, valid, counts)
-                    if len(c) >= 2]
-        if not clusters:
+        clusters = self._cluster_unmatched(cams, uv, valid, counts)
+        clusters = clusters[(clusters >= 0).sum(axis=1) >= 2]
+        if not len(clusters):
             return self._no_births
         n_cams = len(rig)
-        owner = np.repeat(np.arange(len(clusters)), [len(c) for c in clusters])
-        member_k, member_p = np.array([m for c in clusters for m in c]).T
+        owner, member_k = np.nonzero(clusters >= 0)
+        member_p = clusters[owner, member_k]
         seed_uv = np.zeros((len(clusters), n_joints, n_cams, 2))
         seed_valid = np.zeros(seed_uv.shape[:-1], dtype=bool)
         seed_uv[owner, :, cams[member_k]] = uv[member_k, member_p]
@@ -408,41 +413,43 @@ class PoseTracker:
         xyz, status = kernels.triangulate_batch(uvn, rig.pn_table,
                                                 np.ones(n_cams), keep)
         ok = (status == 0).reshape(len(clusters), n_joints)
+        born = np.flatnonzero(ok.any(axis=1))
+        ok = ok[born]
         joints = np.where(ok[..., None],
-                          xyz.reshape(len(clusters), n_joints, 3), 0.0)
-        flags = np.where(ok, JointFlag.TRIANGULATED, JointFlag.PREDICTED)
-        keep = keep.reshape(seed_valid.shape)
-        born = ok.any(axis=1)
-        for i in np.flatnonzero(born).tolist():
-            tri = ok[i]
-            first = cams[clusters[i][0][0]]
-            centroid = joints[i][tri].mean(axis=0)
+                          xyz.reshape(len(clusters), n_joints, 3)[born], 0.0)
+        seed_uv, seed_valid = seed_uv[born], seed_valid[born]
+        keep = keep.reshape(len(clusters), n_joints, n_cams)[born]
+        for b in np.flatnonzero(~ok.all(axis=1)).tolist():
+            tri = ok[b]
+            first = cams[(clusters[born[b]] >= 0).argmax()]
+            centroid = joints[b][tri].mean(axis=0)
             for n in np.flatnonzero(~tri):
-                kept = np.flatnonzero(keep[i, n])
+                kept = np.flatnonzero(keep[b, n])
                 if kept.size:
                     ci = kept[0]
-                elif seed_valid[i, n, first]:
+                elif seed_valid[b, n, first]:
                     ci = first
                 else:
-                    joints[i, n] = centroid
+                    joints[b, n] = centroid
                     continue
                 direction = kernels.back_project_dir(
-                    seed_uv[i, n, ci, 0], seed_uv[i, n, ci, 1],
+                    seed_uv[b, n, ci, 0], seed_uv[b, n, ci, 1],
                     rig.krinv_table[ci])
                 depth = float(np.dot(centroid - rig.origins[ci], direction))
                 if depth <= 0:
-                    joints[i, n] = centroid
+                    joints[b, n] = centroid
                 else:
-                    joints[i, n] = rig.origins[ci] + depth * direction
-        # the born clusters' ids count up from _next_id; take drops the rest
-        new = TrackTable(n_cams, cfg, self._next_id - 1 + np.cumsum(born),
-                         bundle.time_s, joints, flags)
-        new.view_frame[owner, cams[member_k]] = bundle.frame
-        new.view_time[owner, cams[member_k]] = np.array(
-            [bundle.times[ids[ci]] for ci in seen])[member_k]
+                    joints[b, n] = rig.origins[ci] + depth * direction
+        member = clusters[born] >= 0
+        new = TrackTable(n_cams, cfg, self._next_id + np.arange(born.size),
+                         bundle.time_s, joints,
+                         np.where(ok, kernels.FLAG_TRIANGULATED,
+                                  kernels.FLAG_PREDICTED))
+        new.view_frame[:, cams] = np.where(member, bundle.frame, -np.inf)
+        new.view_time[:, cams] = np.where(
+            member, [bundle.times[ids[ci]] for ci in seen], 0.0)
         new.view_uv, new.view_valid = seed_uv, seed_valid
-        new.take(born)
-        self._next_id += len(new)
+        self._next_id += born.size
         return new
 
     # -- main loop ---------------------------------------------------

@@ -5,7 +5,8 @@ is used to check: camera construction, an exhaustive assignment search, a
 from-scratch pose scorer, image lines and epipolar lines, a weighted
 linear triangulator, a one-joint greedy epipolar filter, a
 limb-correctness scorer, a one-joint-at-a-time detections reader, the
-per-float file writers, a track initializer that seeds one cluster at a
+per-float file writers, the gated assignment as it stood with a mask of
+its real columns, a track initializer that seeds one cluster at a
 time with the same kernels, triangulation by one stacked LAPACK
 eigensolve and a row-by-row comparison of two runs' tracks. Tests
 compare library output against these,
@@ -143,6 +144,60 @@ def exhaustive_assignment_lex(values, gate=0.0):
     extend(0, frozenset(), [], 0.0)
     best = max(total for total, _ in found)
     return min(pairs for total, pairs in found if total >= best - 1e-9)
+
+
+def reference_solve(values, min_affinity=0.0, counts=None):
+    """assignment.solve as it stood before its padding became -inf cells:
+    a mask of the real columns gates every pass, and the one-pass test of
+    the obvious matrices is a function of its own. The new solve must
+    return equal Matchings and raise ValueError in the same cases."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim not in (2, 3):
+        raise ValueError(f"affinity matrix must be 2D or a 3D stack, got "
+                         f"shape {arr.shape}")
+    stack = arr if arr.ndim == 3 else arr[None]
+    k, n, m = stack.shape
+    counts = [m] * k if counts is None else [int(p) for p in counts]
+    real = np.arange(m) < np.array(counts, dtype=np.int64)[:, None, None]
+    if not ((stack < np.inf) | ~real).all():
+        raise ValueError("affinity matrix contains NaN or +inf entries")
+    allowed = (stack > min_affinity) & real
+    chosen, picked, unique = _reference_unique_best(
+        stack, allowed, real & (stack > -np.inf))
+    for i in np.flatnonzero(~unique).tolist():
+        p = counts[i]
+        chosen[i] = kernels.assignment_lex(
+            np.ascontiguousarray(stack[i, :, :p]),
+            np.ascontiguousarray(allowed[i, :, :p]))
+        picked[i] = np.where(chosen[i] >= 0,
+                             stack[i, np.arange(n), chosen[i]], 0.0)
+    matchings = []
+    for row, vals, p in zip(chosen.tolist(), picked.tolist(), counts):
+        used = set(row)
+        matchings.append(assignment.Matching(
+            pairs=tuple([(r, c) for r, c in enumerate(row) if c >= 0]),
+            unmatched_rows=tuple([r for r, c in enumerate(row) if c < 0]),
+            unmatched_cols=tuple([c for c in range(p) if c not in used]),
+            total=float(sum(vals))))
+    return matchings if arr.ndim == 3 else matchings[0]
+
+
+def _reference_unique_best(stack, allowed, finite):
+    """Chosen column per row, the values there and the mask of the
+    matrices whose matching is unique by the margin 4(n+1)·tol."""
+    k, n, m = stack.shape
+    options = np.full((k, n, m + 2), -np.inf)
+    np.copyto(options[..., :m], stack, where=allowed)
+    options[..., m] = 0.0
+    pick = options.argmax(axis=-1)
+    top = np.sort(options, axis=-1)
+    best = top[..., -1]
+    scale = 1.0 + np.abs(stack).sum(axis=(1, 2), where=finite)
+    margin = 4e-9 * (n + 1) * scale
+    unique = (best - top[..., -2] > margin[:, None]).all(axis=1)
+    ids = np.sort(np.where(pick < m, pick, -1 - np.arange(n)), axis=-1)
+    unique &= (ids[:, 1:] != ids[:, :-1]).all(axis=1)
+    return np.where(pick < m, pick, -1), best, unique
 
 
 def reference_pose_score(camera, skel_joints, skel_valid, dt, pose_uv,

@@ -1,5 +1,7 @@
 """Gated maximum-affinity bipartite assignment."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -8,7 +10,11 @@ from hypothesis import given, settings, strategies as st
 from mvtrack3d import kernels
 from mvtrack3d.assignment import Matching, solve
 
-from helpers import exhaustive_assignment_lex, exhaustive_assignment_total
+from helpers import (
+    exhaustive_assignment_lex,
+    exhaustive_assignment_total,
+    reference_solve,
+)
 
 
 def total_of(matching: Matching, values) -> float:
@@ -299,3 +305,81 @@ def test_tied_matrix_of_a_stack_takes_the_full_solve(monkeypatch):
     assert second.unmatched_cols == ()
     assert second.total == 1.0
     assert calls == [(2, 4)]   # matrix 1 alone, its 2 real columns + 2 dummies
+
+
+# Cell values that tie after rounding: quarters are exact, tenths are not,
+# and 0.1 + 0.2 lies one ulp above 0.3.
+_TIED_CELLS = [-0.5, -0.25, 0.0, 0.1, 0.2, 0.25, 0.3, 0.1 + 0.2, 0.5, 1.0]
+
+
+@st.composite
+def _solve_inputs(draw):
+    """Any input solve accepts or refuses: a 2D matrix or a (K, n, m)
+    stack, counts absent or one per matrix, a gate, and cells drawn from
+    tied values, random floats, -inf, and NaN or +inf in real or padding
+    cells."""
+    stacked = draw(st.booleans())
+    k = draw(st.integers(1, 3)) if stacked else 1
+    n = draw(st.integers(0, 5))
+    m = draw(st.integers(0, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        values = rng.choice(_TIED_CELLS, (k, n, m))
+    else:
+        values = rng.normal(0.0, 1.0, (k, n, m))
+    counts = None
+    if draw(st.booleans()):
+        counts = draw(st.lists(st.integers(0, m), min_size=k, max_size=k))
+    if m and draw(st.booleans()):
+        # an obvious answer: one lifted cell per row, in distinct columns
+        lift = rng.permutation(max(m, n))[:n]
+        for i in range(k):
+            rows = np.flatnonzero(lift < m)
+            values[i, rows, lift[rows]] += 3.0
+    cells = n * m * k
+    for special in (-np.inf, np.nan, np.inf):
+        if cells and draw(st.booleans()):
+            flat = values.reshape(-1)
+            flat[rng.integers(0, cells, draw(st.integers(1, 3)))] = special
+    gate = draw(st.sampled_from([0.0, 0.1, -0.5, -np.inf]))
+    return (values if stacked else values[0]), gate, counts
+
+
+def _fields(matching):
+    return (matching.pairs, matching.unmatched_rows, matching.unmatched_cols,
+            matching.total.hex())
+
+
+@settings(max_examples=1500, deadline=None)
+@given(case=st.one_of(_solve_inputs(), _stacks().map(
+    lambda case: (case[0], case[2], case[1]))))
+def test_solve_agrees_with_the_masked_reference(case):
+    """Padding as -inf cells gives, field for field, the Matchings of the
+    solve that masked its real columns, and ValueError in the same
+    cases. It sends the same matrices to the Hungarian solve, which the
+    margin nudges of _stacks probe, and leaves the caller's values as
+    they were."""
+    values, gate, counts = case
+    before = values.tobytes()
+    calls = []
+    hungarian = kernels.hungarian_min
+
+    def counted(cost):
+        calls.append(cost.tobytes())
+        return hungarian(cost)
+
+    with mock.patch.object(kernels, "hungarian_min", counted):
+        try:
+            want = reference_solve(values, gate, counts)
+        except ValueError:
+            with pytest.raises(ValueError):
+                solve(values, gate, counts)
+            return
+        want_calls = calls[:]
+        calls.clear()
+        got = solve(values, gate, counts)
+    assert calls == want_calls
+    assert values.tobytes() == before
+    if values.ndim == 2:
+        got, want = [got], [want]
+    assert [_fields(m) for m in got] == [_fields(m) for m in want]

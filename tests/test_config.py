@@ -6,6 +6,7 @@ so a mistyped bound fails it."""
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from mvtrack3d.affinity import AffinityConfig
@@ -93,10 +94,17 @@ EDGES = [
     (SceneConfig, "dropout_rate", ABOVE_ONE, False),
 ]
 
+# Numpy floats meet the finiteness rule as Python floats do; image_margin
+# has no bound, so that rule alone refuses these.
+NON_FINITE = [
+    (AffinityConfig, "image_margin", np.float32("nan"), False),
+    (AffinityConfig, "image_margin", np.float32("inf"), False),
+]
+
 
 @pytest.mark.parametrize(
-    "config,name,value,accepted", EDGES,
-    ids=[f"{c.__name__}-{n}-{v!r}" for c, n, v, _ in EDGES])
+    "config,name,value,accepted", EDGES + NON_FINITE,
+    ids=[f"{c.__name__}-{n}-{v!r}" for c, n, v, _ in EDGES + NON_FINITE])
 def test_config_bound_edges(config, name, value, accepted):
     if accepted:
         assert getattr(config(**{name: value}), name) == value

@@ -422,10 +422,13 @@ _GOOD_TRACK = {"id": 1, "joints": [[0.0, 0.0, 1.0, "T"]] * N}
     {"frame": 0, "time_s": 0.0, "tracks": [
         _GOOD_TRACK, dict(_GOOD_TRACK, id=2,
                           joints=_GOOD_TRACK["joints"][1:])]},
+    {"frame": 0, "time_s": math.nan, "tracks": [_GOOD_TRACK]},
+    {"frame": 0, "time_s": math.inf, "tracks": [_GOOD_TRACK]},
+    {"frame": 0, "time_s": -math.inf, "tracks": []},
 ], ids=["missing-id", "tracks-int", "track-int", "id-str", "coord-str",
         "flag-list", "short-row", "joints-int", "frame-str", "time-null",
         "coord-numeric-str", "coord-true", "second-track-false",
-        "second-track-short"])
+        "second-track-short", "time-nan", "time-inf", "time-neg-inf"])
 def test_malformed_track_records_raise_parse_error(tmp_path, record):
     path = tmp_path / "tracks.jsonl"
     header = {"format": "mvtrack3d/tracks", "format_version": 1,

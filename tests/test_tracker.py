@@ -26,6 +26,7 @@ from helpers import (
     compare_tracks,
     count_identity_switches,
     homogeneous_project,
+    look_at_camera,
     make_bundle,
     points_near_origin,
     random_ring_rig,
@@ -568,6 +569,57 @@ def test_a_lone_pose_spawns_no_track(rng):
     # camera 0's second pose, the one camera 1 also sees
     near_pose = poses[cams[0].cam_id][1, :, :2]
     assert table.view_uv[0, :, 0].tolist() == near_pose.tolist()
+
+
+def test_a_burst_mixes_whole_placed_and_unborn_clusters(rng, monkeypatch):
+    """Three clusters seeded together: one triangulates every joint, one
+    places a joint that only camera 0 saw, and one triangulates nothing
+    and is not born. Cameras 0 and 2 are a parallel pair, and the unborn
+    cluster is the same pixels in both, whose rays meet only at infinity.
+    It sits between the others, so the born rows and ids close over it."""
+    cams = [look_at_camera(0, [6.0, -1.0, 3.0], [0.0, -1.0, 1.0]),
+            look_at_camera(1, [0.0, 6.0, 3.0], [0.0, 0.0, 1.0]),
+            look_at_camera(2, [6.0, 1.0, 3.0], [0.0, 1.0, 1.0])]
+    whole = points_near_origin(rng, N) * 0.5 + [0.0, -0.6, 0.0]
+    placed = points_near_origin(rng, N) * 0.5 + [0.0, 0.6, 0.0]
+    far = homogeneous_project(cams[0], points_near_origin(rng, N))[0]
+    seen = {0: (whole, far, placed), 1: (whole, placed), 2: (whole, far)}
+    poses = {}
+    for cam in cams:
+        poses[cam.cam_id] = np.array([
+            np.column_stack([body if body is far else
+                             homogeneous_project(cam, body)[0],
+                             np.full(N, 0.9)])
+            for body in seen[cam.cam_id]])
+    poses[1][1, 3, 2] = 0.0   # placed's joint 3 off camera 1
+    bundle = make_bundle(2, 2 / FPS, poses, cameras=cams)
+    statuses = []
+
+    def recorded(*args, _fn=kernels.triangulate_batch):
+        xyz, status = _fn(*args)
+        statuses.append(status.reshape(-1, N))
+        return xyz, status
+
+    monkeypatch.setattr(kernels, "triangulate_batch", recorded)
+    table = assert_same_seeding(TrackerConfig(), cams,
+                                {0: (0, 1, 2), 1: (0, 1), 2: (0, 1)}, bundle,
+                                first_id=4)
+    # the tracker's own call: three clusters, the middle one all at infinity
+    assert (statuses[0] == 0).any(axis=1).tolist() == [True, False, True]
+    assert (statuses[0][1] == 3).all()
+    assert table.ids.tolist() == [4, 5]
+    assert (table.flags[0] == JointFlag.TRIANGULATED).all()
+    assert table.flags[1].tolist() == [JointFlag.PREDICTED if n == 3 else
+                                       JointFlag.TRIANGULATED
+                                       for n in range(N)]
+    assert table.view_frame.tolist() == [[2, 2, 2], [2, 2, -math.inf]]
+    assert table.view_uv[1, :, 0].tolist() == poses[0][2, :, :2].tolist()
+    # on camera 0's ray, not at the centroid
+    ray = cams[0].krinv @ np.append(poses[0][2, 3, :2], 1.0)
+    offset = table.joints[1, 3] - cams[0].o
+    assert np.linalg.norm(np.cross(offset, ray)) < 1e-9 * np.linalg.norm(ray)
+    assert not np.allclose(table.joints[1, 3],
+                           np.delete(table.joints[1], 3, axis=0).mean(axis=0))
 
 
 def test_initialization_scores_filters_and_triangulates_once(clean_scene,
