@@ -22,6 +22,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -417,29 +418,69 @@ class TrackFile:
     frames: list[TrackFrame]
 
 
+def _unique_ids(ids: list, what: str, lineno: int, path: str) -> None:
+    """Raise ParseError naming the line and the first id of ids that
+    repeats an earlier one, if any does."""
+    if len(set(ids)) != len(ids):
+        seen = set()
+        dup = next(i for i in ids if i in seen or seen.add(i))
+        raise ParseError(f"{path}:{lineno}: a second {what} with id {dup}")
+
+
+def _track_joints(rows: list, n_joints: int, lineno: int,
+                  path: str) -> tuple[np.ndarray, np.ndarray]:
+    """(K, N, 3) joints and (K, N) flag codes of K joint lists of
+    [X,Y,Z,flag] rows, else ParseError naming the line.
+
+    One flat pass reads K lists of n_joints rows of 4 items: the rows
+    chained into one list hold the flag of every joint at every fourth
+    item from 3, and x, y, z in the rest. Any other input, and any fault,
+    is read again row by row, which words the error."""
+    try:
+        if (all(len(joints) == n_joints for joints in rows)
+                and set(map(len, chain.from_iterable(rows))) <= {4}):
+            flat = list(chain.from_iterable(chain.from_iterable(rows)))
+            codes = np.array(list(map(CHAR_FLAGS.__getitem__, flat[3::4])),
+                             dtype=np.uint8).reshape(len(rows), n_joints)
+            del flat[3::4]
+            xyz = _numbers(flat, (len(flat),), lineno, path, "track joints")
+            return xyz.reshape(len(rows), n_joints, 3), codes
+    except (TypeError, KeyError, ParseError):
+        pass
+    try:
+        xyz = [[(x, y, z) for x, y, z, _ in joints] for joints in rows]
+        codes = [[CHAR_FLAGS[row[3]] for row in joints] for joints in rows]
+    except (TypeError, ValueError, KeyError):
+        raise ParseError(
+            f"{path}:{lineno}: joint row must be [X,Y,Z,flag]"
+        ) from None
+    joints = _numbers(xyz, (None, n_joints, 3), lineno, path, "track joints")
+    return joints, np.array(codes, dtype=np.uint8)
+
+
 def load_tracks(path: str) -> TrackFile:
+    """Read a tracks file. Frames must increase, and the ids of one
+    record must differ."""
     header, records = _open(path, TRACKS_FORMAT)
     n_joints = header["n_joints"]
     frames: list[TrackFrame] = []
+    last = None
     for lineno, rec in records:
         frame = _field(rec, "frame", "int", lineno, path)
+        if last is not None and frame <= last:
+            raise NonMonotonicFrames(
+                f"{path}:{lineno}: frame {frame} after frame {last}"
+            )
+        last = frame
         time_s = _time(rec, lineno, path)
         entries = _field(rec, "tracks", "list[dict]", lineno, path)
         ids = [_field(entry, "id", "int", lineno, path) for entry in entries]
         rows = [_field(entry, "joints", None, lineno, path)
                 for entry in entries]
-        try:
-            xyz = [[(x, y, z) for x, y, z, _ in joints] for joints in rows]
-            codes = [[CHAR_FLAGS[row[3]] for row in joints] for joints in rows]
-        except (TypeError, ValueError, KeyError):
-            raise ParseError(
-                f"{path}:{lineno}: joint row must be [X,Y,Z,flag]"
-            ) from None
-        joints = _numbers(xyz, (None, n_joints, 3), lineno, path,
-                          "track joints")
-        actors = dict(zip(ids, joints))
-        flags = dict(zip(ids, np.array(codes, dtype=np.uint8)))
-        frames.append(TrackFrame(frame, time_s, actors, flags))
+        joints, codes = _track_joints(rows, n_joints, lineno, path)
+        _unique_ids(ids, "track", lineno, path)
+        frames.append(TrackFrame(frame, time_s, dict(zip(ids, joints)),
+                                 dict(zip(ids, codes))))
     return TrackFile(header["schema"], n_joints, frames)
 
 
@@ -506,6 +547,7 @@ def load_ground_truth(path: str) -> GroundTruthFile:
                  for entry in entries]
         joints = _numbers(value, (None, n_joints, 3), lineno, path,
                           "actor joints")
+        _unique_ids(ids, "actor", lineno, path)
         actors = dict(zip(ids, joints))
         masks = {aid: np.array(_field(entry, "mask", "list[bool]", lineno,
                                       path))

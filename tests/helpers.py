@@ -28,12 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 from hypothesis import strategies as st
 
-from mvtrack3d import assignment, kernels
+from mvtrack3d import assignment, fileio, kernels
 from mvtrack3d.affinity import AffinityConfig, valid_joints
+from mvtrack3d.errors import ParseError
 from mvtrack3d.evaluation import match_actors
 from mvtrack3d.fileio import TrackFrame
 from mvtrack3d.geometry import CameraCalibration, CameraRig
 from mvtrack3d.tracker import (
+    CHAR_FLAGS,
     FrameBundle,
     JointFlag,
     PoseTracker,
@@ -467,6 +469,15 @@ def reference_smooth(times, joints, sigma_frames, fps, t_now):
     return out
 
 
+def reference_match_distance(pred, gt, mask=None):
+    """Mean joint distance of one prediction to one ground-truth actor
+    over the joints mask keeps (all when None): one np.linalg.norm per
+    joint, then one mean of the kept distances."""
+    d = np.linalg.norm(np.asarray(pred, np.float64)
+                       - np.asarray(gt, np.float64), axis=1)
+    return d[np.asarray(mask, bool)].mean() if mask is not None else d.mean()
+
+
 def reference_match_actors(pred_actors, gt_actors, masks=None):
     """Scalar form of evaluation.match_actors: mean joint distance of every
     (ground-truth actor, prediction) pair, one pair at a time, then
@@ -474,14 +485,9 @@ def reference_match_actors(pred_actors, gt_actors, masks=None):
     pair is strictly closer (a NaN distance only wins in first place)."""
     gids = sorted(gt_actors)
     pids = sorted(pred_actors)
-    dist = {}
-    for g in gids:
-        gt_j = np.asarray(gt_actors[g], dtype=np.float64)
-        sel = np.asarray(masks[g], bool) if masks and g in masks else None
-        for p in pids:
-            d = np.linalg.norm(np.asarray(pred_actors[p], np.float64) - gt_j,
-                               axis=1)
-            dist[g, p] = d[sel].mean() if sel is not None else d.mean()
+    dist = {(g, p): reference_match_distance(
+        pred_actors[p], gt_actors[g], masks[g] if masks and g in masks
+        else None) for g in gids for p in pids}
     match = {}
     for _ in range(min(len(gids), len(pids))):
         best = None
@@ -656,6 +662,36 @@ def make_bundle(frame, time_s, poses, config=None, cameras=()):
         frame, time_s, arrays,
         {c: valid_joints(a, cfg, cam_by_id.get(c)) for c, a in arrays.items()},
         {c: time_s for c in arrays})
+
+
+def reference_load_tracks(path):
+    """Row-by-row form of fileio.load_tracks, without its checks of frame
+    order and repeated ids: each [X,Y,Z,flag] row unpacked in Python,
+    each flag looked up alone, then one _numbers call per record."""
+    header, records = fileio._open(path, fileio.TRACKS_FORMAT)
+    n_joints = header["n_joints"]
+    frames = []
+    for lineno, rec in records:
+        frame = fileio._field(rec, "frame", "int", lineno, path)
+        time_s = fileio._time(rec, lineno, path)
+        entries = fileio._field(rec, "tracks", "list[dict]", lineno, path)
+        ids = [fileio._field(entry, "id", "int", lineno, path)
+               for entry in entries]
+        rows = [fileio._field(entry, "joints", None, lineno, path)
+                for entry in entries]
+        try:
+            xyz = [[(x, y, z) for x, y, z, _ in joints] for joints in rows]
+            codes = [[CHAR_FLAGS[row[3]] for row in joints] for joints in rows]
+        except (TypeError, ValueError, KeyError):
+            raise ParseError(
+                f"{path}:{lineno}: joint row must be [X,Y,Z,flag]"
+            ) from None
+        joints = fileio._numbers(xyz, (None, n_joints, 3), lineno, path,
+                                 "track joints")
+        actors = dict(zip(ids, joints))
+        flags = dict(zip(ids, np.array(codes, dtype=np.uint8)))
+        frames.append(TrackFrame(frame, time_s, actors, flags))
+    return fileio.TrackFile(header["schema"], n_joints, frames)
 
 
 def reference_read_detections(records, n_joints, conf_floor, image_margin,

@@ -384,6 +384,38 @@ def test_eval_rejects_mismatched_schemas(capsys, tmp_path):
     assert "schema" in err
 
 
+_JOINTS = [[float(j), 0.0, 1.0] for j in range(14)]
+_TRACK = {"id": 1, "joints": [xyz + ["T"] for xyz in _JOINTS]}
+_ACTOR = {"id": 0, "joints": _JOINTS}
+
+
+@pytest.mark.parametrize("tracks,gt,where", [
+    # frame 3 scores 100 from its first record alone
+    ([(3, [_TRACK]), (3, []), (1, [_TRACK])], [(3, [_ACTOR])],
+     "tracks.jsonl:3: frame 3 after frame 3"),
+    ([(3, [_TRACK, _TRACK])], [(3, [_ACTOR])],
+     "tracks.jsonl:2: a second track with id 1"),
+    ([(3, [_TRACK])], [(3, [_ACTOR, _ACTOR])],
+     "gt.jsonl:2: a second actor with id 0"),
+], ids=["repeated-frame", "track-id-twice", "actor-id-twice"])
+def test_eval_refuses_repeated_frames_and_ids(capsys, tmp_path, tracks, gt,
+                                              where):
+    paths = {}
+    for name, fmt, key, records in (("tracks", "tracks", "tracks", tracks),
+                                    ("gt", "ground_truth", "actors", gt)):
+        header = {"format": f"mvtrack3d/{fmt}", "format_version": 1,
+                  "schema": "synth14", "n_joints": 14}
+        lines = [header] + [{"frame": f, "time_s": f / 25.0, key: entries}
+                            for f, entries in records]
+        paths[name] = tmp_path / f"{name}.jsonl"
+        paths[name].write_text("".join(json.dumps(x) + "\n" for x in lines))
+    code, out, err = run_cli(capsys, "eval", "--tracks", str(paths["tracks"]),
+                             "--gt", str(paths["gt"]))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert where in err
+
+
 def test_bench_reports_stage_timings(capsys):
     code, out, err = run_cli(capsys, "bench", "--frames", "3")
     assert code == 0, err

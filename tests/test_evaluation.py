@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mvtrack3d import evaluation
 from mvtrack3d.errors import SchemaMismatch
 from mvtrack3d.evaluation import (
     PartScore,
+    PcpReport,
     match_actors,
+    match_run,
     pcp_evaluate,
     score_actor,
 )
@@ -15,7 +18,8 @@ from mvtrack3d.fileio import GroundTruthFrame, TrackFrame
 from mvtrack3d.schema import SYNTH14
 
 from helpers import (points_near_origin, reference_match_actors,
-                     reference_pcp_counts, reference_score_actor)
+                     reference_match_distance, reference_pcp_counts,
+                     reference_score_actor)
 
 N = SYNTH14.n_joints
 PARTS = SYNTH14.part_names
@@ -351,3 +355,136 @@ def test_schema_shape_mismatch_is_rejected(rng):
     with pytest.raises(SchemaMismatch):
         score_actor(points_near_origin(rng, 5), points_near_origin(rng, N),
                     SYNTH14)
+
+
+def _stacked(frames):
+    """match_run's inputs for frames of (gt actors, predictions, masks),
+    each a dict keyed by row: stacked joints, counts and joint mask."""
+    gts = [a for g, _, _ in frames for a in g.values()]
+    preds = [a for _, p, _ in frames for a in p.values()]
+    masks = np.ones((len(gts), N), dtype=bool)
+    row = 0
+    for gt, _, frame_masks in frames:
+        for g in gt:
+            masks[row + g] = frame_masks.get(g, True)
+        row += len(gt)
+    return (np.array(preds).reshape(-1, N, 3), [len(p) for _, p, _ in frames],
+            np.array(gts).reshape(-1, N, 3), [len(g) for g, _, _ in frames],
+            masks)
+
+
+@st.composite
+def _matching_frames(draw):
+    """Frames of (gt actors, predictions, masks), rows keyed 0, 1, ...:
+    any (G, P) shape, 0 rows and 0 columns included; predictions near a
+    gt actor, repeating another (a tie), far off, at +-1e9 m or holding
+    a NaN joint; masks all True, partial or all False."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    frames = []
+    for _ in range(draw(st.integers(1, 12))):
+        n_gt, n_pred = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+        gt = {g: points_near_origin(rng, N) for g in range(n_gt)}
+        if gt and draw(st.booleans()):   # two actors in one place
+            gt[n_gt - 1] = gt[0].copy()
+        preds = {}
+        for p in range(n_pred):
+            kind = draw(st.sampled_from(["near", "tie", "far", "huge",
+                                         "nan"]))
+            if kind == "tie" and preds:
+                joints = preds[int(rng.integers(p))].copy()
+            elif kind == "huge":
+                joints = rng.choice([-1e9, 1e9], (N, 3))
+            elif kind == "nan":
+                joints = points_near_origin(rng, N)
+                joints[rng.integers(N), rng.integers(3)] = np.nan
+            elif kind == "near" and gt:
+                joints = gt[int(rng.integers(n_gt))] + rng.normal(
+                    0, 0.1, (N, 3))
+            else:
+                joints = points_near_origin(rng, N) + 5.0
+            preds[p] = joints
+        masks = {}
+        for g in gt:
+            kind = draw(st.sampled_from(["none", "all", "partial", "empty"]))
+            if kind != "none":
+                masks[g] = {"all": np.ones(N, dtype=bool),
+                            "partial": rng.random(N) > 0.4,
+                            "empty": np.zeros(N, dtype=bool)}[kind]
+        frames.append((gt, preds, masks))
+    return frames
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(frames=_matching_frames())
+def test_run_matching_equals_the_scalar_greedy_frame_by_frame(frames):
+    preds, pred_counts, gts, gt_counts, masks = _stacked(frames)
+    table = match_run(preds, pred_counts, gts, gt_counts, masks)
+    assert table.dtype == np.int64 and table.shape[1:] == (3,)
+    want = []
+    pred_row = gt_row = 0
+    for f, (gt, pr, frame_masks) in enumerate(frames):
+        pairs = reference_match_actors(pr, gt, frame_masks)
+        want += sorted((f, gt_row + g, pred_row + p) for g, p in pairs.items())
+        pred_row += len(pr)
+        gt_row += len(gt)
+    assert table.tolist() == [list(t) for t in want]
+    # the per-frame call, with and without the masks' all-True rows
+    for gt, pr, frame_masks in frames:
+        assert match_actors(pr, gt, SYNTH14, frame_masks) == \
+            reference_match_actors(pr, gt, frame_masks)
+
+    gt_frames = [GroundTruthFrame(f, gt, masks)
+                 for f, (gt, _, masks) in enumerate(frames)]
+    pred_frames = [TrackFrame(f, f / 25.0, pr)
+                   for f, (_, pr, _) in enumerate(frames)]
+    expected = reference_pcp_counts(pred_frames, gt_frames, SYNTH14)
+    first_seen = dict.fromkeys(a for f in gt_frames for a in sorted(f.actors))
+    want_report = PcpReport(SYNTH14.name, PARTS, {
+        a: {part: PartScore(*expected.get(a, {}).get(part, (0, 0)))
+            for part in PARTS} for a in first_seen})
+    assert pcp_evaluate(pred_frames, gt_frames, SYNTH14).to_records() == \
+        want_report.to_records()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("cells", [1, 10 ** 12])
+def test_report_does_not_depend_on_block_size(monkeypatch, rng, cells):
+    pred_frames, gt_frames = random_run(rng, 60, 9, ["none", "all", "partial",
+                                                     "empty"], True)
+    preds = {p.frame: p.actors for p in pred_frames}
+    frames = []
+    for g in gt_frames:
+        ids, tracks = sorted(g.actors), preds.get(g.frame, {})
+        frames.append((dict(enumerate(g.actors[a] for a in ids)),
+                       dict(enumerate(tracks[t] for t in sorted(tracks))),
+                       {i: g.masks[a] for i, a in enumerate(ids)
+                        if a in g.masks}))
+    inputs = _stacked(frames)
+    report = pcp_evaluate(pred_frames, gt_frames, SYNTH14).to_records()
+    table = match_run(*inputs)
+    monkeypatch.setattr(evaluation, "_BLOCK_CELLS", cells)
+    assert pcp_evaluate(pred_frames, gt_frames, SYNTH14).to_records() == report
+    assert np.array_equal(match_run(*inputs), table)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(frames=_matching_frames())
+def test_block_distances_round_as_one_norm_per_pair(frames):
+    # every frame padded to one (G, P) shape, as a block pads them
+    n_gt = max(1, max(len(g) for g, _, _ in frames))
+    n_pred = max(1, max(len(p) for _, p, _ in frames))
+    pad = np.ones((N, 3))
+    gts = np.array([[g.get(i, pad) for i in range(n_gt)] for g, _, _ in frames])
+    preds = np.array([[p.get(i, pad) for i in range(n_pred)]
+                      for _, p, _ in frames])
+    masks = np.array([[m.get(i, np.ones(N, dtype=bool)) for i in range(n_gt)]
+                      for _, _, m in frames], dtype=bool)
+    dist = evaluation._mean_distances(preds.transpose(3, 1, 0, 2),
+                                      gts.transpose(3, 1, 0, 2),
+                                      masks.transpose(1, 0, 2))
+    want = np.array([[[reference_match_distance(p, g, m)
+                       for p in frame_preds] for g, m in zip(frame_gts, ms)]
+                     for frame_preds, frame_gts, ms in zip(preds, gts, masks)])
+    assert np.array_equal(dist, want, equal_nan=True)

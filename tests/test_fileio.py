@@ -43,6 +43,7 @@ from helpers import (
     random_ring_rig,
     reference_detections_text,
     reference_ground_truth_text,
+    reference_load_tracks,
     reference_read_detections,
     reference_tracks_text,
 )
@@ -398,45 +399,131 @@ def test_tracks_file_is_readable_while_streaming(tmp_path, rng):
 _GOOD_TRACK = {"id": 1, "joints": [[0.0, 0.0, 1.0, "T"]] * N}
 
 
-@pytest.mark.parametrize("record", [
-    {"frame": 0, "time_s": 0.0, "tracks": [{"joints": _GOOD_TRACK["joints"]}]},
-    {"frame": 0, "time_s": 0.0, "tracks": 5},
-    {"frame": 0, "time_s": 0.0, "tracks": [3]},
-    {"frame": 0, "time_s": 0.0, "tracks": [dict(_GOOD_TRACK, id="one")]},
-    {"frame": 0, "time_s": 0.0, "tracks": [
-        dict(_GOOD_TRACK, joints=[[0.0, "y", 1.0, "T"]] * N)]},
-    {"frame": 0, "time_s": 0.0, "tracks": [
-        dict(_GOOD_TRACK, joints=[[0.0, 0.0, 1.0, ["T"]]] * N)]},
-    {"frame": 0, "time_s": 0.0, "tracks": [
-        dict(_GOOD_TRACK, joints=[[0.0, 0.0, 1.0]] * N)]},
-    {"frame": 0, "time_s": 0.0, "tracks": [dict(_GOOD_TRACK, joints=7)]},
-    {"frame": "abc", "time_s": 0.0, "tracks": []},
-    {"frame": 0, "time_s": None, "tracks": []},
-    {"frame": 0, "time_s": 0.0, "tracks": [
-        dict(_GOOD_TRACK, joints=[[0.0, "1.5", 1.0, "T"]] * N)]},
-    {"frame": 0, "time_s": 0.0, "tracks": [
-        dict(_GOOD_TRACK, joints=[[0.0, 0.0, True, "T"]] * N)]},
-    {"frame": 0, "time_s": 0.0, "tracks": [
+def _track_record(frame, *tracks):
+    return {"frame": frame, "time_s": frame / 25.0, "tracks": list(tracks)}
+
+
+# Coordinates of valid rows, ints of every width JSON may hold among
+# them, and now and then a value no joint may hold.
+_COORDS = st.one_of(CODEC_FLOATS, st.integers(-2 ** 63, 2 ** 64 - 1),
+                    st.integers(-3, 3))
+_BAD_COORDS = st.one_of(st.booleans(), st.none(), st.just("1.5"),
+                        st.lists(st.floats(), min_size=1, max_size=2))
+
+
+@st.composite
+def _track_files(draw):
+    """n_joints and the records of a tracks file: increasing frames, each
+    with tracks of distinct ids, whose rows are valid unless bad."""
+    n_joints = draw(st.integers(1, 4))
+    bad = draw(st.booleans())
+    coords = st.one_of(_COORDS, _BAD_COORDS) if bad else _COORDS
+    flags = st.sampled_from("TPMX" if bad else "TPM")
+    row = st.tuples(coords, coords, coords, flags).map(list)
+    if bad:
+        row = row | st.lists(coords, min_size=3, max_size=5)
+    records = []
+    for frame in sorted(draw(st.sets(st.integers(0, 50), max_size=3))):
+        ids = draw(st.lists(st.integers(-5, 5), max_size=3, unique=True))
+        records.append(_track_record(frame, *(
+            {"id": i, "joints": draw(st.lists(
+                row, min_size=n_joints, max_size=n_joints + bad))}
+            for i in ids)))
+    return n_joints, records
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_track_files())
+def test_flat_track_reader_matches_the_row_by_row_reader(tmp_path_factory,
+                                                         case):
+    n_joints, records = case
+    path = str(tmp_path_factory.mktemp("tracks") / "tracks.jsonl")
+    header = {"format": "mvtrack3d/tracks", "format_version": 1,
+              "schema": SYNTH14.name, "n_joints": n_joints}
+    with open(path, "w") as fh:
+        fh.writelines(json.dumps(line) + "\n" for line in [header] + records)
+    try:
+        want = reference_load_tracks(path)
+    except MvTrackError as exc:
+        with pytest.raises(type(exc)) as err:
+            load_tracks(path)
+        assert str(err.value) == str(exc)
+        return
+    got = load_tracks(path)
+    assert (got.schema, got.n_joints) == (want.schema, want.n_joints)
+    assert len(got.frames) == len(want.frames)
+    for g, w in zip(got.frames, want.frames):
+        assert (g.frame, g.time_s) == (w.frame, w.time_s)
+        assert list(g.actors) == list(w.actors) == list(g.flags)
+        for tid in w.actors:
+            for ours, theirs in ((g.actors[tid], w.actors[tid]),
+                                 (g.flags[tid], w.flags[tid])):
+                assert ours.dtype == theirs.dtype
+                assert ours.shape == theirs.shape
+                assert ours.flags.c_contiguous
+                assert np.array_equal(ours, theirs, equal_nan=True)
+
+
+@pytest.mark.parametrize("records,error", [
+    ({"frame": 0, "time_s": 0.0, "tracks": [{"joints": _GOOD_TRACK["joints"]}]},
+     ParseError),
+    ({"frame": 0, "time_s": 0.0, "tracks": 5}, ParseError),
+    ({"frame": 0, "time_s": 0.0, "tracks": [3]}, ParseError),
+    ({"frame": 0, "time_s": 0.0, "tracks": [dict(_GOOD_TRACK, id="one")]},
+     ParseError),
+    ({"frame": 0, "time_s": 0.0, "tracks": [
+        dict(_GOOD_TRACK, joints=[[0.0, "y", 1.0, "T"]] * N)]}, ParseError),
+    ({"frame": 0, "time_s": 0.0, "tracks": [
+        dict(_GOOD_TRACK, joints=[[0.0, 0.0, 1.0, ["T"]]] * N)]}, ParseError),
+    ({"frame": 0, "time_s": 0.0, "tracks": [
+        dict(_GOOD_TRACK, joints=[[0.0, 0.0, 1.0]] * N)]}, ParseError),
+    ({"frame": 0, "time_s": 0.0, "tracks": [dict(_GOOD_TRACK, joints=7)]},
+     ParseError),
+    ({"frame": "abc", "time_s": 0.0, "tracks": []}, ParseError),
+    ({"frame": 0, "time_s": None, "tracks": []}, ParseError),
+    ({"frame": 0, "time_s": 0.0, "tracks": [
+        dict(_GOOD_TRACK, joints=[[0.0, "1.5", 1.0, "T"]] * N)]}, ParseError),
+    ({"frame": 0, "time_s": 0.0, "tracks": [
+        dict(_GOOD_TRACK, joints=[[0.0, 0.0, True, "T"]] * N)]}, ParseError),
+    ({"frame": 0, "time_s": 0.0, "tracks": [
         _GOOD_TRACK, dict(_GOOD_TRACK, id=2, joints=[[0.5, False, 1.0, "T"]]
-                          + _GOOD_TRACK["joints"][1:])]},
-    {"frame": 0, "time_s": 0.0, "tracks": [
+                          + _GOOD_TRACK["joints"][1:])]}, ParseError),
+    ({"frame": 0, "time_s": 0.0, "tracks": [
         _GOOD_TRACK, dict(_GOOD_TRACK, id=2,
-                          joints=_GOOD_TRACK["joints"][1:])]},
-    {"frame": 0, "time_s": math.nan, "tracks": [_GOOD_TRACK]},
-    {"frame": 0, "time_s": math.inf, "tracks": [_GOOD_TRACK]},
-    {"frame": 0, "time_s": -math.inf, "tracks": []},
+                          joints=_GOOD_TRACK["joints"][1:])]}, ParseError),
+    ({"frame": 0, "time_s": math.nan, "tracks": [_GOOD_TRACK]}, ParseError),
+    ({"frame": 0, "time_s": math.inf, "tracks": [_GOOD_TRACK]}, ParseError),
+    ({"frame": 0, "time_s": -math.inf, "tracks": []}, ParseError),
+    # rows of 5 and 3 items that chain into 8 aligned ones
+    ({"frame": 0, "time_s": 0.0, "tracks": [dict(_GOOD_TRACK, joints=(
+        [[0.0, 0.0, 1.0, "T", 0.0], [0.0, 1.0, "T"]]
+        + _GOOD_TRACK["joints"][2:]))]}, ParseError),
+    ({"frame": 0, "time_s": 0.0, "tracks": [_GOOD_TRACK, _GOOD_TRACK]},
+     ParseError),
+    ([_track_record(3, _GOOD_TRACK), _track_record(3)], NonMonotonicFrames),
 ], ids=["missing-id", "tracks-int", "track-int", "id-str", "coord-str",
         "flag-list", "short-row", "joints-int", "frame-str", "time-null",
         "coord-numeric-str", "coord-true", "second-track-false",
-        "second-track-short", "time-nan", "time-inf", "time-neg-inf"])
-def test_malformed_track_records_raise_parse_error(tmp_path, record):
+        "second-track-short", "time-nan", "time-inf", "time-neg-inf",
+        "rows-long-and-short", "second-track-same-id", "repeated-frame"])
+def test_malformed_track_records_raise_parse_error(tmp_path, records, error):
+    records = records if isinstance(records, list) else [records]
     path = tmp_path / "tracks.jsonl"
     header = {"format": "mvtrack3d/tracks", "format_version": 1,
               "schema": SYNTH14.name, "n_joints": N}
-    path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
-    with pytest.raises(ParseError) as err:
+    path.write_text("".join(json.dumps(line) + "\n"
+                            for line in [header] + records))
+    with pytest.raises(error) as err:
         load_tracks(str(path))
-    assert "tracks.jsonl:2:" in str(err.value)
+    # the error names the first bad record, the last one written
+    assert f"tracks.jsonl:{len(records) + 1}:" in str(err.value)
+    try:
+        reference_load_tracks(str(path))
+    except MvTrackError as want:   # each fault the row-by-row reader words
+        assert str(err.value) == str(want)
+    else:   # faults it does not see
+        assert "a second track with id 1" in str(err.value) \
+            or "frame 3 after frame 3" in str(err.value)
 
 
 _CAMERA = {"id": 0, "K": [700.0, 0.0, 400.0, 0.0, 700.0, 300.0, 0.0, 0.0, 1.0],
@@ -491,6 +578,9 @@ _ACTOR = {"id": 0, "joints": [[0.0, 0.0, 1.0]] * N}
                                   + [True] * (N - 3))]}, ParseError),
     ("ground_truth", load_ground_truth,
      {"frame": 0, "actors": [dict(_ACTOR, mask=[True] * 3)]}, ParseError),
+    ("ground_truth", load_ground_truth,
+     {"frame": 0, "actors": [_ACTOR, dict(_ACTOR, joints=[[1.0, 0.0, 1.0]]
+                                          * N)]}, ParseError),
     # a record of the right types whose frame rate no camera can have
     ("calibration", load_calibration, dict(_CAMERA, fps=math.nan),
      ValidationError),
@@ -502,7 +592,8 @@ _ACTOR = {"id": 0, "joints": [[0.0, 0.0, 1.0]] * N}
         "K-true", "K-null", "o-short", "actors-int",
         "missing-id", "joint-str", "frame-null", "joint-null",
         "joint-numeric-str", "joint-true", "second-actor-false",
-        "second-actor-short", "mask-not-bool", "mask-short", "fps-nan",
+        "second-actor-short", "mask-not-bool", "mask-short",
+        "second-actor-same-id", "fps-nan",
         "fps-inf", "fps-minus-inf"])
 def test_malformed_calibration_and_ground_truth_raise_parse_error(
         tmp_path, fmt, loader, record, error):
