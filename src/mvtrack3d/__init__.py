@@ -9,9 +9,6 @@ fileio, evaluation, synth, ...).
 from .errors import (
     ConfigError,
     DegenerateBaseline,
-    DegenerateGeometry,
-    DepthNonPositive,
-    InsufficientObservations,
     MvTrackError,
     NonMonotonicFrames,
     NonMonotonicTime,
@@ -47,11 +44,8 @@ __all__ = [
     "ValidationError",
     "ParseError",
     "SchemaMismatch",
-    "DepthNonPositive",
     "SingularProjection",
     "DegenerateBaseline",
-    "DegenerateGeometry",
-    "InsufficientObservations",
     "NonMonotonicFrames",
     "NonMonotonicTime",
 ]

@@ -5,24 +5,12 @@ class MvTrackError(Exception):
     """Base class for all library errors."""
 
 
-class DepthNonPositive(MvTrackError):
-    """Point does not lie strictly in front of the camera."""
-
-
 class SingularProjection(MvTrackError):
     """K*R is not invertible, the pixel ray is undefined."""
 
 
 class DegenerateBaseline(MvTrackError):
     """Two camera centers coincide, no epipolar geometry exists."""
-
-
-class InsufficientObservations(MvTrackError):
-    """Fewer than two views were supplied for triangulation."""
-
-
-class DegenerateGeometry(MvTrackError):
-    """Observation rays do not intersect in a unique finite point."""
 
 
 class NonMonotonicFrames(MvTrackError):

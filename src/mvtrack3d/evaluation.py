@@ -14,10 +14,10 @@ one array each, frame by frame in sorted-id order. match_run pairs every
 frame at once, in blocks of frames padded to the block's largest: it
 takes every mean joint distance of a block from per-component arrays
 and runs the greedy rule across the block's frames together, one pair
-per frame per step. Its (frame, gt row, prediction row) table feeds one
-pass that scores every matched pair's limbs (_limbs_correct), and
-np.bincount counts correct and total limbs per (actor, part).
-match_actors and score_actor are the one-frame forms of the same passes.
+per frame per step. Its (frame, gt row, prediction row) table feeds
+_limbs_correct, which scores the matched pairs' limbs in slices of
+_BLOCK_CELLS joints, and np.bincount counts correct and total limbs per
+(actor, part).
 """
 
 from __future__ import annotations
@@ -79,21 +79,9 @@ def _limbs_correct(preds: np.ndarray, gts: np.ndarray,
     return 0.5 * (da + db) <= 0.5 * length
 
 
-def score_actor(pred: np.ndarray, gt: np.ndarray, schema: JointSchema,
-                mask: np.ndarray | None = None) -> list[tuple[str, bool]]:
-    """Per-limb correctness of one prediction against one GT actor.
-
-    Limbs with a masked-out endpoint are skipped entirely.
-    """
-    ok = _limbs_correct(_stack_joints([pred], schema, "predicted"),
-                        _stack_joints([gt], schema, "ground-truth"),
-                        schema)[0].tolist()
-    return [(part, c) for (part, a, b), c in zip(schema.limbs, ok)
-            if mask is None or (mask[a] and mask[b])]
-
-
 # Joint distance cells (frames x ground-truth rows x prediction rows x
-# joints) that one block of match_run holds: about 0.5 MB per float64
+# joints) that one block of match_run holds, and joints of the matched
+# pairs that one _limbs_correct call scores: about 0.5 MB per float64
 # array, so memory stays bounded for a run of any length.
 _BLOCK_CELLS = 1 << 16
 
@@ -227,27 +215,6 @@ def _joint_masks(masks: dict, n_rows: int, n_joints: int) -> np.ndarray:
     return out
 
 
-def match_actors(pred_actors: dict[int, np.ndarray],
-                 gt_actors: dict[int, np.ndarray],
-                 schema: JointSchema,
-                 gt_masks: dict[int, np.ndarray] | None = None,
-                 ) -> dict[int, int]:
-    """Greedy per-frame matching, match_run on one frame: repeatedly pair
-    the globally closest (gt actor, prediction) by mean joint distance;
-    ties prefer smaller ids. Returns {gt actor id: prediction id} for
-    the paired subset."""
-    pred_ids, gt_ids = sorted(pred_actors), sorted(gt_actors)
-    preds = _stack_joints([pred_actors[p] for p in pred_ids], schema,
-                          "predicted")
-    gts = _stack_joints([gt_actors[g] for g in gt_ids], schema,
-                        "ground-truth")
-    gt_masks = gt_masks or {}
-    masks = {i: gt_masks[g] for i, g in enumerate(gt_ids) if g in gt_masks}
-    table = match_run(preds, [len(preds)], gts, [len(gts)],
-                      _joint_masks(masks, len(gts), schema.n_joints))
-    return {gt_ids[g]: pred_ids[p] for _, g, p in table.tolist()}
-
-
 @dataclass
 class PcpReport:
     schema_name: str
@@ -351,7 +318,10 @@ def pcp_evaluate(predictions, ground_truth, schema: JointSchema) -> PcpReport:
     _, gt_rows, pred_rows = match_run(preds, pred_counts, gts, gt_counts,
                                       joint_mask).T
     correct = np.zeros((len(rows), len(schema.limbs)), dtype=bool)
-    correct[gt_rows] = _limbs_correct(preds[pred_rows], gts[gt_rows], schema)
+    per_slice = max(1, _BLOCK_CELLS // n_joints)
+    for lo in range(0, len(gt_rows), per_slice):
+        g, p = gt_rows[lo:lo + per_slice], pred_rows[lo:lo + per_slice]
+        correct[g] = _limbs_correct(preds[p], gts[g], schema)
     a, b = np.array([limb[1:] for limb in schema.limbs]).T
     counted = joint_mask[:, a] & joint_mask[:, b]
     # one bincount cell per (actor, part), in actor_index order

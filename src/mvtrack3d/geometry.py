@@ -12,17 +12,8 @@ from functools import cached_property
 
 import numpy as np
 
-from . import kernels
-from .errors import (
-    DegenerateBaseline,
-    DegenerateGeometry,
-    DepthNonPositive,
-    InsufficientObservations,
-    SingularProjection,
-    ValidationError,
-)
+from .errors import DegenerateBaseline, SingularProjection, ValidationError
 
-MIN_DEPTH = 1e-9
 MIN_BASELINE = 1e-9
 
 
@@ -94,43 +85,6 @@ class CameraCalibration:
         return np.ascontiguousarray(t @ self.projection_matrix)
 
 
-@dataclass(frozen=True)
-class Ray3D:
-    """Half-line from origin along a unit direction."""
-
-    origin: np.ndarray
-    direction: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "origin", np.asarray(self.origin, dtype=np.float64).reshape(3))
-        d = np.asarray(self.direction, dtype=np.float64).reshape(3)
-        n = np.linalg.norm(d)
-        if not np.isfinite(n) or n < 1e-12:
-            raise ValidationError("ray direction must be non-zero")
-        object.__setattr__(self, "direction", d / n)
-
-    def point_at(self, t: float) -> np.ndarray:
-        return self.origin + t * self.direction
-
-
-def project(point, camera: CameraCalibration) -> np.ndarray:
-    """Pixel of a world point, raises DepthNonPositive behind the camera."""
-    pts = np.ascontiguousarray(point, dtype=np.float64).reshape(1, 3)
-    uv, depth = kernels.project_points(pts, camera.K, camera.R, camera.o)
-    if depth[0] <= MIN_DEPTH:
-        raise DepthNonPositive(
-            f"point depth {depth[0]:.3g} is not in front of camera {camera.cam_id}"
-        )
-    return uv[0]
-
-
-def back_project_ray(pixel, camera: CameraCalibration) -> Ray3D:
-    """Ray through the camera center and a pixel."""
-    u, v = float(pixel[0]), float(pixel[1])
-    direction = kernels.back_project_dir(u, v, camera.krinv)
-    return Ray3D(origin=camera.o.copy(), direction=direction)
-
-
 def fundamental_matrix(cam_src: CameraCalibration, cam_dst: CameraCalibration) -> np.ndarray:
     """Matrix F with x_dst^T F x_src = 0 for corresponding pixels."""
     baseline = cam_dst.o - cam_src.o
@@ -147,44 +101,6 @@ def fundamental_matrix(cam_src: CameraCalibration, cam_dst: CameraCalibration) -
     ])
     f = np.linalg.inv(cam_dst.K).T @ tx @ r_rel @ np.linalg.inv(cam_src.K)
     return np.ascontiguousarray(f)
-
-
-def point_ray_distance_3d(point, ray: Ray3D) -> float:
-    """Distance from a world point to the infinite line carrying the ray."""
-    p = np.ascontiguousarray(point, dtype=np.float64).reshape(3)
-    return kernels.point_ray_distance(p, ray.origin, ray.direction)
-
-
-def triangulate(pixels, cameras, weights=None) -> np.ndarray:
-    """Weighted linear triangulation of one 3D point from two or more views.
-
-    pixels (M,2) pairs with cameras (length M). Weights default to 1 and
-    only their ratios matter. Raises InsufficientObservations for M < 2
-    and DegenerateGeometry when the views do not pin down a finite point.
-    """
-    uv = np.ascontiguousarray(pixels, dtype=np.float64).reshape(-1, 2)
-    m = uv.shape[0]
-    if m != len(cameras):
-        raise ValidationError(f"{m} pixels but {len(cameras)} cameras")
-    if m < 2:
-        raise InsufficientObservations("triangulation needs at least two views")
-    if weights is None:
-        w = np.ones(m)
-    else:
-        w = np.ascontiguousarray(weights, dtype=np.float64).reshape(m)
-        if np.any(w <= 0) or not np.all(np.isfinite(w)):
-            raise ValidationError("weights must be positive and finite")
-    uvn = np.empty((m, 2))
-    pmats = np.empty((m, 3, 4))
-    for i, cam in enumerate(cameras):
-        uvn[i, 0] = uv[i, 0] * (2.0 / cam.width) - 1.0
-        uvn[i, 1] = uv[i, 1] * (2.0 / cam.height) - 1.0
-        pmats[i] = cam.conditioned_projection()
-    xyz, status = kernels.triangulate_batch(uvn[None], pmats[None], w[None],
-                                            np.ones((1, m), np.bool_))
-    if status[0] != 0:
-        raise DegenerateGeometry("observation rays do not define a unique finite point")
-    return xyz[0]
 
 
 class CameraRig:

@@ -11,6 +11,10 @@ time with the same kernels, triangulation by one stacked LAPACK
 eigensolve and a row-by-row comparison of two runs' tracks. Tests
 compare library output against these,
 and build the frames they feed the tracker with make_bundle. The
+exception is the per-point geometry (project, back_project_ray,
+point_ray_distance_3d, triangulate) and the one-frame scoring
+(match_actors, score_actor): thin forms of the batched kernels that
+build inputs and read results one point or one frame at a time. The
 hypothesis strategies at the end draw floats and JSON values for the
 codec tests and the input fuzzers.
 
@@ -31,7 +35,8 @@ from hypothesis import strategies as st
 from mvtrack3d import assignment, fileio, kernels
 from mvtrack3d.affinity import AffinityConfig, valid_joints
 from mvtrack3d.errors import ParseError
-from mvtrack3d.evaluation import match_actors
+from mvtrack3d.evaluation import (_joint_masks, _limbs_correct, _stack_joints,
+                                  match_run)
 from mvtrack3d.fileio import TrackFrame
 from mvtrack3d.geometry import CameraCalibration, CameraRig
 from mvtrack3d.tracker import (
@@ -94,6 +99,99 @@ def homogeneous_project(camera, points):
     with np.errstate(divide="ignore", invalid="ignore"):
         uv = hom[:, :2] / hom[:, 2:3]
     return uv, depth
+
+
+# Per-point and per-frame forms of the batched kernels. They call the
+# kernels themselves, so they are input builders, not references.
+
+MIN_DEPTH = 1e-9
+
+
+@dataclass(frozen=True)
+class Ray3D:
+    """Half-line from origin along a unit direction."""
+
+    origin: np.ndarray
+    direction: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "origin",
+                           np.asarray(self.origin, dtype=np.float64).reshape(3))
+        d = np.asarray(self.direction, dtype=np.float64).reshape(3)
+        n = np.linalg.norm(d)
+        if not np.isfinite(n) or n < 1e-12:
+            raise ValueError("ray direction must be non-zero")
+        object.__setattr__(self, "direction", d / n)
+
+    def point_at(self, t):
+        return self.origin + t * self.direction
+
+
+def project(point, camera):
+    """Pixel of one world point by kernels.project_points; ValueError
+    unless its depth exceeds MIN_DEPTH."""
+    pts = np.ascontiguousarray(point, dtype=np.float64).reshape(1, 3)
+    uv, depth = kernels.project_points(pts, camera.K, camera.R, camera.o)
+    if depth[0] <= MIN_DEPTH:
+        raise ValueError(f"point depth {depth[0]:.3g} is not in front of "
+                         f"camera {camera.cam_id}")
+    return uv[0]
+
+
+def back_project_ray(pixel, camera):
+    """Ray through the camera center and a pixel, by
+    kernels.back_project_dir."""
+    direction = kernels.back_project_dir(float(pixel[0]), float(pixel[1]),
+                                         camera.krinv)
+    return Ray3D(origin=camera.o.copy(), direction=direction)
+
+
+def point_ray_distance_3d(point, ray):
+    """Distance from a world point to the line carrying the ray, by
+    kernels.point_ray_distance."""
+    p = np.ascontiguousarray(point, dtype=np.float64).reshape(3)
+    return kernels.point_ray_distance(p, ray.origin, ray.direction)
+
+
+def triangulate(pixels, cameras, weights=None):
+    """One point from pixels (M,2) of M cameras by kernels.triangulate_batch,
+    weights 1 when None; ValueError unless its status is 0."""
+    uv = np.ascontiguousarray(pixels, dtype=np.float64).reshape(-1, 2)
+    m = len(cameras)
+    w = np.ones(m) if weights is None else np.asarray(weights, np.float64)
+    uvn = uv * [[2.0 / c.width, 2.0 / c.height] for c in cameras] - 1.0
+    pmats = np.stack([c.conditioned_projection() for c in cameras])
+    xyz, status = kernels.triangulate_batch(uvn[None], pmats[None], w[None],
+                                            np.ones((1, m), np.bool_))
+    if status[0] != 0:
+        raise ValueError(f"triangulation status {status[0]}")
+    return xyz[0]
+
+
+def match_actors(pred_actors, gt_actors, schema, gt_masks=None):
+    """evaluation.match_run on one frame: {gt actor id: prediction id} of
+    the greedy pairs of {id: (N,3) joints} predictions and ground truth,
+    gt_masks {gt actor id: (N,) joints to average over}."""
+    pred_ids, gt_ids = sorted(pred_actors), sorted(gt_actors)
+    preds = _stack_joints([pred_actors[p] for p in pred_ids], schema,
+                          "predicted")
+    gts = _stack_joints([gt_actors[g] for g in gt_ids], schema,
+                        "ground-truth")
+    gt_masks = gt_masks or {}
+    masks = {i: gt_masks[g] for i, g in enumerate(gt_ids) if g in gt_masks}
+    table = match_run(preds, [len(preds)], gts, [len(gts)],
+                      _joint_masks(masks, len(gts), schema.n_joints))
+    return {gt_ids[g]: pred_ids[p] for _, g, p in table.tolist()}
+
+
+def score_actor(pred, gt, schema, mask=None):
+    """evaluation._limbs_correct on one pair: [(part, correct)] of every
+    limb whose endpoints mask keeps (all when None)."""
+    ok = _limbs_correct(_stack_joints([pred], schema, "predicted"),
+                        _stack_joints([gt], schema, "ground-truth"),
+                        schema)[0].tolist()
+    return [(part, c) for (part, a, b), c in zip(schema.limbs, ok)
+            if mask is None or (mask[a] and mask[b])]
 
 
 def exhaustive_assignment_total(values, gate=0.0):
@@ -479,10 +577,11 @@ def reference_match_distance(pred, gt, mask=None):
 
 
 def reference_match_actors(pred_actors, gt_actors, masks=None):
-    """Scalar form of evaluation.match_actors: mean joint distance of every
-    (ground-truth actor, prediction) pair, one pair at a time, then
-    repeatedly the first free pair in row-major order unless a later free
-    pair is strictly closer (a NaN distance only wins in first place)."""
+    """Scalar form of evaluation.match_run on one frame: mean joint
+    distance of every (ground-truth actor, prediction) pair, one pair at
+    a time, then repeatedly the first free pair in row-major order unless
+    a later free pair is strictly closer (a NaN distance only wins in
+    first place)."""
     gids = sorted(gt_actors)
     pids = sorted(pred_actors)
     dist = {(g, p): reference_match_distance(
@@ -502,7 +601,7 @@ def reference_match_actors(pred_actors, gt_actors, masks=None):
 
 
 def reference_score_actor(pred, gt, schema, mask=None):
-    """Scalar form of evaluation.score_actor: three np.linalg.norm calls
+    """Scalar form of evaluation._limbs_correct: three np.linalg.norm calls
     per limb, so limb ties round as the norm of one vector rounds."""
     out = []
     for part, a, b in schema.limbs:

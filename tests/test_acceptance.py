@@ -30,14 +30,25 @@ def test_criterion_1_roundtrip_and_exact_triangulation(capsys):
     t0 = time.perf_counter()
     for _ in range(1000):
         cams = helpers.random_ring_rig(rng, n_cams=int(rng.integers(2, 6)))
-        pts = helpers.points_near_origin(rng, 3)
-        for p in pts:
-            uvs = np.array([geometry.project(p, c) for c in cams])
-            for uv, cam in zip(uvs, cams):
-                ray = geometry.back_project_ray(uv, cam)
-                worst_rt = max(worst_rt, geometry.point_ray_distance_3d(p, ray))
-            xyz = geometry.triangulate(uvs, cams)
-            worst_tri = max(worst_tri, float(np.linalg.norm(xyz - p)))
+        pts = helpers.points_near_origin(rng, 3)[:, None]   # (3, 1, 3)
+        origins = np.stack([c.o for c in cams])
+        # (3 points, M cameras) pixels, rays and distances
+        uv, depth = kernels.project_points(
+            pts, np.stack([c.K for c in cams]), np.stack([c.R for c in cams]),
+            origins)
+        direction = kernels.back_project_dir(
+            uv[..., 0], uv[..., 1], np.stack([c.krinv for c in cams]))
+        worst_rt = max(worst_rt, float(kernels.point_ray_distance(
+            pts, origins, direction).max()))
+        # pixels conditioned as conditioned_projection conditions them
+        scale = np.array([[2.0 / c.width, 2.0 / c.height] for c in cams])
+        pmats = np.stack([c.conditioned_projection() for c in cams])
+        # a point whose status is not 0 comes back as 0 and fails the bound
+        xyz, _ = kernels.triangulate_batch(
+            uv * scale - 1.0, pmats, np.ones(len(cams)),
+            np.ones(depth.shape, np.bool_))
+        worst_tri = max(worst_tri, float(np.linalg.norm(
+            xyz - pts[:, 0], axis=1).max()))
     elapsed = time.perf_counter() - t0
     ok = worst_rt < 1e-8 and worst_tri < 1e-9 and elapsed < 5.0
     report(capsys, 1, "projection roundtrip and noiseless triangulation", ok,

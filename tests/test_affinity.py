@@ -21,6 +21,7 @@ from helpers import (
     make_bundle,
     point_line_distance_2d,
     points_near_origin,
+    project,
     random_ring_rig,
     reference_pose_score,
 )
@@ -161,7 +162,7 @@ def exact_projection_setup(rng, dt=0.04):
     cam = random_ring_rig(rng, n_cams=1)[0]
     pts = points_near_origin(rng, N)
     skel = make_skeleton(pts, 0.0)
-    uv = np.stack([geometry.project(p, cam) for p in pts])
+    uv = np.stack([project(p, cam) for p in pts])
     return cam, skel, uv, dt
 
 
@@ -193,7 +194,7 @@ def test_part_aware_ignores_outlier_joints_baseline_does_not(rng):
     cam = look_at_camera(0, [6.0, 0.0, 3.0], [0.0, 0.0, 1.0], fps=4.0)
     pts = points_near_origin(rng, N)
     skel = make_skeleton(pts, 0.0)
-    uv = np.stack([geometry.project(p, cam) for p in pts])
+    uv = np.stack([project(p, cam) for p in pts])
     uv[:13, 0] += 0.2
     uv[13, 0] += 11.0
     pose = make_pose(cam, uv, 0.25)
@@ -210,7 +211,7 @@ def test_part_aware_dominates_baseline_when_positive(rng):
         cam = random_ring_rig(rng, n_cams=1)[0]
         pts = points_near_origin(rng, N)
         skel = make_skeleton(pts, 0.0)
-        uv = np.stack([geometry.project(p, cam) for p in pts])
+        uv = np.stack([project(p, cam) for p in pts])
         scale = rng.uniform(0.5, 40.0)
         uv = uv + rng.normal(0.0, scale, size=uv.shape)
         pose = make_pose(cam, uv, 0.04)
@@ -231,7 +232,7 @@ def test_pose_scores_match_reference_implementation(rng):
         flags = np.where(rng.random(N) < 0.2, JointFlag.MISSING,
                          JointFlag.TRIANGULATED).astype(np.uint8)
         skel = Skeleton3D(0.0, pts, flags)
-        uv = np.stack([geometry.project(p, cam) for p in pts])
+        uv = np.stack([project(p, cam) for p in pts])
         uv = uv + rng.normal(0.0, rng.uniform(0.5, 30.0), size=uv.shape)
         conf = np.where(rng.random(N) < 0.2, 0.01, 0.9)
         pose = make_bundle(0, t_pose, {cam.cam_id: np.column_stack(
@@ -256,8 +257,8 @@ def test_epipolar_joint_affinity_exact_correspondence(rng):
     cams = random_ring_rig(rng, n_cams=2)
     cfg = AffinityConfig(alpha_epi=30.0)
     p = points_near_origin(rng, 1)[0]
-    a = geometry.project(p, cams[0])
-    b = geometry.project(p, cams[1])
+    a = project(p, cams[0])
+    b = project(p, cams[1])
     assert pair_affinity(a, b, cams[0], cams[1], cfg) == (
         pytest.approx(1.0, abs=1e-9))
 
@@ -291,7 +292,7 @@ def test_epipolar_joint_affinity_symmetric(rng):
 def test_epipolar_joint_affinity_neutral_at_epipole(rng):
     cams = random_ring_rig(rng, n_cams=2)
     cfg = AffinityConfig(alpha_epi=30.0)
-    epipole = geometry.project(cams[1].o, cams[0])
+    epipole = project(cams[1].o, cams[0])
     other = rng.uniform(0, [cams[1].width, cams[1].height])
     assert pair_affinity(epipole, other, cams[0], cams[1], cfg) == 0.0
 
@@ -300,8 +301,8 @@ def test_epipolar_pose_affinity_counts_mutually_valid_joints(rng):
     cams = random_ring_rig(rng, n_cams=2)
     cfg = AffinityConfig(alpha_epi=30.0)
     pts = points_near_origin(rng, N)
-    uv_a = np.stack([geometry.project(p, cams[0]) for p in pts])
-    uv_b = np.stack([geometry.project(p, cams[1]) for p in pts])
+    uv_a = np.stack([project(p, cams[0]) for p in pts])
+    uv_b = np.stack([project(p, cams[1]) for p in pts])
     pose_a = make_pose(cams[0], uv_a, 0.0)
     pose_b = make_pose(cams[1], uv_b, 0.0)
     got = pose_pair_score(pose_a, pose_b, cams[0], cams[1], cfg)

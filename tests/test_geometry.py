@@ -1,28 +1,35 @@
-"""Projection, back-projection, epipolar geometry, and triangulation."""
+"""Projection, back-projection, epipolar geometry, and triangulation.
+
+Most tests call the kernels directly. The roundtrip and triangulation
+tests go through the per-point forms in helpers (project,
+back_project_ray, point_ray_distance_3d, triangulate), which call the
+same kernels one point at a time."""
 
 import numpy as np
 import pytest
 import scipy.optimize
 
-from mvtrack3d import geometry
+from mvtrack3d import geometry, kernels
 from mvtrack3d.errors import (
     DegenerateBaseline,
-    DegenerateGeometry,
-    DepthNonPositive,
-    InsufficientObservations,
     SingularProjection,
     ValidationError,
 )
-from mvtrack3d.geometry import CameraCalibration, CameraRig, Ray3D
+from mvtrack3d.geometry import CameraCalibration, CameraRig
 
 from helpers import (
     Line2D,
+    Ray3D,
+    back_project_ray,
     epipolar_line,
     homogeneous_project,
     look_at_camera,
     point_line_distance_2d,
+    point_ray_distance_3d,
     points_near_origin,
+    project,
     random_ring_rig,
+    triangulate,
 )
 
 
@@ -33,17 +40,25 @@ def identity_camera():
 # -- projection --------------------------------------------------------
 
 
+def project_points(points, cam):
+    return kernels.project_points(np.asarray(points, dtype=np.float64),
+                                  cam.K, cam.R, cam.o)
+
+
 def test_project_identity_camera():
-    cam = identity_camera()
-    assert np.array_equal(geometry.project([0.0, 0.0, 1.0], cam), [0.0, 0.0])
-    assert np.array_equal(geometry.project([1.0, 1.0, 2.0], cam), [0.5, 0.5])
+    uv, depth = project_points([[0.0, 0.0, 1.0], [1.0, 1.0, 2.0]],
+                               identity_camera())
+    assert np.array_equal(uv, [[0.0, 0.0], [0.5, 0.5]])
+    assert np.array_equal(depth, [1.0, 2.0])
 
 
 def test_project_rejects_points_behind_camera():
-    cam = identity_camera()
-    for bad in ([0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1e-12]):
-        with pytest.raises(DepthNonPositive):
-            geometry.project(bad, cam)
+    # a point at or behind the camera plane gets NaN pixels and depth <= 0
+    uv, depth = project_points([[0.0, 0.0, -1.0], [0.0, 0.0, 0.0],
+                                [1.0, -2.0, -1e-12], [0.0, 0.0, 1.0]],
+                               identity_camera())
+    assert np.isnan(uv[:3]).all() and np.all(depth[:3] <= 0.0)
+    assert np.array_equal(uv[3], [0.0, 0.0]) and depth[3] == 1.0
 
 
 def test_project_matches_homogeneous_matrix_form(rng):
@@ -52,40 +67,40 @@ def test_project_matches_homogeneous_matrix_form(rng):
         pts = points_near_origin(rng, 10)
         expected, depth = homogeneous_project(cam, pts)
         assert np.all(depth > 0)
-        got = np.stack([geometry.project(p, cam) for p in pts])
+        got, got_depth = project_points(pts, cam)
         assert np.max(np.abs(got - expected)) < 1e-9
+        assert np.max(np.abs(got_depth - depth)) < 1e-12
 
 
 # -- back-projection ---------------------------------------------------
 
 
 def test_back_project_identity_camera():
-    cam = identity_camera()
-    ray = geometry.back_project_ray([0.0, 0.0], cam)
-    assert np.array_equal(ray.origin, np.zeros(3))
-    assert np.allclose(ray.direction, [0.0, 0.0, 1.0], atol=1e-15)
-    ray = geometry.back_project_ray([2.0, 2.0], cam)
-    assert np.allclose(ray.direction, np.array([2.0, 2.0, 1.0]) / 3.0,
+    krinv = identity_camera().krinv
+    direction = kernels.back_project_dir([0.0, 2.0], [0.0, 2.0], krinv)
+    assert np.allclose(direction[0], [0.0, 0.0, 1.0], atol=1e-15)
+    assert np.allclose(direction[1], np.array([2.0, 2.0, 1.0]) / 3.0,
                        atol=1e-12)
 
 
 def test_back_project_directions_are_unit(rng):
     cam = random_ring_rig(rng, n_cams=1)[0]
-    for _ in range(20):
-        uv = rng.uniform(0, [cam.width, cam.height])
-        ray = geometry.back_project_ray(uv, cam)
-        assert abs(np.linalg.norm(ray.direction) - 1.0) < 1e-12
+    uv = rng.uniform(0, [cam.width, cam.height], size=(20, 2))
+    direction = kernels.back_project_dir(uv[:, 0], uv[:, 1], cam.krinv)
+    assert np.max(np.abs(np.linalg.norm(direction, axis=1) - 1.0)) < 1e-12
 
 
 def test_project_back_project_roundtrip(rng):
+    # one point and one camera at a time; criterion 1 runs the kernels
+    # on whole batches
     worst = 0.0
     for _ in range(100):
         cams = random_ring_rig(rng, n_cams=3)
         for p in points_near_origin(rng, 3):
             for cam in cams:
-                uv = geometry.project(p, cam)
-                ray = geometry.back_project_ray(uv, cam)
-                worst = max(worst, geometry.point_ray_distance_3d(p, ray))
+                uv = project(p, cam)
+                ray = back_project_ray(uv, cam)
+                worst = max(worst, point_ray_distance_3d(p, ray))
     assert worst < 1e-8
 
 
@@ -93,13 +108,13 @@ def test_back_project_singular_projection():
     cam = CameraCalibration(0, np.diag([1e-13, 1e-13, 1.0]), np.eye(3),
                             np.zeros(3), 2, 2, 25.0)
     with pytest.raises(SingularProjection):
-        geometry.back_project_ray([0.5, 0.5], cam)
+        cam.krinv
 
 
 def test_ray_point_at():
     ray = Ray3D([1.0, 2.0, 3.0], [0.0, 0.0, 2.0])
     assert np.array_equal(ray.point_at(4.0), [1.0, 2.0, 7.0])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValueError):
         Ray3D([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
 
 
@@ -132,20 +147,22 @@ def test_point_line_distance_matches_projection_formula(rng):
 
 
 def test_point_ray_distance_z_axis():
-    ray = Ray3D(np.zeros(3), [0.0, 0.0, 1.0])
-    assert geometry.point_ray_distance_3d([3.0, 4.0, 10.0], ray) == 5.0
-    assert geometry.point_ray_distance_3d([0.0, 0.0, 123.0], ray) == 0.0
+    d = kernels.point_ray_distance(np.array([[3.0, 4.0, 10.0],
+                                             [0.0, 0.0, 123.0]]),
+                                   np.zeros(3), np.array([0.0, 0.0, 1.0]))
+    assert np.array_equal(d, [5.0, 0.0])
 
 
 def test_point_ray_distance_matches_orthogonal_rejection(rng):
-    for _ in range(200):
-        origin = rng.normal(size=3)
-        ray = Ray3D(origin, rng.normal(size=3))
-        p = rng.normal(scale=10.0, size=3)
-        w = p - ray.origin
-        rej = w - (w @ ray.direction) * ray.direction
-        assert geometry.point_ray_distance_3d(p, ray) == pytest.approx(
-            np.linalg.norm(rej), abs=1e-9)
+    origin = rng.normal(size=(200, 3))
+    direction = rng.normal(size=(200, 3))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    p = rng.normal(scale=10.0, size=(200, 3))
+    got = kernels.point_ray_distance(p, origin, direction)
+    for k in range(200):
+        w = p[k] - origin[k]
+        rej = w - (w @ direction[k]) * direction[k]
+        assert got[k] == pytest.approx(np.linalg.norm(rej), abs=1e-9)
 
 
 # -- epipolar geometry -------------------------------------------------
@@ -157,8 +174,8 @@ def test_fundamental_matrix_annihilates_correspondences(rng):
         f = geometry.fundamental_matrix(cams[0], cams[1])
         f = f / np.linalg.norm(f)
         for p in points_near_origin(rng, 5):
-            xa = np.append(geometry.project(p, cams[0]), 1.0)
-            xb = np.append(geometry.project(p, cams[1]), 1.0)
+            xa = np.append(project(p, cams[0]), 1.0)
+            xb = np.append(project(p, cams[1]), 1.0)
             assert abs(xb @ f @ xa) < 1e-6
 
 
@@ -180,10 +197,10 @@ def test_epipolar_line_contains_correspondence_and_epipole(rng):
     worst = 0.0
     for _ in range(50):
         cams = random_ring_rig(rng, n_cams=2)
-        epipole = geometry.project(cams[0].o, cams[1])
+        epipole = project(cams[0].o, cams[1])
         for p in points_near_origin(rng, 5):
-            uv_a = geometry.project(p, cams[0])
-            uv_b = geometry.project(p, cams[1])
+            uv_a = project(p, cams[0])
+            uv_b = project(p, cams[1])
             line = epipolar_line(uv_a, cams[0], cams[1])
             worst = max(worst, point_line_distance_2d(uv_b, line))
             assert point_line_distance_2d(epipole, line) < 1e-5
@@ -192,7 +209,7 @@ def test_epipolar_line_contains_correspondence_and_epipole(rng):
 
 def test_epipolar_line_is_normalized(rng):
     cams = random_ring_rig(rng, n_cams=2)
-    uv = geometry.project(points_near_origin(rng, 1)[0], cams[0])
+    uv = project(points_near_origin(rng, 1)[0], cams[0])
     line = epipolar_line(uv, cams[0], cams[1])
     assert np.hypot(line.a, line.b) == pytest.approx(1.0, abs=1e-12)
 
@@ -206,55 +223,45 @@ def test_triangulate_exact_observations(rng):
         n = int(rng.integers(2, 6))
         cams = random_ring_rig(rng, n_cams=n)
         for p in points_near_origin(rng, 3):
-            uv = np.stack([geometry.project(p, c) for c in cams])
+            uv = np.stack([project(p, c) for c in cams])
             worst = max(worst, float(np.linalg.norm(
-                geometry.triangulate(uv, cams) - p)))
+                triangulate(uv, cams) - p)))
     assert worst < 1e-9
 
 
 def test_triangulate_weight_scale_invariance(rng):
     cams = random_ring_rig(rng, n_cams=4)
     p = points_near_origin(rng, 1)[0]
-    uv = np.stack([geometry.project(p, c) for c in cams]) + rng.normal(
+    uv = np.stack([project(p, c) for c in cams]) + rng.normal(
         0.0, 2.0, size=(4, 2))
     w = rng.uniform(0.2, 2.0, size=4)
-    a = geometry.triangulate(uv, cams, w)
-    b = geometry.triangulate(uv, cams, w * 37.5)
+    a = triangulate(uv, cams, w)
+    b = triangulate(uv, cams, w * 37.5)
     assert np.linalg.norm(a - b) < 1e-9
 
 
 def test_triangulate_downweights_bad_view(rng):
     cams = random_ring_rig(rng, n_cams=4)
     p = points_near_origin(rng, 1)[0]
-    uv = np.stack([geometry.project(p, c) for c in cams])
+    uv = np.stack([project(p, c) for c in cams])
     uv[0] += 40.0  # one corrupted view
-    heavy = geometry.triangulate(uv, cams, [1.0, 1.0, 1.0, 1.0])
-    light = geometry.triangulate(uv, cams, [1e-4, 1.0, 1.0, 1.0])
+    heavy = triangulate(uv, cams, [1.0, 1.0, 1.0, 1.0])
+    light = triangulate(uv, cams, [1e-4, 1.0, 1.0, 1.0])
     assert np.linalg.norm(light - p) < np.linalg.norm(heavy - p)
 
 
-def test_triangulate_input_validation(rng):
-    cams = random_ring_rig(rng, n_cams=2)
-    p = points_near_origin(rng, 1)[0]
-    uv = np.stack([geometry.project(p, c) for c in cams])
-    with pytest.raises(InsufficientObservations):
-        geometry.triangulate(uv[:1], cams[:1])
-    with pytest.raises(ValidationError):
-        geometry.triangulate(uv, cams[:1])
-    with pytest.raises(ValidationError):
-        geometry.triangulate(uv, cams, [1.0, -1.0])
-    with pytest.raises(ValidationError):
-        geometry.triangulate(uv, cams, [1.0, np.inf])
-
-
 def test_triangulate_degenerate_geometry(rng):
+    # two views from one center: their rays meet everywhere along the line
     cam = random_ring_rig(rng, n_cams=1)[0]
     twin = CameraCalibration(1, cam.K, cam.R, cam.o, cam.width, cam.height,
                              cam.fps)
-    p = points_near_origin(rng, 1)[0]
-    uv = geometry.project(p, cam)
-    with pytest.raises(DegenerateGeometry):
-        geometry.triangulate([uv, uv], [cam, twin])
+    pmats = np.stack([c.conditioned_projection() for c in (cam, twin)])
+    uv = project(points_near_origin(rng, 1)[0], cam)
+    uvn = uv * [2.0 / cam.width, 2.0 / cam.height] - 1.0
+    _, status = kernels.triangulate_batch(
+        np.stack([uvn, uvn])[None], pmats[None], np.ones((1, 2)),
+        np.ones((1, 2), np.bool_))
+    assert status[0] != 0
 
 
 def test_triangulate_noisy_error_near_nonlinear_refinement(rng):
@@ -270,9 +277,9 @@ def test_triangulate_noisy_error_near_nonlinear_refinement(rng):
     err_lin = []
     err_ref = []
     for p in points_near_origin(rng, 300):
-        noisy = np.stack([geometry.project(p, c) for c in cams])
+        noisy = np.stack([project(p, c) for c in cams])
         noisy = noisy + rng.normal(0.0, 1.0, size=noisy.shape)
-        lin = geometry.triangulate(noisy, cams)
+        lin = triangulate(noisy, cams)
         fit = scipy.optimize.least_squares(residual, lin, args=(noisy,))
         err_lin.append(np.linalg.norm(lin - p) ** 2)
         err_ref.append(np.linalg.norm(fit.x - p) ** 2)

@@ -13,12 +13,13 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from mvtrack3d import geometry, kernels
+from mvtrack3d import kernels
 from mvtrack3d.geometry import CameraRig
 
 from helpers import (
     look_at_camera,
     points_near_origin,
+    project,
     random_ring_rig,
     reference_epipolar_pair_affinity,
     reference_epipolar_pose_score,
@@ -50,7 +51,7 @@ def noisy_views(rng, cams, cam_idx, n_points, outlier_rate):
     """(n_points, len(cam_idx), 2) projections of points near the origin,
     with 1 px noise and a 50-300 px shift on a fraction of the views."""
     pts = points_near_origin(rng, n_points)
-    uv = np.stack([[geometry.project(p, cams[c]) for c in cam_idx]
+    uv = np.stack([[project(p, cams[c]) for c in cam_idx]
                    for p in pts])
     uv += rng.normal(0.0, 1.0, size=uv.shape)
     bad = rng.random(uv.shape[:2]) < outlier_rate
@@ -141,7 +142,7 @@ def test_track_pose_scores_batch_over_cameras(seed, n_cams, n_tracks,
     for c, cam in enumerate(cams):
         views = points_near_origin(rng, counts[c] * n_joints)
         uv[c, :counts[c]] = np.stack(
-            [geometry.project(p, cam) for p in views]
+            [project(p, cam) for p in views]
         ).reshape(counts[c], n_joints, 2)
         uv[c, :counts[c]] += rng.normal(0.0, 20.0, (counts[c], n_joints, 2))
         valid[c, :counts[c]] = rng.random((counts[c], n_joints)) > 0.2
@@ -359,11 +360,11 @@ def test_triangulation_matches_svd_reference(seed, n_views, noise, outlier,
         if case == "twins":
             cam = random_ring_rig(rng, n_cams=1)[0]
             cams = [cam] * n_views
-            uv = np.tile(geometry.project(p, cam)
+            uv = np.tile(project(p, cam)
                          + rng.normal(0.0, noise, size=2), (n_views, 1))
         else:
             cams = random_ring_rig(rng, n_cams=n_views)
-            uv = np.stack([geometry.project(p, c) for c in cams])
+            uv = np.stack([project(p, c) for c in cams])
             uv += rng.normal(0.0, noise, size=uv.shape)
             ang = rng.uniform(0.0, 2.0 * np.pi)
             uv[rng.integers(n_views)] += outlier * np.array([np.cos(ang),
@@ -389,7 +390,7 @@ def test_triangulation_flags_non_finite_systems_rank_deficient(rng):
     for its own point instead of an error for the batch."""
     cams = random_ring_rig(rng, n_cams=3)
     p = points_near_origin(rng, 1)[0]
-    uv = np.stack([geometry.project(p, c) for c in cams])
+    uv = np.stack([project(p, c) for c in cams])
     uvn, pmats = _conditioned(cams, uv)
     batch = np.repeat(uvn[None], 4, axis=0)
     batch[1, 0, 0] = np.nan
@@ -425,7 +426,7 @@ def triangulation_case(rng, case):
     p = points_near_origin(rng, 1)[0]
     if case == "twins":
         cams = random_ring_rig(rng, n_cams=1) * n
-        uv = np.tile(geometry.project(p, cams[0])
+        uv = np.tile(project(p, cams[0])
                      + rng.normal(0.0, noise, size=2), (n, 1))
         keep[:] = True
     elif case == "infinity":
@@ -441,12 +442,12 @@ def triangulation_case(rng, case):
         step = rng.normal(size=3)
         step *= rng.uniform(1e-3, 5e-2) / np.linalg.norm(step)
         cams = [cam, look_at_camera(1, cam.o + step, [0.0, 0.0, 1.0])]
-        uv = np.stack([geometry.project(p, c) for c in cams])
+        uv = np.stack([project(p, c) for c in cams])
         uv += rng.normal(0.0, rng.uniform(0.0, 1.0), size=uv.shape)
         weights, keep = weights[:n], keep[:n] | True
     else:
         cams = random_ring_rig(rng, n_cams=n)
-        uv = np.stack([geometry.project(p, c) for c in cams])
+        uv = np.stack([project(p, c) for c in cams])
         if case == "exact":
             weights, keep = np.ones(n), keep | True
         else:

@@ -8,7 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from mvtrack3d import fileio, geometry, synth
+from mvtrack3d import fileio, synth
 from mvtrack3d.affinity import AffinityConfig, valid_joints
 from mvtrack3d.errors import ConfigError
 from mvtrack3d.schema import SYNTH14
@@ -21,6 +21,8 @@ from mvtrack3d.synth import (
     generate,
     ring_cameras,
 )
+
+from helpers import project, triangulate
 
 N = SYNTH14.n_joints
 
@@ -36,7 +38,7 @@ def test_ring_cameras_are_valid_and_aimed_at_the_arena():
     for cam in cams:
         assert np.allclose(cam.R @ cam.R.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(cam.R) == pytest.approx(1.0, abs=1e-12)
-        center = geometry.project(target, cam)
+        center = project(target, cam)
         assert np.allclose(center, [cfg.width / 2, cfg.height / 2],
                            atol=1e-6)
         assert cam.fps == cfg.fps
@@ -50,7 +52,7 @@ def test_all_actors_stay_visible_in_all_cameras():
         for a in range(cfg.n_actors):
             joints = synth.actor_joints(cfg, a, t)
             for cam in cams:
-                uv = np.stack([geometry.project(p, cam) for p in joints])
+                uv = np.stack([project(p, cam) for p in joints])
                 assert np.all(uv[:, 0] > 5) and np.all(uv[:, 0] < cfg.width - 5)
                 assert np.all(uv[:, 1] > 5) and np.all(uv[:, 1] < cfg.height - 5)
 
@@ -82,7 +84,7 @@ def test_noise_free_detections_project_the_ground_truth(clean_scene):
             for pi, pose in enumerate(bundle.poses[cam.cam_id]):
                 actor = scene.actor_of[(f, cam.cam_id, pi)]
                 gt = scene.gt[f, actor]
-                direct = np.stack([geometry.project(p, cam) for p in gt])
+                direct = np.stack([project(p, cam) for p in gt])
                 assert np.max(np.abs(pose[:, :2] - direct)) < 1e-9
                 exact = synth.project_exact(cam, gt)
                 assert np.max(np.abs(pose[:, :2] - exact)) < 1e-6
@@ -100,7 +102,7 @@ def test_noise_free_triangulation_recovers_ground_truth(clean_scene):
             pose_of_actor.setdefault(actor, []).append((cam, pose))
     for actor, obs in pose_of_actor.items():
         for n in range(N):
-            point = geometry.triangulate(
+            point = triangulate(
                 [pose[n, :2] for _, pose in obs],
                 [cam for cam, _ in obs])
             assert np.linalg.norm(point - scene.gt[f, actor, n]) < 1e-6

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvtrack3d import geometry, kernels, synth
+from mvtrack3d import kernels, synth
 from mvtrack3d.affinity import AffinityConfig, preset
 from mvtrack3d.errors import ConfigError, NonMonotonicTime
 from mvtrack3d.geometry import CameraRig
@@ -29,6 +29,7 @@ from helpers import (
     look_at_camera,
     make_bundle,
     points_near_origin,
+    project,
     random_ring_rig,
     reference_initialize,
     reference_tracked_filter,
@@ -45,7 +46,7 @@ def exact_bundle(cams, joints, frame, conf=0.9, cfg=None):
     """FrameBundle of exact projections of one skeleton into every camera."""
     poses = {}
     for cam in cams:
-        uv = np.stack([geometry.project(p, cam) for p in joints])
+        uv = np.stack([project(p, cam) for p in joints])
         poses[cam.cam_id] = np.column_stack([uv, np.full(N, conf)])[None]
     return make_bundle(frame, frame / FPS, poses, cfg, cams)
 
@@ -130,7 +131,7 @@ def test_reconstruction_matches_weighted_linear_triangulation(rng):
     sk = out[0][1]
     assert np.all(sk.flags == JointFlag.TRIANGULATED)
     for n in range(N):
-        uvs = [geometry.project(joints1[n], cam) for cam in cams]
+        uvs = [project(joints1[n], cam) for cam in cams]
         expected = weighted_dlt(cams, uvs, np.ones(3))
         assert np.linalg.norm(sk.joints[n] - expected) < 1e-9
         assert np.linalg.norm(sk.joints[n] - joints1[n]) < 1e-6
@@ -154,8 +155,8 @@ def test_reconstruction_decays_stale_camera_weights(rng):
     lam = tracker.config.affinity.lambda_a
     stale_w = np.exp(-lam * 1.0)  # one frame old
     for n in range(N):
-        uv_stale = geometry.project(joints1[n], cams[0])
-        uv_fresh = [geometry.project(joints2[n], cam) for cam in cams[1:]]
+        uv_stale = project(joints1[n], cams[0])
+        uv_fresh = [project(joints2[n], cam) for cam in cams[1:]]
         expected = weighted_dlt(cams, [uv_stale] + uv_fresh,
                                 [stale_w, 1.0, 1.0])
         assert np.linalg.norm(sk.joints[n] - expected) < 1e-9
@@ -293,7 +294,7 @@ def filter_setup(rng, n_cams=4):
     rig = CameraRig(cams)
     p = points_near_origin(rng, 1)[0]
     uvs = np.ascontiguousarray(
-        np.stack([geometry.project(p, c) for c in cams]))
+        np.stack([project(p, c) for c in cams]))
     idx = np.arange(n_cams, dtype=np.int64)
     return cams, rig, p, uvs, idx
 
@@ -388,7 +389,7 @@ def test_batched_filter_matches_one_joint_reference(rng):
         repeats = rng.choice(n_cams, size=int(rng.integers(0, 3)))
         cam_idx = np.concatenate([np.arange(n_cams), repeats]).astype(np.int64)
         pts = points_near_origin(rng, 6)
-        uv = np.stack([[geometry.project(p, cams[c]) for c in cam_idx]
+        uv = np.stack([[project(p, cams[c]) for c in cam_idx]
                        for p in pts])
         uv += rng.normal(0.0, rng.uniform(0.5, 60.0), size=uv.shape)
         uv[:, n_cams:] = uv[:, repeats]
@@ -755,7 +756,7 @@ def test_stale_view_stays_out_of_the_filter(rng):
     tracker.step(exact_bundle(cams, old, 0))
     tau = tracker.config.affinity.tau
     new = old + np.array([0.5, -0.4, 0.3])
-    uv = np.stack([[geometry.project(p, cam) for p in new] for cam in cams[:2]],
+    uv = np.stack([[project(p, cam) for p in new] for cam in cams[:2]],
                   axis=1)
     table = tracker.tracks
     table.view_frame[0, :2] = tau
