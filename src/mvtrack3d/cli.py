@@ -72,6 +72,45 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _track_frames(tracker: PoseTracker, bundles, writer) -> dict:
+    """`track`'s loop: read a frame, step the tracker, write its tracks,
+    until the frames run out. Returns the frame count and each part's
+    mean ms per frame: reading, the tracker's stages, writing, and all."""
+    clock = time.perf_counter
+    frames = 0
+    parse = write = 0.0
+    start = read_from = clock()
+    for bundle in bundles:
+        t1 = clock()
+        parse += t1 - read_from
+        out = tracker.step(bundle)
+        t2 = clock()
+        writer.write(bundle.frame, bundle.time_s, out)
+        read_from = clock()
+        write += read_from - t2
+        frames += 1
+    end = clock()
+    parse += end - read_from  # the read that found no more frames
+    per_frame = 1e3 / max(frames, 1)
+    return {"frames": frames, "parse_ms": parse * per_frame,
+            **{f"{stage}_ms": ms
+               for stage, ms in tracker.stage_means_ms.items()},
+            "write_ms": write * per_frame,
+            "total_ms": (end - start) * per_frame}
+
+
+def _print_timings(timings: dict) -> None:
+    for label, key in (("parse", "parse_ms"),
+                       ("association", "associate_ms"),
+                       ("reconstruction", "reconstruct_ms"),
+                       ("initialization", "initialize_ms"),
+                       ("write", "write_ms"),
+                       ("full frame", "total_ms"),
+                       ("eval", "eval_ms")):
+        if key in timings:
+            print(f"  {label:<14} {timings[key]:8.3f} ms/frame")
+
+
 def _cmd_track(args) -> int:
     _require_files(args.calib, args.detections)
     affinity, overrides = _merged_overrides(args)
@@ -86,18 +125,12 @@ def _cmd_track(args) -> int:
     rig = CameraRig(cameras)
     header = fileio.read_detections_header(args.detections)
     tracker = PoseTracker(rig, config)
-    frames = 0
     with fileio.TrackWriter(args.out, header["schema"],
                             header["n_joints"]) as writer:
-        for bundle in fileio.load_detections(
-                args.detections, config.affinity, cameras):
-            writer.write(bundle.frame, bundle.time_s, tracker.step(bundle))
-            frames += 1
-    stage_ms = tracker.stage_means_ms
-    print(f"tracked {frames} frames from {args.detections}")
-    print(f"association    {stage_ms['associate']:8.3f} ms/frame")
-    print(f"reconstruction {stage_ms['reconstruct']:8.3f} ms/frame")
-    print(f"initialization {stage_ms['initialize']:8.3f} ms/frame")
+        timings = _track_frames(tracker, fileio.load_detections(
+            args.detections, config.affinity, cameras), writer)
+    print(f"tracked {timings['frames']} frames from {args.detections}")
+    _print_timings(timings)
     return 0
 
 
@@ -127,7 +160,6 @@ def _bench_once(frames: int, seed: int) -> dict:
                             n_frames=frames, noise_px=1.0)
     scene = synth.generate(cfg)
     config = TrackerConfig(affinity=preset("shelf"))
-    clock = time.perf_counter
     with tempfile.TemporaryDirectory() as tmp:
         paths = scene.export(tmp)
         cameras = fileio.load_calibration(paths["calibration"])
@@ -137,54 +169,24 @@ def _bench_once(frames: int, seed: int) -> dict:
         for bundle in itertools.islice(fileio.load_detections(
                 paths["detections"], config.affinity, cameras), 10):
             warm.step(bundle)
-        tracker = PoseTracker(rig, config)
-        bundles = fileio.load_detections(paths["detections"],
-                                         config.affinity, cameras)
-        parse = write = 0.0
         tracks_path = os.path.join(tmp, "tracks.jsonl")
         with fileio.TrackWriter(tracks_path, schema.name,
                                 schema.n_joints) as writer:
-            t0 = clock()
-            while True:
-                t1 = clock()
-                bundle = next(bundles, None)
-                t2 = clock()
-                parse += t2 - t1
-                if bundle is None:
-                    break
-                out = tracker.step(bundle)
-                t3 = clock()
-                writer.write(bundle.frame, bundle.time_s, out)
-                write += clock() - t3
-            wall = clock() - t0
-        t0 = clock()
+            result = _track_frames(
+                PoseTracker(rig, config),
+                fileio.load_detections(paths["detections"], config.affinity,
+                                       cameras), writer)
+        t0 = time.perf_counter()
         pcp_evaluate(fileio.load_tracks(tracks_path),
                      fileio.load_ground_truth(paths["ground_truth"]), schema)
-        evaluate = clock() - t0
-    stage = tracker.stage_means_ms
-    per_frame = 1e3 / max(frames, 1)
-    return {
-        "frames": frames,
-        "parse_ms": parse * per_frame,
-        "associate_ms": stage["associate"],
-        "reconstruct_ms": stage["reconstruct"],
-        "initialize_ms": stage["initialize"],
-        "write_ms": write * per_frame,
-        "total_ms": wall * per_frame,
-        "eval_ms": evaluate * per_frame,
-    }
+        result["eval_ms"] = (time.perf_counter() - t0) * 1e3 / max(frames, 1)
+    return result
 
 
 def _cmd_bench(args) -> int:
     result = _bench_once(args.frames, args.seed or 0)
     print(f"{result['frames']} frames, 5 cameras, 4 actors")
-    print(f"  parse          {result['parse_ms']:8.3f} ms/frame")
-    print(f"  association    {result['associate_ms']:8.3f} ms/frame")
-    print(f"  reconstruction {result['reconstruct_ms']:8.3f} ms/frame")
-    print(f"  initialization {result['initialize_ms']:8.3f} ms/frame")
-    print(f"  write          {result['write_ms']:8.3f} ms/frame")
-    print(f"  full frame     {result['total_ms']:8.3f} ms/frame")
-    print(f"  eval           {result['eval_ms']:8.3f} ms/frame")
+    _print_timings(result)
     print("RESULT " + json.dumps(result, separators=(",", ":")))
     return 0
 

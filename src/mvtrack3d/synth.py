@@ -6,7 +6,9 @@ ground-truth joints, then corrupted: Gaussian pixel noise on every joint,
 per-joint outliers displaced by an exact magnitude in a uniform random
 direction, per-pose occlusion of one contiguous limb group (confidence
 dropped below the validity floor), and whole-pose dropouts. Every emitted
-joint gets exactly one class label in a sidecar record.
+joint gets exactly one class label: the scene keeps one (N,) array of
+class codes and one actor id per pose, and export turns them into the
+sidecar's per-joint records as it writes them.
 
 Outliers can optionally arrive in bursts: each (camera, actor) pair
 carries a two-state Markov chain, and inside a burst one contiguous half
@@ -37,13 +39,7 @@ from . import fileio
 from .affinity import AffinityConfig, valid_joints
 from .errors import ConfigError
 from .geometry import CameraCalibration
-from .schema import (
-    SYNTH14,
-    bounded,
-    check_fields,
-    check_known_keys,
-    get_schema,
-)
+from .schema import SYNTH14, bounded, check_fields, check_known_keys
 from .tracker import FrameBundle
 
 CLASS_CLEAN = 0
@@ -57,7 +53,6 @@ CLASS_NAMES = {
     CLASS_OUTLIER: "outlier",
     CLASS_OCCLUDED: "occluded",
 }
-CLASS_CODES = {v: k for k, v in CLASS_NAMES.items()}
 
 # Standing pose, meters, columns (lateral, forward, up). Limb lengths are
 # human-plausible constants: head 0.20, torso ~0.59, upper arm 0.27,
@@ -95,10 +90,10 @@ BURST_GROUPS = (
 
 _OUTLIER_RETRIES = 32
 
-# generate holds every joint view of a scene in memory, about 350 bytes
-# each (its pixels and validity, its corruption record and its class
-# label), so this many take about 1.7 GB; the largest scene in the
-# benchmark or the acceptance tests has 252,000.
+# generate holds every joint view of a scene in memory, about 60 bytes
+# each (its pixels and validity, and its share of its pose's class codes,
+# actor id and ground truth), so this many take about 300 MB; the largest
+# scene in the benchmark or the acceptance tests has 252,000.
 MAX_JOINT_VIEWS = 5_000_000
 # Image sizes allocate nothing, but an exported scene must load back,
 # and past 2**64 - 1 the calibration file's width does not read back as
@@ -137,7 +132,6 @@ class SceneConfig:
     outlier_burst_frames: float = bounded(10.0, allow_inf=True)
     occlusion_rate: float = bounded(0.0, at_least=0, at_most=1)
     dropout_rate: float = bounded(0.0, at_least=0, at_most=1)
-    schema_name: str = "synth14"
 
     def __post_init__(self):
         check_fields(self)
@@ -152,7 +146,7 @@ class SceneConfig:
                         "outlier_burst too low for outlier_rate: burst "
                         f"occupancy would be {occupancy:.2f}, needs (0, 0.6]")
         views = (self.n_frames * self.n_cameras * self.n_actors
-                 * get_schema(self.schema_name).n_joints)
+                 * SYNTH14.n_joints)
         if views > MAX_JOINT_VIEWS:
             raise ConfigError(f"n_frames * n_cameras * n_actors * n_joints is "
                               f"{views}, past {MAX_JOINT_VIEWS} joint views")
@@ -165,7 +159,7 @@ class SceneConfig:
         """Stationary share of frames inside a burst that makes the
         long-run per-joint outlier rate equal outlier_rate; inf when
         outlier_burst is not above the quiet rate."""
-        share = len(BURST_GROUPS[0]) / get_schema(self.schema_name).n_joints
+        share = len(BURST_GROUPS[0]) / SYNTH14.n_joints
         quiet = 0.1 * self.outlier_rate
         excess = share * (self.outlier_burst - quiet)
         return (self.outlier_rate - quiet) / excess if excess > 0 else np.inf
@@ -217,14 +211,19 @@ def ring_cameras(cfg: SceneConfig) -> list[CameraCalibration]:
     return cameras
 
 
-def actor_joints(cfg: SceneConfig, actor: int, t: float) -> np.ndarray:
-    """Ground-truth world joints (N,3) of one actor at time t seconds.
+def actor_joints(cfg: SceneConfig, actor, t) -> np.ndarray:
+    """Ground-truth world joints (..., N, 3) of actors at times t seconds.
+
+    actor and t broadcast against each other: scalars give one actor's
+    (N,3) pose, and a (1, A) row of actors against an (F, 1) column of
+    times gives the whole (F, A, N, 3) scene.
 
     Each actor walks an ellipse around its own lane so position and
     heading stay smooth; peak ground speed equals walk_speed. An abrupt
     heading reversal would teleport the lateral joints by half a meter
     between frames, which no detector-noise model should produce.
     """
+    actor = np.asarray(actor)
     lane = cfg.lane_spacing * (actor - (cfg.n_actors - 1) / 2.0)
     a = max(cfg.arena_half - 0.5, 0.5)
     b = 0.25 * cfg.lane_spacing
@@ -235,49 +234,54 @@ def actor_joints(cfg: SceneConfig, actor: int, t: float) -> np.ndarray:
     heading = np.arctan2(b * np.cos(u), -a * np.sin(u))
 
     scale = 1.0 + 0.06 * ((actor % 3) - 1)
-    local = _TEMPLATE * scale
+    local = _TEMPLATE * np.broadcast_to(scale, u.shape)[..., None, None]
     phase = 2.0 * np.pi * cfg.swing_hz * t + 2.1 * actor
     s = cfg.swing_amp * scale * np.sin(phase)
     arm = 0.8 * s
-    local[9, 1] += 0.5 * s
-    local[10, 1] += s
-    local[12, 1] -= 0.5 * s
-    local[13, 1] -= s
-    local[3, 1] -= 0.5 * arm
-    local[4, 1] -= arm
-    local[6, 1] += 0.5 * arm
-    local[7, 1] += arm
-    local[:, 2] += cfg.bob_amp * np.sin(2.0 * phase)
+    local[..., 9, 1] += 0.5 * s
+    local[..., 10, 1] += s
+    local[..., 12, 1] -= 0.5 * s
+    local[..., 13, 1] -= s
+    local[..., 3, 1] -= 0.5 * arm
+    local[..., 4, 1] -= arm
+    local[..., 6, 1] += 0.5 * arm
+    local[..., 7, 1] += arm
+    local[..., 2] += cfg.bob_amp * np.sin(2.0 * phase)[..., None]
 
-    forward = np.array([np.cos(heading), np.sin(heading), 0.0])
-    lateral = np.array([np.sin(heading), -np.cos(heading), 0.0])
-    root = np.array([x, y, 0.0])
-    return (root
-            + np.outer(local[:, 0], lateral)
-            + np.outer(local[:, 1], forward)
-            + np.outer(local[:, 2], np.array([0.0, 0.0, 1.0])))
+    # Each (x, y, z) row below is one pose's axis, against its N joints.
+    zero = np.zeros_like(heading)
+    forward = np.stack([np.cos(heading), np.sin(heading), zero], axis=-1)
+    lateral = np.stack([np.sin(heading), -np.cos(heading), zero], axis=-1)
+    root = np.stack([x, y, zero], axis=-1)
+    return (root[..., None, :]
+            + local[..., 0, None] * lateral[..., None, :]
+            + local[..., 1, None] * forward[..., None, :]
+            + local[..., 2, None] * np.array([0.0, 0.0, 1.0]))
 
 
 def project_exact(camera: CameraCalibration, joints: np.ndarray) -> np.ndarray:
-    """Pinhole projection via the homogeneous 3x4 matrix, (N,2) pixels."""
+    """Pinhole projection via the homogeneous 3x4 matrix: world points
+    (..., 3) to pixels (..., 2), all in one matrix product."""
     P = camera.K @ np.hstack([camera.R, -camera.R @ camera.o[:, None]])
-    h = P @ np.vstack([joints.T, np.ones(joints.shape[0])])
-    return (h[:2] / h[2]).T
+    flat = joints.reshape(-1, 3)
+    h = P @ np.vstack([flat.T, np.ones(flat.shape[0])])
+    return (h[:2] / h[2]).T.reshape(joints.shape[:-1] + (2,))
 
 
 def corrupt_pose(uv: np.ndarray, cfg: SceneConfig, rng: np.random.Generator,
                  camera: CameraCalibration | None = None,
                  outlier_rates: np.ndarray | None = None,
-                 ) -> tuple[np.ndarray, list[dict]]:
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply noise, outliers, and occlusion to one pose's pixels uv (N,2).
 
     Returns the corrupted pose as (N,3) rows of (u, v, confidence) plus
-    one {"joint", "class"} record per joint. Gaussian noise goes on every
-    joint; each joint independently becomes an outlier, displaced from
-    its noisy position by exactly cfg.outlier_px in a uniform random
-    direction (directions are redrawn up to 32 times until the target
-    lands inside the image); with occlusion probability one contiguous
-    limb group has its confidence dropped below the validity floor.
+    its (N,) class codes, CLASS_CLEAN to CLASS_OCCLUDED. Gaussian noise
+    goes on every joint; each joint independently becomes an outlier,
+    displaced from its noisy position by exactly cfg.outlier_px in a
+    uniform random direction (directions are redrawn up to 32 times until
+    the target lands inside the image); with occlusion probability one
+    contiguous limb group has its confidence dropped below the validity
+    floor.
     Occluded beats outlier beats noisy.
 
     outlier_rates overrides cfg.outlier_rate per joint; the burst
@@ -312,9 +316,7 @@ def corrupt_pose(uv: np.ndarray, cfg: SceneConfig, rng: np.random.Generator,
             classes[j] = CLASS_OCCLUDED
         conf[list(group)] = rng.uniform(0.02, 0.07, size=len(group))
 
-    records = [{"joint": j, "class": CLASS_NAMES[int(classes[j])]}
-               for j in range(n)]
-    return np.column_stack([uv, conf]), records
+    return np.column_stack([uv, conf]), classes
 
 
 @dataclass
@@ -326,13 +328,24 @@ class SyntheticScene:
     bundles: list[FrameBundle]
     gt: np.ndarray                    # (frames, actors, joints, 3)
     times: np.ndarray                 # (frames,)
-    corruption: list[dict] = field(default_factory=list)
     actor_of: dict = field(default_factory=dict)   # (frame, cam, pose) -> actor
     class_of: dict = field(default_factory=dict)   # (frame, cam, pose) -> (N,) codes
 
+    schema = SYNTH14
+
     @property
-    def schema(self):
-        return get_schema(self.config.schema_name)
+    def corruption(self) -> list[dict]:
+        """The sidecar's per-joint records, as export writes them."""
+        return list(self._corruption_records())
+
+    def _corruption_records(self) -> Iterator[dict]:
+        for key, codes in self.class_of.items():
+            frame, camera, pose = key
+            actor = self.actor_of[key]
+            for joint, code in enumerate(codes.tolist()):
+                yield {"frame": frame, "camera": camera, "pose": pose,
+                       "joint": joint, "class": CLASS_NAMES[code],
+                       "actor": actor}
 
     def ground_truth_frames(self) -> list[fileio.GroundTruthFrame]:
         return [
@@ -367,29 +380,22 @@ class SyntheticScene:
         fileio.save_ground_truth(self.ground_truth_frames(),
                                  paths["ground_truth"],
                                  schema.name, schema.n_joints)
-        fileio.write_corruption(self.corruption, paths["corruption"],
-                                schema.name)
+        fileio.write_corruption(self._corruption_records(),
+                                paths["corruption"], schema.name)
         return paths
 
 
 def generate(cfg: SceneConfig) -> SyntheticScene:
     """Build the whole scene; deterministic given cfg (seed included)."""
-    schema = get_schema(cfg.schema_name)
-    if schema is not SYNTH14:
-        raise ConfigError(f"scene generation only knows schema "
-                          f"{SYNTH14.name!r}, got {cfg.schema_name!r}")
     cameras = ring_cameras(cfg)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    n_joints = schema.n_joints
+    n_joints = SYNTH14.n_joints
 
-    times = np.array([f / cfg.fps for f in range(cfg.n_frames)])
-    gt = np.empty((cfg.n_frames, cfg.n_actors, n_joints, 3))
-    for f in range(cfg.n_frames):
-        for a in range(cfg.n_actors):
-            gt[f, a] = actor_joints(cfg, a, times[f])
+    times = np.arange(cfg.n_frames) / cfg.fps
+    gt = actor_joints(cfg, np.arange(cfg.n_actors)[None, :], times[:, None])
+    exact = [project_exact(cam, gt) for cam in cameras]  # (F, A, N, 2) each
 
     bundles: list[FrameBundle] = []
-    corruption: list[dict] = []
     actor_of: dict = {}
     class_of: dict = {}
     chain = cfg.burst_chain()
@@ -400,7 +406,7 @@ def generate(cfg: SceneConfig) -> SyntheticScene:
         t = float(times[f])
         bundle = FrameBundle(f, t, {}, {}, {})
         for ci, cam in enumerate(cameras):
-            kept: list[tuple[int, np.ndarray, list[dict]]] = []
+            kept: list[tuple[int, np.ndarray, np.ndarray]] = []
             for a in range(cfg.n_actors):
                 rates = None
                 if chain is not None:
@@ -424,26 +430,13 @@ def generate(cfg: SceneConfig) -> SyntheticScene:
                             cfg.outlier_burst
                 if rng.random() < cfg.dropout_rate:
                     continue
-                pose, records = corrupt_pose(project_exact(cam, gt[f, a]),
-                                             cfg, rng, camera=cam,
-                                             outlier_rates=rates)
-                kept.append((a, pose, records))
+                pose, codes = corrupt_pose(exact[ci][f, a], cfg, rng,
+                                           camera=cam, outlier_rates=rates)
+                kept.append((a, pose, codes))
             order = rng.permutation(len(kept)) if kept else []
             for pose_idx, src in enumerate(order):
-                a, _, records = kept[src]
-                actor_of[(f, cam.cam_id, pose_idx)] = a
-                codes = np.empty(n_joints, dtype=np.uint8)
-                for rec in records:
-                    codes[rec["joint"]] = CLASS_CODES[rec["class"]]
-                    corruption.append({
-                        "frame": f,
-                        "camera": cam.cam_id,
-                        "pose": pose_idx,
-                        "joint": rec["joint"],
-                        "class": rec["class"],
-                        "actor": a,
-                    })
-                class_of[(f, cam.cam_id, pose_idx)] = codes
+                key = (f, cam.cam_id, pose_idx)
+                actor_of[key], _, class_of[key] = kept[src]
             poses = np.reshape([kept[src][1] for src in order],
                                (-1, n_joints, 3))
             bundle.poses[cam.cam_id] = poses
@@ -453,7 +446,7 @@ def generate(cfg: SceneConfig) -> SyntheticScene:
 
     return SyntheticScene(
         config=cfg, cameras=cameras, bundles=bundles, gt=gt, times=times,
-        corruption=corruption, actor_of=actor_of, class_of=class_of,
+        actor_of=actor_of, class_of=class_of,
     )
 
 

@@ -3,6 +3,7 @@
 import filecmp
 import math
 import os
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -14,6 +15,8 @@ from mvtrack3d.errors import ConfigError
 from mvtrack3d.schema import SYNTH14
 from mvtrack3d.synth import (
     BURST_GROUPS,
+    CLASS_OCCLUDED,
+    CLASS_OUTLIER,
     OCCLUSION_GROUPS,
     SceneConfig,
     corrupt_pose,
@@ -70,6 +73,25 @@ def test_actor_motion_is_smooth_and_actors_stay_apart():
         for i in range(4):
             for j in range(i + 1, 4):
                 assert np.linalg.norm(hips[i] - hips[j]) > 0.4
+
+
+@pytest.mark.parametrize("cfg", [SceneConfig(), corrupted_benchmark_config()],
+                         ids=["default", "corrupted"])
+def test_whole_scene_arrays_equal_the_per_pose_calls(cfg):
+    times = np.arange(cfg.n_frames) / cfg.fps
+    gt = synth.actor_joints(cfg, np.arange(cfg.n_actors)[None, :],
+                            times[:, None])
+    per_pose = np.array([[synth.actor_joints(cfg, a, times[f])
+                          for a in range(cfg.n_actors)]
+                         for f in range(cfg.n_frames)])
+    assert gt.shape == (cfg.n_frames, cfg.n_actors, N, 3)
+    assert np.array_equal(gt, per_pose)
+    for cam in ring_cameras(cfg):
+        pixels = synth.project_exact(cam, gt)
+        assert pixels.shape == (cfg.n_frames, cfg.n_actors, N, 2)
+        assert np.array_equal(pixels, [[synth.project_exact(cam, pose)
+                                        for pose in poses]
+                                       for poses in per_pose])
 
 
 # -- exactness and determinism ---------------------------------------------
@@ -149,7 +171,26 @@ def test_export_round_trips_through_the_readers(tmp_path, noisy_scene):
     assert np.array_equal(gt.frames[31].actors[1], scene.gt[31, 1])
 
     sidecar = fileio.load_corruption(paths["corruption"])
-    assert len(sidecar) == len(scene.corruption)
+    assert sidecar == scene.corruption
+    assert len(sidecar) == N * len(scene.class_of)
+    assert list(sidecar[0]) == ["frame", "camera", "pose", "joint", "class",
+                                "actor"]
+
+
+def test_generate_holds_little_memory_per_joint_view():
+    # 1,000 frames of 5 cameras and 4 actors: 280,000 joint views. A
+    # six-key record per joint view held about 345 bytes each; one array
+    # of class codes and one actor id per pose hold about 60.
+    cfg = SceneConfig(n_frames=1000, n_cameras=5, n_actors=4)
+    views = cfg.n_frames * cfg.n_cameras * cfg.n_actors * N
+    tracemalloc.start()
+    try:
+        scene = generate(cfg)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(scene.bundles) == cfg.n_frames
+    assert held <= 100 * views, f"{held / views:.0f} B per joint view"
 
 
 # -- corruption model -------------------------------------------------------
@@ -168,8 +209,8 @@ def test_corrupt_pose_outlier_magnitude_is_exact():
     pose = base_pose()
     displaced = 0
     for _ in range(200):
-        out, records = corrupt_pose(pose, cfg, rng)
-        assert all(r["class"] == "outlier" for r in records)
+        out, codes = corrupt_pose(pose, cfg, rng)
+        assert codes.shape == (N,) and np.all(codes == CLASS_OUTLIER)
         d = np.linalg.norm(out[:, :2] - pose, axis=1)
         assert np.allclose(d, 60.0, atol=1e-9)
         displaced += N
@@ -192,10 +233,9 @@ def test_corrupt_pose_occlusion_hits_one_limb_group():
     rng = np.random.default_rng(3)
     pose = base_pose()
     for _ in range(50):
-        out, records = corrupt_pose(pose, cfg, rng)
+        out, codes = corrupt_pose(pose, cfg, rng)
         valid = valid_joints(out[None], AffinityConfig())[0]
-        occluded = np.array([r["class"] == "occluded" for r in records])
-        group = tuple(np.where(occluded)[0])
+        group = tuple(np.flatnonzero(codes == CLASS_OCCLUDED))
         assert group in OCCLUSION_GROUPS
         assert np.all(out[list(group), 2] < 0.1)
         assert not valid[list(group)].any()
@@ -324,7 +364,7 @@ def test_scene_config_validation():
     assert "n_cameras" in str(err.value)
     for bad in (dict(n_actors="x"), dict(noise_px=True), dict(seed=1.5),
                 dict(n_frames=2.5), dict(fps="25"), dict(seed=-1),
-                dict(schema_name=None), dict(width=800.0)):
+                dict(width=800.0)):
         with pytest.raises(ConfigError, match=next(iter(bad))):
             SceneConfig(**bad)
     # sizes past the caps, refused before generate allocates anything
@@ -343,5 +383,10 @@ def test_scene_config_validation():
             with pytest.raises(ConfigError, match=name):
                 SceneConfig(**{name: bad})
     assert SceneConfig(outlier_burst_frames=math.inf)
-    with pytest.raises(Exception):
-        generate(SceneConfig(schema_name="unknown99"))
+
+
+def test_schema_name_is_not_a_scene_parameter():
+    # generate knows one schema, so `--set schema_name=...` names nothing
+    with pytest.raises(ConfigError, match="unknown parameter 'schema_name'"):
+        SceneConfig().with_overrides(schema_name="synth14")
+    assert synth.SyntheticScene.schema is SYNTH14
