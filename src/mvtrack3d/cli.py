@@ -155,13 +155,18 @@ def _cmd_eval(args) -> int:
 
 def _bench_once(frames: int, seed: int) -> dict:
     """Run `track`'s loop, read -> step -> write, on an exported stock
-    scene, then `eval` on the tracks it wrote, and time each part."""
+    scene, then `eval` on the tracks it wrote, and time each part, the
+    scene's generation and export included."""
     cfg = synth.SceneConfig(seed=seed, n_cameras=5, n_actors=4,
                             n_frames=frames, noise_px=1.0)
+    t0 = time.perf_counter()
     scene = synth.generate(cfg)
+    generate_s = time.perf_counter() - t0
     config = TrackerConfig(affinity=preset("shelf"))
     with tempfile.TemporaryDirectory() as tmp:
+        t0 = time.perf_counter()
         paths = scene.export(tmp)
+        export_s = time.perf_counter() - t0
         cameras = fileio.load_calibration(paths["calibration"])
         rig = CameraRig(cameras)
         schema = scene.schema
@@ -180,6 +185,7 @@ def _bench_once(frames: int, seed: int) -> dict:
         pcp_evaluate(fileio.load_tracks(tracks_path),
                      fileio.load_ground_truth(paths["ground_truth"]), schema)
         result["eval_ms"] = (time.perf_counter() - t0) * 1e3 / max(frames, 1)
+    result.update(generate_s=generate_s, export_s=export_s)
     return result
 
 
@@ -187,6 +193,8 @@ def _cmd_bench(args) -> int:
     result = _bench_once(args.frames, args.seed or 0)
     print(f"{result['frames']} frames, 5 cameras, 4 actors")
     _print_timings(result)
+    for label, key in (("generate", "generate_s"), ("export", "export_s")):
+        print(f"  {label:<14} {result[key]:8.3f} s")
     print("RESULT " + json.dumps(result, separators=(",", ":")))
     return 0
 

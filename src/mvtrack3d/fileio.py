@@ -12,8 +12,8 @@ exact: orjson writes a record whose floats are all 0 or have
 any other record, keeping repr's exponent form (9.9e-05, 1e+16). orjson
 also reads every line; the json module reads a line orjson refuses, which
 takes the NaN and Infinity literals and words the error of a line that is
-not JSON. The corruption sidecar's records of ints and ASCII strings go
-through orjson too, where its text is json's.
+not JSON. The corruption sidecar is written one pose at a time from
+byte templates that print its ints and class names as json does.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import getitem
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -67,28 +68,6 @@ def _encode(record: dict, floats: np.ndarray) -> bytes:
             return orjson.dumps(record, option=orjson.OPT_APPEND_NEWLINE)
         except orjson.JSONEncodeError:
             pass
-    return _line(record)
-
-
-# The value types of a record _encode_plain may give to orjson.
-_PLAIN = frozenset((int, str))
-
-
-def _encode_plain(record: dict) -> bytes:
-    """record as one line of JSON, newline included, byte for byte what
-    _dumps writes. orjson writes a record whose values are ints and
-    strings the same way, unless a string holds a character past ASCII
-    or DEL (json escapes those; orjson writes them raw) or an int does
-    not fit 64 bits (orjson refuses it); _dumps writes those and any
-    record holding another type."""
-    if _PLAIN.issuperset(map(type, record.values())):
-        try:
-            line = orjson.dumps(record, option=orjson.OPT_APPEND_NEWLINE)
-        except orjson.JSONEncodeError:
-            pass
-        else:
-            if line.isascii() and b"\x7f" not in line:
-                return line
     return _line(record)
 
 
@@ -562,15 +541,31 @@ def load_ground_truth(path: str) -> GroundTruthFile:
 # -- corruption sidecar -----------------------------------------------
 
 
-def write_corruption(records: Iterable[dict], path: str,
-                     schema_name: str) -> None:
-    """Write per-joint corruption labels {frame, camera, pose, joint, class}."""
+def write_corruption(entries: Iterable[tuple], path: str, schema_name: str,
+                     n_joints: int, class_names: dict[int, str]) -> None:
+    """Write per-joint corruption labels {frame, camera, pose, joint,
+    class, actor} from one (frame, camera id, pose index, actor, (N,)
+    class codes) entry per pose; class_names maps each code to its name.
+
+    A pose's N lines are its head, {"frame":…,"camera":…,"pose":…,
+    "joint":, and its tail, ,"actor":…}, around one cell per joint,
+    5,"class":"outlier", made once per file for each (joint, class).
+    Each line is byte for byte what _dumps writes for its record: json
+    writes an int as its decimal digits, which is what %d prints, and
+    each cell holds json's own text of its class name."""
+    cells = [{code: b'%d,"class":%s' % (joint, _dumps(name).encode())
+              for code, name in class_names.items()}
+             for joint in range(n_joints)]
     with open(path, "wb") as fh:
         fh.write(_line({"format": CORRUPTION_FORMAT,
                         "format_version": FORMAT_VERSION,
                         "schema": schema_name}))
-        for rec in records:
-            fh.write(_encode_plain(rec))
+        for frame, cam_id, pose, actor, codes in entries:
+            head = b'{"frame":%d,"camera":%d,"pose":%d,"joint":' % (
+                frame, cam_id, pose)
+            tail = b',"actor":%d}\n' % actor
+            fh.write(head + (tail + head).join(
+                map(getitem, cells, codes.tolist())) + tail)
 
 
 def load_corruption(path: str) -> list[dict]:

@@ -336,16 +336,19 @@ class SyntheticScene:
     @property
     def corruption(self) -> list[dict]:
         """The sidecar's per-joint records, as export writes them."""
-        return list(self._corruption_records())
+        return [{"frame": frame, "camera": camera, "pose": pose,
+                 "joint": joint, "class": CLASS_NAMES[code], "actor": actor}
+                for frame, camera, pose, actor, codes in self._pose_labels()
+                for joint, code in enumerate(codes.tolist())]
 
-    def _corruption_records(self) -> Iterator[dict]:
-        for key, codes in self.class_of.items():
-            frame, camera, pose = key
-            actor = self.actor_of[key]
-            for joint, code in enumerate(codes.tolist()):
-                yield {"frame": frame, "camera": camera, "pose": pose,
-                       "joint": joint, "class": CLASS_NAMES[code],
-                       "actor": actor}
+    def _pose_labels(self) -> Iterator[tuple[int, int, int, int, np.ndarray]]:
+        """(frame, camera id, pose index, actor, (N,) class codes) of each
+        pose the bundles hold, in detection-file order."""
+        for bundle in self.bundles:
+            for camera, poses in bundle.poses.items():
+                for pose in range(len(poses)):
+                    key = (bundle.frame, camera, pose)
+                    yield (*key, self.actor_of[key], self.class_of[key])
 
     def ground_truth_frames(self) -> list[fileio.GroundTruthFrame]:
         return [
@@ -365,7 +368,8 @@ class SyntheticScene:
 
     def export(self, out_dir: str) -> dict[str, str]:
         """Write calibration, detections, ground truth, and the corruption
-        sidecar into out_dir; returns the path of each file."""
+        sidecar, which labels each pose the detections hold, into out_dir;
+        returns the path of each file."""
         os.makedirs(out_dir, exist_ok=True)
         schema = self.schema
         paths = {
@@ -380,8 +384,8 @@ class SyntheticScene:
         fileio.save_ground_truth(self.ground_truth_frames(),
                                  paths["ground_truth"],
                                  schema.name, schema.n_joints)
-        fileio.write_corruption(self._corruption_records(),
-                                paths["corruption"], schema.name)
+        fileio.write_corruption(self._pose_labels(), paths["corruption"],
+                                schema.name, schema.n_joints, CLASS_NAMES)
         return paths
 
 

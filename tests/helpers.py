@@ -5,7 +5,8 @@ is used to check: camera construction, an exhaustive assignment search, a
 from-scratch pose scorer, image lines and epipolar lines, a weighted
 linear triangulator, a one-joint greedy epipolar filter, a
 limb-correctness scorer, a one-joint-at-a-time detections reader, the
-per-float file writers, the gated assignment as it stood with a mask of
+per-float file writers, a one-record-per-joint corruption sidecar
+writer, the gated assignment as it stood with a mask of
 its real columns, a track initializer that seeds one cluster at a
 time with the same kernels, triangulation by one stacked LAPACK
 eigensolve and a row-by-row comparison of two runs' tracks. Tests
@@ -890,6 +891,22 @@ def reference_ground_truth_text(frames, schema_name, n_joints):
             actors.append(entry)
         text += _reference_dumps({"frame": int(gt.frame),
                                   "actors": actors}) + "\n"
+    return text
+
+
+def reference_corruption_text(entries, schema_name, class_names):
+    """A corruption sidecar of (frame, camera id, pose index, actor, (N,)
+    class codes) entries, built one record per joint."""
+    text = _reference_dumps({"format": "mvtrack3d/corruption",
+                             "format_version": 1,
+                             "schema": schema_name}) + "\n"
+    for frame, cam_id, pose, actor, codes in entries:
+        for joint, code in enumerate(codes):
+            text += json.dumps({"frame": frame, "camera": cam_id,
+                                "pose": pose, "joint": joint,
+                                "class": class_names[int(code)],
+                                "actor": actor},
+                               separators=(",", ":")) + "\n"
     return text
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -422,8 +423,12 @@ def test_bench_reports_stage_timings(capsys):
     line = next(ln for ln in out.splitlines() if ln.startswith("RESULT "))
     payload = json.loads(line[len("RESULT "):])
     assert payload["frames"] == 3
-    assert {"parse_ms", "associate_ms", "reconstruct_ms",
-            "initialize_ms", "write_ms", "total_ms", "eval_ms"} <= set(payload)
+    assert list(payload) == ["frames", "parse_ms", "associate_ms",
+                             "reconstruct_ms", "initialize_ms", "write_ms",
+                             "total_ms", "eval_ms", "generate_s", "export_s"]
+    assert payload["generate_s"] > 0 and payload["export_s"] > 0
+    assert re.search(r"^  generate +\d+\.\d{3} s$", out, re.M)
+    assert re.search(r"^  export +\d+\.\d{3} s$", out, re.M)
 
 
 def test_module_entry_point_prints_usage():

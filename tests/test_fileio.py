@@ -31,6 +31,7 @@ from mvtrack3d.fileio import (
     write_detections,
 )
 from mvtrack3d.schema import SYNTH14
+from mvtrack3d.synth import CLASS_NAMES, CLASS_OCCLUDED, CLASS_OUTLIER
 from mvtrack3d.tracker import Skeleton3D
 
 from helpers import (
@@ -41,6 +42,7 @@ from helpers import (
     look_at_camera,
     points_near_origin,
     random_ring_rig,
+    reference_corruption_text,
     reference_detections_text,
     reference_ground_truth_text,
     reference_load_tracks,
@@ -663,15 +665,31 @@ def test_ground_truth_rejects_non_increasing_frames(tmp_path, rng):
 
 
 def test_corruption_roundtrip_and_required_keys(tmp_path):
-    records = [{"frame": 0, "camera": 1, "pose": 0, "joint": 5,
-                "class": "outlier", "actor": 2}]
+    codes = np.zeros(N, dtype=np.uint8)
+    codes[5] = CLASS_OUTLIER
     path = tmp_path / "c.jsonl"
-    write_corruption(records, str(path), SYNTH14.name)
-    assert load_corruption(str(path)) == records
-    bad = [{"frame": 0, "camera": 1, "pose": 0, "class": "outlier"}]
-    write_corruption(bad, str(path), SYNTH14.name)
+    write_corruption([(0, 1, 0, 2, codes)], str(path), SYNTH14.name, N,
+                     CLASS_NAMES)
+    records = load_corruption(str(path))
+    assert len(records) == N
+    assert records[5] == {"frame": 0, "camera": 1, "pose": 0, "joint": 5,
+                          "class": "outlier", "actor": 2}
+    assert [r["joint"] for r in records] == list(range(N))
+    header = path.read_text().splitlines()[0]
+    path.write_text(header + "\n"
+                    + '{"frame":0,"camera":1,"pose":0,"class":"outlier"}\n')
     with pytest.raises(ParseError, match="joint"):
         load_corruption(str(path))
+
+
+def test_corruption_writer_prints_ints_as_json_does(tmp_path):
+    # orjson refuses an int past 64 bits; json writes its digits, as %d.
+    entries = [(2 ** 64 + 5, 1, 0, 2, np.arange(N) % 4),
+               (2 ** 64 + 5, -3, 7, 10 ** 30, np.full(N, CLASS_OCCLUDED))]
+    path = tmp_path / "c.jsonl"
+    write_corruption(entries, str(path), SYNTH14.name, N, CLASS_NAMES)
+    assert path.read_text() == reference_corruption_text(
+        entries, SYNTH14.name, CLASS_NAMES)
 
 
 # -- config files ---------------------------------------------------------------

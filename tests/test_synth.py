@@ -1,8 +1,10 @@
 """Synthetic multi-camera scene generator."""
 
 import filecmp
+import json
 import math
 import os
+import re
 import tracemalloc
 from dataclasses import fields
 
@@ -15,6 +17,7 @@ from mvtrack3d.errors import ConfigError
 from mvtrack3d.schema import SYNTH14
 from mvtrack3d.synth import (
     BURST_GROUPS,
+    CLASS_NAMES,
     CLASS_OCCLUDED,
     CLASS_OUTLIER,
     OCCLUSION_GROUPS,
@@ -25,7 +28,7 @@ from mvtrack3d.synth import (
     ring_cameras,
 )
 
-from helpers import project, triangulate
+from helpers import project, reference_corruption_text, triangulate
 
 N = SYNTH14.n_joints
 
@@ -175,6 +178,59 @@ def test_export_round_trips_through_the_readers(tmp_path, noisy_scene):
     assert len(sidecar) == N * len(scene.class_of)
     assert list(sidecar[0]) == ["frame", "camera", "pose", "joint", "class",
                                 "actor"]
+
+
+def test_sidecar_labels_exactly_the_detected_poses(tmp_path):
+    # Empty the poses of some frames after generate, as a leave-and-return
+    # schedule does: the cameras keep reporting, with no one in view.
+    scene = generate(SceneConfig(seed=3, n_cameras=3, n_actors=3,
+                                 n_frames=24, noise_px=1.0))
+    for bundle in scene.bundles:
+        if bundle.frame % 6 >= 4:
+            bundle.poses = {cam_id: [] for cam_id in bundle.poses}
+    paths = scene.export(str(tmp_path))
+    detected = {(bundle.frame, cam_id, pose)
+                for bundle in fileio.load_detections(paths["detections"])
+                for cam_id, poses in bundle.poses.items()
+                for pose in range(len(poses))}
+    labelled = {(rec["frame"], rec["camera"], rec["pose"])
+                for rec in fileio.load_corruption(paths["corruption"])}
+    assert len(detected) == 16 * 3 * 3
+    assert labelled == detected
+    assert {(r["frame"], r["camera"], r["pose"])
+            for r in scene.corruption} == detected
+
+
+def test_exported_sidecar_is_json_dumps_of_each_record(tmp_path):
+    # The default scene is all clean, the corrupted one noisy, outlier
+    # and occluded, and the noise-free corrupted one clean, outlier and
+    # occluded, so the three write every class.
+    names = set()
+    for i, cfg in enumerate((SceneConfig(), corrupted_benchmark_config(),
+                             corrupted_benchmark_config(noise_px=0.0))):
+        scene = generate(cfg)
+        paths = scene.export(str(tmp_path / str(i)))
+        entries = []
+        for bundle in scene.bundles:
+            for cam_id, poses in bundle.poses.items():
+                for pose in range(len(poses)):
+                    key = (bundle.frame, cam_id, pose)
+                    entries.append((*key, scene.actor_of[key],
+                                    scene.class_of[key]))
+                    names.update(CLASS_NAMES[code]
+                                 for code in scene.class_of[key].tolist())
+        with open(paths["corruption"], "rb") as fh:
+            assert fh.read() == reference_corruption_text(
+                entries, SYNTH14.name, CLASS_NAMES).encode()
+    assert names == set(CLASS_NAMES.values())
+
+
+def test_class_names_need_no_json_escaping():
+    # The sidecar writer makes one cell per (joint, class) from json's
+    # text of each name; for these names that is the name in quotes.
+    for name in CLASS_NAMES.values():
+        assert re.fullmatch("[a-z]+", name)
+        assert json.dumps(name) == f'"{name}"'
 
 
 def test_generate_holds_little_memory_per_joint_view():
