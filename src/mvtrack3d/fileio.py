@@ -30,7 +30,8 @@ import numpy as np
 import orjson
 
 from .affinity import AffinityConfig, valid_joints
-from .errors import NonMonotonicFrames, ParseError, ValidationError
+from .errors import (NonMonotonicFrames, NonMonotonicTime, ParseError,
+                     ValidationError)
 from .geometry import CameraCalibration
 from .schema import accepts, describe
 from .tracker import CHAR_FLAGS, FLAG_CHARS, FrameBundle, Skeleton3D
@@ -233,7 +234,8 @@ def save_calibration(cameras: Sequence[CameraCalibration], path: str) -> None:
 
 
 def load_calibration(path: str) -> list[CameraCalibration]:
-    """Read a calibration file; rotation orthonormality is re-validated."""
+    """Read a calibration file; rotation orthonormality is re-validated,
+    and a camera id may not repeat."""
     cameras: list[CameraCalibration] = []
     _, records = _open(path, CALIBRATION_FORMAT)
     for lineno, rec in records:
@@ -241,6 +243,9 @@ def load_calibration(path: str) -> list[CameraCalibration]:
                             lineno, path, key)
                    for key, size in (("K", 9), ("R", 9), ("o", 3)))
         cam_id = _field(rec, "id", "int", lineno, path)
+        if any(cam.cam_id == cam_id for cam in cameras):
+            raise ParseError(f"{path}:{lineno}: a second camera with id "
+                             f"{cam_id}")
         width = _field(rec, "width", "int", lineno, path)
         height = _field(rec, "height", "int", lineno, path)
         fps = _field(rec, "fps", "float", lineno, path)
@@ -294,7 +299,8 @@ def load_detections(path: str,
     is an error. Joint validity is recomputed from confidences (and
     image bounds when cameras are given) by affinity.valid_joints, so a
     file written from synth poses parses back to the same masks. Frames
-    must be non-decreasing.
+    must be non-decreasing, and a frame's time, the latest of its
+    records' times, after the previous frame's time.
     """
     cfg = config if config is not None else AffinityConfig()
     cam_by_id = {c.cam_id: c for c in cameras} if cameras is not None else {}
@@ -303,6 +309,17 @@ def load_detections(path: str,
 
     current: FrameBundle | None = None
     last_frame = None
+    last_time, first_line = -math.inf, 0
+
+    def done(bundle: FrameBundle) -> FrameBundle:
+        nonlocal last_time
+        if bundle.time_s <= last_time:
+            raise NonMonotonicTime(
+                f"{path}:{first_line}: frame {bundle.frame} at "
+                f"{bundle.time_s} s is not after {last_time} s")
+        last_time = bundle.time_s
+        return bundle
+
     for lineno, rec in records:
         frame = _field(rec, "frame", "int", lineno, path)
         cam_id = _field(rec, "camera", "int", lineno, path)
@@ -315,10 +332,11 @@ def load_detections(path: str,
             )
         last_frame = frame
         if current is not None and frame != current.frame:
-            yield current
+            yield done(current)
             current = None
         if current is None:
             current = FrameBundle(frame, time_s, {}, {}, {})
+            first_line = lineno
         elif cam_id in current.poses:
             raise ParseError(f"{path}:{lineno}: a second record for camera "
                              f"{cam_id} in frame {frame}")
@@ -328,7 +346,7 @@ def load_detections(path: str,
         current.valid[cam_id] = valid_joints(arr, cfg, cam_by_id.get(cam_id))
         current.times[cam_id] = time_s
     if current is not None:
-        yield current
+        yield done(current)
 
 
 # -- tracks -----------------------------------------------------------

@@ -333,14 +333,6 @@ class SyntheticScene:
 
     schema = SYNTH14
 
-    @property
-    def corruption(self) -> list[dict]:
-        """The sidecar's per-joint records, as export writes them."""
-        return [{"frame": frame, "camera": camera, "pose": pose,
-                 "joint": joint, "class": CLASS_NAMES[code], "actor": actor}
-                for frame, camera, pose, actor, codes in self._pose_labels()
-                for joint, code in enumerate(codes.tolist())]
-
     def _pose_labels(self) -> Iterator[tuple[int, int, int, int, np.ndarray]]:
         """(frame, camera id, pose index, actor, (N,) class codes) of each
         pose the bundles hold, in detection-file order."""

@@ -1,17 +1,17 @@
 """Online multi-person 3D skeleton tracking across calibrated cameras.
 
-Each frame: match every camera's detections to live tracks with the
-part-aware affinity, rebuild each matched track from its freshest pose
-per camera (filtered, time-weighted triangulation), then cluster the
-leftover detections across cameras to spawn new tracks. Each stage
-hands its kernels the whole frame: one scoring call and one assignment
-call for association, one filter and triangulation call for the live
-tracks, and, for initialization, one cross-view scoring call and one
-filter and triangulation call for every new track. Initialization
-still runs two loops in Python: the greedy clustering, one assignment
-per camera, and the placement of the joints that did not triangulate,
-one back-projection per joint, which visits only the born tracks that
-have such a joint. The new rows are built from the born clusters alone.
+Each frame: stack every camera's detections once, match them to live
+tracks with the part-aware affinity, rebuild each matched track from its
+freshest pose per camera (filtered, time-weighted triangulation), then
+cluster the detections left free across cameras to spawn new tracks.
+Each stage hands its kernels the whole frame: one scoring call and one
+assignment call for association, one filter and triangulation call for
+the live tracks, and, for initialization, one cross-view scoring call,
+one filter and triangulation call for every new track and one
+back-projection for every joint of theirs that did not triangulate.
+Initialization runs one loop in Python, the greedy clustering: one
+assignment per camera. The new rows are built from the born clusters
+alone.
 
 All track state is one TrackTable, whose columns each stage reads and
 writes whole: ids, time, misses (T,); joints, velocity (T,N,3); flags
@@ -229,58 +229,63 @@ class PoseTracker:
 
     # -- association -------------------------------------------------
 
-    def _associate(self, bundle: FrameBundle):
-        """Per-camera bipartite matching of detections to live tracks.
-
-        Every camera with detections is scored in one batch, its poses
-        padded with invalid joints to the largest count, and the whole
-        stack is matched in one call, each camera on its own columns.
-        Each matched pose becomes its track's view from that camera, all
-        in one write. Returns ({camera index: unmatched pose rows}, the
-        (T,) mask of the tracks matched this frame).
-        """
-        cfg = self.config
-        aff = cfg.affinity
-        rig = self.rig
-        table = self.tracks
-        seen = [(ci, cam.cam_id) for ci, cam in enumerate(rig.cameras)
+    def _stack(self, bundle: FrameBundle) -> tuple:
+        """The frame's poses, stacked once: the rig cameras cams (K,) that
+        saw poses, in rig order, their record times (K,) and pose counts
+        (K,), and the poses' pixels uv (K,P,N,2) and joint validity valid
+        (K,P,N), padded with invalid poses to the largest count."""
+        seen = [(ci, cam.cam_id) for ci, cam in enumerate(self.rig.cameras)
                 if len(bundle.poses.get(cam.cam_id, ()))]
+        counts = [len(bundle.poses[c]) for _, c in seen]
+        n_joints = bundle.poses[seen[0][1]].shape[1] if seen else 0
+        uv = np.zeros((len(seen), max(counts, default=0), n_joints, 2))
+        valid = np.zeros(uv.shape[:-1], dtype=bool)
+        for k, ((_, c), p) in enumerate(zip(seen, counts)):
+            uv[k, :p] = bundle.poses[c][..., :2]
+            valid[k, :p] = bundle.valid[c]
+        return (np.array([ci for ci, _ in seen], np.int64),
+                np.array([bundle.times[c] for _, c in seen]),
+                np.array(counts, np.int64), uv, valid)
+
+    def _associate(self, stack: tuple, bundle: FrameBundle):
+        """Per-camera bipartite matching of the frame's poses to live tracks.
+
+        The pose stack (see _stack) is scored in one batch and matched in
+        one call, each camera on its own columns; each matched pose
+        becomes its track's view from that camera, all in one write.
+        Returns the (K,P) mask free of the poses left unmatched and the
+        (T,) mask of the tracks matched this frame.
+        """
+        cfg, rig, table = self.config, self.rig, self.tracks
+        aff = cfg.affinity
+        cams, times, counts, uv, valid = stack
+        free = np.arange(uv.shape[1]) < counts[:, None]
         matched = np.zeros(len(table), dtype=bool)
-        if not len(table) or not seen:
-            return {ci: range(len(bundle.poses[cam_id]))
-                    for ci, cam_id in seen}, matched
-        cam_idx = np.array([ci for ci, _ in seen])
-        cam_t = np.array([bundle.times[cam_id] for _, cam_id in seen])
-        elapsed = cam_t[:, None] - table.time[None, :]
+        if not len(table) or not cams.size:
+            return free, matched
+        elapsed = times[:, None] - table.time[None, :]
         # staleness in frame intervals, never below one frame
         dts = np.maximum(elapsed * rig.fps, 1.0)
-        counts = [len(bundle.poses[cam_id]) for _, cam_id in seen]
-        n_joints = table.joints.shape[1]
-        pose_uv = np.zeros((len(seen), max(counts), n_joints, 2))
-        pose_valid = np.zeros((len(seen), max(counts), n_joints), dtype=bool)
-        for k, ((_, cam_id), p) in enumerate(zip(seen, counts)):
-            pose_uv[k, :p] = bundle.poses[cam_id][..., :2]
-            pose_valid[k, :p] = bundle.valid[cam_id]
         scores = kernels.score_pose_pairs(
             table.joints, table.flags != kernels.FLAG_MISSING, dts,
-            rig.k_table[cam_idx], rig.r_table[cam_idx], rig.origins[cam_idx],
-            pose_uv, pose_valid,
+            rig.k_table[cams], rig.r_table[cams], rig.origins[cams],
+            uv, valid,
             aff.alpha_2d, aff.lambda_a, aff.epsilon, cfg.part_aware,
         )
         matches = assignment.solve(scores, 0.0, counts)
         pairs = chain.from_iterable(m.pairs for m in matches)
         ti, pi = np.fromiter(chain.from_iterable(pairs),
                              np.int64).reshape(-1, 2).T
-        k = np.repeat(np.arange(len(seen)), [len(m.pairs) for m in matches])
+        k = np.repeat(np.arange(cams.size), [len(m.pairs) for m in matches])
         # a camera matches each track at most once: no cell is written twice
-        ci = cam_idx[k]
+        ci = cams[k]
         table.view_frame[ti, ci] = bundle.frame
-        table.view_time[ti, ci] = cam_t[k]
-        table.view_uv[ti, :, ci] = pose_uv[k, pi]
-        table.view_valid[ti, :, ci] = pose_valid[k, pi]
+        table.view_time[ti, ci] = times[k]
+        table.view_uv[ti, :, ci] = uv[k, pi]
+        table.view_valid[ti, :, ci] = valid[k, pi]
         matched[ti] = True
-        return ({ci: m.unmatched_cols for (ci, _), m in zip(seen, matches)},
-                matched)
+        free[k, pi] = False
+        return free, matched
 
     # -- reconstruction ----------------------------------------------
 
@@ -324,17 +329,16 @@ class PoseTracker:
 
     def _cluster_unmatched(self, cams: np.ndarray, uv: np.ndarray,
                            valid: np.ndarray, counts: list) -> np.ndarray:
-        """Greedy cross-view clustering of unmatched poses, camera by camera.
+        """Greedy cross-view clustering of free poses, camera by camera.
 
-        uv (K,P,N,2) and valid (K,P,N) hold the unmatched poses of the K
-        rig cameras cams, in rig order, padded with invalid poses to the
-        largest count; camera k has counts[k]. Every (earlier, later)
-        camera pair is scored in one call. Each camera's poses then join
-        the clusters built so far, every earlier pose being a member of
-        one: a cluster scores a pose by its best member, and one
-        assignment per camera settles the joins. Returns the L clusters
-        in the order they were started, as their pose (L,K) from each
-        camera, -1 where they have none.
+        uv (K,P,N,2) and valid (K,P,N) hold the K rig cameras cams, in rig
+        order, each camera's counts[k] free poses first, invalid after.
+        Every (earlier, later) camera pair is scored in one call. Each
+        camera's poses then join the clusters built so far, every earlier
+        pose being a member of one: a cluster scores a pose by its best
+        member, and one assignment per camera settles the joins. Returns
+        the L clusters in the order they were started, as their pose
+        (L,K) from each camera, -1 where they have none.
         """
         f_table = self.rig.f_table
         first, later = kernels._slot_pairs(len(cams))
@@ -364,39 +368,39 @@ class PoseTracker:
             size += len(started)
         return clusters[:size]
 
-    def initialize(self, unmatched: dict, bundle: FrameBundle) -> TrackTable:
+    def initialize(self, stack: tuple, free: np.ndarray,
+                   bundle: FrameBundle) -> TrackTable:
         """Spawn tracks, returned as new rows, from cross-view clusters of
-        unmatched poses.
+        the poses that association left free.
 
-        Every cluster of two or more poses is filtered and triangulated
-        in one batch, laid out as in reconstruct: slot c holds the pose
-        from rig camera c, and cameras outside the cluster are dead
-        slots. Joints with fewer than two consistent views are placed on
-        a single view's ray at the skeleton centroid depth, or at the
-        centroid itself, and flagged predicted. A cluster in which not a
-        single joint triangulates spawns no track. A new track's views are
-        its cluster's poses.
+        Of the pose stack (see _stack), only the poses that free (K,P)
+        marks are clustered, gathered to the front of their camera's row
+        in pose order. Every cluster of two or more poses is filtered and
+        triangulated in one batch, laid out as in reconstruct: slot c
+        holds the pose from rig camera c, and cameras outside the cluster
+        are dead slots. Joints with fewer than two consistent views are
+        placed, in one pass, on a single view's ray at the skeleton
+        centroid depth, or at the centroid itself, and flagged predicted.
+        A cluster in which not a single joint triangulates spawns no
+        track. A new track's views are its cluster's poses.
         """
-        seen = [ci for ci in sorted(unmatched) if len(unmatched[ci])]
-        if len(seen) < 2:
+        cams, times, _, uv, valid = stack
+        rows = np.flatnonzero(free.any(axis=1))
+        if rows.size < 2:
             return self._no_births
-        cfg = self.config
-        rig = self.rig
-        ids = [cam.cam_id for cam in rig.cameras]
-        rows = [list(unmatched[ci]) for ci in seen]
-        counts = [len(r) for r in rows]
-        n_joints = bundle.poses[ids[seen[0]]].shape[1]
-        uv = np.zeros((len(seen), max(counts), n_joints, 2))
-        valid = np.zeros(uv.shape[:-1], dtype=bool)
-        for k, (ci, r) in enumerate(zip(seen, rows)):
-            uv[k, :len(r)] = bundle.poses[ids[ci]][r, :, :2]
-            valid[k, :len(r)] = bundle.valid[ids[ci]][r]
-        cams = np.array(seen)
-        clusters = self._cluster_unmatched(cams, uv, valid, counts)
+        cfg, rig = self.config, self.rig
+        cams, times, free = cams[rows], times[rows], free[rows]
+        counts = free.sum(axis=1)
+        # a stable sort moves each camera's free poses, in order, to the front
+        order = np.argsort(~free, axis=1, kind="stable")[:, :counts.max()]
+        uv = uv[rows[:, None], order]
+        valid = (valid[rows[:, None], order]
+                 & (np.arange(order.shape[1]) < counts[:, None])[..., None])
+        clusters = self._cluster_unmatched(cams, uv, valid, counts.tolist())
         clusters = clusters[(clusters >= 0).sum(axis=1) >= 2]
         if not len(clusters):
             return self._no_births
-        n_cams = len(rig)
+        n_cams, n_joints = len(rig), uv.shape[2]
         owner, member_k = np.nonzero(clusters >= 0)
         member_p = clusters[owner, member_k]
         seed_uv = np.zeros((len(clusters), n_joints, n_cams, 2))
@@ -415,39 +419,34 @@ class PoseTracker:
         ok = (status == 0).reshape(len(clusters), n_joints)
         born = np.flatnonzero(ok.any(axis=1))
         ok = ok[born]
-        joints = np.where(ok[..., None],
-                          xyz.reshape(len(clusters), n_joints, 3)[born], 0.0)
-        seed_uv, seed_valid = seed_uv[born], seed_valid[born]
-        keep = keep.reshape(len(clusters), n_joints, n_cams)[born]
-        for b in np.flatnonzero(~ok.all(axis=1)).tolist():
-            tri = ok[b]
-            first = cams[(clusters[born[b]] >= 0).argmax()]
-            centroid = joints[b][tri].mean(axis=0)
-            for n in np.flatnonzero(~tri):
-                kept = np.flatnonzero(keep[b, n])
-                if kept.size:
-                    ci = kept[0]
-                elif seed_valid[b, n, first]:
-                    ci = first
-                else:
-                    joints[b, n] = centroid
-                    continue
-                direction = kernels.back_project_dir(
-                    seed_uv[b, n, ci, 0], seed_uv[b, n, ci, 1],
-                    rig.krinv_table[ci])
-                depth = float(np.dot(centroid - rig.origins[ci], direction))
-                if depth <= 0:
-                    joints[b, n] = centroid
-                else:
-                    joints[b, n] = rig.origins[ci] + depth * direction
+        # C order, so that the centroid sums each skeleton joint by joint
+        joints = np.ascontiguousarray(np.where(
+            ok[..., None], xyz.reshape(len(clusters), n_joints, 3)[born], 0.0))
         member = clusters[born] >= 0
+        seed_uv, seed_valid = seed_uv[born], seed_valid[born]
+        b, n = np.nonzero(~ok)
+        if b.size:
+            centroid = (joints.sum(axis=1) / ok.sum(axis=1)[:, None])[b]
+            kept = keep.reshape(len(clusters), n_joints, n_cams)[born[b], n]
+            first = cams[member.argmax(axis=1)][b]
+            ci = np.where(kept.any(axis=1), kept.argmax(axis=1), first)
+            # the filter only drops views: a kept view is a valid one
+            on_ray = seed_valid[b, n, ci]
+            joints[b, n] = centroid
+            b, n, ci, centroid = (x[on_ray] for x in (b, n, ci, centroid))
+            direction = kernels.back_project_dir(
+                seed_uv[b, n, ci, 0], seed_uv[b, n, ci, 1], rig.krinv_table[ci])
+            # np.matmul takes np.dot's path for each joint's depth
+            depth = np.matmul((centroid - rig.origins[ci])[:, None],
+                              direction[..., None])[:, 0]
+            joints[b, n] = np.where(depth <= 0, centroid,
+                                    rig.origins[ci] + depth * direction)
         new = TrackTable(n_cams, cfg, self._next_id + np.arange(born.size),
                          bundle.time_s, joints,
                          np.where(ok, kernels.FLAG_TRIANGULATED,
                                   kernels.FLAG_PREDICTED))
         new.view_frame[:, cams] = np.where(member, bundle.frame, -np.inf)
-        new.view_time[:, cams] = np.where(
-            member, [bundle.times[ids[ci]] for ci in seen], 0.0)
+        new.view_time[:, cams] = np.where(member, times, 0.0)
         new.view_uv, new.view_valid = seed_uv, seed_valid
         self._next_id += born.size
         return new
@@ -467,13 +466,14 @@ class PoseTracker:
         t = bundle.time_s
         table = self.tracks
         t0 = _time.perf_counter()
-        unmatched, matched = self._associate(bundle)
+        stack = self._stack(bundle)
+        free, matched = self._associate(stack, bundle)
         t1 = _time.perf_counter()
         table.misses = np.where(matched, 0, table.misses + 1)
         joints, flags = self.reconstruct(
             bundle.frame - table.view_frame < self.config.affinity.tau, bundle)
         t2 = _time.perf_counter()
-        new = self.initialize(unmatched, bundle)
+        new = self.initialize(stack, free, bundle)
         t3 = _time.perf_counter()
         keep = table.misses <= self.config.effective_miss_limit
         if not keep.all():

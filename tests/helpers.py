@@ -6,8 +6,9 @@ from-scratch pose scorer, image lines and epipolar lines, a weighted
 linear triangulator, a one-joint greedy epipolar filter, a
 limb-correctness scorer, a one-joint-at-a-time detections reader, the
 per-float file writers, a one-record-per-joint corruption sidecar
-writer, the gated assignment as it stood with a mask of
-its real columns, a track initializer that seeds one cluster at a
+writer and the records it writes for a synthetic scene, the gated
+assignment as it stood with a mask of its real columns, a track
+initializer that seeds one cluster at a
 time with the same kernels, triangulation by one stacked LAPACK
 eigensolve and a row-by-row comparison of two runs' tracks. Tests
 compare library output against these,
@@ -40,6 +41,7 @@ from mvtrack3d.evaluation import (_joint_masks, _limbs_correct, _stack_joints,
                                   match_run)
 from mvtrack3d.fileio import TrackFrame
 from mvtrack3d.geometry import CameraCalibration, CameraRig
+from mvtrack3d.synth import CLASS_NAMES
 from mvtrack3d.tracker import (
     CHAR_FLAGS,
     FrameBundle,
@@ -908,6 +910,23 @@ def reference_corruption_text(entries, schema_name, class_names):
                                 "actor": actor},
                                separators=(",", ":")) + "\n"
     return text
+
+
+def corruption_records(scene):
+    """The corruption sidecar's per-joint records of a synthetic scene,
+    one per joint of each pose its bundles hold, in detection-file order,
+    each labelled from scene.class_of and scene.actor_of."""
+    records = []
+    for bundle in scene.bundles:
+        for cam_id, poses in bundle.poses.items():
+            for pose in range(len(poses)):
+                key = (bundle.frame, cam_id, pose)
+                for joint, code in enumerate(scene.class_of[key].tolist()):
+                    records.append({"frame": bundle.frame, "camera": cam_id,
+                                    "pose": pose, "joint": joint,
+                                    "class": CLASS_NAMES[code],
+                                    "actor": scene.actor_of[key]})
+    return records
 
 
 def _reference_clusters(tracker, views):

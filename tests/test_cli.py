@@ -370,6 +370,25 @@ def test_malformed_detections_exit_1_with_one_line_error(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_detections_whose_frame_time_goes_back_exit_1(capsys, tmp_path):
+    paths = synth_scene(capsys, tmp_path, **dict(CLEAN, n_frames=5))
+    lines = open(paths["detections"]).read().splitlines()
+    records = [json.loads(ln) for ln in lines[1:]]
+    for record in records:
+        if record["frame"] == 2:
+            record["time_s"] = 0.0
+    first = 2 + next(i for i, r in enumerate(records) if r["frame"] == 2)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([lines[0]] + [json.dumps(r) for r in records])
+                   + "\n")
+    code, out, err = track(capsys, dict(paths, detections=str(bad)),
+                           tmp_path / "t.jsonl")
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"bad.jsonl:{first}: frame 2 at 0.0 s is not after 0.04 s" in err
+    assert "Traceback" not in err
+
+
 def test_eval_rejects_mismatched_schemas(capsys, tmp_path):
     paths = synth_scene(capsys, tmp_path, **CLEAN)
     tracks = tmp_path / "tracks.jsonl"

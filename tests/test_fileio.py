@@ -13,6 +13,7 @@ from mvtrack3d.affinity import AffinityConfig
 from mvtrack3d.errors import (
     MvTrackError,
     NonMonotonicFrames,
+    NonMonotonicTime,
     ParseError,
     ValidationError,
 )
@@ -110,6 +111,21 @@ def test_calibration_header_is_checked(tmp_path):
         load_calibration(str(path))
 
 
+def test_calibration_rejects_a_repeated_camera_id(tmp_path, rng):
+    path = tmp_path / "calib.jsonl"
+    save_calibration(random_ring_rig(rng, n_cams=3), str(path))
+    lines = path.read_text().splitlines()
+    first_id = json.loads(lines[1])["id"]
+    record = json.loads(lines[3])
+    record["id"] = first_id
+    lines[3] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        load_calibration(str(path))
+    assert str(err.value) == (f"{path}:4: a second camera with id "
+                              f"{first_id}")
+
+
 # -- detections -----------------------------------------------------------
 
 
@@ -155,6 +171,32 @@ def test_detections_reject_frame_regressions(tmp_path, rng):
     write_detections(rows, str(path), SYNTH14.name, N)
     with pytest.raises(NonMonotonicFrames, match="after frame"):
         list(load_detections(str(path)))
+
+
+@pytest.mark.parametrize("times,refused", [
+    ((0.0, 0.0), True),
+    ((1 / 25.0, 1 / 25.0), True),
+    ((0.0, 2.5 / 25.0), False),
+], ids=["earlier", "equal", "latest-record-later"])
+def test_detections_reject_frame_times_that_do_not_increase(tmp_path, rng,
+                                                            times, refused):
+    # frame 2's two records; the frame's time is the later of theirs
+    rows = list(detection_rows(rng))
+    for k, time_s in zip((4, 5), times):
+        frame, _, cam, poses = rows[k]
+        rows[k] = (frame, time_s, cam, poses)
+    path = tmp_path / "det.jsonl"
+    write_detections(rows, str(path), SYNTH14.name, N)
+    frames = load_detections(str(path))
+    assert [next(frames).frame, next(frames).frame] == [0, 1]
+    if not refused:
+        assert [b.time_s for b in frames] == [2.5 / 25.0, 3 / 25.0]
+        return
+    with pytest.raises(NonMonotonicTime) as err:
+        next(frames)
+    # line 6 holds frame 2's first record, after the header and frames 0-1
+    assert str(err.value) == (f"{path}:6: frame 2 at {max(times)} s is not "
+                              f"after {1 / 25.0} s")
 
 
 def test_detections_parse_errors_carry_line_numbers(tmp_path, rng):

@@ -28,7 +28,8 @@ from mvtrack3d.synth import (
     ring_cameras,
 )
 
-from helpers import project, reference_corruption_text, triangulate
+from helpers import (corruption_records, project, reference_corruption_text,
+                     triangulate)
 
 N = SYNTH14.n_joints
 
@@ -174,7 +175,7 @@ def test_export_round_trips_through_the_readers(tmp_path, noisy_scene):
     assert np.array_equal(gt.frames[31].actors[1], scene.gt[31, 1])
 
     sidecar = fileio.load_corruption(paths["corruption"])
-    assert sidecar == scene.corruption
+    assert sidecar == corruption_records(scene)
     assert len(sidecar) == N * len(scene.class_of)
     assert list(sidecar[0]) == ["frame", "camera", "pose", "joint", "class",
                                 "actor"]
@@ -198,7 +199,7 @@ def test_sidecar_labels_exactly_the_detected_poses(tmp_path):
     assert len(detected) == 16 * 3 * 3
     assert labelled == detected
     assert {(r["frame"], r["camera"], r["pose"])
-            for r in scene.corruption} == detected
+            for r in corruption_records(scene)} == detected
 
 
 def test_exported_sidecar_is_json_dumps_of_each_record(tmp_path):
@@ -304,7 +305,7 @@ def test_corruption_sidecar_classifies_every_joint_once(noisy_scene):
         seed=6, n_cameras=2, n_actors=2, n_frames=30, noise_px=1.0,
         outlier_rate=0.2, occlusion_rate=0.3, dropout_rate=0.2))
     seen = {}
-    for rec in scene.corruption:
+    for rec in corruption_records(scene):
         key = (rec["frame"], rec["camera"], rec["pose"])
         seen.setdefault(key, []).append(rec)
         assert rec["class"] in ("clean", "noisy", "outlier", "occluded")
@@ -321,7 +322,7 @@ def test_independent_outlier_rate_matches_configuration():
     cfg = SceneConfig(seed=4, n_cameras=3, n_actors=3, n_frames=2000,
                       noise_px=1.0, outlier_rate=0.10, outlier_px=80.0)
     scene = generate(cfg)
-    labels = [r["class"] for r in scene.corruption]
+    labels = [r["class"] for r in corruption_records(scene)]
     frac = labels.count("outlier") / len(labels)
     assert abs(frac - 0.10) < 0.01
 
@@ -358,8 +359,9 @@ def test_burst_outliers_latch_onto_one_body_half():
                       noise_px=1.0, outlier_rate=0.10, outlier_px=120.0,
                       outlier_burst=0.9, outlier_burst_frames=20.0)
     scene = generate(cfg)
-    labels = [r for r in scene.corruption if r["class"] == "outlier"]
-    frac = len(labels) / len(scene.corruption)
+    records = corruption_records(scene)
+    labels = [r for r in records if r["class"] == "outlier"]
+    frac = len(labels) / len(records)
     assert abs(frac - 0.10) < 0.02
 
     by_pose = {}

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from mvtrack3d import kernels, synth
 from mvtrack3d.affinity import AffinityConfig, preset
-from mvtrack3d.errors import ConfigError, NonMonotonicTime
+from mvtrack3d.errors import ConfigError, NonMonotonicTime, ValidationError
 from mvtrack3d.geometry import CameraRig
 from mvtrack3d.tracker import (
     JointFlag,
@@ -94,8 +94,10 @@ def test_skeleton_validation(rng):
     joints = points_near_origin(rng, N)
     flags = np.zeros(N, np.uint8)
     Skeleton3D(0.0, joints, flags)
-    with pytest.raises(Exception):
+    with pytest.raises(ValidationError, match=r"joints must be \(N,3\)"):
         Skeleton3D(0.0, joints[:, :2], flags)
+    with pytest.raises(ValidationError, match="flags must align with joints"):
+        Skeleton3D(0.0, joints, flags[:-1])
 
 
 # -- prediction ----------------------------------------------------------
@@ -492,12 +494,18 @@ def seeding_frame(seed, n_cams, n_actors, noise_px, occlusion, outliers):
 
 
 def assert_same_seeding(config, cams, unmatched, bundle, first_id=1):
-    """PoseTracker.initialize spawns, bit for bit, the tracks that
-    reference_initialize seeds one cluster at a time; returns their rows."""
+    """PoseTracker.initialize, given the frame's pose stack with the rows
+    of unmatched ({camera index: pose rows}) marked free, spawns, bit for
+    bit, the tracks that reference_initialize seeds one cluster at a time
+    from the same map; returns their rows."""
     tracker = PoseTracker(CameraRig(cams), config)
     reference = PoseTracker(CameraRig(cams), config)
     tracker._next_id = reference._next_id = first_id
-    got = tracker.initialize(unmatched, bundle)
+    stack = tracker._stack(bundle)
+    free = np.zeros(stack[3].shape[:2], dtype=bool)
+    for k, ci in enumerate(stack[0].tolist()):
+        free[k, list(unmatched.get(ci, ()))] = True
+    got = tracker.initialize(stack, free, bundle)
     want = reference_initialize(reference, unmatched, bundle)
     assert got.ids.tolist() == want.ids.tolist()
     assert tracker._next_id == reference._next_id
@@ -637,6 +645,39 @@ def test_initialization_scores_filters_and_triangulates_once(clean_scene,
     assert len(tracker.tracks) == clean_scene.config.n_actors
     assert calls == {"epipolar_pose_score": 1, "filter_init_mask": 1,
                      "triangulate_batch": 1}
+
+
+def test_a_newcomer_between_tracked_poses_is_seeded_alone(rng):
+    """Two actors are tracked, then a third appears whose pose sits
+    between theirs in every camera's pose order: the old ids keep their
+    actors, and one new id is born from the newcomer's poses alone."""
+    cams = random_ring_rig(rng, n_cams=3)
+    left, newcomer, right = (
+        rng.uniform([-0.2, -0.2, 0.2], [0.2, 0.2, 1.8], (N, 3)) + offset
+        for offset in ([-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]))
+
+    def frame(k, bodies):
+        return make_bundle(k, k / FPS, {cam.cam_id: np.array([
+            np.column_stack((homogeneous_project(cam, body)[0],
+                             np.full(N, 0.9))) for body in bodies])
+            for cam in cams}, cameras=cams)
+
+    tracker = PoseTracker(CameraRig(cams), no_smoothing())
+    for k in range(3):
+        tracker.step(frame(k, (left, right)))
+    old = dict(zip(tracker.tracks.ids.tolist(), ("left", "right")))
+    out = dict(tracker.step(frame(3, (left, newcomer, right))))
+    bodies = {"left": left, "right": right, "newcomer": newcomer}
+    for track_id, name in old.items():
+        assert np.abs(out[track_id].joints - bodies[name]).max() < 1e-6
+    born = sorted(set(out) - set(old))
+    assert len(born) == 1 and len(tracker.tracks) == 3
+    row = tracker.tracks.ids.tolist().index(born[0])
+    assert np.abs(out[born[0]].joints - newcomer).max() < 1e-6
+    assert tracker.tracks.view_frame[row].tolist() == [3, 3, 3]
+    for ci, cam in enumerate(cams):
+        assert np.array_equal(tracker.tracks.view_uv[row, :, ci],
+                              homogeneous_project(cam, newcomer)[0])
 
 
 # -- lifecycle -----------------------------------------------------------
