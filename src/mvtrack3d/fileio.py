@@ -57,14 +57,16 @@ def _line(record: dict) -> bytes:
     return (_dumps(record) + "\n").encode()
 
 
-def _encode(record: dict, floats: np.ndarray) -> bytes:
+def _encode(record: dict, floats: np.ndarray, time_s: float = 0.0) -> bytes:
     """record as one line of JSON, newline included, byte for byte what
-    _dumps writes. floats holds every float of record. When each is 0 or
-    has 1e-4 <= |x| < 1e16, orjson prints it as repr does and writes the
-    line; any other record, and one holding an int orjson cannot hold,
-    goes through _dumps, which raises ValueError for NaN and inf."""
+    _dumps writes. floats holds every float of record but time_s, the one
+    scalar tested apart. When each is 0 or has 1e-4 <= |x| < 1e16, orjson
+    prints it as repr does and writes the line; any other record, and one
+    holding an int orjson cannot hold, goes through _dumps, which raises
+    ValueError for NaN and inf."""
     a = np.abs(floats)
-    if ((a < 1e16) & ((a >= 1e-4) | (a == 0.0))).all():
+    if ((time_s == 0.0 or 1e-4 <= abs(time_s) < 1e16)
+            and ((a < 1e16) & ((a >= 1e-4) | (a == 0.0))).all()):
         try:
             return orjson.dumps(record, option=orjson.OPT_APPEND_NEWLINE)
         except orjson.JSONEncodeError:
@@ -272,12 +274,13 @@ def write_detections(records: Iterable[tuple[int, float, int, np.ndarray]],
                         "n_joints": int(n_joints)}))
         for frame, time_s, cam_id, poses in records:
             poses = np.asarray(poses, dtype=np.float64)
+            time_s = float(time_s)
             fh.write(_encode({
                 "frame": int(frame),
                 "camera": int(cam_id),
-                "time_s": float(time_s),
+                "time_s": time_s,
                 "poses": poses.tolist(),
-            }, np.append(poses, time_s)))
+            }, poses, time_s))
 
 
 def read_detections_header(path: str) -> dict:

@@ -24,7 +24,11 @@ for each frame, for each camera in rig order, for each actor in id order:
 burst transition then group pick on entry (only in burst mode), dropout,
 noise, per-joint outlier flips then direction retries in joint order,
 occlusion flip then group pick, confidences, occluded-joint confidences;
-finally one detection-order permutation per camera.
+finally one detection-order permutation per camera. The test
+test_synth.py::test_generate_makes_the_reference_draws pins this order
+bit for bit against a one-pose-at-a-time reference generator. Joint
+validity draws nothing: it is computed once per camera over the whole
+scene, and each frame's bundle holds its slice.
 """
 
 from __future__ import annotations
@@ -288,35 +292,34 @@ def corrupt_pose(uv: np.ndarray, cfg: SceneConfig, rng: np.random.Generator,
     machinery in generate() uses it to target one body half.
     """
     n = uv.shape[0]
-    uv = uv + rng.normal(0.0, cfg.noise_px, size=(n, 2))
+    out = np.empty((n, 3))
+    out[:, :2] = uv + rng.normal(0.0, cfg.noise_px, size=(n, 2))
     classes = np.full(
         n, CLASS_NOISY if cfg.noise_px > 0 else CLASS_CLEAN, dtype=np.uint8
     )
 
     width = camera.width if camera is not None else cfg.width
     height = camera.height if camera is not None else cfg.height
-    if outlier_rates is None:
-        outlier_rates = np.full(n, cfg.outlier_rate)
-    hits = rng.random(n) < outlier_rates
-    for j in range(n):
-        if not hits[j]:
-            continue
-        classes[j] = CLASS_OUTLIER
+    rates = cfg.outlier_rate if outlier_rates is None else outlier_rates
+    hits = (rng.random(n) < rates).nonzero()[0]
+    if hits.size:
+        classes[hits] = CLASS_OUTLIER
+    for j in hits.tolist():
+        u, v = out[j, :2].tolist()
         for _ in range(_OUTLIER_RETRIES):
             ang = rng.random() * 2.0 * np.pi
-            cand = uv[j] + cfg.outlier_px * np.array([np.cos(ang), np.sin(ang)])
-            if 0.0 <= cand[0] <= width and 0.0 <= cand[1] <= height:
+            cu = u + cfg.outlier_px * np.cos(ang)
+            cv = v + cfg.outlier_px * np.sin(ang)
+            if 0.0 <= cu <= width and 0.0 <= cv <= height:
                 break
-        uv[j] = cand
+        out[j, :2] = cu, cv
 
-    conf = rng.uniform(0.5, 1.0, size=n)
+    out[:, 2] = rng.uniform(0.5, 1.0, size=n)
     if rng.random() < cfg.occlusion_rate:
-        group = OCCLUSION_GROUPS[rng.integers(len(OCCLUSION_GROUPS))]
-        for j in group:
-            classes[j] = CLASS_OCCLUDED
-        conf[list(group)] = rng.uniform(0.02, 0.07, size=len(group))
-
-    return np.column_stack([uv, conf]), classes
+        group = list(OCCLUSION_GROUPS[rng.integers(len(OCCLUSION_GROUPS))])
+        classes[group] = CLASS_OCCLUDED
+        out[group, 2] = rng.uniform(0.02, 0.07, size=len(group))
+    return out, classes
 
 
 @dataclass
@@ -391,54 +394,67 @@ def generate(cfg: SceneConfig) -> SyntheticScene:
     gt = actor_joints(cfg, np.arange(cfg.n_actors)[None, :], times[:, None])
     exact = [project_exact(cam, gt) for cam in cameras]  # (F, A, N, 2) each
 
-    bundles: list[FrameBundle] = []
     actor_of: dict = {}
     class_of: dict = {}
     chain = cfg.burst_chain()
-    validity = AffinityConfig()
-    in_burst = np.zeros((cfg.n_cameras, cfg.n_actors), dtype=bool)
-    burst_group = np.zeros((cfg.n_cameras, cfg.n_actors), dtype=np.int64)
+    if chain is not None:
+        p_enter, p_exit, quiet = chain
+        # Frame 0 samples the stationary occupancy so the marginal rate is
+        # exact with no burn-in.
+        occupancy = p_enter / (p_enter + p_exit)
+        quiet_rates = np.full(n_joints, quiet)
+        group_rates = [quiet_rates.copy() for _ in BURST_GROUPS]
+        for rates, group in zip(group_rates, BURST_GROUPS):
+            rates[list(group)] = cfg.outlier_burst
+        # burst group of each (camera, actor), or None off-burst
+        burst = [[None] * cfg.n_actors for _ in cameras]
+    # each camera's poses of the whole scene, with room for every actor on
+    # every frame, and how many each frame holds
+    blocks = [np.zeros((cfg.n_frames * cfg.n_actors, n_joints, 3))
+              for _ in cameras]
+    counts = [[0] * cfg.n_frames for _ in cameras]
     for f in range(cfg.n_frames):
-        t = float(times[f])
-        bundle = FrameBundle(f, t, {}, {}, {})
         for ci, cam in enumerate(cameras):
             kept: list[tuple[int, np.ndarray, np.ndarray]] = []
             for a in range(cfg.n_actors):
                 rates = None
                 if chain is not None:
-                    p_enter, p_exit, quiet = chain
                     u = rng.random()
-                    was = in_burst[ci, a]
-                    if f == 0:
-                        # Frame 0 samples the stationary occupancy so the
-                        # marginal rate is exact with no burn-in.
-                        occupancy = p_enter / (p_enter + p_exit)
-                        in_burst[ci, a] = u < occupancy
-                    elif was:
-                        in_burst[ci, a] = u >= p_exit
-                    else:
-                        in_burst[ci, a] = u < p_enter
-                    rates = np.full(n_joints, quiet)
-                    if in_burst[ci, a]:
-                        if not was or f == 0:
-                            burst_group[ci, a] = rng.integers(len(BURST_GROUPS))
-                        rates[list(BURST_GROUPS[burst_group[ci, a]])] = \
-                            cfg.outlier_burst
+                    group = burst[ci][a]
+                    if group is None:
+                        if u < (occupancy if f == 0 else p_enter):
+                            group = int(rng.integers(len(BURST_GROUPS)))
+                    elif u < p_exit:
+                        group = None
+                    burst[ci][a] = group
+                    rates = quiet_rates if group is None else group_rates[group]
                 if rng.random() < cfg.dropout_rate:
                     continue
                 pose, codes = corrupt_pose(exact[ci][f, a], cfg, rng,
                                            camera=cam, outlier_rates=rates)
                 kept.append((a, pose, codes))
-            order = rng.permutation(len(kept)) if kept else []
+            if not kept:
+                continue
+            order = rng.permutation(len(kept)).tolist()
+            row = f * cfg.n_actors
             for pose_idx, src in enumerate(order):
                 key = (f, cam.cam_id, pose_idx)
-                actor_of[key], _, class_of[key] = kept[src]
-            poses = np.reshape([kept[src][1] for src in order],
-                               (-1, n_joints, 3))
-            bundle.poses[cam.cam_id] = poses
-            bundle.valid[cam.cam_id] = valid_joints(poses, validity, cam)
-            bundle.times[cam.cam_id] = t
-        bundles.append(bundle)
+                actor_of[key], blocks[ci][row + pose_idx], class_of[key] = \
+                    kept[src]
+            counts[ci][f] = len(kept)
+
+    # One validity pass per camera over its whole scene; each bundle holds
+    # its frame's slice of the camera's poses and validity.
+    bundles = [FrameBundle(f, float(times[f]), {}, {}, {})
+               for f in range(cfg.n_frames)]
+    validity = AffinityConfig()
+    for ci, cam in enumerate(cameras):
+        valid = valid_joints(blocks[ci], validity, cam)
+        for bundle, start, count in zip(
+                bundles, range(0, len(valid), cfg.n_actors), counts[ci]):
+            bundle.poses[cam.cam_id] = blocks[ci][start:start + count]
+            bundle.valid[cam.cam_id] = valid[start:start + count]
+            bundle.times[cam.cam_id] = bundle.time_s
 
     return SyntheticScene(
         config=cfg, cameras=cameras, bundles=bundles, gt=gt, times=times,

@@ -229,16 +229,19 @@ class PoseTracker:
 
     # -- association -------------------------------------------------
 
-    def _stack(self, bundle: FrameBundle) -> tuple:
+    def _stack(self, bundle: FrameBundle) -> tuple | None:
         """The frame's poses, stacked once: the rig cameras cams (K,) that
         saw poses, in rig order, their record times (K,) and pose counts
         (K,), and the poses' pixels uv (K,P,N,2) and joint validity valid
-        (K,P,N), padded with invalid poses to the largest count."""
+        (K,P,N), padded with invalid poses to the largest count. None
+        when no camera saw anyone."""
         seen = [(ci, cam.cam_id) for ci, cam in enumerate(self.rig.cameras)
                 if len(bundle.poses.get(cam.cam_id, ()))]
+        if not seen:
+            return None
         counts = [len(bundle.poses[c]) for _, c in seen]
-        n_joints = bundle.poses[seen[0][1]].shape[1] if seen else 0
-        uv = np.zeros((len(seen), max(counts, default=0), n_joints, 2))
+        n_joints = bundle.poses[seen[0][1]].shape[1]
+        uv = np.zeros((len(seen), max(counts), n_joints, 2))
         valid = np.zeros(uv.shape[:-1], dtype=bool)
         for k, ((_, c), p) in enumerate(zip(seen, counts)):
             uv[k, :p] = bundle.poses[c][..., :2]
@@ -261,7 +264,7 @@ class PoseTracker:
         cams, times, counts, uv, valid = stack
         free = np.arange(uv.shape[1]) < counts[:, None]
         matched = np.zeros(len(table), dtype=bool)
-        if not len(table) or not cams.size:
+        if not len(table):
             return free, matched
         elapsed = times[:, None] - table.time[None, :]
         # staleness in frame intervals, never below one frame
@@ -467,13 +470,17 @@ class PoseTracker:
         table = self.tracks
         t0 = _time.perf_counter()
         stack = self._stack(bundle)
-        free, matched = self._associate(stack, bundle)
+        if stack is None:  # no camera saw anyone: nothing to match or seed
+            matched = np.zeros(len(table), dtype=bool)
+        else:
+            free, matched = self._associate(stack, bundle)
         t1 = _time.perf_counter()
         table.misses = np.where(matched, 0, table.misses + 1)
         joints, flags = self.reconstruct(
             bundle.frame - table.view_frame < self.config.affinity.tau, bundle)
         t2 = _time.perf_counter()
-        new = self.initialize(stack, free, bundle)
+        new = (self._no_births if stack is None
+               else self.initialize(stack, free, bundle))
         t3 = _time.perf_counter()
         keep = table.misses <= self.config.effective_miss_limit
         if not keep.all():

@@ -6,7 +6,8 @@ from-scratch pose scorer, image lines and epipolar lines, a weighted
 linear triangulator, a one-joint greedy epipolar filter, a
 limb-correctness scorer, a one-joint-at-a-time detections reader, the
 per-float file writers, a one-record-per-joint corruption sidecar
-writer and the records it writes for a synthetic scene, the gated
+writer and the records it writes for a synthetic scene, the scene
+generator as it stood one pose at a time, the gated
 assignment as it stood with a mask of its real columns, a track
 initializer that seeds one cluster at a
 time with the same kernels, triangulation by one stacked LAPACK
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from hypothesis import strategies as st
 
-from mvtrack3d import assignment, fileio, kernels
+from mvtrack3d import assignment, fileio, kernels, synth
 from mvtrack3d.affinity import AffinityConfig, valid_joints
 from mvtrack3d.errors import ParseError
 from mvtrack3d.evaluation import (_joint_masks, _limbs_correct, _stack_joints,
@@ -927,6 +928,106 @@ def corruption_records(scene):
                                     "class": CLASS_NAMES[code],
                                     "actor": scene.actor_of[key]})
     return records
+
+
+def _reference_corrupt_pose(uv, cfg, rng, camera, outlier_rates):
+    """One pose's corruption as synth.corrupt_pose drew it when each pose
+    built its own rate vector, tested its joints one numpy bool at a time
+    and joined its columns with column_stack."""
+    n = uv.shape[0]
+    uv = uv + rng.normal(0.0, cfg.noise_px, size=(n, 2))
+    classes = np.full(n, synth.CLASS_NOISY if cfg.noise_px > 0
+                      else synth.CLASS_CLEAN, dtype=np.uint8)
+    if outlier_rates is None:
+        outlier_rates = np.full(n, cfg.outlier_rate)
+    hits = rng.random(n) < outlier_rates
+    for j in range(n):
+        if not hits[j]:
+            continue
+        classes[j] = synth.CLASS_OUTLIER
+        for _ in range(synth._OUTLIER_RETRIES):
+            ang = rng.random() * 2.0 * np.pi
+            cand = uv[j] + cfg.outlier_px * np.array([np.cos(ang), np.sin(ang)])
+            if (0.0 <= cand[0] <= camera.width
+                    and 0.0 <= cand[1] <= camera.height):
+                break
+        uv[j] = cand
+
+    conf = rng.uniform(0.5, 1.0, size=n)
+    if rng.random() < cfg.occlusion_rate:
+        group = synth.OCCLUSION_GROUPS[
+            rng.integers(len(synth.OCCLUSION_GROUPS))]
+        for j in group:
+            classes[j] = synth.CLASS_OCCLUDED
+        conf[list(group)] = rng.uniform(0.02, 0.07, size=len(group))
+    return np.column_stack([uv, conf]), classes
+
+
+def reference_generate(cfg):
+    """synth.generate written one pose at a time: the burst state in
+    arrays, a fresh rate vector per pose and one validity call per camera
+    and frame. It makes the random draws in the order the synth module
+    docstring states, so the library must match it bit for bit."""
+    cameras = synth.ring_cameras(cfg)
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    n_joints = synth.SYNTH14.n_joints
+
+    times = np.arange(cfg.n_frames) / cfg.fps
+    gt = synth.actor_joints(cfg, np.arange(cfg.n_actors)[None, :],
+                            times[:, None])
+    exact = [synth.project_exact(cam, gt) for cam in cameras]
+
+    bundles = []
+    actor_of = {}
+    class_of = {}
+    chain = cfg.burst_chain()
+    validity = AffinityConfig()
+    in_burst = np.zeros((cfg.n_cameras, cfg.n_actors), dtype=bool)
+    burst_group = np.zeros((cfg.n_cameras, cfg.n_actors), dtype=np.int64)
+    for f in range(cfg.n_frames):
+        t = float(times[f])
+        bundle = FrameBundle(f, t, {}, {}, {})
+        for ci, cam in enumerate(cameras):
+            kept = []
+            for a in range(cfg.n_actors):
+                rates = None
+                if chain is not None:
+                    p_enter, p_exit, quiet = chain
+                    u = rng.random()
+                    was = in_burst[ci, a]
+                    if f == 0:
+                        occupancy = p_enter / (p_enter + p_exit)
+                        in_burst[ci, a] = u < occupancy
+                    elif was:
+                        in_burst[ci, a] = u >= p_exit
+                    else:
+                        in_burst[ci, a] = u < p_enter
+                    rates = np.full(n_joints, quiet)
+                    if in_burst[ci, a]:
+                        if not was or f == 0:
+                            burst_group[ci, a] = rng.integers(
+                                len(synth.BURST_GROUPS))
+                        rates[list(synth.BURST_GROUPS[burst_group[ci, a]])] = \
+                            cfg.outlier_burst
+                if rng.random() < cfg.dropout_rate:
+                    continue
+                pose, codes = _reference_corrupt_pose(
+                    exact[ci][f, a], cfg, rng, cam, rates)
+                kept.append((a, pose, codes))
+            order = rng.permutation(len(kept)) if kept else []
+            for pose_idx, src in enumerate(order):
+                key = (f, cam.cam_id, pose_idx)
+                actor_of[key], _, class_of[key] = kept[src]
+            poses = np.reshape([kept[src][1] for src in order],
+                               (-1, n_joints, 3))
+            bundle.poses[cam.cam_id] = poses
+            bundle.valid[cam.cam_id] = valid_joints(poses, validity, cam)
+            bundle.times[cam.cam_id] = t
+        bundles.append(bundle)
+
+    return synth.SyntheticScene(
+        config=cfg, cameras=cameras, bundles=bundles, gt=gt, times=times,
+        actor_of=actor_of, class_of=class_of)
 
 
 def _reference_clusters(tracker, views):

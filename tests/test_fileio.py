@@ -803,8 +803,11 @@ def test_writers_match_per_float_references_byte_for_byte(tmp_path, rng):
             writer.write(*frame)
     assert path.read_text() == reference_tracks_text(frames, SYNTH14.name, N)
 
-    records = [(f, f / 25.0, c, _awkward_values(rng, (f % 3, N, 3)))
-               for f in range(4) for c in range(2)]
+    # frames 0 and 3 hold no poses, so only their times, which orjson
+    # prints otherwise than repr (5e-05, 1e+16), send them through json
+    records = [(f, t, c, _awkward_values(rng, (f % 3, N, 3)))
+               for f, t in enumerate([5e-5, 0.04, 0.08, 1e16])
+               for c in range(2)]
     path = tmp_path / "det.jsonl"
     write_detections(records, str(path), SYNTH14.name, N)
     assert path.read_text() == reference_detections_text(
@@ -881,6 +884,11 @@ def test_encode_takes_orjson_inside_the_range(monkeypatch):
     outside = [math.nextafter(1e-4, 0.0), 1e16, -1e16, 5e-324, math.inf]
     for x in outside:
         fileio._encode({"x": x}, np.array([x]))
+    assert calls == [{"x": x} for x in outside]
+    # the same range holds for the time tested apart from the array
+    calls.clear()
+    for x in inside + outside:
+        fileio._encode({"x": x}, np.zeros(0), x)
     assert calls == [{"x": x} for x in outside]
 
 

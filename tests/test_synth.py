@@ -29,7 +29,7 @@ from mvtrack3d.synth import (
 )
 
 from helpers import (corruption_records, project, reference_corruption_text,
-                     triangulate)
+                     reference_generate, triangulate)
 
 N = SYNTH14.n_joints
 
@@ -146,6 +146,47 @@ def test_generation_is_deterministic(tmp_path):
     assert not filecmp.cmp(a["detections"], c["detections"], shallow=False)
 
 
+@pytest.mark.parametrize("cfg", [
+    SceneConfig(noise_px=1.0),
+    SceneConfig(seed=9, n_cameras=3, n_actors=2, n_frames=40, noise_px=1.0,
+                outlier_rate=0.1, occlusion_rate=0.2, dropout_rate=0.1),
+    corrupted_benchmark_config(n_frames=60),
+    SceneConfig(seed=4, n_cameras=2, n_actors=2, n_frames=30, noise_px=0.0,
+                outlier_rate=0.2, occlusion_rate=0.3),
+    # a 40 px image that no 300 px step stays inside: all 32 retries fail
+    SceneConfig(seed=5, n_cameras=2, n_actors=2, n_frames=20, noise_px=1.0,
+                width=40, height=40, focal_px=20.0, outlier_rate=0.3,
+                outlier_px=300.0, dropout_rate=0.2),
+], ids=["noisy", "deterministic", "bursts", "clean", "retries-run-out"])
+def test_generate_makes_the_reference_draws(cfg):
+    # The draw order is the module docstring's; the reference makes it one
+    # pose at a time, so every bit of the scene must agree.
+    scene, ref = generate(cfg), reference_generate(cfg)
+    assert scene.actor_of == ref.actor_of
+    assert scene.class_of.keys() == ref.class_of.keys()
+    for key, codes in ref.class_of.items():
+        assert scene.class_of[key].dtype == codes.dtype
+        assert scene.class_of[key].tobytes() == codes.tobytes(), key
+    assert len(scene.bundles) == len(ref.bundles)
+    for got, want in zip(scene.bundles, ref.bundles):
+        assert (got.frame, got.time_s) == (want.frame, want.time_s)
+        assert got.times == want.times
+        for part in ("poses", "valid"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert list(a) == list(b)
+            for cam_id in b:
+                assert a[cam_id].dtype == b[cam_id].dtype
+                assert a[cam_id].shape == b[cam_id].shape
+                assert a[cam_id].tobytes() == b[cam_id].tobytes(), (
+                    got.frame, cam_id, part)
+    if cfg.width == 40:
+        # the retries did run out: some outlier left the image
+        outside = [pose for b in scene.bundles for poses in b.poses.values()
+                   for pose in poses
+                   if ((pose[:, :2] < 0) | (pose[:, :2] > 40)).any()]
+        assert outside
+
+
 def test_export_round_trips_through_the_readers(tmp_path, noisy_scene):
     scene = noisy_scene
     paths = scene.export(str(tmp_path))
@@ -237,17 +278,21 @@ def test_class_names_need_no_json_escaping():
 def test_generate_holds_little_memory_per_joint_view():
     # 1,000 frames of 5 cameras and 4 actors: 280,000 joint views. A
     # six-key record per joint view held about 345 bytes each; one array
-    # of class codes and one actor id per pose hold about 60.
+    # of class codes and one actor id per pose hold about 60. On the way
+    # the exact pixels of every view (16 bytes each) are the largest
+    # temporary, for a peak near 77; one more whole-scene copy of the
+    # poses (24 bytes each) would pass 90.
     cfg = SceneConfig(n_frames=1000, n_cameras=5, n_actors=4)
     views = cfg.n_frames * cfg.n_cameras * cfg.n_actors * N
     tracemalloc.start()
     try:
         scene = generate(cfg)
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(scene.bundles) == cfg.n_frames
     assert held <= 100 * views, f"{held / views:.0f} B per joint view"
+    assert peak <= 90 * views, f"peak {peak / views:.0f} B per joint view"
 
 
 # -- corruption model -------------------------------------------------------
