@@ -250,20 +250,23 @@ class PoseTracker:
                 np.array([bundle.times[c] for _, c in seen]),
                 np.array(counts, np.int64), uv, valid)
 
-    def _associate(self, stack: tuple, bundle: FrameBundle):
+    def _associate(self, stack: tuple | None, bundle: FrameBundle):
         """Per-camera bipartite matching of the frame's poses to live tracks.
 
         The pose stack (see _stack) is scored in one batch and matched in
         one call, each camera on its own columns; each matched pose
         becomes its track's view from that camera, all in one write.
-        Returns the (K,P) mask free of the poses left unmatched and the
-        (T,) mask of the tracks matched this frame.
+        Returns the (K,P) mask free of the poses left unmatched (None
+        without a stack) and the (T,) mask of the tracks matched this
+        frame.
         """
         cfg, rig, table = self.config, self.rig, self.tracks
+        matched = np.zeros(len(table), dtype=bool)
+        if stack is None:
+            return None, matched
         aff = cfg.affinity
         cams, times, counts, uv, valid = stack
         free = np.arange(uv.shape[1]) < counts[:, None]
-        matched = np.zeros(len(table), dtype=bool)
         if not len(table):
             return free, matched
         elapsed = times[:, None] - table.time[None, :]
@@ -371,7 +374,7 @@ class PoseTracker:
             size += len(started)
         return clusters[:size]
 
-    def initialize(self, stack: tuple, free: np.ndarray,
+    def initialize(self, stack: tuple | None, free: np.ndarray | None,
                    bundle: FrameBundle) -> TrackTable:
         """Spawn tracks, returned as new rows, from cross-view clusters of
         the poses that association left free.
@@ -385,8 +388,11 @@ class PoseTracker:
         placed, in one pass, on a single view's ray at the skeleton
         centroid depth, or at the centroid itself, and flagged predicted.
         A cluster in which not a single joint triangulates spawns no
-        track. A new track's views are its cluster's poses.
+        track. A new track's views are its cluster's poses. A frame
+        without a stack spawns none.
         """
+        if stack is None:
+            return self._no_births
         cams, times, _, uv, valid = stack
         rows = np.flatnonzero(free.any(axis=1))
         if rows.size < 2:
@@ -470,17 +476,13 @@ class PoseTracker:
         table = self.tracks
         t0 = _time.perf_counter()
         stack = self._stack(bundle)
-        if stack is None:  # no camera saw anyone: nothing to match or seed
-            matched = np.zeros(len(table), dtype=bool)
-        else:
-            free, matched = self._associate(stack, bundle)
+        free, matched = self._associate(stack, bundle)
         t1 = _time.perf_counter()
         table.misses = np.where(matched, 0, table.misses + 1)
         joints, flags = self.reconstruct(
             bundle.frame - table.view_frame < self.config.affinity.tau, bundle)
         t2 = _time.perf_counter()
-        new = (self._no_births if stack is None
-               else self.initialize(stack, free, bundle))
+        new = self.initialize(stack, free, bundle)
         t3 = _time.perf_counter()
         keep = table.misses <= self.config.effective_miss_limit
         if not keep.all():

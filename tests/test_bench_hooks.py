@@ -7,7 +7,7 @@ import os
 import pytest
 
 from mvtrack3d.geometry import CameraRig
-from mvtrack3d.tracker import PoseTracker, TrackerConfig
+from mvtrack3d.tracker import FrameBundle, PoseTracker, TrackerConfig
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "bench")
@@ -38,3 +38,24 @@ def test_traced_steps_record_every_hooked_span(spans, clean_scene):
             "kernels.triangulate"} <= names
     for owner, attr, fn in saved:
         assert vars(owner)[attr] is fn, attr
+
+
+def test_traced_step_over_a_frame_nobody_was_seen_in(spans, clean_scene):
+    # live tracks still rebuild from their recent views, so the step
+    # records kernel spans that the tracer files by initialize's start
+    tracker = PoseTracker(CameraRig(clean_scene.cameras),
+                          TrackerConfig(smoothing=True))
+    tracer = spans.Tracer()
+    with tracer.patched():
+        for bundle in clean_scene.bundles[:5]:
+            tracer.step(tracker, bundle)
+        last = clean_scene.bundles[4]
+        empty = FrameBundle(last.frame + 1,
+                            last.time_s + 1.0 / clean_scene.config.fps,
+                            {}, {}, {})
+        first = len(tracer.spans)
+        out = tracer.step(tracker, empty)
+    assert len(out) == clean_scene.config.n_actors
+    names = {name for name, *_ in tracer.spans[first:]}
+    assert {"tracker.step", "tracker.initialize", "kernels.triangulate"} \
+        <= names

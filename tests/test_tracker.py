@@ -498,18 +498,17 @@ def assert_same_seeding(config, cams, unmatched, bundle, first_id=1):
     of unmatched ({camera index: pose rows}) marked free, spawns, bit for
     bit, the tracks that reference_initialize seeds one cluster at a time
     from the same map; returns their rows. A frame in which no camera saw
-    anyone has no stack, and step seeds nothing from it."""
+    anyone has no stack, from which initialize seeds nothing."""
     tracker = PoseTracker(CameraRig(cams), config)
     reference = PoseTracker(CameraRig(cams), config)
     tracker._next_id = reference._next_id = first_id
     stack = tracker._stack(bundle)
-    if stack is None:
-        got = tracker._no_births
-    else:
+    free = None
+    if stack is not None:
         free = np.zeros(stack[3].shape[:2], dtype=bool)
         for k, ci in enumerate(stack[0].tolist()):
             free[k, list(unmatched.get(ci, ()))] = True
-        got = tracker.initialize(stack, free, bundle)
+    got = tracker.initialize(stack, free, bundle)
     want = reference_initialize(reference, unmatched, bundle)
     assert got.ids.tolist() == want.ids.tolist()
     assert tracker._next_id == reference._next_id
