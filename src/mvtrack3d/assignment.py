@@ -8,32 +8,22 @@ stack finds those; only a matrix where rows contest a column, or where
 some row's best is nearly tied, goes on to the lexicographic Hungarian
 solve of kernels.assignment_lex, each on its own matrix. A stack's
 padding columns become -inf cells, which the pass neither matches nor
-counts in the tie scale. The pass is a fixed handful of numpy calls and
-then a short Python loop per matrix, since at the tracker's sizes the
-calls cost more than the work.
+counts in the tie scale. The pass is a fixed handful of numpy calls
+whatever the stack's size, since at the tracker's sizes the calls cost
+more than the work, and its answer is one array: each row's chosen
+column, -1 where the row stays unmatched. The matched pairs are its
+cells >= 0, the columns left unmatched those no row chose, and the
+total the sum of the values the pairs pick.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 
 
-@dataclass(frozen=True)
-class Matching:
-    """Result of one assignment: matched (row, col) pairs sorted by row,
-    plus the rows and columns left unmatched, and the affinity total."""
-
-    pairs: tuple
-    unmatched_rows: tuple
-    unmatched_cols: tuple
-    total: float
-
-
-def solve(values, min_affinity: float = 0.0, counts=None):
+def solve(values, min_affinity: float = 0.0, counts=None) -> np.ndarray:
     """Maximum-total partial matching using only entries above min_affinity.
 
     Rows and columns may stay unmatched; an unmatched pair contributes
@@ -42,9 +32,10 @@ def solve(values, min_affinity: float = 0.0, counts=None):
     is returned, which makes the result unique and reproducible. An entry
     of -inf is never matched; NaN and +inf raise ValueError.
 
-    values (n, m) gives one Matching. A stack (K, n, m) gives a list of K
-    Matchings, matrix k over its first counts[k] columns (all m when
-    counts is None); the columns past them are padding and never read.
+    Returns the int64 column chosen by each row, -1 for a row left
+    unmatched: (n,) for values (n, m), and (K, n) for a stack (K, n, m),
+    matrix k over its first counts[k] columns (all m when counts is
+    None); the columns past them are padding and never read.
 
     The one pass: each row takes the best of its permitted cells and of
     staying unmatched (value 0). If those picks land on distinct columns,
@@ -78,26 +69,18 @@ def solve(values, min_affinity: float = 0.0, counts=None):
     options = np.full((k, n, m + 2), -np.inf)
     np.copyto(options[..., :m], stack, where=stack > min_affinity)
     options[..., m] = 0.0
-    picks = options.argmax(axis=-1).tolist()
+    picks = options.argmax(axis=-1)
     options.sort(axis=-1)
-    top = options[..., -2:].tolist()
-    scales = (1.0 + np.abs(stack).sum(axis=(1, 2), where=stack > -np.inf)
-              ).tolist()
-    matchings = []
-    for i, p in enumerate(counts):
-        chosen = [c if c < m else -1 for c in picks[i]]
-        picked = [best for _, best in top[i]]
-        cols = [c for c in chosen if c >= 0]
-        margin = 4e-9 * (n + 1) * scales[i]
-        if (len(set(cols)) < len(cols)
-                or not all(best - second > margin for second, best in top[i])):
-            real = np.ascontiguousarray(stack[i, :, :p])
-            chosen = kernels.assignment_lex(real, real > min_affinity).tolist()
-            picked = [real[r, c] for r, c in enumerate(chosen) if c >= 0]
-        used = set(chosen)
-        matchings.append(Matching(
-            pairs=tuple([(r, c) for r, c in enumerate(chosen) if c >= 0]),
-            unmatched_rows=tuple([r for r, c in enumerate(chosen) if c < 0]),
-            unmatched_cols=tuple([c for c in range(p) if c not in used]),
-            total=float(sum(picked))))
-    return matchings if arr.ndim == 3 else matchings[0]
+    scale = 1.0 + np.abs(stack).sum(axis=(1, 2), where=stack > -np.inf)
+    tied = (options[..., -1] - options[..., -2]
+            <= 4e-9 * (n + 1) * scale[:, None]).any(axis=1)
+    matched = picks < m
+    chosen = np.where(matched, picks, -1)
+    # an unmatched row's id is its own negative number, so only two rows
+    # on one column sort next to each other with equal ids
+    ids = np.sort(np.where(matched, picks, -1 - np.arange(n)), axis=1)
+    clashed = (ids[:, 1:] == ids[:, :-1]).any(axis=1)
+    for i in np.flatnonzero(clashed | tied).tolist():
+        real = np.ascontiguousarray(stack[i, :, :counts[i]])
+        chosen[i] = kernels.assignment_lex(real, real > min_affinity)
+    return chosen if arr.ndim == 3 else chosen[0]

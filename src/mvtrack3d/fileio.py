@@ -370,12 +370,14 @@ class TrackWriter:
               skeletons: Sequence[tuple[int, Skeleton3D]]) -> None:
         """Write one frame's record; a NaN or inf joint or time raises
         ValidationError naming the frame (and track) and writes nothing."""
-        tracks = [
-            {"id": int(track_id),
-             "joints": [[*xyz, FLAG_CHARS[code]] for xyz, code in
-                        zip(skel.joints.tolist(), skel.flags.tolist())]}
-            for track_id, skel in skeletons
-        ]
+        tracks = []
+        for track_id, skel in skeletons:
+            rows = skel.joints.tolist()
+            # each row takes its joint's flag letter; list.append returns
+            # None, so any() runs the map to its end
+            any(map(list.append, rows,
+                    map(FLAG_CHARS.__getitem__, skel.flags.tolist())))
+            tracks.append({"id": int(track_id), "joints": rows})
         record = {"frame": int(frame), "time_s": float(time_s),
                   "tracks": tracks}
         floats = np.concatenate(

@@ -107,9 +107,9 @@ class CameraRig:
     """A fixed set of calibrated cameras with precomputed pairwise geometry.
 
     Exposes the stacked arrays the kernels consume: fundamental matrices
-    between every ordered camera pair, K, R and inverted K*R per camera,
-    camera centers, conditioned projection matrices, and pixel scale
-    factors.
+    between every ordered camera pair, each camera's 3x4 projection
+    matrix (p_table), inverted K*R and center, conditioned projection
+    matrices, and pixel scale factors.
     """
 
     def __init__(self, cameras):
@@ -126,8 +126,7 @@ class CameraRig:
                 if i != j:
                     self.f_table[i, j] = fundamental_matrix(ci, cj)
         self.origins = np.ascontiguousarray(np.stack([c.o for c in self.cameras]))
-        self.k_table = np.stack([c.K for c in self.cameras])
-        self.r_table = np.stack([c.R for c in self.cameras])
+        self.p_table = np.stack([c.projection_matrix for c in self.cameras])
         self.krinv_table = np.stack([c.krinv for c in self.cameras])
         self.pn_table = np.ascontiguousarray(
             np.stack([c.conditioned_projection() for c in self.cameras])

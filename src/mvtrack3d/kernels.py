@@ -2,6 +2,11 @@
 
 Projection, pose scoring (every camera of a frame at once), both
 epipolar filters and the cross-view pose score work on stacked arrays.
+Projection takes each camera's 3×4 projection matrix, so one call of
+six elementwise operations projects every track into every camera. It
+uses no np.matmul: BLAS takes another path for a single point than for
+a block of points and may round it differently, so a point's pixels
+would depend on the points sharing its call.
 Triangulation finds the null vector of every joint's 4×4 normal matrix
 AᵀA at once, with elementwise array code and no LAPACK call: the
 adjugate of AᵀA from its 2×2 minors, then a few steps of inverse
@@ -21,7 +26,8 @@ of assignment_lex, over Python lists, whose duals settle the tie-break
 without solving again. assignment.solve calls it only for a matrix
 whose rows contest a column or whose best matching is nearly tied; a
 single numpy pass over a frame's stack of matrices settles every matrix
-with a unique best matching.
+with a unique best matching, and returns every row's column as one
+array.
 
 Elementwise expressions follow the scalar order of operations and sums
 run in a fixed order, left to right unless a comment says otherwise, so
@@ -52,18 +58,21 @@ FLAG_PREDICTED = 1
 FLAG_MISSING = 2
 
 
-def project_points(pts, K, R, o):
-    """Project world points (...,3) through cameras K, R (...,3,3) and
-    o (...,3) broadcast against them, returns (uv (...,2), depth (...))."""
-    d = pts - o
-    xc = (R[..., :, 0] * d[..., 0, None] + R[..., :, 1] * d[..., 1, None]
-          + R[..., :, 2] * d[..., 2, None])
-    h = (K[..., :, 0] * xc[..., 0, None] + K[..., :, 1] * xc[..., 1, None]
-         + K[..., :, 2] * xc[..., 2, None])
-    depth = xc[..., 2]
+def project_points(pts, P):
+    """Project world points (...,3) through the 3x4 projection matrices
+    P (...,3,4) broadcast against them, returns (uv (...,2), depth (...)).
+
+    The homogeneous pixel P·(x, y, z, 1) is summed column by column in
+    that order. Its third coordinate is the depth, since the last row of
+    K is (0, 0, 1), and uv is the quotient of the first two by it, NaN
+    where the depth is not positive.
+    """
+    h = (P[..., 0] * pts[..., 0, None] + P[..., 1] * pts[..., 1, None]
+         + P[..., 2] * pts[..., 2, None] + P[..., 3])
+    depth = h[..., 2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        uv = h[..., :2] / h[..., 2, None]
-    uv[(depth <= 0.0) | (h[..., 2] == 0.0)] = np.nan
+        uv = h[..., :2] / depth[..., None]
+    uv[depth <= 0.0] = np.nan
     return uv, depth
 
 
@@ -126,26 +135,30 @@ def epipolar_pose_score(uv_a, valid_a, uv_b, valid_b, f_ab, f_ba, alpha):
 
 def _sequential_sum(x):
     """Left-to-right sum over the last axis starting from 0.0, the rounding
-    of a scalar accumulation loop (np.sum sums pairwise)."""
-    zero = np.zeros(x.shape[:-1] + (1,))
-    return np.cumsum(np.concatenate((zero, x), axis=-1), axis=-1)[..., -1]
+    of a scalar accumulation loop (np.sum sums pairwise). One whole-array
+    add per term: the kernels sum a few to a dozen terms, where that costs
+    less than np.cumsum along the short axis."""
+    total = np.zeros(x.shape[:-1])
+    for k in range(x.shape[-1]):
+        total += x[..., k]
+    return total
 
 
-def score_pose_pairs(track_pts, track_valid, dts, K, R, o, poses_uv, poses_valid,
+def score_pose_pairs(track_pts, track_valid, dts, P, poses_uv, poses_valid,
                      alpha_2d, lam, eps_count, part_aware):
     """Affinity matrices between tracked skeletons and 2D poses, per camera.
 
     track_pts: (...,T,N,3), dts: (...,T) time since each track's last
-    update, poses_uv: (...,P,N,2), with K, R (...,3,3) and o (...,3) the
-    camera that saw the poses; the leading axes, one per camera, broadcast
-    and the result is (...,T,P). Per-joint affinity decays with distance
-    scaled by alpha_2d*dt and with exp(-lam*dt). part_aware True keeps the
-    mean of strictly positive joints and zeroes the score when fewer than
-    eps_count are positive; False means over all participating joints.
-    Joints take part when valid on both sides and in front of the camera.
+    update, poses_uv: (...,Q,N,2), with P (...,3,4) the projection matrix
+    of the camera that saw the Q poses; the leading axes, one per camera,
+    broadcast and the result is (...,T,Q). Per-joint affinity decays with
+    distance scaled by alpha_2d*dt and with exp(-lam*dt). part_aware True
+    keeps the mean of strictly positive joints and zeroes the score when
+    fewer than eps_count are positive; False means over all participating
+    joints. Joints take part when valid on both sides and in front of the
+    camera.
     """
-    uv, depth = project_points(track_pts, K[..., None, None, :, :],
-                               R[..., None, None, :, :], o[..., None, None, :])
+    uv, depth = project_points(track_pts, P[..., None, None, :, :])
     du = poses_uv[..., None, :, :, 0] - uv[..., :, None, :, 0]
     dv = poses_uv[..., None, :, :, 1] - uv[..., :, None, :, 1]
     # an extreme alpha_2d overflows tol, or a distance over it, to inf, and
@@ -153,7 +166,7 @@ def score_pose_pairs(track_pts, track_valid, dts, K, R, o, poses_uv, poses_valid
     with np.errstate(over="ignore"):
         tol = (alpha_2d * dts)[..., None, None]
         # math.exp per track: np.exp may round unlike the C library
-        decay = np.array([math.exp(-lam * dt) for dt in dts.ravel()]
+        decay = np.array(list(map(math.exp, (-lam * dts).ravel().tolist()))
                          ).reshape(dts.shape)[..., None, None]
         a = (1.0 - np.sqrt(du * du + dv * dv) / tol) * decay
     use = (track_valid[..., :, None, :] & poses_valid[..., None, :, :]
@@ -608,7 +621,8 @@ def assignment_lex(values, allowed):
     if n == 0 or m == 0:
         return chosen
     magnitudes = np.abs(values[np.isfinite(values)])
-    scale = float(_sequential_sum(np.concatenate(([1.0], magnitudes))))
+    # left to right from 1.0, as a scalar loop sums (np.sum sums pairwise)
+    scale = float(np.cumsum(np.concatenate(([1.0], magnitudes)))[-1])
     tol = 1e-9 * scale
     cost = np.full((n, m + n), scale)
     np.negative(values, out=cost[:, :m], where=allowed)

@@ -399,6 +399,10 @@ def generate(cfg: SceneConfig) -> SyntheticScene:
     chain = cfg.burst_chain()
     if chain is not None:
         p_enter, p_exit, quiet = chain
+        # frame 0 samples the stationary occupancy, so the marginal rate is
+        # exact with no burn-in; bursts that never end (p_exit = 0) keep
+        # that state on every later frame
+        occupancy = cfg._burst_occupancy()
         quiet_rates = np.full(n_joints, quiet)
         group_rates = [quiet_rates.copy() for _ in BURST_GROUPS]
         for rates, group in zip(group_rates, BURST_GROUPS):
@@ -419,10 +423,7 @@ def generate(cfg: SceneConfig) -> SyntheticScene:
                     u = rng.random()
                     group = burst[ci][a]
                     if group is None:
-                        # frame 0 samples the stationary occupancy, so the
-                        # marginal rate is exact with no burn-in
-                        if u < (p_enter / (p_enter + p_exit) if f == 0
-                                else p_enter):
+                        if u < (occupancy if f == 0 else p_enter):
                             group = int(rng.integers(len(BURST_GROUPS)))
                     elif u < p_exit:
                         group = None

@@ -274,15 +274,12 @@ class PoseTracker:
         dts = np.maximum(elapsed * rig.fps, 1.0)
         scores = kernels.score_pose_pairs(
             table.joints, table.flags != kernels.FLAG_MISSING, dts,
-            rig.k_table[cams], rig.r_table[cams], rig.origins[cams],
-            uv, valid,
+            rig.p_table[cams], uv, valid,
             aff.alpha_2d, aff.lambda_a, aff.epsilon, cfg.part_aware,
         )
-        matches = assignment.solve(scores, 0.0, counts)
-        pairs = chain.from_iterable(m.pairs for m in matches)
-        ti, pi = np.fromiter(chain.from_iterable(pairs),
-                             np.int64).reshape(-1, 2).T
-        k = np.repeat(np.arange(cams.size), [len(m.pairs) for m in matches])
+        chosen = assignment.solve(scores, 0.0, counts)
+        k, ti = np.nonzero(chosen >= 0)
+        pi = chosen[k, ti]
         # a camera matches each track at most once: no cell is written twice
         ci = cams[k]
         table.view_frame[ti, ci] = bundle.frame
@@ -366,12 +363,15 @@ class PoseTracker:
                 member[..., None] >= 0,
                 pair_scores[pair_of[:k, k], member, :counts[k]],
                 -np.inf).max(axis=1)
-            match = assignment.solve(scores, 0.0)
-            joined = np.array(match.pairs, np.int64).reshape(-1, 2)
-            clusters[joined[:, 0], k] = joined[:, 1]
-            started = match.unmatched_cols
-            clusters[size:size + len(started), k] = started
-            size += len(started)
+            chosen = assignment.solve(scores, 0.0)
+            # an unmatched row keeps -1, no pose from this camera
+            clusters[:size, k] = chosen
+            # slot counts[k] takes the -1 of every unmatched row
+            taken = np.zeros(counts[k] + 1, dtype=bool)
+            taken[chosen] = True
+            started = np.flatnonzero(~taken[:-1])
+            clusters[size:size + started.size, k] = started
+            size += started.size
         return clusters[:size]
 
     def initialize(self, stack: tuple | None, free: np.ndarray | None,

@@ -135,7 +135,7 @@ def project(point, camera):
     """Pixel of one world point by kernels.project_points; ValueError
     unless its depth exceeds MIN_DEPTH."""
     pts = np.ascontiguousarray(point, dtype=np.float64).reshape(1, 3)
-    uv, depth = kernels.project_points(pts, camera.K, camera.R, camera.o)
+    uv, depth = kernels.project_points(pts, camera.projection_matrix)
     if depth[0] <= MIN_DEPTH:
         raise ValueError(f"point depth {depth[0]:.3g} is not in front of "
                          f"camera {camera.cam_id}")
@@ -254,7 +254,7 @@ def reference_solve(values, min_affinity=0.0, counts=None):
     """assignment.solve as it stood before its padding became -inf cells:
     a mask of the real columns gates every pass, and the one-pass test of
     the obvious matrices is a function of its own. The new solve must
-    return equal Matchings and raise ValueError in the same cases."""
+    return equal chosen columns and raise ValueError in the same cases."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim not in (2, 3):
         raise ValueError(f"affinity matrix must be 2D or a 3D stack, got "
@@ -266,28 +266,18 @@ def reference_solve(values, min_affinity=0.0, counts=None):
     if not ((stack < np.inf) | ~real).all():
         raise ValueError("affinity matrix contains NaN or +inf entries")
     allowed = (stack > min_affinity) & real
-    chosen, picked, unique = _reference_unique_best(
+    chosen, unique = _reference_unique_best(
         stack, allowed, real & (stack > -np.inf))
     for i in np.flatnonzero(~unique).tolist():
         p = counts[i]
         chosen[i] = kernels.assignment_lex(
             np.ascontiguousarray(stack[i, :, :p]),
             np.ascontiguousarray(allowed[i, :, :p]))
-        picked[i] = np.where(chosen[i] >= 0,
-                             stack[i, np.arange(n), chosen[i]], 0.0)
-    matchings = []
-    for row, vals, p in zip(chosen.tolist(), picked.tolist(), counts):
-        used = set(row)
-        matchings.append(assignment.Matching(
-            pairs=tuple([(r, c) for r, c in enumerate(row) if c >= 0]),
-            unmatched_rows=tuple([r for r, c in enumerate(row) if c < 0]),
-            unmatched_cols=tuple([c for c in range(p) if c not in used]),
-            total=float(sum(vals))))
-    return matchings if arr.ndim == 3 else matchings[0]
+    return chosen if arr.ndim == 3 else chosen[0]
 
 
 def _reference_unique_best(stack, allowed, finite):
-    """Chosen column per row, the values there and the mask of the
+    """Chosen column per row, -1 where unmatched, and the mask of the
     matrices whose matching is unique by the margin 4(n+1)·tol."""
     k, n, m = stack.shape
     options = np.full((k, n, m + 2), -np.inf)
@@ -301,7 +291,7 @@ def _reference_unique_best(stack, allowed, finite):
     unique = (best - top[..., -2] > margin[:, None]).all(axis=1)
     ids = np.sort(np.where(pick < m, pick, -1 - np.arange(n)), axis=-1)
     unique &= (ids[:, 1:] != ids[:, :-1]).all(axis=1)
-    return np.where(pick < m, pick, -1), best, unique
+    return np.where(pick < m, pick, -1), unique
 
 
 def reference_pose_score(camera, skel_joints, skel_valid, dt, pose_uv,
@@ -996,8 +986,7 @@ def reference_generate(cfg):
                     u = rng.random()
                     was = in_burst[ci, a]
                     if f == 0:
-                        occupancy = p_enter / (p_enter + p_exit)
-                        in_burst[ci, a] = u < occupancy
+                        in_burst[ci, a] = u < cfg._burst_occupancy()
                     elif was:
                         in_burst[ci, a] = u >= p_exit
                     else:
@@ -1056,11 +1045,13 @@ def _reference_clusters(tracker, views):
             aff.alpha_epi)
         starts = np.cumsum([0] + [len(c) for c in clusters[:-1]])
         scores = np.maximum.reduceat(pair_scores, starts, axis=0)
-        match = assignment.solve(scores, 0.0)
-        for k, col in match.pairs:
-            clusters[k].append((ci, rows[col]))
-        for col in match.unmatched_cols:
-            clusters.append([(ci, rows[col])])
+        chosen = assignment.solve(scores, 0.0).tolist()
+        for k, col in enumerate(chosen):
+            if col >= 0:
+                clusters[k].append((ci, rows[col]))
+        for col in range(len(rows)):
+            if col not in chosen:
+                clusters.append([(ci, rows[col])])
     return clusters
 
 

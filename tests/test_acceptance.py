@@ -34,8 +34,7 @@ def test_criterion_1_roundtrip_and_exact_triangulation(capsys):
         origins = np.stack([c.o for c in cams])
         # (3 points, M cameras) pixels, rays and distances
         uv, depth = kernels.project_points(
-            pts, np.stack([c.K for c in cams]), np.stack([c.R for c in cams]),
-            origins)
+            pts, np.stack([c.projection_matrix for c in cams]))
         direction = kernels.back_project_dir(
             uv[..., 0], uv[..., 1], np.stack([c.krinv for c in cams]))
         worst_rt = max(worst_rt, float(kernels.point_ray_distance(
@@ -67,7 +66,10 @@ def test_criterion_2_assignment_matches_exhaustive_search(capsys):
         shape = (int(rng.integers(1, 7)), int(rng.integers(1, 7)))
         values = rng.uniform(-1.0, 1.0, shape)
         gate = float(rng.uniform(-0.2, 0.2)) if rng.random() < 0.5 else 0.0
-        got = solve(values, min_affinity=gate).total
+        chosen = solve(values, min_affinity=gate)
+        # the total is the sum of the values the matched rows pick
+        got = float(sum(values[r, c] for r, c in enumerate(chosen.tolist())
+                        if c >= 0))
         want = helpers.exhaustive_assignment_total(values, gate=gate)
         worst = max(worst, abs(got - want))
     elapsed = time.perf_counter() - t0

@@ -53,7 +53,7 @@ def pose_score(pose, skel, cam, cfg, part_aware=True):
     uv, valid, time_s = pose_arrays(pose, cam)
     scores = kernels.score_pose_pairs(
         skel.joints[None], (skel.flags != JointFlag.MISSING)[None],
-        np.array([time_s - skel.time_s]), cam.K, cam.R, cam.o,
+        np.array([time_s - skel.time_s]), cam.projection_matrix,
         uv[None], valid[None],
         cfg.alpha_2d, cfg.lambda_a, cfg.epsilon, part_aware)
     return float(scores[0, 0])
@@ -75,12 +75,12 @@ def scores_against(targets, poses_uv, dt, cfg, part_aware):
     targets = np.asarray(targets, float)
     pts = np.column_stack([(targets - [400.0, 300.0]) / 100.0,
                            np.full(len(targets), 5.0)])
-    assert (kernels.project_points(pts, cam.K, cam.R, cam.o)[0]
+    assert (kernels.project_points(pts, cam.projection_matrix)[0]
             == targets).all()
     poses_uv = np.asarray(poses_uv, float)
     return kernels.score_pose_pairs(
         pts[None], np.ones((1, len(pts)), bool), np.array([dt]),
-        cam.K, cam.R, cam.o, poses_uv, np.ones(poses_uv.shape[:2], bool),
+        cam.projection_matrix, poses_uv, np.ones(poses_uv.shape[:2], bool),
         cfg.alpha_2d, cfg.lambda_a, cfg.epsilon, part_aware)[0]
 
 

@@ -8,7 +8,7 @@ import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 from mvtrack3d import kernels
-from mvtrack3d.assignment import Matching, solve
+from mvtrack3d.assignment import solve
 
 from helpers import (
     exhaustive_assignment_lex,
@@ -17,17 +17,35 @@ from helpers import (
 )
 
 
-def total_of(matching: Matching, values) -> float:
+def pairs(chosen) -> tuple:
+    """The matched (row, col) pairs of solve's answer, sorted by row:
+    the cells that hold a column."""
+    (rows,) = np.nonzero(chosen >= 0)
+    return tuple(zip(rows.tolist(), chosen[rows].tolist()))
+
+
+def unmatched_rows(chosen) -> tuple:
+    return tuple(np.flatnonzero(chosen < 0).tolist())
+
+
+def unmatched_cols(chosen, m: int) -> tuple:
+    """The columns of an m-column matrix that no row chose."""
+    return tuple(c for c in range(m) if c not in chosen.tolist())
+
+
+def total_of(chosen, values) -> float:
+    """The sum of the values the matched pairs pick, in row order."""
     arr = np.asarray(values, float)
-    return float(sum(arr[r, c] for r, c in matching.pairs))
+    return float(sum(arr[r, c] for r, c in pairs(chosen)))
 
 
 def test_single_cell():
     m = solve(np.array([[0.9]]))
-    assert m.pairs == ((0, 0),)
-    assert m.unmatched_rows == ()
-    assert m.unmatched_cols == ()
-    assert m.total == pytest.approx(0.9)
+    assert m.dtype == np.int64 and m.shape == (1,)
+    assert pairs(m) == ((0, 0),)
+    assert unmatched_rows(m) == ()
+    assert unmatched_cols(m, 1) == ()
+    assert total_of(m, [[0.9]]) == pytest.approx(0.9)
 
 
 def test_diagonally_dominant_matrix_matches_identity():
@@ -37,7 +55,7 @@ def test_diagonally_dominant_matrix_matches_identity():
         [0.1, 0.2, 0.7],
     ])
     m = solve(values)
-    assert m.pairs == ((0, 0), (1, 1), (2, 2))
+    assert pairs(m) == ((0, 0), (1, 1), (2, 2))
 
 
 def test_gate_excludes_low_entries():
@@ -46,29 +64,31 @@ def test_gate_excludes_low_entries():
         [0.3, 0.05],
     ])
     m = solve(values, min_affinity=0.1)
-    assert m.pairs == ((0, 0),)
-    assert m.unmatched_rows == (1,)
-    assert m.unmatched_cols == (1,)
+    assert pairs(m) == ((0, 0),)
+    assert unmatched_rows(m) == (1,)
+    assert unmatched_cols(m, 2) == (1,)
     # the gate is strict: entries equal to it do not match
     m = solve(np.array([[0.1]]), min_affinity=0.1)
-    assert m.pairs == ()
+    assert pairs(m) == ()
 
 
 def test_all_entries_below_gate():
-    m = solve(-np.ones((3, 4)))
-    assert m.pairs == ()
-    assert m.unmatched_rows == (0, 1, 2)
-    assert m.unmatched_cols == (0, 1, 2, 3)
-    assert m.total == 0.0
+    values = -np.ones((3, 4))
+    m = solve(values)
+    assert pairs(m) == ()
+    assert unmatched_rows(m) == (0, 1, 2)
+    assert unmatched_cols(m, 4) == (0, 1, 2, 3)
+    assert total_of(m, values) == 0.0
 
 
 def test_empty_inputs():
     m = solve(np.zeros((0, 3)))
-    assert m.pairs == ()
-    assert m.unmatched_cols == (0, 1, 2)
+    assert m.shape == (0,)
+    assert pairs(m) == ()
+    assert unmatched_cols(m, 3) == (0, 1, 2)
     m = solve(np.zeros((2, 0)))
-    assert m.pairs == ()
-    assert m.unmatched_rows == (0, 1)
+    assert pairs(m) == ()
+    assert unmatched_rows(m) == (0, 1)
 
 
 def test_input_validation():
@@ -79,21 +99,22 @@ def test_input_validation():
     with pytest.raises(ValueError):
         solve(np.array([[np.inf, 1.0], [1.0, 1.0]]))
     # -inf lies below every gate, so it is never matched
-    m = solve(np.array([[-np.inf, 1.0], [2.0, -np.inf]]), min_affinity=-np.inf)
-    assert m.pairs == ((0, 1), (1, 0))
-    assert m.total == 3.0
+    values = np.array([[-np.inf, 1.0], [2.0, -np.inf]])
+    m = solve(values, min_affinity=-np.inf)
+    assert pairs(m) == ((0, 1), (1, 0))
+    assert total_of(m, values) == 3.0
 
 
 def test_deterministic_tie_break_is_lexicographic():
     m = solve(np.ones((2, 2)))
-    assert m.pairs == ((0, 0), (1, 1))
+    assert pairs(m) == ((0, 0), (1, 1))
     m = solve(np.array([[0.5, 0.5]]))
-    assert m.pairs == ((0, 0),)
+    assert pairs(m) == ((0, 0),)
     # two optima with equal totals: {(0,0),(1,1)} vs {(0,1),(1,0)}
     m = solve(np.array([[0.6, 0.4], [0.4, 0.6]]))
-    assert m.pairs == ((0, 0), (1, 1))
+    assert pairs(m) == ((0, 0), (1, 1))
     m = solve(np.array([[0.4, 0.6], [0.6, 0.4]]))
-    assert m.pairs == ((0, 1), (1, 0))
+    assert pairs(m) == ((0, 1), (1, 0))
 
 
 def test_saturated_column_may_be_vacated_for_a_free_one():
@@ -101,7 +122,7 @@ def test_saturated_column_may_be_vacated_for_a_free_one():
     # smallest sequence moves row 0 onto column 0 and row 3 off it, which
     # takes an exchange through the free columns
     values = np.array([[0.5, 1.0], [-1.0, -1.0], [-1.0, 0.75], [0.25, -1.0]])
-    assert solve(values, min_affinity=-0.5).pairs == ((0, 0), (2, 1))
+    assert pairs(solve(values, min_affinity=-0.5)) == ((0, 0), (2, 1))
 
 
 TALL_AND_WIDE = [(1, 8), (8, 1), (3, 8), (8, 3)]
@@ -122,7 +143,7 @@ def test_tie_break_matches_exhaustive_lexicographic_search(rng):
         else:
             values = np.full(shape, float(rng.integers(-2, 5)) * 0.25)
         gate = float(rng.choice([-0.5, -0.25, 0.0, 0.25]))
-        assert solve(values, min_affinity=gate).pairs == \
+        assert pairs(solve(values, min_affinity=gate)) == \
             exhaustive_assignment_lex(values, gate)
 
 
@@ -159,17 +180,17 @@ def test_matching_structure_and_gate_soundness(rng):
         values = rng.uniform(-1.0, 1.0, size=(rows, cols))
         gate = float(rng.uniform(-0.5, 0.5))
         m = solve(values, min_affinity=gate)
-        seen_r = [r for r, _ in m.pairs]
-        seen_c = [c for _, c in m.pairs]
+        assert m.dtype == np.int64 and m.shape == (rows,)
+        assert ((m >= -1) & (m < cols)).all()
+        seen_r = [r for r, _ in pairs(m)]
+        seen_c = [c for _, c in pairs(m)]
         assert len(set(seen_r)) == len(seen_r)
         assert len(set(seen_c)) == len(seen_c)
-        assert sorted(seen_r + list(m.unmatched_rows)) == list(range(rows))
-        assert sorted(seen_c + list(m.unmatched_cols)) == list(range(cols))
-        for r, c in m.pairs:
+        assert sorted(seen_r + list(unmatched_rows(m))) == list(range(rows))
+        assert sorted(seen_c + list(unmatched_cols(m, cols))) == \
+            list(range(cols))
+        for r, c in pairs(m):
             assert values[r, c] > gate
-        assert m.total == pytest.approx(total_of(m, values), abs=1e-12)
-        for r, c in m.pairs:
-            assert dict(m.pairs).get(r) == c
 
 
 def test_total_equals_exhaustive_search(rng):
@@ -179,7 +200,7 @@ def test_total_equals_exhaustive_search(rng):
         values = rng.uniform(-1.0, 1.0, size=(rows, cols))
         m = solve(values)
         expected = exhaustive_assignment_total(values, gate=0.0)
-        assert m.total == pytest.approx(expected, abs=1e-9)
+        assert total_of(m, values) == pytest.approx(expected, abs=1e-9)
 
 
 def test_total_matches_scipy_on_dense_positive_matrices(rng):
@@ -189,8 +210,9 @@ def test_total_matches_scipy_on_dense_positive_matrices(rng):
         values = rng.uniform(0.1, 1.0, size=(rows, cols))
         m = solve(values)
         ri, ci = scipy.optimize.linear_sum_assignment(values, maximize=True)
-        assert m.total == pytest.approx(float(values[ri, ci].sum()), abs=1e-9)
-        assert len(m.pairs) == min(rows, cols)
+        assert total_of(m, values) == pytest.approx(
+            float(values[ri, ci].sum()), abs=1e-9)
+        assert len(pairs(m)) == min(rows, cols)
 
 
 def test_positive_scaling_preserves_matching(rng):
@@ -198,7 +220,7 @@ def test_positive_scaling_preserves_matching(rng):
         values = rng.uniform(-1.0, 1.0, size=(4, 5))
         base = solve(values)
         scaled = solve(values * 17.3)
-        assert base.pairs == scaled.pairs
+        assert np.array_equal(base, scaled)
 
 
 # -- a frame's stack of matrices ------------------------------------------
@@ -268,19 +290,23 @@ def test_stack_matches_the_full_solve_of_each_matrix(case):
             solve(values, gate, counts)
         return
     matchings = solve(values, gate, counts)
-    assert len(matchings) == len(counts)
+    assert matchings.dtype == np.int64
+    assert matchings.shape == values.shape[:2]
     for i, (m, p) in enumerate(zip(matchings, counts)):
         real = np.ascontiguousarray(values[i, :, :p])
         chosen = kernels.assignment_lex(real, real > gate).tolist()
-        assert m.pairs == tuple((r, c) for r, c in enumerate(chosen) if c >= 0)
-        assert m.unmatched_rows == tuple(r for r, c in enumerate(chosen)
-                                         if c < 0)
-        assert m.unmatched_cols == tuple(c for c in range(p)
-                                         if c not in chosen)
-        assert m.total == solve(real, gate).total
+        assert pairs(m) == tuple((r, c) for r, c in enumerate(chosen)
+                                 if c >= 0)
+        assert unmatched_rows(m) == tuple(r for r, c in enumerate(chosen)
+                                          if c < 0)
+        assert unmatched_cols(m, p) == tuple(c for c in range(p)
+                                             if c not in chosen)
+        alone = solve(real, gate)
+        assert np.array_equal(m, alone)
+        assert total_of(m, real) == total_of(alone, real)
         if np.all(real == np.round(real * 4) / 4):
             # no nudge: every gap is a multiple of 0.25 or an exact tie
-            assert m.pairs == exhaustive_assignment_lex(real, gate)
+            assert pairs(m) == exhaustive_assignment_lex(real, gate)
 
 
 def test_tied_matrix_of_a_stack_takes_the_full_solve(monkeypatch):
@@ -299,11 +325,11 @@ def test_tied_matrix_of_a_stack_takes_the_full_solve(monkeypatch):
         [[0.5, 0.5, 9.0], [0.5, 0.5, 9.0]],
     ])
     first, second = solve(values, 0.0, [3, 2])
-    assert first.pairs == ((0, 0), (1, 1))
-    assert first.unmatched_cols == (2,)
-    assert second.pairs == ((0, 0), (1, 1))
-    assert second.unmatched_cols == ()
-    assert second.total == 1.0
+    assert pairs(first) == ((0, 0), (1, 1))
+    assert unmatched_cols(first, 3) == (2,)
+    assert pairs(second) == ((0, 0), (1, 1))
+    assert unmatched_cols(second, 2) == ()
+    assert total_of(second, values[1]) == 1.0
     assert calls == [(2, 4)]   # matrix 1 alone, its 2 real columns + 2 dummies
 
 
@@ -345,16 +371,15 @@ def _solve_inputs(draw):
     return (values if stacked else values[0]), gate, counts
 
 
-def _fields(matching):
-    return (matching.pairs, matching.unmatched_rows, matching.unmatched_cols,
-            matching.total.hex())
+def _fields(chosen):
+    return chosen.dtype, chosen.shape, chosen.tobytes()
 
 
 @settings(max_examples=1500, deadline=None)
 @given(case=st.one_of(_solve_inputs(), _stacks().map(
     lambda case: (case[0], case[2], case[1]))))
 def test_solve_agrees_with_the_masked_reference(case):
-    """Padding as -inf cells gives, field for field, the Matchings of the
+    """Padding as -inf cells gives, bit for bit, the chosen columns of the
     solve that masked its real columns, and ValueError in the same
     cases. It sends the same matrices to the Hungarian solve, which the
     margin nudges of _stacks probe, and leaves the caller's values as
@@ -380,6 +405,4 @@ def test_solve_agrees_with_the_masked_reference(case):
         got = solve(values, gate, counts)
     assert calls == want_calls
     assert values.tobytes() == before
-    if values.ndim == 2:
-        got, want = [got], [want]
-    assert [_fields(m) for m in got] == [_fields(m) for m in want]
+    assert _fields(got) == _fields(want)

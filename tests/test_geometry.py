@@ -42,7 +42,7 @@ def identity_camera():
 
 def project_points(points, cam):
     return kernels.project_points(np.asarray(points, dtype=np.float64),
-                                  cam.K, cam.R, cam.o)
+                                  cam.projection_matrix)
 
 
 def test_project_identity_camera():
@@ -332,6 +332,7 @@ def test_camera_rig_tables_and_validation(rng):
             assert np.max(np.abs(rig.f_table[i, j] - expected)) < 1e-12
         assert rig.cameras[i] is cams[i]
         assert np.array_equal(rig.origins[i], cams[i].o)
+        assert np.array_equal(rig.p_table[i], cams[i].projection_matrix)
     with pytest.raises(ValidationError, match="duplicate"):
         CameraRig([cams[0], cams[0]])
     with pytest.raises(ValidationError):

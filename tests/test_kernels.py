@@ -117,6 +117,37 @@ def test_pose_scores_match_scalar_reference(seed, n_members, n_cands, n_joints,
     assert_same_bits(got, want)
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=SEEDS, n_cams=st.integers(1, 5), n_points=st.integers(1, 150),
+       spread=st.sampled_from([1.0, 20.0]))
+def test_projection_does_not_depend_on_its_batch(seed, n_cams, n_points,
+                                                 spread):
+    """Projecting any subset of the points, a single point, or the points
+    through any single camera of p_table gives the bits of the one call
+    over every point and camera. A spread of 20 puts some points behind
+    some cameras, whose pixels are NaN."""
+    rng = np.random.default_rng(seed)
+    rig = CameraRig(random_ring_rig(rng, n_cams=n_cams))
+    pts = points_near_origin(rng, n_points) * spread
+    uv, depth = kernels.project_points(pts, rig.p_table[:, None])
+    assert uv.shape == (n_cams, n_points, 2)
+    assert np.isnan(uv[depth <= 0.0]).all()
+    subset = np.sort(rng.permutation(n_points)[:rng.integers(1, n_points + 1)])
+    got_uv, got_depth = kernels.project_points(pts[subset],
+                                               rig.p_table[:, None])
+    assert_same_bits(got_uv, uv[:, subset])
+    assert_same_bits(got_depth, depth[:, subset])
+    point = int(rng.integers(n_points))
+    for c in range(n_cams):
+        got_uv, got_depth = kernels.project_points(pts, rig.p_table[c])
+        assert_same_bits(got_uv, uv[c])
+        assert_same_bits(got_depth, depth[c])
+        got_uv, got_depth = kernels.project_points(pts[point],
+                                                   rig.p_table[c])
+        assert_same_bits(got_uv, uv[c, point])
+        assert_same_bits(got_depth, depth[c, point])
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=SEEDS, n_cams=st.integers(1, 4), n_tracks=st.integers(1, 5),
        n_joints=st.integers(1, 14), per_camera_points=st.booleans(),
@@ -147,14 +178,13 @@ def test_track_pose_scores_batch_over_cameras(seed, n_cams, n_tracks,
         uv[c, :counts[c]] += rng.normal(0.0, 20.0, (counts[c], n_joints, 2))
         valid[c, :counts[c]] = rng.random((counts[c], n_joints)) > 0.2
     args = (30.0, 0.5, 3, part_aware)
-    got = kernels.score_pose_pairs(pts, track_valid, dts, rig.k_table,
-                                   rig.r_table, rig.origins, uv, valid, *args)
+    got = kernels.score_pose_pairs(pts, track_valid, dts, rig.p_table, uv,
+                                   valid, *args)
     assert got.shape == (n_cams, n_tracks, width)
     for c in range(n_cams):
         want = kernels.score_pose_pairs(
             pts[c] if per_camera_points else pts, track_valid, dts[c],
-            cams[c].K, cams[c].R, cams[c].o, uv[c, :counts[c]],
-            valid[c, :counts[c]], *args)
+            rig.p_table[c], uv[c, :counts[c]], valid[c, :counts[c]], *args)
         assert_same_bits(got[c, :, :counts[c]], want)
         assert not got[c, :, counts[c]:].any()
 

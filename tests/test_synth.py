@@ -157,7 +157,12 @@ def test_generation_is_deterministic(tmp_path):
     SceneConfig(seed=5, n_cameras=2, n_actors=2, n_frames=20, noise_px=1.0,
                 width=40, height=40, focal_px=20.0, outlier_rate=0.3,
                 outlier_px=300.0, dropout_rate=0.2),
-], ids=["noisy", "deterministic", "bursts", "clean", "retries-run-out"])
+    # bursts that never end: frame 0 draws at the stationary occupancy
+    # and every (camera, actor) keeps that state
+    SceneConfig(n_frames=3, outlier_rate=0.1, outlier_burst=0.9,
+                outlier_burst_frames=math.inf),
+], ids=["noisy", "deterministic", "bursts", "clean", "retries-run-out",
+        "endless-bursts"])
 def test_generate_makes_the_reference_draws(cfg):
     # The draw order is the module docstring's; the reference makes it one
     # pose at a time, so every bit of the scene must agree.
