@@ -5,15 +5,16 @@ stack of their matrices and settles them together. Nearly every matrix
 the tracker builds has one obvious answer: each row's best cell is its
 own column and beats every alternative by far. One numpy pass over the
 stack finds those; only a matrix where rows contest a column, or where
-some row's best is nearly tied, goes on to the lexicographic Hungarian
-solve of kernels.assignment_lex, each on its own matrix. A stack's
-padding columns become -inf cells, which the pass neither matches nor
-counts in the tie scale. The pass is a fixed handful of numpy calls
-whatever the stack's size, since at the tracker's sizes the calls cost
-more than the work, and its answer is one array: each row's chosen
-column, -1 where the row stays unmatched. The matched pairs are its
-cells >= 0, the columns left unmatched those no row chose, and the
-total the sum of the values the pairs pick.
+some row's best is nearly tied, goes on to kernels.assignment_lex, each
+on its own matrix: a Hungarian solve, then forced re-solves that break
+ties toward the lexicographically smallest matching. A stack's padding
+columns become -inf cells, which the pass neither matches nor counts in
+the tie scale. The pass is a fixed handful of numpy calls whatever the
+stack's size, since at the tracker's sizes the calls cost more than the
+work, and its answer is one array: each row's chosen column, -1 where
+the row stays unmatched. The matched pairs are its cells >= 0, the
+columns left unmatched those no row chose, and the total the sum of the
+values the pairs pick.
 """
 
 from __future__ import annotations
@@ -42,15 +43,15 @@ def solve(values, min_affinity: float = 0.0, counts=None) -> np.ndarray:
     they form a maximum-total matching, and when each row's pick beats
     its runner-up by more than the margin, every other matching totals
     less by more than the margin. assignment_lex returns that matching
-    too: its tie-break pass moves rows only along tight cells (reduced
-    cost <= tol = 1e-9·(1 + Σ|values|), over the finite real cells) and
-    may leave empty only a column whose dual lies within tol of 0, so
-    every matching it can reach totals within about 2n·tol of the
-    optimum, and with no other matching that close it finds no move.
-    Each matched value exceeds the margin, so its early stop, once the
-    chosen total is within tol of the optimum, cannot fire before the
-    last matched row. The margin, 4(n+1)·tol, leaves room for rounding
-    in the Hungarian duals. Any other matrix goes to assignment_lex.
+    too: its tie-break moves a row to another column only if a solve
+    with the row held there still totals within tol = 1e-9·(1 +
+    Σ|values|), over the finite real cells, of the optimum. Such a solve
+    finds another matching, and none comes that close, so every one
+    fails. Each matched value exceeds the margin, so its early stop,
+    once the chosen total is within tol of the optimum, cannot fire
+    before the last matched row. The margin, 4(n+1)·tol, leaves room for
+    rounding in the Hungarian solve. Any other matrix goes to
+    assignment_lex.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim not in (2, 3):

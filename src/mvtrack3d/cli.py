@@ -116,11 +116,12 @@ def _cmd_track(args) -> int:
     affinity, overrides = _merged_overrides(args)
     config = TrackerConfig() if affinity is None \
         else TrackerConfig(affinity=affinity)
+    # a --no-* switch that is not given leaves its setting as it was
+    for key in ("part_aware", "joints_filter", "smoothing"):
+        if getattr(args, f"no_{key}"):
+            overrides[key] = False
     if overrides:
         config = config.with_overrides(**overrides)
-    config = config.with_overrides(part_aware=not args.no_part_aware,
-                                   joints_filter=not args.no_joints_filter,
-                                   smoothing=not args.no_smoothing)
     cameras = fileio.load_calibration(args.calib)
     rig = CameraRig(cameras)
     header = fileio.read_detections_header(args.detections)

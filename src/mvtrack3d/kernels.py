@@ -21,13 +21,13 @@ every pair of cameras, and the initialization filter and triangulation
 once, over every new track. Loops remain only over greedy removal steps,
 the smoothing window, the inverse-iteration steps and the cameras of the
 tracker's greedy clustering, which joins one camera's poses at a time,
-and in the assignment: one scalar rectangular Hungarian solve per call
-of assignment_lex, over Python lists, whose duals settle the tie-break
-without solving again. assignment.solve calls it only for a matrix
-whose rows contest a column or whose best matching is nearly tied; a
-single numpy pass over a frame's stack of matrices settles every matrix
-with a unique best matching, and returns every row's column as one
-array.
+and in the assignment: a scalar rectangular Hungarian solve over Python
+lists, which assignment_lex runs once for the optimum and once more for
+each column its tie-break tries, only cells the first solve's duals
+leave tight. assignment.solve calls it only for a matrix whose rows
+contest a column or whose best matching is nearly tied; a single numpy
+pass over a frame's stack of matrices settles every matrix with a
+unique best matching, and returns every row's column as one array.
 
 Elementwise expressions follow the scalar order of operations and sums
 run in a fixed order, left to right unless a comment says otherwise, so
@@ -551,69 +551,26 @@ def hungarian_min(cost):
     return np.array(col_of, np.int64), np.array(u), np.array(v)
 
 
-_POOL = -1
-
-
-def _give_column(tight, slack, col_of, row_of, unfixed, r, c):
-    """Move row r onto column c along an alternating path of tight cells
-    through unfixed rows: the row on c moves to another tight column, that
-    column's row moves on, and so on until a row takes r's column.
-
-    The pool, row_of == _POOL, holds every free column. A row may move
-    onto a free column, and the pool then takes one column in slack (its
-    dual is 0, so it may be left empty), whose row moves on in turn. The
-    pool can also take r's own column, and it starts the path when c is
-    free. Updates col_of and row_of and returns True if such a path
-    exists.
-    """
-    goal = col_of[r]
-    came_from = {c: row_of[c]}
-    queue = [row_of[c]]
-    # the free column through which the path enters the pool
-    pool_entry = c if row_of[c] == _POOL else None
-    for x in queue:
-        for j in slack if x == _POOL else tight[x]:
-            if j in came_from:
-                continue
-            came_from[j] = x
-            if j == goal:
-                while j != c:
-                    x = came_from[j]
-                    if x == _POOL:
-                        row_of[j] = _POOL
-                        j = pool_entry
-                    else:
-                        prev = col_of[x]
-                        col_of[x], row_of[j] = j, x
-                        j = prev
-                col_of[r], row_of[c] = c, r
-                return True
-            y = row_of[j]
-            if y == _POOL:
-                if pool_entry is None:
-                    pool_entry = j
-                    queue.append(_POOL)
-            elif unfixed[y]:
-                queue.append(y)
-    return False
-
-
 def assignment_lex(values, allowed):
     """Maximum-total partial matching over permitted cells, ties broken
     toward the lexicographically smallest (row, col) pair sequence.
 
     Returns chosen column per row, -1 for unmatched. One Hungarian solve
-    of the n x (m+n) cost gives an optimal matching and its duals: -value
+    of the n x (m+n) cost gives the optimal total and its duals: -value
     on the permitted cells of the m real columns, then a dummy column per
     row, 0 on its own row (row i on column m+i stays unmatched), and a
-    scale above any total everywhere else. Every optimal matching uses only tight cells, where
-    cost - u - v <= tol, and covers every column whose dual is below
-    -tol; a column in slack, dual within tol of 0, may stay empty. So
-    rows are fixed in order: each takes the first permitted tight column
-    that an alternating path of tight cells through unfixed rows and the
-    pool of free columns can free, or keeps its column, until the fixed
-    pairs reach the optimal total. The tolerance is scale-relative, so
-    value gaps far below 1e-9 of the matrix magnitude may tie.
+    scale above any total everywhere else. Rows are then fixed in order
+    until the fixed pairs reach the optimal total: row r takes the first
+    permitted column below its current one, and not held by an earlier
+    row, for which a solve with the earlier rows held to their columns
+    and r held to it still reaches the optimum within tol, or keeps its
+    column. Under the first solve's duals (v <= 0, and 0 on the columns
+    it leaves empty), a matching costs the optimum plus the reduced costs
+    of its cells plus -v over the columns it leaves empty, each term
+    >= 0, so within tol of the optimum it uses only cells of reduced
+    cost <= tol, and only those are tried. The tolerance,
+    tol = 1e-9·scale, is scale-relative, so value gaps far below 1e-9 of
+    the matrix magnitude may tie.
     """
     n = values.shape[0]
     m = values.shape[1]
@@ -628,35 +585,31 @@ def assignment_lex(values, allowed):
     np.negative(values, out=cost[:, :m], where=allowed)
     cost.ravel()[m::m + n + 1] = 0.0   # row i's dummy column m+i
     cols, u, v = hungarian_min(cost)
-    tight = [[] for _ in range(n)]
-    rows, tight_cols = np.nonzero(cost - u[:, None] - v[None, :] <= tol)
-    for i, j in zip(rows.tolist(), tight_cols.tolist()):
-        tight[i].append(j)
-    slack = np.flatnonzero(v >= -tol).tolist()
+    rows = np.arange(n)
+    optimum = cost[rows, cols].sum()
+    tight = (cost[:, :m] - u[:, None] - v[None, :m] <= tol) & allowed
     col_of = cols.tolist()
-    row_of = [_POOL] * (m + n)
-    for i, c in enumerate(col_of):
-        row_of[c] = i
     vals = values.tolist()
-    ok = allowed.tolist()
     target = 0.0
     for i in range(n):
         if col_of[i] < m:
             target += vals[i][col_of[i]]
-    unfixed = [True] * n
     chosen_sum = 0.0
     for r in range(n):
         if abs(chosen_sum - target) <= tol:
             break
-        limit = min(col_of[r], m)
-        for c in tight[r]:
-            if c >= limit:
+        held = col_of[:r]
+        for c in np.flatnonzero(tight[r, :min(col_of[r], m)]).tolist():
+            if c in held:
+                continue
+            forced = cost.copy()
+            forced[:r + 1] = scale
+            forced[rows[:r], held] = cost[rows[:r], held]
+            forced[r, c] = cost[r, c]
+            trial = hungarian_min(forced)[0]
+            if forced[rows, trial].sum() <= optimum + tol:
+                col_of = trial.tolist()
                 break
-            if (ok[r][c] and (row_of[c] == _POOL or unfixed[row_of[c]])
-                    and _give_column(tight, slack, col_of, row_of, unfixed,
-                                     r, c)):
-                break
-        unfixed[r] = False
         if col_of[r] < m:
             chosen[r] = col_of[r]
             chosen_sum += vals[r][col_of[r]]

@@ -1,5 +1,6 @@
 """Gated maximum-affinity bipartite assignment."""
 
+import sys
 from unittest import mock
 
 import numpy as np
@@ -119,10 +120,39 @@ def test_deterministic_tie_break_is_lexicographic():
 
 def test_saturated_column_may_be_vacated_for_a_free_one():
     # every optimum covers column 0 or column 1 with row 0, and the
-    # smallest sequence moves row 0 onto column 0 and row 3 off it, which
-    # takes an exchange through the free columns
+    # smallest sequence moves row 0 onto column 0 and row 3 off it, onto
+    # its dummy column, while row 2 takes column 1
     values = np.array([[0.5, 1.0], [-1.0, -1.0], [-1.0, 0.75], [0.25, -1.0]])
     assert pairs(solve(values, min_affinity=-0.5)) == ((0, 0), (2, 1))
+
+
+def test_every_solve_goes_through_the_module_hungarian(monkeypatch):
+    # the first solve puts row 0 on column 1, so the tie-break solves again
+    # with row 0 held to column 0; a profiler counts every run of the
+    # solver's code, however it is reached, and the wrapper must see each
+    values = np.array([[0.5, 1.0], [-1.0, -1.0], [-1.0, 0.75], [0.25, -1.0]])
+    hungarian = kernels.hungarian_min
+    seen = []
+    ran = []
+
+    def recorded(cost):
+        seen.append(cost.shape)
+        return hungarian(cost)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is hungarian.__code__:
+            ran.append(event)
+
+    monkeypatch.setattr(kernels, "hungarian_min", recorded)
+    sys.setprofile(profile)
+    try:
+        chosen = solve(values, min_affinity=-0.5)
+    finally:
+        sys.setprofile(None)
+    assert pairs(chosen) == ((0, 0), (2, 1))
+    assert len(seen) >= 2
+    assert len(ran) == len(seen)
+    assert seen == [(4, 2 + 4)] * len(seen)
 
 
 TALL_AND_WIDE = [(1, 8), (8, 1), (3, 8), (8, 3)]

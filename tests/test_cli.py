@@ -334,6 +334,29 @@ def test_ablation_switches_change_the_output(capsys, tmp_path):
         assert outputs[name] != outputs["default"], name
 
 
+@pytest.mark.parametrize("key", ["part_aware", "joints_filter", "smoothing"])
+def test_settings_off_by_set_or_config_match_the_switch(capsys, tmp_path,
+                                                        key):
+    # a --no-* switch that is not given must not reset what --set or a
+    # config file turned off
+    paths = synth_scene(capsys, tmp_path, **CORRUPT)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: False}))
+    outputs = []
+    for name, extra in (("switch", ("--no-" + key.replace("_", "-"),)),
+                        ("set", ("--set", f"{key}=false")),
+                        ("config", ("--config", str(cfg))),
+                        ("default", ())):
+        out_path = tmp_path / f"{name}.jsonl"
+        code, _, err = track(capsys, paths, out_path, *extra)
+        assert code == 0, err
+        outputs.append(out_path.read_bytes())
+    switch, by_set, by_config, default = outputs
+    assert switch != default
+    assert by_set == switch
+    assert by_config == switch
+
+
 def test_truncated_input_yields_byte_identical_prefix(capsys, tmp_path):
     paths = synth_scene(capsys, tmp_path, **CORRUPT)
     full_out = tmp_path / "full.jsonl"

@@ -14,6 +14,7 @@ from mvtrack3d.affinity import AffinityConfig, preset
 from mvtrack3d.errors import ConfigError, NonMonotonicTime, ValidationError
 from mvtrack3d.geometry import CameraRig
 from mvtrack3d.tracker import (
+    FrameBundle,
     JointFlag,
     PoseTracker,
     Skeleton3D,
@@ -834,3 +835,86 @@ def test_stage_timers_accumulate(clean_scene):
     assert set(means) == {"associate", "reconstruct", "initialize"}
     assert all(v >= 0.0 for v in means.values())
     assert tracker.frames_processed == 50
+
+
+# -- order invariance ------------------------------------------------------
+
+# The benchmark's steady scene with the shelf preset, and its bursty one:
+# criterion 5's corrupted 2-camera scene at seed 1, filter on, smoothing off.
+ORDER_RUNS = {
+    "steady": (synth.SceneConfig(seed=1, n_cameras=5, n_actors=4,
+                                 n_frames=200, noise_px=1.0),
+               TrackerConfig(affinity=preset("shelf"))),
+    "bursty": (synth.corrupted_benchmark_config(seed=1, n_frames=200),
+               TrackerConfig(affinity=AffinityConfig(
+                   alpha_2d=20.0, alpha_epi=15.0, tau=3, epsilon=3,
+                   lambda_a=3.0), smoothing=False)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(ORDER_RUNS))
+def order_run(request):
+    """A scene, its tracker settings and the frames they give."""
+    scene_cfg, tracker_cfg = ORDER_RUNS[request.param]
+    scene = synth.generate(scene_cfg)
+    return scene, tracker_cfg, run_tracker(scene, tracker_cfg)[0]
+
+
+def assert_same_tracks(frames, reference, same):
+    """Asserts that frames holds the reference's tracks up to their ids:
+    each id maps to the reference id whose row, at the frame where the id
+    first appears, is the same(row, reference row) as its own, one to
+    one, and every later row is the same as its reference row too. Rows
+    are (joints, flags)."""
+    ids = {}
+    for frame, ref in zip(frames, reference, strict=True):
+        for tid in frame.actors.keys() - ids.keys():
+            row = (frame.actors[tid], frame.flags[tid])
+            found = [rid for rid in ref.actors
+                     if same(row, (ref.actors[rid], ref.flags[rid]))]
+            assert len(found) == 1, (frame.frame, tid, found)
+            ids[tid] = found[0]
+        assert {ids[tid] for tid in frame.actors} == ref.actors.keys()
+        for tid in frame.actors:
+            assert same((frame.actors[tid], frame.flags[tid]),
+                        (ref.actors[ids[tid]], ref.flags[ids[tid]])), \
+                (frame.frame, tid)
+    assert len(set(ids.values())) == len(ids)
+
+
+def test_tracks_do_not_depend_on_pose_order(order_run):
+    # a camera's poses come in any order; the id a track gets may follow
+    # it, since tracks born on one frame are numbered in cluster order
+    scene, cfg, frames = order_run
+    rng = np.random.default_rng(13)
+    shuffled = copy.copy(scene)
+    shuffled.bundles = []
+    for b in scene.bundles:
+        order = {c: rng.permutation(len(p)) for c, p in b.poses.items()}
+        shuffled.bundles.append(FrameBundle(
+            b.frame, b.time_s, {c: p[order[c]] for c, p in b.poses.items()},
+            {c: v[order[c]] for c, v in b.valid.items()}, b.times))
+
+    def same(row, ref):
+        return all(np.array_equal(a, b) for a, b in zip(row, ref))
+
+    assert_same_tracks(run_tracker(shuffled, cfg)[0], frames, same)
+
+
+def test_tracks_do_not_depend_on_camera_order(order_run):
+    # the rig lists its cameras in reverse: the flags match, and every
+    # triangulated joint to about 1e-9 m. A seed's untriangulated joint
+    # lies on the ray of its first camera in rig order, so predicted
+    # joints may move, and tracks born together may swap ids.
+    scene, cfg, frames = order_run
+    reversed_rig = copy.copy(scene)
+    reversed_rig.cameras = scene.cameras[::-1]
+
+    def same(row, ref):
+        (joints, flags), (ref_joints, ref_flags) = row, ref
+        seen = flags == JointFlag.TRIANGULATED
+        return (np.array_equal(flags, ref_flags)
+                and np.abs(joints - ref_joints)[seen].max(initial=0.0)
+                <= 1e-9)
+
+    assert_same_tracks(run_tracker(reversed_rig, cfg)[0], frames, same)
