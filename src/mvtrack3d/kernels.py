@@ -21,13 +21,9 @@ every pair of cameras, and the initialization filter and triangulation
 once, over every new track. Loops remain only over greedy removal steps,
 the smoothing window, the inverse-iteration steps and the cameras of the
 tracker's greedy clustering, which joins one camera's poses at a time,
-and in the assignment: a scalar rectangular Hungarian solve over Python
-lists, which assignment_lex runs once for the optimum and once more for
-each column its tie-break tries, only cells the first solve's duals
-leave tight. assignment.solve calls it only for a matrix whose rows
-contest a column or whose best matching is nearly tied; a single numpy
-pass over a frame's stack of matrices settles every matrix with a
-unique best matching, and returns every row's column as one array.
+and in hungarian_min, a scalar rectangular Hungarian solve over Python
+lists, which the assignment module runs only on the matrices its one
+numpy pass cannot settle.
 
 Elementwise expressions follow the scalar order of operations and sums
 run in a fixed order, left to right unless a comment says otherwise, so
@@ -549,71 +545,6 @@ def hungarian_min(cost):
             if i == cur:
                 break
     return np.array(col_of, np.int64), np.array(u), np.array(v)
-
-
-def assignment_lex(values, allowed):
-    """Maximum-total partial matching over permitted cells, ties broken
-    toward the lexicographically smallest (row, col) pair sequence.
-
-    Returns chosen column per row, -1 for unmatched. One Hungarian solve
-    of the n x (m+n) cost gives the optimal total and its duals: -value
-    on the permitted cells of the m real columns, then a dummy column per
-    row, 0 on its own row (row i on column m+i stays unmatched), and a
-    scale above any total everywhere else. Rows are then fixed in order
-    until the fixed pairs reach the optimal total: row r takes the first
-    permitted column below its current one, and not held by an earlier
-    row, for which a solve with the earlier rows held to their columns
-    and r held to it still reaches the optimum within tol, or keeps its
-    column. Under the first solve's duals (v <= 0, and 0 on the columns
-    it leaves empty), a matching costs the optimum plus the reduced costs
-    of its cells plus -v over the columns it leaves empty, each term
-    >= 0, so within tol of the optimum it uses only cells of reduced
-    cost <= tol, and only those are tried. The tolerance,
-    tol = 1e-9·scale, is scale-relative, so value gaps far below 1e-9 of
-    the matrix magnitude may tie.
-    """
-    n = values.shape[0]
-    m = values.shape[1]
-    chosen = np.full(n, -1, np.int64)
-    if n == 0 or m == 0:
-        return chosen
-    magnitudes = np.abs(values[np.isfinite(values)])
-    # left to right from 1.0, as a scalar loop sums (np.sum sums pairwise)
-    scale = float(np.cumsum(np.concatenate(([1.0], magnitudes)))[-1])
-    tol = 1e-9 * scale
-    cost = np.full((n, m + n), scale)
-    np.negative(values, out=cost[:, :m], where=allowed)
-    cost.ravel()[m::m + n + 1] = 0.0   # row i's dummy column m+i
-    cols, u, v = hungarian_min(cost)
-    rows = np.arange(n)
-    optimum = cost[rows, cols].sum()
-    tight = (cost[:, :m] - u[:, None] - v[None, :m] <= tol) & allowed
-    col_of = cols.tolist()
-    vals = values.tolist()
-    target = 0.0
-    for i in range(n):
-        if col_of[i] < m:
-            target += vals[i][col_of[i]]
-    chosen_sum = 0.0
-    for r in range(n):
-        if abs(chosen_sum - target) <= tol:
-            break
-        held = col_of[:r]
-        for c in np.flatnonzero(tight[r, :min(col_of[r], m)]).tolist():
-            if c in held:
-                continue
-            forced = cost.copy()
-            forced[:r + 1] = scale
-            forced[rows[:r], held] = cost[rows[:r], held]
-            forced[r, c] = cost[r, c]
-            trial = hungarian_min(forced)[0]
-            if forced[rows, trial].sum() <= optimum + tol:
-                col_of = trial.tolist()
-                break
-        if col_of[r] < m:
-            chosen[r] = col_of[r]
-            chosen_sum += vals[r][col_of[r]]
-    return chosen
 
 
 def causal_gaussian_smooth(times, joints, sigma_frames, fps, t_now):

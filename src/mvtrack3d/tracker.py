@@ -215,8 +215,8 @@ Track = TrackTable
 class PoseTracker:
     """Stateful frame-by-frame tracker over one calibrated rig."""
 
-    def __init__(self, rig, config: TrackerConfig | None = None):
-        self.rig = rig if isinstance(rig, CameraRig) else CameraRig(rig)
+    def __init__(self, rig: CameraRig, config: TrackerConfig | None = None):
+        self.rig = rig
         self.config = config or TrackerConfig()
         self.tracks = TrackTable(len(self.rig), self.config)
         # what initialize returns when it spawns nothing; nothing writes it
@@ -277,7 +277,7 @@ class PoseTracker:
             rig.p_table[cams], uv, valid,
             aff.alpha_2d, aff.lambda_a, aff.epsilon, cfg.part_aware,
         )
-        chosen = assignment.solve(scores, 0.0, counts)
+        chosen = assignment.solve(scores, 0.0)
         k, ti = np.nonzero(chosen >= 0)
         pi = chosen[k, ti]
         # a camera matches each track at most once: no cell is written twice

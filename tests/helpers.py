@@ -8,7 +8,7 @@ limb-correctness scorer, a one-joint-at-a-time detections reader, the
 per-float file writers, a one-record-per-joint corruption sidecar
 writer and the records it writes for a synthetic scene, the scene
 generator as it stood one pose at a time, the gated
-assignment as it stood with a mask of its real columns, a track
+assignment with its one-pass test written out on its own, a track
 initializer that seeds one cluster at a
 time with the same kernels, triangulation by one stacked LAPACK
 eigensolve and a row-by-row comparison of two runs' tracks. Tests
@@ -250,35 +250,29 @@ def exhaustive_assignment_lex(values, gate=0.0):
     return min(pairs for total, pairs in found if total >= best - 1e-9)
 
 
-def reference_solve(values, min_affinity=0.0, counts=None):
-    """assignment.solve as it stood before its padding became -inf cells:
-    a mask of the real columns gates every pass, and the one-pass test of
-    the obvious matrices is a function of its own. The new solve must
-    return equal chosen columns and raise ValueError in the same cases."""
+def reference_solve(values, min_affinity=0.0):
+    """assignment.solve with the one-pass test of the obvious matrices as
+    a function of its own, its tie scale summed over the permitted cells
+    alone. The solve must return equal chosen columns and raise
+    ValueError in the same cases."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim not in (2, 3):
         raise ValueError(f"affinity matrix must be 2D or a 3D stack, got "
                          f"shape {arr.shape}")
     stack = arr if arr.ndim == 3 else arr[None]
-    k, n, m = stack.shape
-    counts = [m] * k if counts is None else [int(p) for p in counts]
-    real = np.arange(m) < np.array(counts, dtype=np.int64)[:, None, None]
-    if not ((stack < np.inf) | ~real).all():
+    if not (stack < np.inf).all():
         raise ValueError("affinity matrix contains NaN or +inf entries")
-    allowed = (stack > min_affinity) & real
-    chosen, unique = _reference_unique_best(
-        stack, allowed, real & (stack > -np.inf))
+    allowed = stack > min_affinity
+    chosen, unique = _reference_unique_best(stack, allowed)
     for i in np.flatnonzero(~unique).tolist():
-        p = counts[i]
-        chosen[i] = kernels.assignment_lex(
-            np.ascontiguousarray(stack[i, :, :p]),
-            np.ascontiguousarray(allowed[i, :, :p]))
+        chosen[i] = assignment.assignment_lex(stack[i], allowed[i])
     return chosen if arr.ndim == 3 else chosen[0]
 
 
-def _reference_unique_best(stack, allowed, finite):
+def _reference_unique_best(stack, allowed):
     """Chosen column per row, -1 where unmatched, and the mask of the
-    matrices whose matching is unique by the margin 4(n+1)·tol."""
+    matrices whose matching is unique by the margin 4(n+1)·tol, where
+    tol = 1e-9·(1 + Σ|v| over the permitted cells)."""
     k, n, m = stack.shape
     options = np.full((k, n, m + 2), -np.inf)
     np.copyto(options[..., :m], stack, where=allowed)
@@ -286,7 +280,7 @@ def _reference_unique_best(stack, allowed, finite):
     pick = options.argmax(axis=-1)
     top = np.sort(options, axis=-1)
     best = top[..., -1]
-    scale = 1.0 + np.abs(stack).sum(axis=(1, 2), where=finite)
+    scale = 1.0 + np.where(allowed, np.abs(stack), 0.0).sum(axis=(1, 2))
     margin = 4e-9 * (n + 1) * scale
     unique = (best - top[..., -2] > margin[:, None]).all(axis=1)
     ids = np.sort(np.where(pick < m, pick, -1 - np.arange(n)), axis=-1)

@@ -8,7 +8,7 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
-from mvtrack3d import kernels
+from mvtrack3d import assignment, kernels
 from mvtrack3d.assignment import solve
 
 from helpers import (
@@ -155,6 +155,20 @@ def test_every_solve_goes_through_the_module_hungarian(monkeypatch):
     assert seen == [(4, 2 + 4)] * len(seen)
 
 
+def test_refused_cells_do_not_widen_the_tie_tolerance():
+    # a large refused cell must neither enter the tolerance nor let the
+    # tie-break's early stop drop a real match: summed over every finite
+    # cell, the tolerance exceeds the gaps here and the answers read
+    # [-1] and [0, -1]
+    for values, want in [
+        ([[0.999, 1.0, -1e9]], [1]),
+        ([[0.5, 0.999, 1.0], [0.2, -1e9, 0.1]], [2, 0]),
+    ]:
+        chosen = solve(values)
+        assert chosen.tolist() == want
+        assert total_of(chosen, values) == exhaustive_assignment_total(values)
+
+
 TALL_AND_WIDE = [(1, 8), (8, 1), (3, 8), (8, 3)]
 
 
@@ -259,16 +273,18 @@ def test_positive_scaling_preserves_matching(rng):
 @st.composite
 def _stacks(draw):
     """A (K, T, P) stack, the real column count of each matrix, a gate and
-    whether the stack must raise. Grid values tie often. An "obvious"
-    stack, as the tracker's scores are, lifts one distinct cell in each
-    of min(T, P) rows and permits no cell in the other rows. A nudge then
-    sets, in an obvious stack, one lifted row's runner-up, or its best
-    against staying unmatched, a multiple of that matrix's tol below
-    the best: an exact tie, half a tol, or just under or just over the
-    margin 4(n+1)·tol of the one-pass test. The runner-up sits left of
-    the best where it can, where the tie-break would move the row, and
-    the unmatched nudge goes to the last lifted row, where the
-    tie-break's early stop would drop it."""
+    whether the stack must raise. Each matrix past its real columns is
+    padded with -inf cells, which lie below every gate. Grid values tie
+    often. An "obvious" stack, as the tracker's scores are, lifts one
+    distinct cell in each of min(T, P) rows and permits no cell in the
+    other rows. A nudge then sets, in an obvious stack, one lifted row's
+    runner-up, or its best against staying unmatched, a multiple of that
+    matrix's tol below the best: an exact tie, half a tol, or just under
+    or just over the margin 4(n+1)·tol of the one-pass test, where tol
+    is 1e-9·(1 + Σ|v|) over the permitted cells as they stand after the
+    nudge. The runner-up sits left of the best where it can, where the
+    tie-break would move the row, and the unmatched nudge goes to the
+    last lifted row, where the tie-break's early stop would drop it."""
     k = draw(st.integers(1, 3))
     t = draw(st.integers(0, 5))
     p_max = draw(st.integers(0, 5))
@@ -286,22 +302,26 @@ def _stacks(draw):
             values[i, np.setdiff1d(np.arange(t), rows), :p] = min(gate, 0.0)
             values[i, rows, rng.permutation(p)[:len(rows)]] += 2.0
             lifted += [(i, int(r)) for r in rows]
-        # the padding holds values that would change every answer if read
-        values[i, :, p:] = 9.0
+        values[i, :, p:] = -np.inf
     if lifted and nudge != "none":
         i, r = (lifted[draw(st.integers(0, len(lifted) - 1))]
                 if nudge == "runner-up" else lifted[-1])
         p = counts[i]
         factor = draw(st.sampled_from(
             [0.0, 0.5, 4 * (t + 1) * (1 - 1e-3), 4 * (t + 1) * (1 + 1e-3)]))
-        tol = 1e-9 * (1.0 + np.abs(values[i, :, :p]).sum())
-        best = int(values[i, r, :p].argmax())
+        real = values[i, :, :p]
+        best = int(real[r].argmax())
+        # tol counts the nudged cell at its final value up to factor·tol,
+        # far inside the 1e-3 that separates a factor from the margin
         if nudge == "runner-up" and p >= 2:
             other = int(rng.integers(best)) if best else 1
-            values[i, r, other] = values[i, r, best] - factor * tol
+            real[r, other] = real[r, best]
+            tol = 1e-9 * (1.0 + np.abs(real[real > gate]).sum())
+            real[r, other] = real[r, best] - factor * tol
         else:
-            values[i, r, :p] = min(gate, 0.0)
-            values[i, r, best] = factor * tol
+            real[r] = min(gate, 0.0)
+            tol = 1e-9 * (1.0 + np.abs(real[real > gate]).sum())
+            real[r, best] = factor * tol
     cells = [i for i in range(k) if counts[i]]
     bad = draw(st.booleans()) and t > 0 and bool(cells)
     if bad:
@@ -317,22 +337,24 @@ def test_stack_matches_the_full_solve_of_each_matrix(case):
     values, counts, gate, bad = case
     if bad:
         with pytest.raises(ValueError):
-            solve(values, gate, counts)
+            solve(values, gate)
         return
-    matchings = solve(values, gate, counts)
+    matchings = solve(values, gate)
     assert matchings.dtype == np.int64
     assert matchings.shape == values.shape[:2]
     for i, (m, p) in enumerate(zip(matchings, counts)):
         real = np.ascontiguousarray(values[i, :, :p])
-        chosen = kernels.assignment_lex(real, real > gate).tolist()
+        chosen = assignment.assignment_lex(real, real > gate).tolist()
         assert pairs(m) == tuple((r, c) for r, c in enumerate(chosen)
                                  if c >= 0)
         assert unmatched_rows(m) == tuple(r for r, c in enumerate(chosen)
                                           if c < 0)
         assert unmatched_cols(m, p) == tuple(c for c in range(p)
                                              if c not in chosen)
+        # a padded matrix solves as its real part alone does
         alone = solve(real, gate)
         assert np.array_equal(m, alone)
+        assert np.array_equal(solve(values[i], gate), alone)
         assert total_of(m, real) == total_of(alone, real)
         if np.all(real == np.round(real * 4) / 4):
             # no nudge: every gap is a multiple of 0.25 or an exact tie
@@ -349,18 +371,19 @@ def test_tied_matrix_of_a_stack_takes_the_full_solve(monkeypatch):
 
     monkeypatch.setattr(kernels, "hungarian_min", counted)
     # matrix 0 has one obvious answer; in matrix 1 both rows tie on both
-    # real columns, and its padded third column is never read
+    # real columns, and its padded third column holds -inf cells
     values = np.array([
         [[0.9, 0.1, 0.0], [0.1, 0.8, 0.2]],
-        [[0.5, 0.5, 9.0], [0.5, 0.5, 9.0]],
+        [[0.5, 0.5, -np.inf], [0.5, 0.5, -np.inf]],
     ])
-    first, second = solve(values, 0.0, [3, 2])
+    first, second = solve(values, 0.0)
     assert pairs(first) == ((0, 0), (1, 1))
     assert unmatched_cols(first, 3) == (2,)
     assert pairs(second) == ((0, 0), (1, 1))
     assert unmatched_cols(second, 2) == ()
     assert total_of(second, values[1]) == 1.0
-    assert calls == [(2, 4)]   # matrix 1 alone, its 2 real columns + 2 dummies
+    # matrix 1 alone, its 3 columns + 2 dummies
+    assert calls == [(2, 3 + 2)]
 
 
 # Cell values that tie after rounding: quarters are exact, tenths are not,
@@ -371,9 +394,8 @@ _TIED_CELLS = [-0.5, -0.25, 0.0, 0.1, 0.2, 0.25, 0.3, 0.1 + 0.2, 0.5, 1.0]
 @st.composite
 def _solve_inputs(draw):
     """Any input solve accepts or refuses: a 2D matrix or a (K, n, m)
-    stack, counts absent or one per matrix, a gate, and cells drawn from
-    tied values, random floats, -inf, and NaN or +inf in real or padding
-    cells."""
+    stack, a gate, and cells drawn from tied values, random floats, -inf,
+    NaN and +inf."""
     stacked = draw(st.booleans())
     k = draw(st.integers(1, 3)) if stacked else 1
     n = draw(st.integers(0, 5))
@@ -383,9 +405,6 @@ def _solve_inputs(draw):
         values = rng.choice(_TIED_CELLS, (k, n, m))
     else:
         values = rng.normal(0.0, 1.0, (k, n, m))
-    counts = None
-    if draw(st.booleans()):
-        counts = draw(st.lists(st.integers(0, m), min_size=k, max_size=k))
     if m and draw(st.booleans()):
         # an obvious answer: one lifted cell per row, in distinct columns
         lift = rng.permutation(max(m, n))[:n]
@@ -398,7 +417,7 @@ def _solve_inputs(draw):
             flat = values.reshape(-1)
             flat[rng.integers(0, cells, draw(st.integers(1, 3)))] = special
     gate = draw(st.sampled_from([0.0, 0.1, -0.5, -np.inf]))
-    return (values if stacked else values[0]), gate, counts
+    return (values if stacked else values[0]), gate
 
 
 def _fields(chosen):
@@ -407,14 +426,14 @@ def _fields(chosen):
 
 @settings(max_examples=1500, deadline=None)
 @given(case=st.one_of(_solve_inputs(), _stacks().map(
-    lambda case: (case[0], case[2], case[1]))))
+    lambda case: (case[0], case[2]))))
 def test_solve_agrees_with_the_masked_reference(case):
-    """Padding as -inf cells gives, bit for bit, the chosen columns of the
-    solve that masked its real columns, and ValueError in the same
-    cases. It sends the same matrices to the Hungarian solve, which the
-    margin nudges of _stacks probe, and leaves the caller's values as
-    they were."""
-    values, gate, counts = case
+    """solve gives, bit for bit, the chosen columns of the reference whose
+    one-pass test scales by the permitted cells alone, and ValueError in
+    the same cases. It sends the same matrices to the Hungarian solve,
+    which the margin nudges of _stacks probe, and leaves the caller's
+    values as they were."""
+    values, gate = case
     before = values.tobytes()
     calls = []
     hungarian = kernels.hungarian_min
@@ -425,14 +444,14 @@ def test_solve_agrees_with_the_masked_reference(case):
 
     with mock.patch.object(kernels, "hungarian_min", counted):
         try:
-            want = reference_solve(values, gate, counts)
+            want = reference_solve(values, gate)
         except ValueError:
             with pytest.raises(ValueError):
-                solve(values, gate, counts)
+                solve(values, gate)
             return
         want_calls = calls[:]
         calls.clear()
-        got = solve(values, gate, counts)
+        got = solve(values, gate)
     assert calls == want_calls
     assert values.tobytes() == before
     assert _fields(got) == _fields(want)

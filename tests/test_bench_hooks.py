@@ -4,6 +4,7 @@ rename in `src/` that breaks the benchmark fails here first."""
 
 import os
 
+import numpy as np
 import pytest
 
 from mvtrack3d.geometry import CameraRig
@@ -59,3 +60,30 @@ def test_traced_step_over_a_frame_nobody_was_seen_in(spans, clean_scene):
     names = {name for name, *_ in tracer.spans[first:]}
     assert {"tracker.step", "tracker.initialize", "kernels.triangulate"} \
         <= names
+
+
+def test_traced_tie_break_records_its_hungarian_solves(spans, clean_scene):
+    # a duplicated pose ties its track between two columns, so the
+    # assignment's tie-break runs; it must reach the solver through the
+    # module attribute the benchmark wraps, or assignment.hungarian_calls
+    # reads 0
+    saved = [(owner, attr, vars(owner)[attr])
+             for owner, attr, _, _ in spans.PATCHES]
+    tracker = PoseTracker(CameraRig(clean_scene.cameras),
+                          TrackerConfig(smoothing=True))
+    for bundle in clean_scene.bundles[:5]:
+        tracker.step(bundle)
+    bundle = clean_scene.bundles[5]
+    cam = clean_scene.cameras[0].cam_id
+    poses = dict(bundle.poses)
+    valid = dict(bundle.valid)
+    poses[cam] = np.concatenate([poses[cam][:1], poses[cam]])
+    valid[cam] = np.concatenate([valid[cam][:1], valid[cam]])
+    tracer = spans.Tracer()
+    with tracer.patched():
+        tracer.step(tracker, FrameBundle(bundle.frame, bundle.time_s, poses,
+                                         valid, bundle.times))
+    assert "tracker.step/tracker.associate/assignment.solve/" \
+        "assignment.hungarian" in tracer.paths()
+    for owner, attr, fn in saved:
+        assert vars(owner)[attr] is fn, attr

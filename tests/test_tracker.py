@@ -2,6 +2,7 @@
 
 import collections
 import copy
+import dataclasses
 import math
 from unittest import mock
 
@@ -918,3 +919,30 @@ def test_tracks_do_not_depend_on_camera_order(order_run):
                 <= 1e-9)
 
     assert_same_tracks(run_tracker(reversed_rig, cfg)[0], frames, same)
+
+
+# The largest move of a T joint under a shifted world origin that holds
+# today, in metres: the normal matrices are formed in world coordinates,
+# so a far origin costs precision, and some joints go to the eigh
+# fallback. A conditioned world frame must bring it to 1e-9·(1 + |x|).
+ORIGIN_TOLERANCE = {"steady": 1e-3, "bursty": 2e-2}
+
+
+@pytest.mark.parametrize("shift", [(10.0, 0.0, 0.0), (100.0, -50.0, 3.0)])
+def test_tracks_move_with_the_world_origin(order_run, shift, request):
+    # every camera centre moves by one vector: ids and flags match, and
+    # every T joint moves by that vector. P joints are not compared:
+    # bursty coasts some of them millions of metres off.
+    scene, cfg, frames = order_run
+    bound = ORIGIN_TOLERANCE[request.node.callspec.params["order_run"]]
+    shift = np.array(shift)
+    moved = copy.copy(scene)
+    moved.cameras = [dataclasses.replace(cam, o=cam.o + shift)
+                     for cam in scene.cameras]
+    for frame, ref in zip(run_tracker(moved, cfg)[0], frames, strict=True):
+        assert frame.actors.keys() == ref.actors.keys()
+        for tid, joints in frame.actors.items():
+            assert np.array_equal(frame.flags[tid], ref.flags[tid])
+            seen = ref.flags[tid] == JointFlag.TRIANGULATED
+            moved_by = np.abs(joints - (ref.actors[tid] + shift))[seen]
+            assert moved_by.max(initial=0.0) <= bound, (frame.frame, tid)
