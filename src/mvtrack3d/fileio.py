@@ -12,7 +12,11 @@ exact: orjson writes a record whose floats are all 0 or have
 any other record, keeping repr's exponent form (9.9e-05, 1e+16). orjson
 also reads every line; the json module reads a line orjson refuses, which
 takes the NaN and Infinity literals and words the error of a line that is
-not JSON. The corruption sidecar is written one pose at a time from
+not JSON. The tracks and ground-truth readers check a record in the
+common shape, a list of objects that each hold an int id and joints,
+with one type check over its entries and one over their ids; the
+per-entry field checks run only on a record outside that shape, to word
+its error. The corruption sidecar is written one pose at a time from
 byte templates that print its ints and class names as json does.
 """
 
@@ -23,7 +27,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import getitem
+from operator import getitem, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -429,6 +433,37 @@ def _unique_ids(ids: list, what: str, lineno: int, path: str) -> None:
         raise ParseError(f"{path}:{lineno}: a second {what} with id {dup}")
 
 
+_ID, _JOINTS = itemgetter("id"), itemgetter("joints")
+
+
+def _entries(rec: dict, key: str, lineno: int,
+             path: str) -> tuple[list, list, list]:
+    """rec[key], a list of objects, with the id (an int) and the joints
+    of each, else ParseError naming the line. A list of objects that each
+    hold an int id and joints takes one type check over the entries and
+    one over the ids; any other value is checked entry by entry by
+    _field, which words the error."""
+    entries = rec.get(key)
+    if type(entries) is list and {dict}.issuperset(map(type, entries)):
+        try:
+            ids = list(map(_ID, entries))
+            rows = list(map(_JOINTS, entries))
+        except KeyError:
+            pass
+        else:
+            # exactly int: a bool, which is an int too, is not an id
+            if {int}.issuperset(map(type, ids)):
+                return entries, ids, rows
+    entries = _field(rec, key, "list[dict]", lineno, path)
+    ids = [_field(entry, "id", "int", lineno, path) for entry in entries]
+    rows = [_field(entry, "joints", None, lineno, path) for entry in entries]
+    return entries, ids, rows
+
+
+# The code of each flag letter at the letter's byte, 255 at any other byte.
+_FLAG_CODES = bytes(CHAR_FLAGS.get(chr(byte), 255) for byte in range(256))
+
+
 def _track_joints(rows: list, n_joints: int, lineno: int,
                   path: str) -> tuple[np.ndarray, np.ndarray]:
     """(K, N, 3) joints and (K, N) flag codes of K joint lists of
@@ -436,18 +471,29 @@ def _track_joints(rows: list, n_joints: int, lineno: int,
 
     One flat pass reads K lists of n_joints rows of 4 items: the rows
     chained into one list hold the flag of every joint at every fourth
-    item from 3, and x, y, z in the rest. Any other input, and any fault,
-    is read again row by row, which words the error."""
+    item from 3, and x, y, z in the rest. The flags join into one string
+    whose bytes _FLAG_CODES maps to codes. Any other input, and any fault,
+    a flag that is not one flag letter included, is read again row by
+    row, which words the error."""
     try:
         if (all(len(joints) == n_joints for joints in rows)
                 and set(map(len, chain.from_iterable(rows))) <= {4}):
             flat = list(chain.from_iterable(chain.from_iterable(rows)))
-            codes = np.array(list(map(CHAR_FLAGS.__getitem__, flat[3::4])),
-                             dtype=np.uint8).reshape(len(rows), n_joints)
-            del flat[3::4]
-            xyz = _numbers(flat, (len(flat),), lineno, path, "track joints")
-            return xyz.reshape(len(rows), n_joints, 3), codes
-    except (TypeError, KeyError, ParseError):
+            letters = flat[3::4]
+            text = "".join(letters)
+            # K·N letters, none empty, that join to K·N ASCII characters
+            # are one byte each
+            if (len(text) == len(letters) and text.isascii()
+                    and "" not in letters):
+                codes = text.encode().translate(_FLAG_CODES)
+                if b"\xff" not in codes:
+                    del flat[3::4]
+                    xyz = _numbers(flat, (len(flat),), lineno, path,
+                                   "track joints")
+                    shape = (len(rows), n_joints)
+                    return (xyz.reshape(*shape, 3), np.frombuffer(
+                        bytearray(codes), np.uint8).reshape(shape))
+    except (TypeError, ParseError):
         pass
     try:
         xyz = [[(x, y, z) for x, y, z, _ in joints] for joints in rows]
@@ -475,10 +521,7 @@ def load_tracks(path: str) -> TrackFile:
             )
         last = frame
         time_s = _time(rec, lineno, path)
-        entries = _field(rec, "tracks", "list[dict]", lineno, path)
-        ids = [_field(entry, "id", "int", lineno, path) for entry in entries]
-        rows = [_field(entry, "joints", None, lineno, path)
-                for entry in entries]
+        _, ids, rows = _entries(rec, "tracks", lineno, path)
         joints, codes = _track_joints(rows, n_joints, lineno, path)
         _unique_ids(ids, "track", lineno, path)
         frames.append(TrackFrame(frame, time_s, dict(zip(ids, joints)),
@@ -543,10 +586,7 @@ def load_ground_truth(path: str) -> GroundTruthFile:
                 f"{path}:{lineno}: frame {frame} after frame {last}"
             )
         last = frame
-        entries = _field(rec, "actors", "list[dict]", lineno, path)
-        ids = [_field(entry, "id", "int", lineno, path) for entry in entries]
-        value = [_field(entry, "joints", None, lineno, path)
-                 for entry in entries]
+        entries, ids, value = _entries(rec, "actors", lineno, path)
         joints = _numbers(value, (None, n_joints, 3), lineno, path,
                           "actor joints")
         _unique_ids(ids, "actor", lineno, path)

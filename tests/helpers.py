@@ -4,8 +4,8 @@ Everything here is implemented independently of the library internals it
 is used to check: camera construction, an exhaustive assignment search, a
 from-scratch pose scorer, image lines and epipolar lines, a weighted
 linear triangulator, a one-joint greedy epipolar filter, a
-limb-correctness scorer, a one-joint-at-a-time detections reader, the
-per-float file writers, a one-record-per-joint corruption sidecar
+limb-correctness scorer, a one-joint-at-a-time detections reader, a
+per-entry ground-truth reader, the per-float file writers, a one-record-per-joint corruption sidecar
 writer and the records it writes for a synthetic scene, the scene
 generator as it stood one pose at a time, the gated
 assignment with its one-pass test written out on its own, a track
@@ -37,7 +37,7 @@ from hypothesis import strategies as st
 
 from mvtrack3d import assignment, fileio, kernels, synth
 from mvtrack3d.affinity import AffinityConfig, valid_joints
-from mvtrack3d.errors import ParseError
+from mvtrack3d.errors import NonMonotonicFrames, ParseError
 from mvtrack3d.evaluation import (_joint_masks, _limbs_correct, _stack_joints,
                                   match_run)
 from mvtrack3d.fileio import TrackFrame
@@ -779,6 +779,39 @@ def reference_load_tracks(path):
         flags = dict(zip(ids, np.array(codes, dtype=np.uint8)))
         frames.append(TrackFrame(frame, time_s, actors, flags))
     return fileio.TrackFile(header["schema"], n_joints, frames)
+
+
+def reference_load_ground_truth(path):
+    """fileio.load_ground_truth as it read each record entry by entry:
+    one _field call for each actor's id and joints, then one _numbers
+    call on the nested joint lists of the record."""
+    header, records = fileio._open(path, fileio.GROUND_TRUTH_FORMAT)
+    n_joints = header["n_joints"]
+    frames = []
+    last = None
+    for lineno, rec in records:
+        frame = fileio._field(rec, "frame", "int", lineno, path)
+        if last is not None and frame <= last:
+            raise NonMonotonicFrames(
+                f"{path}:{lineno}: frame {frame} after frame {last}")
+        last = frame
+        entries = fileio._field(rec, "actors", "list[dict]", lineno, path)
+        ids = [fileio._field(entry, "id", "int", lineno, path)
+               for entry in entries]
+        value = [fileio._field(entry, "joints", None, lineno, path)
+                 for entry in entries]
+        joints = fileio._numbers(value, (None, n_joints, 3), lineno, path,
+                                 "actor joints")
+        fileio._unique_ids(ids, "actor", lineno, path)
+        actors = dict(zip(ids, joints))
+        masks = {aid: np.array(fileio._field(entry, "mask", "list[bool]",
+                                             lineno, path))
+                 for aid, entry in zip(ids, entries) if "mask" in entry}
+        if any(mask.shape != (n_joints,) for mask in masks.values()):
+            raise ParseError(f"{path}:{lineno}: mask must be a list of "
+                             f"{n_joints} booleans")
+        frames.append(fileio.GroundTruthFrame(frame, actors, masks))
+    return fileio.GroundTruthFile(header["schema"], n_joints, frames)
 
 
 def reference_read_detections(records, n_joints, conf_floor, image_margin,

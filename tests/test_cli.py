@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mvtrack3d
-from mvtrack3d import synth
+from mvtrack3d import cli, fileio, synth
 from mvtrack3d.affinity import AffinityConfig
 from mvtrack3d.cli import main
 from mvtrack3d.errors import MvTrackError
@@ -471,6 +471,23 @@ def test_bench_reports_stage_timings(capsys):
     assert payload["generate_s"] > 0 and payload["export_s"] > 0
     assert re.search(r"^  generate +\d+\.\d{3} s$", out, re.M)
     assert re.search(r"^  export +\d+\.\d{3} s$", out, re.M)
+
+
+def test_bench_reports_the_median_of_repeated_evals(capsys, monkeypatch):
+    reads = []
+
+    def load_tracks(path):
+        reads.append(path)
+        return real(path)
+
+    real = fileio.load_tracks
+    monkeypatch.setattr(fileio, "load_tracks", load_tracks)
+    monkeypatch.setattr(cli, "EVAL_MIN_S", 0.2)
+    code, out, err = run_cli(capsys, "bench", "--frames", "3")
+    assert code == 0, err
+    assert len(reads) >= 2
+    line = next(ln for ln in out.splitlines() if ln.startswith("RESULT "))
+    assert json.loads(line[len("RESULT "):])["eval_ms"] > 0
 
 
 def test_module_entry_point_prints_usage():

@@ -46,6 +46,7 @@ from helpers import (
     reference_corruption_text,
     reference_detections_text,
     reference_ground_truth_text,
+    reference_load_ground_truth,
     reference_load_tracks,
     reference_read_detections,
     reference_tracks_text,
@@ -455,25 +456,81 @@ _BAD_COORDS = st.one_of(st.booleans(), st.none(), st.just("1.5"),
                         st.lists(st.floats(), min_size=1, max_size=2))
 
 
+# The faults of a fuzzed file: one kind, or every kind, drawn in place of
+# about half of the good values of that kind. Besides coordinates no
+# joint may hold and rows of the wrong length: ids of another type,
+# entries that are not objects or lack a field, flags that are not one
+# flag letter and masks that are not booleans. A file mixes one set of
+# bad flags into its good ones: a lone surrogate, which json reads from
+# its escape, or flags of 0 and 2 letters, which join to as many
+# letters as there are flags.
+_FAULTS = [None, "coord", "row", "id", "entry", "all"]
+_BAD_IDS = st.sampled_from([True, False, 1.0, "1"])
+_BAD_ENTRIES = st.sampled_from([3, None, "entry", [1, 2]])
+_BAD_FLAGS = st.sampled_from([("X",), ("t",), ("p",), ("TP",), ("",),
+                              ("\u00e9",), ("\ud800",), (0,), (None,),
+                              (["T"],), ("", "TP")])
+_BAD_MASK_ITEMS = st.sampled_from([0, 1, None, "yes"])
+
+
+def _sometimes(on, good, bad):
+    """good, or when on, good and bad about half the time each."""
+    return good | bad if on else good
+
+
+def _draw_entries(draw, has, joints, mask=None):
+    """A record's entries, {"id", "joints"} of distinct int ids with
+    joints drawn from joints, and a "mask" drawn from mask unless it
+    draws None. has(kind) says whether the file holds faults of kind:
+    an "id" of another type, an "entry" that lacks its id or its joints
+    or is not an object."""
+    entries = []
+    for i in draw(st.lists(st.integers(-5, 5), max_size=3, unique=True)):
+        entry = {"id": draw(_sometimes(has("id"), st.just(i), _BAD_IDS)),
+                 "joints": draw(joints)}
+        if mask is not None and (value := draw(mask)) is not None:
+            entry["mask"] = value
+        if has("entry"):
+            for key in draw(st.sampled_from([(), ("id",), ("joints",)])):
+                del entry[key]
+            entry = draw(st.just(entry) | _BAD_ENTRIES)
+        entries.append(entry)
+    return entries
+
+
+def _frames(draw):
+    return sorted(draw(st.sets(st.integers(0, 50), max_size=3)))
+
+
 @st.composite
 def _track_files(draw):
     """n_joints and the records of a tracks file: increasing frames, each
-    with tracks of distinct ids, whose rows are valid unless bad."""
+    with tracks of distinct ids, with faults of the kind drawn."""
     n_joints = draw(st.integers(1, 4))
-    bad = draw(st.booleans())
-    coords = st.one_of(_COORDS, _BAD_COORDS) if bad else _COORDS
-    flags = st.sampled_from("TPMX" if bad else "TPM")
-    row = st.tuples(coords, coords, coords, flags).map(list)
-    if bad:
-        row = row | st.lists(coords, min_size=3, max_size=5)
-    records = []
-    for frame in sorted(draw(st.sets(st.integers(0, 50), max_size=3))):
-        ids = draw(st.lists(st.integers(-5, 5), max_size=3, unique=True))
-        records.append(_track_record(frame, *(
-            {"id": i, "joints": draw(st.lists(
-                row, min_size=n_joints, max_size=n_joints + bad))}
-            for i in ids)))
-    return n_joints, records
+    fault = draw(st.sampled_from(_FAULTS + ["flag"]))
+    has = lambda kind: fault in (kind, "all")
+    coords = _sometimes(has("coord"), _COORDS, _BAD_COORDS)
+    flags = _sometimes(has("flag"), st.sampled_from("TPM"),
+                       st.sampled_from(draw(_BAD_FLAGS)))
+    row = _sometimes(has("row"), st.tuples(coords, coords, coords, flags).map(
+        list), st.lists(coords, min_size=3, max_size=5))
+    joints = st.lists(row, min_size=n_joints, max_size=n_joints + has("row"))
+    return n_joints, [_track_record(frame, *_draw_entries(draw, has, joints))
+                      for frame in _frames(draw)]
+
+
+def _write_lines(path, fmt, n_joints, records):
+    header = {"format": fmt, "format_version": 1, "schema": SYNTH14.name,
+              "n_joints": n_joints}
+    with open(path, "w") as fh:
+        fh.writelines(json.dumps(line) + "\n" for line in [header] + records)
+
+
+def _assert_same_arrays(ours, theirs):
+    assert ours.dtype == theirs.dtype
+    assert ours.shape == theirs.shape
+    assert ours.flags.c_contiguous
+    assert np.array_equal(ours, theirs, equal_nan=True)
 
 
 @settings(max_examples=400, deadline=None)
@@ -482,10 +539,7 @@ def test_flat_track_reader_matches_the_row_by_row_reader(tmp_path_factory,
                                                          case):
     n_joints, records = case
     path = str(tmp_path_factory.mktemp("tracks") / "tracks.jsonl")
-    header = {"format": "mvtrack3d/tracks", "format_version": 1,
-              "schema": SYNTH14.name, "n_joints": n_joints}
-    with open(path, "w") as fh:
-        fh.writelines(json.dumps(line) + "\n" for line in [header] + records)
+    _write_lines(path, "mvtrack3d/tracks", n_joints, records)
     try:
         want = reference_load_tracks(path)
     except MvTrackError as exc:
@@ -500,12 +554,55 @@ def test_flat_track_reader_matches_the_row_by_row_reader(tmp_path_factory,
         assert (g.frame, g.time_s) == (w.frame, w.time_s)
         assert list(g.actors) == list(w.actors) == list(g.flags)
         for tid in w.actors:
-            for ours, theirs in ((g.actors[tid], w.actors[tid]),
-                                 (g.flags[tid], w.flags[tid])):
-                assert ours.dtype == theirs.dtype
-                assert ours.shape == theirs.shape
-                assert ours.flags.c_contiguous
-                assert np.array_equal(ours, theirs, equal_nan=True)
+            _assert_same_arrays(g.actors[tid], w.actors[tid])
+            _assert_same_arrays(g.flags[tid], w.flags[tid])
+
+
+@st.composite
+def _ground_truth_files(draw):
+    """n_joints and the records of a ground-truth file: increasing
+    frames, each with actors of distinct ids, some with a mask, with
+    faults of the kind drawn."""
+    n_joints = draw(st.integers(1, 4))
+    fault = draw(st.sampled_from(_FAULTS + ["mask"]))
+    has = lambda kind: fault in (kind, "all")
+    coords = _sometimes(has("coord"), _COORDS, _BAD_COORDS)
+    row = st.lists(coords, min_size=3 - has("row"), max_size=3 + has("row"))
+    joints = st.lists(row, min_size=n_joints - has("row"),
+                      max_size=n_joints + has("row"))
+    flag = _sometimes(has("mask"), st.booleans(), _BAD_MASK_ITEMS)
+    mask = st.none() | st.lists(flag, min_size=n_joints - has("mask"),
+                                max_size=n_joints + has("mask"))
+    return n_joints, [{"frame": frame,
+                       "actors": _draw_entries(draw, has, joints, mask)}
+                      for frame in _frames(draw)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_ground_truth_files())
+def test_ground_truth_reader_matches_the_per_entry_reader(tmp_path_factory,
+                                                          case):
+    n_joints, records = case
+    path = str(tmp_path_factory.mktemp("gt") / "ground_truth.jsonl")
+    _write_lines(path, "mvtrack3d/ground_truth", n_joints, records)
+    try:
+        want = reference_load_ground_truth(path)
+    except MvTrackError as exc:
+        with pytest.raises(type(exc)) as err:
+            load_ground_truth(path)
+        assert str(err.value) == str(exc)
+        return
+    got = load_ground_truth(path)
+    assert (got.schema, got.n_joints) == (want.schema, want.n_joints)
+    assert len(got.frames) == len(want.frames)
+    for g, w in zip(got.frames, want.frames):
+        assert g.frame == w.frame
+        assert list(g.actors) == list(w.actors)
+        assert list(g.masks) == list(w.masks)
+        for aid in w.actors:
+            _assert_same_arrays(g.actors[aid], w.actors[aid])
+        for aid in w.masks:
+            _assert_same_arrays(g.masks[aid], w.masks[aid])
 
 
 @pytest.mark.parametrize("records,error", [
@@ -545,11 +642,27 @@ def test_flat_track_reader_matches_the_row_by_row_reader(tmp_path_factory,
     ({"frame": 0, "time_s": 0.0, "tracks": [_GOOD_TRACK, _GOOD_TRACK]},
      ParseError),
     ([_track_record(3, _GOOD_TRACK), _track_record(3)], NonMonotonicFrames),
+    ({"frame": 0, "time_s": 0.0, "tracks": [dict(_GOOD_TRACK, id=True)]},
+     ParseError),
+    ({"frame": 0, "time_s": 0.0, "tracks": [dict(_GOOD_TRACK, id=1.0)]},
+     ParseError),
+    ({"frame": 0, "time_s": 0.0, "tracks": [{"id": 1}]}, ParseError),
+    ({"frame": 0, "time_s": 0.0, "tracks": [
+        dict(_GOOD_TRACK, joints=[[0.0, 0.0, 1.0, "t"]] * N)]}, ParseError),
+    ({"frame": 0, "time_s": 0.0, "tracks": [
+        dict(_GOOD_TRACK, joints=[[0.0, 0.0, 1.0, "\ud800"]] * N)]},
+     ParseError),
+    # flags of 0 and 2 letters that join to one letter a flag
+    ({"frame": 0, "time_s": 0.0, "tracks": [dict(_GOOD_TRACK, joints=(
+        [[0.0, 0.0, 1.0, ""], [0.0, 0.0, 1.0, "TP"]]
+        + _GOOD_TRACK["joints"][2:]))]}, ParseError),
 ], ids=["missing-id", "tracks-int", "track-int", "id-str", "coord-str",
         "flag-list", "short-row", "joints-int", "frame-str", "time-null",
         "coord-numeric-str", "coord-true", "second-track-false",
         "second-track-short", "time-nan", "time-inf", "time-neg-inf",
-        "rows-long-and-short", "second-track-same-id", "repeated-frame"])
+        "rows-long-and-short", "second-track-same-id", "repeated-frame",
+        "id-true", "id-float", "missing-joints", "flag-lowercase",
+        "flag-surrogate", "flags-empty-and-double"])
 def test_malformed_track_records_raise_parse_error(tmp_path, records, error):
     records = records if isinstance(records, list) else [records]
     path = tmp_path / "tracks.jsonl"
