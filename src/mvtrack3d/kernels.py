@@ -16,14 +16,14 @@ both status tests are far from their thresholds and the point is within
 5e-13·(1 + |x|) of the exact one; the few joints it leaves (nearly
 parallel rays, rank deficient or non-finite systems, points at infinity)
 go through one np.linalg.eigh call over just those matrices. Track
-initialization calls the cross-view pose score once per frame, over
-every pair of cameras, and the initialization filter and triangulation
-once, over every new track. Loops remain only over greedy removal steps,
-the smoothing window, the inverse-iteration steps and the cameras of the
-tracker's greedy clustering, which joins one camera's poses at a time,
-and in hungarian_min, a scalar rectangular Hungarian solve over Python
-lists, which the assignment module runs only on the matrices its one
-numpy pass cannot settle.
+initialization scores every pair of cameras in one cross-view pose
+score call, and filters, on that call's per-joint affinities, and
+triangulates every new track in one call each. Loops remain only over
+greedy removal steps, the smoothing window, the inverse-iteration
+steps and the cameras of the tracker's greedy clustering, which joins
+one camera's poses at a time, and in hungarian_min, a scalar
+rectangular Hungarian solve over Python lists, which the assignment
+module runs only on the matrices its one numpy pass cannot settle.
 
 Elementwise expressions follow the scalar order of operations and sums
 run in a fixed order, left to right unless a comment says otherwise, so
@@ -118,15 +118,17 @@ def epipolar_pair_affinities(ua, va, ub, vb, f_ab, f_ba, alpha):
 
 
 def epipolar_pose_score(uv_a, valid_a, uv_b, valid_b, f_ab, f_ba, alpha):
-    """Sum of per-joint epipolar affinities over mutually valid joints.
+    """Per-joint epipolar affinities of two poses and their sum.
 
     uv (...,N,2) and valid (...,N) of the two poses and f_ab / f_ba
-    (...,3,3) broadcast over the leading axes; returns (...).
+    (...,3,3) broadcast over the leading axes; returns the sums (...)
+    and the affinities (...,N), 0 unless valid in both poses.
     """
     a = epipolar_pair_affinities(uv_a[..., 0], uv_a[..., 1], uv_b[..., 0],
                                  uv_b[..., 1], f_ab[..., None, :, :],
                                  f_ba[..., None, :, :], alpha)
-    return _sequential_sum(np.where(valid_a & valid_b, a, 0.0))
+    a = np.where(valid_a & valid_b, a, 0.0)
+    return _sequential_sum(a), a
 
 
 def _sequential_sum(x):
@@ -188,17 +190,6 @@ def _slot_pairs(m):
     return pairs
 
 
-def _slot_pair_affinities(uv, cam_idx, f_table, alpha):
-    """Epipolar affinity of every slot pair i < j of a batch uv (B,M,2)
-    whose slot m is seen by camera cam_idx[m]; returns (i, j, e (B,P))."""
-    pi, pj = _slot_pairs(uv.shape[1])
-    ci, cj = cam_idx[pi], cam_idx[pj]
-    e = epipolar_pair_affinities(uv[:, pi, 0], uv[:, pi, 1], uv[:, pj, 0],
-                                 uv[:, pj, 1], f_table[ci, cj], f_table[cj, ci],
-                                 alpha)
-    return pi, pj, e
-
-
 def filter_tracked_batch(uv, alive, cam_idx, f_table, alpha, pred, origins,
                          krinv_table):
     """Greedy removal of epipolar-inconsistent observations, for a batch of joints.
@@ -211,8 +202,11 @@ def filter_tracked_batch(uv, alive, cam_idx, f_table, alpha, pred, origins,
     prediction (i on a tie). Only joints with a negative pair back-project
     their rays. Returns the keep mask (B,M).
     """
-    m = uv.shape[1]
-    pi, pj, e = _slot_pair_affinities(uv, cam_idx, f_table, alpha)
+    pi, pj = _slot_pairs(uv.shape[1])
+    ci, cj = cam_idx[pi], cam_idx[pj]
+    e = epipolar_pair_affinities(uv[:, pi, 0], uv[:, pi, 1], uv[:, pj, 0],
+                                 uv[:, pj, 1], f_table[ci, cj], f_table[cj, ci],
+                                 alpha)
     alive = alive.copy()
     rows = np.flatnonzero((alive[:, pi] & alive[:, pj] & (e < 0.0)).any(axis=1))
     if rows.size == 0:
@@ -221,7 +215,7 @@ def filter_tracked_batch(uv, alive, cam_idx, f_table, alpha, pred, origins,
     rays = back_project_dir(uv[..., 0], uv[..., 1], krinv_table[cam_idx])
     dist = point_ray_distance(pred[rows, None, :], origins[cam_idx], rays)
     at = np.arange(rows.size)
-    for _ in range(m - 1):
+    for _ in range(uv.shape[1] - 1):
         negative = sub[:, pi] & sub[:, pj] & (e < 0.0)
         worst = np.where(negative, e, 0.0).argmin(axis=1)
         hit = negative[at, worst]
@@ -234,20 +228,21 @@ def filter_tracked_batch(uv, alive, cam_idx, f_table, alpha, pred, origins,
     return alive
 
 
-def filter_init_mask(uv, alive, cam_idx, f_table, alpha):
+def filter_init_mask(pair_e, alive):
     """Epipolar consistency filter used when no 3D prediction exists yet.
 
-    uv (B,M,2) holds each joint's observation in slot m, seen by camera
-    cam_idx[m], and alive (B,M) marks the observations present. Per
-    joint, while two or more are alive and a surviving pair scores
-    negative: with three or more alive, the first observation in slot
-    order with the smallest affinity sum over the other survivors is
-    dropped; an inconsistent final pair is dropped entirely. Returns the
-    keep mask (B,M).
+    alive (B,M) marks each joint's observations present in its M slots,
+    and pair_e (B,P) holds the epipolar affinity of every slot pair
+    i < j, in _slot_pairs(M) order. A pair with a dead member changes
+    no keep bit, whatever it holds, NaN included. Per joint, while two or
+    more are alive and a surviving pair scores negative: with three or
+    more alive, the first observation in slot order with the smallest
+    affinity sum over the other survivors is dropped; an inconsistent
+    final pair is dropped entirely. Returns the keep mask (B,M).
     """
-    m = uv.shape[1]
-    pi, pj, pair_e = _slot_pair_affinities(uv, cam_idx, f_table, alpha)
-    e = np.zeros((uv.shape[0], m, m))
+    m = alive.shape[1]
+    pi, pj = _slot_pairs(m)
+    e = np.zeros((alive.shape[0], m, m))
     e[:, pi, pj] = e[:, pj, pi] = pair_e
     alive = alive.copy()
     for _ in range(m - 1):

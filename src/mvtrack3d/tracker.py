@@ -7,11 +7,11 @@ cluster the detections left free across cameras to spawn new tracks.
 Each stage hands its kernels the whole frame: one scoring call and one
 assignment call for association, one filter and triangulation call for
 the live tracks, and, for initialization, one cross-view scoring call,
-one filter and triangulation call for every new track and one
-back-projection for every joint of theirs that did not triangulate.
-Initialization runs one loop in Python, the greedy clustering: one
-assignment per camera. The new rows are built from the born clusters
-alone.
+one filter call on the per-joint affinities it returns, one
+triangulation call for every new track and one back-projection for
+every joint of theirs that did not triangulate. Initialization runs
+one loop in Python, the greedy clustering: one assignment per camera.
+The new rows are built from the born clusters alone.
 
 All track state is one TrackTable, whose columns each stage reads and
 writes whole: ids, time, misses (T,); joints, velocity (T,N,3); flags
@@ -331,21 +331,22 @@ class PoseTracker:
     # -- initialization ----------------------------------------------
 
     def _cluster_unmatched(self, cams: np.ndarray, uv: np.ndarray,
-                           valid: np.ndarray, counts: list) -> np.ndarray:
+                           valid: np.ndarray, counts: list) -> tuple:
         """Greedy cross-view clustering of free poses, camera by camera.
 
         uv (K,P,N,2) and valid (K,P,N) hold the K rig cameras cams, in rig
         order, each camera's counts[k] free poses first, invalid after.
-        Every (earlier, later) camera pair is scored in one call. Each
-        camera's poses then join the clusters built so far, every earlier
-        pose being a member of one: a cluster scores a pose by its best
-        member, and one assignment per camera settles the joins. Returns
-        the L clusters in the order they were started, as their pose
-        (L,K) from each camera, -1 where they have none.
+        One call scores every camera pair q of kernels._slot_pairs(K).
+        Each camera's poses then join the clusters built so far: a cluster
+        scores a pose by its best member, and one assignment per camera
+        settles the joins. Returns the L clusters in the order they were
+        started, as their pose (L,K) from each camera, -1 where they have
+        none, and the per-joint affinities (Q,P,P,N) of each pair q's
+        poses, the earlier camera's first.
         """
         f_table = self.rig.f_table
         first, later = kernels._slot_pairs(len(cams))
-        pair_scores = kernels.epipolar_pose_score(
+        pair_scores, affinities = kernels.epipolar_pose_score(
             uv[first, :, None], valid[first, :, None],
             uv[later, None], valid[later, None],
             f_table[cams[first], cams[later]][:, None, None],
@@ -372,7 +373,7 @@ class PoseTracker:
             started = np.flatnonzero(~taken[:-1])
             clusters[size:size + started.size, k] = started
             size += started.size
-        return clusters[:size]
+        return clusters[:size], affinities
 
     def initialize(self, stack: tuple | None, free: np.ndarray | None,
                    bundle: FrameBundle) -> TrackTable:
@@ -381,15 +382,15 @@ class PoseTracker:
 
         Of the pose stack (see _stack), only the poses that free (K,P)
         marks are clustered, gathered to the front of their camera's row
-        in pose order. Every cluster of two or more poses is filtered and
-        triangulated in one batch, laid out as in reconstruct: slot c
-        holds the pose from rig camera c, and cameras outside the cluster
-        are dead slots. Joints with fewer than two consistent views are
-        placed, in one pass, on a single view's ray at the skeleton
-        centroid depth, or at the centroid itself, and flagged predicted.
-        A cluster in which not a single joint triangulates spawns no
-        track. A new track's views are its cluster's poses. A frame
-        without a stack spawns none.
+        in pose order. Every cluster of two or more poses is filtered, on
+        the affinities the clustering scored, and triangulated in one
+        batch, in the clustering's slots: slot k holds its pose from
+        cams[k], dead where it has none. Joints with fewer than two
+        consistent views are placed, in one pass, on a single view's ray
+        at the skeleton centroid depth, or at the centroid itself, and
+        flagged predicted. A cluster in which not a single joint
+        triangulates spawns no track. A new track's views are its
+        cluster's poses, in their rig slots. No stack, no new track.
         """
         if stack is None:
             return self._no_births
@@ -405,58 +406,62 @@ class PoseTracker:
         uv = uv[rows[:, None], order]
         valid = (valid[rows[:, None], order]
                  & (np.arange(order.shape[1]) < counts[:, None])[..., None])
-        clusters = self._cluster_unmatched(cams, uv, valid, counts.tolist())
+        clusters, affinities = self._cluster_unmatched(cams, uv, valid,
+                                                       counts.tolist())
         clusters = clusters[(clusters >= 0).sum(axis=1) >= 2]
         if not len(clusters):
             return self._no_births
-        n_cams, n_joints = len(rig), uv.shape[2]
-        owner, member_k = np.nonzero(clusters >= 0)
-        member_p = clusters[owner, member_k]
-        seed_uv = np.zeros((len(clusters), n_joints, n_cams, 2))
-        seed_valid = np.zeros(seed_uv.shape[:-1], dtype=bool)
-        seed_uv[owner, :, cams[member_k]] = uv[member_k, member_p]
-        seed_valid[owner, :, cams[member_k]] = valid[member_k, member_p]
-        flat_uv = seed_uv.reshape(-1, n_cams, 2)
-        keep = seed_valid.reshape(-1, n_cams)
+        member = clusters >= 0
+        slot = np.arange(len(cams))
+        # (L,N,K) seeds in the clustering's slots; member masks what -1 reads
+        seed_uv = np.where(member[..., None, None], uv[slot, clusters],
+                           0.0).swapaxes(1, 2)
+        keep = seed_valid = (valid[slot, clusters]
+                             & member[..., None]).swapaxes(1, 2)
         if cfg.joints_filter:
-            keep = kernels.filter_init_mask(flat_uv, keep, np.arange(n_cams),
-                                            rig.f_table, cfg.affinity.alpha_epi)
-        uvn = np.stack((flat_uv[..., 0] * rig.su - 1.0,
-                        flat_uv[..., 1] * rig.sv - 1.0), axis=-1)
-        xyz, status = kernels.triangulate_batch(uvn, rig.pn_table,
-                                                np.ones(n_cams), keep)
-        ok = (status == 0).reshape(len(clusters), n_joints)
+            first, later = kernels._slot_pairs(len(cams))
+            pair_e = affinities[np.arange(first.size), clusters[:, first],
+                                clusters[:, later]].swapaxes(1, 2)
+            keep = kernels.filter_init_mask(
+                pair_e.reshape(-1, first.size), keep.reshape(-1, len(cams))
+            ).reshape(keep.shape)
+        uvn = np.stack((seed_uv[..., 0] * rig.su[cams] - 1.0,
+                        seed_uv[..., 1] * rig.sv[cams] - 1.0), axis=-1)
+        xyz, status = kernels.triangulate_batch(uvn, rig.pn_table[cams],
+                                                np.ones(len(cams)), keep)
+        ok = status == 0
         born = np.flatnonzero(ok.any(axis=1))
         ok = ok[born]
         # C order, so that the centroid sums each skeleton joint by joint
-        joints = np.ascontiguousarray(np.where(
-            ok[..., None], xyz.reshape(len(clusters), n_joints, 3)[born], 0.0))
-        member = clusters[born] >= 0
+        joints = np.ascontiguousarray(np.where(ok[..., None], xyz[born], 0.0))
+        member = member[born]
         seed_uv, seed_valid = seed_uv[born], seed_valid[born]
         b, n = np.nonzero(~ok)
         if b.size:
             centroid = (joints.sum(axis=1) / ok.sum(axis=1)[:, None])[b]
-            kept = keep.reshape(len(clusters), n_joints, n_cams)[born[b], n]
-            first = cams[member.argmax(axis=1)][b]
-            ci = np.where(kept.any(axis=1), kept.argmax(axis=1), first)
+            kept = keep[born[b], n]
+            k = np.where(kept.any(axis=1), kept.argmax(axis=1),
+                         member.argmax(axis=1)[b])
             # the filter only drops views: a kept view is a valid one
-            on_ray = seed_valid[b, n, ci]
+            on_ray = seed_valid[b, n, k]
             joints[b, n] = centroid
-            b, n, ci, centroid = (x[on_ray] for x in (b, n, ci, centroid))
+            b, n, k, centroid = (x[on_ray] for x in (b, n, k, centroid))
+            ci = cams[k]
             direction = kernels.back_project_dir(
-                seed_uv[b, n, ci, 0], seed_uv[b, n, ci, 1], rig.krinv_table[ci])
+                seed_uv[b, n, k, 0], seed_uv[b, n, k, 1], rig.krinv_table[ci])
             # np.matmul takes np.dot's path for each joint's depth
             depth = np.matmul((centroid - rig.origins[ci])[:, None],
                               direction[..., None])[:, 0]
             joints[b, n] = np.where(depth <= 0, centroid,
                                     rig.origins[ci] + depth * direction)
-        new = TrackTable(n_cams, cfg, self._next_id + np.arange(born.size),
+        new = TrackTable(len(rig), cfg, self._next_id + np.arange(born.size),
                          bundle.time_s, joints,
                          np.where(ok, kernels.FLAG_TRIANGULATED,
                                   kernels.FLAG_PREDICTED))
         new.view_frame[:, cams] = np.where(member, bundle.frame, -np.inf)
         new.view_time[:, cams] = np.where(member, times, 0.0)
-        new.view_uv, new.view_valid = seed_uv, seed_valid
+        new.view_uv[:, :, cams] = seed_uv
+        new.view_valid[:, :, cams] = seed_valid
         self._next_id += born.size
         return new
 

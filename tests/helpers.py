@@ -1,19 +1,19 @@
 """Shared test utilities.
 
 Everything here is implemented independently of the library internals it
-is used to check: camera construction, an exhaustive assignment search, a
-from-scratch pose scorer, image lines and epipolar lines, a weighted
-linear triangulator, a one-joint greedy epipolar filter, a
-limb-correctness scorer, a one-joint-at-a-time detections reader, a
-per-entry ground-truth reader, the per-float file writers, a one-record-per-joint corruption sidecar
-writer and the records it writes for a synthetic scene, the scene
-generator as it stood one pose at a time, the gated
-assignment with its one-pass test written out on its own, a track
-initializer that seeds one cluster at a
-time with the same kernels, triangulation by one stacked LAPACK
-eigensolve and a row-by-row comparison of two runs' tracks. Tests
-compare library output against these,
-and build the frames they feed the tracker with make_bundle. The
+is used to check: camera construction, an exhaustive assignment search,
+a from-scratch pose scorer, image lines and epipolar lines, a weighted
+linear triangulator, a one-joint greedy epipolar filter, the batched
+initialization filter as it stood on pixels, a limb-correctness scorer,
+a one-joint-at-a-time detections reader, a per-entry ground-truth
+reader, the per-float file writers, a one-record-per-joint corruption
+sidecar writer and the records it writes for a synthetic scene, the
+scene generator as it stood one pose at a time, the gated assignment
+with its one-pass test written out on its own, a track initializer that
+seeds one cluster at a time with the same kernels and that pixel filter,
+triangulation by one stacked LAPACK eigensolve and a row-by-row
+comparison of two runs' tracks. Tests compare library output against
+these, and build the frames they feed the tracker with make_bundle. The
 exception is the per-point geometry (project, back_project_ray,
 point_ray_distance_3d, triangulate) and the one-frame scoring
 (match_actors, score_actor): thin forms of the batched kernels that
@@ -23,9 +23,9 @@ codec tests and the input fuzzers.
 
 The scalar references (epipolar pair affinity and pose score, the
 initialization filter, smoothing, the greedy actor matcher, per-limb
-correctness) spell out,
-one element at a time and in the same order of operations, what the
-batched kernels compute, so the kernels must match them bit for bit.
+correctness) spell out, one element at a time and in the same order of
+operations, what the batched kernels compute, so the kernels must match
+them bit for bit.
 """
 
 import json
@@ -534,6 +534,42 @@ def reference_init_filter(uvs, cam_idx, f_table, alpha):
                 worst_sum, worst_i = s, i
         alive[worst_i] = False
     return np.array(alive, dtype=bool)
+
+
+def slot_pair_affinities(uv, cam_idx, f_table, alpha):
+    """Epipolar affinity (B,P) of every slot pair i < j of a batch uv
+    (B,M,2) whose slot m is seen by camera cam_idx[m], in
+    kernels._slot_pairs(M) order, as kernels.filter_init_mask reads it."""
+    pi, pj = kernels._slot_pairs(uv.shape[1])
+    ci, cj = cam_idx[pi], cam_idx[pj]
+    return kernels.epipolar_pair_affinities(
+        uv[:, pi, 0], uv[:, pi, 1], uv[:, pj, 0], uv[:, pj, 1],
+        f_table[ci, cj], f_table[cj, ci], alpha)
+
+
+def reference_filter_init_mask(uv, alive, cam_idx, f_table, alpha):
+    """The batched initialization filter as it stood when it scored the
+    pixels uv (B,M,2) itself, slot m seen by camera cam_idx[m], alive
+    (B,M) marking the observations present. Returns the keep mask (B,M).
+    """
+    m = uv.shape[1]
+    pi, pj = kernels._slot_pairs(m)
+    pair_e = slot_pair_affinities(uv, cam_idx, f_table, alpha)
+    e = np.zeros((uv.shape[0], m, m))
+    e[:, pi, pj] = e[:, pj, pi] = pair_e
+    alive = alive.copy()
+    for _ in range(m - 1):
+        count = alive.sum(axis=1)
+        active = (alive[:, pi] & alive[:, pj] & (pair_e < 0.0)).any(axis=1)
+        if not active.any():
+            break
+        alive[active & (count == 2)] = False
+        rows = np.flatnonzero(active & (count > 2))
+        # e's diagonal is 0, so this sums each row over the other survivors
+        sums = kernels._sequential_sum(
+            np.where(alive[rows, None, :], e[rows], 0.0))
+        alive[rows, np.where(alive[rows], sums, np.inf).argmin(axis=1)] = False
+    return alive
 
 
 def reference_smooth(times, joints, sigma_frames, fps, t_now):
@@ -1069,7 +1105,7 @@ def _reference_clusters(tracker, views):
             member_uv[:, None], member_valid[:, None],
             uv[list(rows)], valid[list(rows)],
             rig.f_table[cj, ci][:, None], rig.f_table[ci, cj][:, None],
-            aff.alpha_epi)
+            aff.alpha_epi)[0]
         starts = np.cumsum([0] + [len(c) for c in clusters[:-1]])
         scores = np.maximum.reduceat(pair_scores, starts, axis=0)
         chosen = assignment.solve(scores, 0.0).tolist()
@@ -1090,8 +1126,8 @@ def _reference_seed(tracker, uv, valid, cam_idx, t):
     rig = tracker.rig
     keep = valid
     if cfg.joints_filter:
-        keep = kernels.filter_init_mask(uv, keep, cam_idx, rig.f_table,
-                                        cfg.affinity.alpha_epi)
+        keep = reference_filter_init_mask(uv, keep, cam_idx, rig.f_table,
+                                          cfg.affinity.alpha_epi)
     uvn = np.stack((uv[..., 0] * rig.su[cam_idx] - 1.0,
                     uv[..., 1] * rig.sv[cam_idx] - 1.0), axis=-1)
     xyz, status = kernels.triangulate_batch(

@@ -107,7 +107,7 @@ def pose_pair_score(pose_a, pose_b, cam_a, cam_b, cfg):
     return float(kernels.epipolar_pose_score(
         uv_a, valid_a, uv_b, valid_b,
         geometry.fundamental_matrix(cam_a, cam_b),
-        geometry.fundamental_matrix(cam_b, cam_a), cfg.alpha_epi))
+        geometry.fundamental_matrix(cam_b, cam_a), cfg.alpha_epi)[0])
 
 
 # -- single-joint affinity ----------------------------------------------

@@ -23,10 +23,12 @@ from helpers import (
     random_ring_rig,
     reference_epipolar_pair_affinity,
     reference_epipolar_pose_score,
+    reference_filter_init_mask,
     reference_init_filter,
     reference_normal_matrices,
     reference_smooth,
     reference_triangulate_eigh,
+    slot_pair_affinities,
     weighted_dlt_status,
 )
 
@@ -92,7 +94,9 @@ def test_pair_affinities_match_scalar_reference(seed, on_epipole_a,
 def test_pose_scores_match_scalar_reference(seed, n_members, n_cands, n_joints,
                                             invalid_rate, on_epipole):
     """One broadcast call scores every (member, candidate) pair as the
-    scalar loop scores each pair on its own."""
+    scalar loop scores each pair on its own, and returns the per-joint
+    affinities it summed: each pair's, 0 where a joint is not valid in
+    both poses."""
     rng = np.random.default_rng(seed)
     cams = random_ring_rig(rng, n_cams=4)
     rig = CameraRig(cams)
@@ -107,7 +111,7 @@ def test_pose_scores_match_scalar_reference(seed, n_members, n_cands, n_joints,
     valid_c = rng.random(cands.shape[:2]) >= invalid_rate
     members[~valid_m] = np.nan
     cands[~valid_c] = np.nan
-    got = kernels.epipolar_pose_score(
+    got, affinities = kernels.epipolar_pose_score(
         members[:, None], valid_m[:, None], cands, valid_c,
         rig.f_table[cj, ci][:, None], rig.f_table[ci, cj][:, None], ALPHA)
     want = [[reference_epipolar_pose_score(
@@ -115,6 +119,12 @@ def test_pose_scores_match_scalar_reference(seed, n_members, n_cands, n_joints,
         rig.f_table[cj[k], ci], rig.f_table[ci, cj[k]], ALPHA)
         for l in range(n_cands)] for k in range(n_members)]
     assert_same_bits(got, want)
+    want = [[[reference_epipolar_pair_affinity(
+        *members[k, n], *cands[l, n], rig.f_table[cj[k], ci],
+        rig.f_table[ci, cj[k]], ALPHA) if valid_m[k, n] and valid_c[l, n]
+        else 0.0 for n in range(n_joints)] for l in range(n_cands)]
+        for k in range(n_members)]
+    assert_same_bits(affinities, want)
 
 
 @settings(max_examples=100, deadline=None)
@@ -191,9 +201,10 @@ def test_track_pose_scores_batch_over_cameras(seed, n_cams, n_tracks,
 
 def init_filter_case(seed, n_cams, n_repeats, n_points, outlier_rate,
                      dead_rate):
-    """A batch for filter_init_mask: every camera once plus n_repeats
-    slots that copy an earlier slot's camera and pixel, so same-camera
-    pairs (affinity 0) and equal row sums occur; dead slots hold NaN."""
+    """A batch of pixels for filter_init_mask, which reads them through
+    slot_pair_affinities: every camera once plus n_repeats slots that
+    copy an earlier slot's camera and pixel, so same-camera pairs
+    (affinity 0) and equal row sums occur; dead slots hold NaN."""
     rng = np.random.default_rng(seed)
     cams = random_ring_rig(rng, n_cams=n_cams)
     rig = CameraRig(cams)
@@ -219,7 +230,8 @@ def test_init_filter_matches_scalar_reference(seed, n_cams, n_repeats,
                                               dead_rate):
     rig, uv, alive, cam_idx = init_filter_case(
         seed, n_cams, n_repeats, n_points, outlier_rate, dead_rate)
-    keep = kernels.filter_init_mask(uv, alive, cam_idx, rig.f_table, ALPHA)
+    keep = kernels.filter_init_mask(
+        slot_pair_affinities(uv, cam_idx, rig.f_table, ALPHA), alive)
     for b in range(len(uv)):
         slots = np.flatnonzero(alive[b])
         expected = alive[b].copy()
@@ -238,11 +250,10 @@ def test_init_filter_does_not_depend_on_batch_companions(
     this, as new tracks start from clusters of any size."""
     rig, uv, alive, cam_idx = init_filter_case(
         seed, n_cams, n_repeats, n_points, outlier_rate, dead_rate)
-    together = kernels.filter_init_mask(uv, alive, cam_idx, rig.f_table,
-                                        ALPHA)
+    pair_e = slot_pair_affinities(uv, cam_idx, rig.f_table, ALPHA)
+    together = kernels.filter_init_mask(pair_e, alive)
     for b in range(len(uv)):
-        alone = kernels.filter_init_mask(uv[b:b + 1], alive[b:b + 1],
-                                         cam_idx, rig.f_table, ALPHA)
+        alone = kernels.filter_init_mask(pair_e[b:b + 1], alive[b:b + 1])
         assert alone[0].tolist() == together[b].tolist()
 
 
@@ -253,11 +264,13 @@ def test_init_filter_does_not_depend_on_batch_companions(
        filler=st.sampled_from(["zero", "nan", "pixels", "+1e300", "-1e300"]))
 def test_dead_slots_change_no_bit_of_init_filter_or_triangulation(
         seed, n_cams, n_points, outlier_rate, dead_rate, filler):
-    """Initialization lays a cluster out with one slot per rig camera,
-    the cameras outside the cluster as dead slots between live ones.
-    Filtering and triangulating that layout keeps and computes, bit for
-    bit, what the compacted layout of the members alone does, whatever
-    the dead slots hold: zeros, NaN, ±1e300 or other pixels."""
+    """Initialization lays a cluster out with one slot per camera that
+    has free poses, the cameras outside the cluster as dead slots
+    between live ones. Filtering and triangulating that layout keeps and
+    computes, bit for bit, what the compacted layout of the members
+    alone does, whatever the dead slots hold: zeros, NaN, ±1e300 or
+    other pixels. Nor does the filter change a keep bit when the
+    affinity of every pair with a dead member is NaN or ±1e300."""
     rng = np.random.default_rng(seed)
     cams = random_ring_rig(rng, n_cams=n_cams)
     rig = CameraRig(cams)
@@ -269,12 +282,18 @@ def test_dead_slots_change_no_bit_of_init_filter_or_triangulation(
                      "-1e300": -1e300, "pixels": uv[:, absent] + 40.0}[filler]
     alive = rng.random(uv.shape[:2]) >= dead_rate
     alive[:, absent] = False
-    spread = kernels.filter_init_mask(uv, alive, np.arange(n_cams),
-                                      rig.f_table, ALPHA)
-    compact = kernels.filter_init_mask(uv[:, members], alive[:, members],
-                                       members, rig.f_table, ALPHA)
+    pair_e = slot_pair_affinities(uv, np.arange(n_cams), rig.f_table, ALPHA)
+    spread = kernels.filter_init_mask(pair_e, alive)
+    compact = kernels.filter_init_mask(
+        slot_pair_affinities(uv[:, members], members, rig.f_table, ALPHA),
+        alive[:, members])
     assert spread[:, members].tolist() == compact.tolist()
     assert not spread[:, absent].any()
+    pi, pj = kernels._slot_pairs(n_cams)
+    dead = ~(alive[:, pi] & alive[:, pj])
+    for junk in (np.nan, 1e300, -1e300):
+        assert kernels.filter_init_mask(np.where(dead, junk, pair_e),
+                                        alive).tolist() == spread.tolist()
     uvn = np.stack((uv[..., 0] * rig.su - 1.0, uv[..., 1] * rig.sv - 1.0),
                    axis=-1)
     for keep in (alive, spread):
@@ -285,6 +304,59 @@ def test_dead_slots_change_no_bit_of_init_filter_or_triangulation(
             keep[:, members])
         assert_same_bits(xyz, want_xyz)
         assert status.tolist() == want_status.tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=SEEDS, n_rig=st.integers(2, 5), n_poses=st.integers(1, 4),
+       n_seeds=st.integers(1, 6), n_joints=st.integers(1, 14),
+       outlier_rate=st.sampled_from([0.0, 0.2, 0.5]),
+       invalid_rate=st.sampled_from([0.0, 0.3]),
+       absent_rate=st.sampled_from([0.0, 0.3, 0.6]))
+def test_init_filter_on_gathered_affinities_keeps_what_the_pixel_filter_keeps(
+        seed, n_rig, n_poses, n_seeds, n_joints, outlier_rate, invalid_rate,
+        absent_rate):
+    """Initialization filters its seeds on the per-joint affinities of
+    the clustering's one epipolar_pose_score call, gathered per seed in
+    the clustering's slots: one per camera with poses (cams, in rig
+    order), a dead slot where the seed has no pose. That keeps what the
+    reference filter keeps scoring the seeds' own pixels, laid out one
+    slot per rig camera. Seeds mostly take one body's pose in every
+    camera, and otherwise any pose or none."""
+    rng = np.random.default_rng(seed)
+    cameras = random_ring_rig(rng, n_cams=n_rig)
+    rig = CameraRig(cameras)
+    cams = np.sort(rng.choice(n_rig, rng.integers(2, n_rig + 1),
+                              replace=False))
+    # pose p of camera k views body p: (K,P,N,2)
+    uv = noisy_views(rng, cameras, cams, n_poses * n_joints, outlier_rate)
+    uv = uv.reshape(n_poses, n_joints, cams.size, 2).transpose(2, 0, 1, 3)
+    valid = rng.random(uv.shape[:-1]) >= invalid_rate
+    uv[~valid] = np.nan
+    body = rng.integers(0, n_poses, size=(n_seeds, 1))
+    seeds = np.where(rng.random((n_seeds, cams.size)) < 0.7, body,
+                     rng.integers(0, n_poses, size=(n_seeds, cams.size)))
+    seeds[rng.random(seeds.shape) < absent_rate] = -1
+    first, later = kernels._slot_pairs(cams.size)
+    _, affinities = kernels.epipolar_pose_score(
+        uv[first, :, None], valid[first, :, None], uv[later, None],
+        valid[later, None], rig.f_table[cams[first], cams[later]][:, None, None],
+        rig.f_table[cams[later], cams[first]][:, None, None], ALPHA)
+    pair_e = affinities[np.arange(first.size), seeds[:, first],
+                        seeds[:, later]]
+    alive = valid[np.arange(cams.size), seeds] & (seeds >= 0)[..., None]
+    keep = kernels.filter_init_mask(
+        pair_e.swapaxes(1, 2).reshape(-1, first.size),
+        alive.swapaxes(1, 2).reshape(-1, cams.size))
+    spread_uv = np.zeros((n_seeds, n_joints, n_rig, 2))
+    spread_alive = np.zeros((n_seeds, n_joints, n_rig), bool)
+    for b, k in zip(*np.nonzero(seeds >= 0)):
+        spread_uv[b, :, cams[k]] = uv[k, seeds[b, k]]
+        spread_alive[b, :, cams[k]] = valid[k, seeds[b, k]]
+    want = reference_filter_init_mask(
+        spread_uv.reshape(-1, n_rig, 2), spread_alive.reshape(-1, n_rig),
+        np.arange(n_rig), rig.f_table, ALPHA)
+    assert keep.tolist() == want[:, cams].tolist()
+    assert not np.delete(want, cams, axis=1).any()
 
 
 @settings(max_examples=40, deadline=None)
@@ -301,8 +373,9 @@ def test_init_filter_breaks_row_sum_ties_toward_the_first_slot(seed, shift):
     uv[1] += shift
     uv = uv[[0, 0, 1, 1]]
     cam_idx = np.array([0, 0, 1, 1])
-    keep = kernels.filter_init_mask(uv[None], np.ones((1, 4), bool), cam_idx,
-                                    rig.f_table, ALPHA)[0]
+    keep = kernels.filter_init_mask(
+        slot_pair_affinities(uv[None], cam_idx, rig.f_table, ALPHA),
+        np.ones((1, 4), bool))[0]
     assert keep.tolist() == reference_init_filter(
         uv, cam_idx, rig.f_table, ALPHA).tolist()
     cross = reference_epipolar_pair_affinity(

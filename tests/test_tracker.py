@@ -37,6 +37,7 @@ from helpers import (
     reference_tracked_filter,
     reference_triangulate_eigh,
     run_tracker,
+    slot_pair_affinities,
     weighted_dlt,
 )
 
@@ -413,20 +414,20 @@ def test_batched_filter_matches_one_joint_reference(rng):
 
 
 def test_init_filter_drops_outlier_and_inconsistent_pairs(rng):
+    def init_filter(uvs, idx, rig):
+        return kernels.filter_init_mask(
+            slot_pair_affinities(uvs[None], idx, rig.f_table, 30.0),
+            np.ones((1, len(idx)), bool))[0]
+
     _, rig, p, uvs, idx = filter_setup(rng, n_cams=5)
     uvs[2] += 180.0
-    keep = kernels.filter_init_mask(uvs[None], np.ones((1, 5), bool), idx,
-                                    rig.f_table, 30.0)[0]
-    assert keep.tolist() == [True, True, False, True, True]
+    assert init_filter(uvs, idx, rig).tolist() == [True, True, False, True,
+                                                   True]
 
     _, rig2, p2, uvs2, idx2 = filter_setup(rng, n_cams=2)
-    keep = kernels.filter_init_mask(uvs2[None], np.ones((1, 2), bool), idx2,
-                                    rig2.f_table, 30.0)[0]
-    assert keep.all()
+    assert init_filter(uvs2, idx2, rig2).all()
     uvs2[1] += 150.0
-    keep = kernels.filter_init_mask(uvs2[None], np.ones((1, 2), bool), idx2,
-                                    rig2.f_table, 30.0)[0]
-    assert not keep.any()
+    assert not init_filter(uvs2, idx2, rig2).any()
 
 
 # -- initialization ------------------------------------------------------
@@ -650,6 +651,18 @@ def test_initialization_scores_filters_and_triangulates_once(clean_scene,
     assert len(tracker.tracks) == clean_scene.config.n_actors
     assert calls == {"epipolar_pose_score": 1, "filter_init_mask": 1,
                      "triangulate_batch": 1}
+
+
+def test_initialization_scores_each_joint_pair_once(clean_scene):
+    """The initialization filter reads the per-joint affinities the
+    clustering's pose score returned: a first frame, where only
+    initialization scores epipolar pairs, computes them in one call."""
+    tracker = PoseTracker(CameraRig(clean_scene.cameras), TrackerConfig())
+    with mock.patch.object(kernels, "epipolar_pair_affinities",
+                           wraps=kernels.epipolar_pair_affinities) as spy:
+        tracker.step(clean_scene.bundles[0])
+    assert len(tracker.tracks) == clean_scene.config.n_actors
+    assert spy.call_count == 1
 
 
 def test_a_newcomer_between_tracked_poses_is_seeded_alone(rng):
