@@ -15,12 +15,13 @@ lower bound on the second smallest eigenvalue accepts a joint only when
 both status tests are far from their thresholds and the point is within
 5e-13·(1 + |x|) of the exact one; the few joints it leaves (nearly
 parallel rays, rank deficient or non-finite systems, points at infinity)
-go through one np.linalg.eigh call over just those matrices. Track
-initialization scores every pair of cameras in one cross-view pose
-score call, and filters, on that call's per-joint affinities, and
-triangulates every new track in one call each. Loops remain only over
-greedy removal steps, the smoothing window, the inverse-iteration
-steps and the cameras of the tracker's greedy clustering, which joins
+are solved from the SVD of their own kept rows of A, one np.linalg.svd
+call per distinct count of kept views. Track initialization scores
+every pair of cameras in one cross-view pose score call, and filters,
+on that call's per-joint affinities, and triangulates every new track
+in one call each. Loops remain only over greedy removal steps, the
+smoothing window, the inverse-iteration steps, the fallback's view
+counts and the cameras of the tracker's greedy clustering, which joins
 one camera's poses at a time, and in hungarian_min, a scalar
 rectangular Hungarian solve over Python lists, which the assignment
 module runs only on the matrices its one numpy pass cannot settle.
@@ -28,20 +29,17 @@ module runs only on the matrices its one numpy pass cannot settle.
 Elementwise expressions follow the scalar order of operations and sums
 run in a fixed order, left to right unless a comment says otherwise, so
 each element's result does not depend on the batch it is computed in;
-eigh works on one matrix at a time, so the fallback keeps this too. A
+the SVD works on one matrix at a time, so the fallback keeps this too. A
 dead slot, one whose observation is not alive, adds exact zeros to the
 filters' sums and zero rows to AᵀA, so a joint gets the same bits
 whether absent cameras sit as dead slots between its live ones or are
-left out.
+left out; the fallback gathers only the kept rows, so it keeps this too.
 
 Status codes returned by triangulate_batch:
   0 ok, 1 too few rows, 2 rank deficient, 3 point at infinity.
-Rank deficient means σ3 <= 1e-7·σ1 for the singular values of A. The
-eigenvalues of AᵀA carry an error of about eps·σ1², so σ3/σ1 cannot be
-resolved below about 1e-8, and an exactly rank-2 system reads near it.
-Both solvers give every joint the same status: the certificate accepts
-only joints whose status is 0 by a wide margin, and eigh decides the
-rest with the tests above.
+Rank deficient means σ1 <= 0 or σ3 <= 1e-7·σ1 for the singular values of
+A, or AᵀA not finite. The certificate accepts only joints whose status
+is 0 by a wide margin, and the SVD decides the rest with these tests.
 """
 
 import functools
@@ -331,12 +329,12 @@ def _smallest_eigenvectors(m):
     term is moved by a bound on its own rounding. A vector is certified
     when the sin θ bound (‖Mx - ρx‖ + 4·eps)/(λ1 - ρ) on its angle to v0
     is at most 5e-13·|x₄|. The rounding term covers the residual's own
-    rounding, and eigh's vector, whose error is about eps/(λ1 - λ0),
-    lies within it too. Then
+    rounding. Then
       - the point x₁:₃/x₄ moves by at most 5e-13·(1 + |x|) from the
         exact one;
-      - λ1 > 4·eps/5e-13 > 1e-3 >= 1e-3·λ3, far from the rank test
-        (λ1 <= 1e-14·λ3), which eigh resolves to about eps·λ3;
+      - λ1 > 4·eps/5e-13 > 1e-3 >= 1e-3·λ3, so σ3/σ1 = sqrt(λ1/λ3) >
+        0.03 for the singular values of A, far from the rank test
+        (σ3 <= 1e-7·σ1);
       - |x₄| > 1e-3 likewise, far above the point-at-infinity test
         (|x₄| <= 1e-12·‖x₁:₃‖).
     Returns (x (4,B), certified (B,)); x is meaningless where not
@@ -373,18 +371,26 @@ def _smallest_eigenvectors(m):
     return x, certified
 
 
-def _eigh_null_vectors(m):
-    """The eigh path for the matrices m (B,4,4) the certificate leaves:
-    (x (4,B), status (B,)) with status 0, 2 or 3."""
-    finite = np.isfinite(m).all(axis=(-2, -1))
-    # eigh raises on a non-finite matrix, which a huge finite pixel can give
-    lam, vec = np.linalg.eigh(np.where(finite[:, None, None], m, 0.0))
-    x = vec[:, :, 0].T
-    n = np.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
-    # σ3 <= 1e-7·σ1, on the eigenvalues λ = σ²
-    rank_deficient = (lam[:, 3] <= 0.0) | (lam[:, 1] <= 1e-14 * lam[:, 3])
-    status = np.where(rank_deficient | ~finite, 2,
-                      np.where(np.abs(x[3]) <= 1e-12 * n, 3, 0))
+def _svd_null_vectors(a, keep, m):
+    """x (4,B) and status (B,) of the joints the certificate leaves, from
+    the SVD of each one's kept rows of A (B,2M,4), keep (B,M), in slot
+    order: one np.linalg.svd call per distinct count of kept views. m
+    (B,4,4) is AᵀA. Status as in triangulate_batch."""
+    count = keep.sum(axis=1)
+    kept = np.repeat(keep, 2, axis=1)
+    x = np.zeros((4, len(count)))
+    # 2 stays where AᵀA is not finite
+    status = np.where(count < 2, 1, 2)
+    solve = (count >= 2) & np.isfinite(m).all(axis=(1, 2))
+    for k in np.unique(count[solve]).tolist():
+        rows = np.flatnonzero(solve & (count == k))
+        _, s, vt = np.linalg.svd(a[rows][kept[rows]].reshape(-1, 2 * k, 4),
+                                 full_matrices=False)
+        v = vt[:, 3].T
+        n = np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+        status[rows] = np.where((s[:, 0] <= 0.0) | (s[:, 2] <= 1e-7 * s[:, 0]),
+                                2, np.where(np.abs(v[3]) <= 1e-12 * n, 3, 0))
+        x[:, rows] = v
     return x, status
 
 
@@ -399,17 +405,14 @@ def triangulate_batch(uvn, pmats, weights, keep):
     (4,4), and the eigenvector of its smallest eigenvalue is the
     homogeneous point (Hartley & Zisserman, Multiple View Geometry,
     §12.2). Adjugate inverse iteration finds it for every point at once
-    (see _smallest_eigenvectors); the points it cannot certify go
-    through one np.linalg.eigh call over just those matrices, so a
-    batch whose points are all certified makes none.
+    (see _smallest_eigenvectors); the points it cannot certify are
+    solved from the SVD of their own kept rows of A, so a batch whose
+    points are all certified makes no SVD call (see _svd_null_vectors).
 
-    Status: 0 ok, 1 fewer than two views, 2 rank deficient or
-    non-finite, 3 point at infinity (|x₄| <= 1e-12·‖x₁:₃‖). Rank
-    deficient means σ3 <= 1e-7·σ1 for the singular values of A, tested
-    on the eigenvalues λ = σ² as λ1 <= 1e-14·λ3. eigh resolves them only
-    to about eps·σ1², so σ3/σ1 is known only down to about 1e-8, and an
-    exactly rank-2 system reads near it. A certified point is far from
-    both tests, so its status is 0 by either solver.
+    Status: 0 ok, 1 fewer than two views, 2 rank deficient (σ1 <= 0 or
+    σ3 <= 1e-7·σ1 for the singular values of A) or AᵀA not finite, 3
+    point at infinity (|x₄| <= 1e-12·‖x₁:₃‖). A certified point is far
+    from every test, so its status is 0.
     Returns (xyz (...,3), status (...)).
     """
     with np.errstate(over="ignore", invalid="ignore"):
@@ -424,12 +427,8 @@ def triangulate_batch(uvn, pmats, weights, keep):
     status = np.zeros(certified.shape, np.intp)
     redo = np.flatnonzero(~certified)
     if redo.size:
-        # a certified joint has rank 4, so at least two views
-        few = keep.reshape(-1, keep.shape[-1])[redo].sum(axis=1) < 2
-        status[redo] = few
-        redo = redo[~few]
-        if redo.size:
-            x[:, redo], status[redo] = _eigh_null_vectors(m[redo])
+        x[:, redo], status[redo] = _svd_null_vectors(
+            a[redo], keep.reshape(-1, keep.shape[-1])[redo], m[redo])
     with np.errstate(divide="ignore", invalid="ignore"):
         xyz = np.where(status == 0, x[:3] / x[3], 0.0).T
     return xyz.reshape(shape + (3,)), status.reshape(shape)

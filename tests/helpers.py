@@ -11,15 +11,16 @@ sidecar writer and the records it writes for a synthetic scene, the
 scene generator as it stood one pose at a time, the gated assignment
 with its one-pass test written out on its own, a track initializer that
 seeds one cluster at a time with the same kernels and that pixel filter,
-triangulation by one stacked LAPACK eigensolve and a row-by-row
-comparison of two runs' tracks. Tests compare library output against
-these, and build the frames they feed the tracker with make_bundle. The
-exception is the per-point geometry (project, back_project_ray,
-point_ray_distance_3d, triangulate) and the one-frame scoring
-(match_actors, score_actor): thin forms of the batched kernels that
-build inputs and read results one point or one frame at a time. The
-hypothesis strategies at the end draw floats and JSON values for the
-codec tests and the input fuzzers.
+triangulation by one SVD of each joint's kept rows, a row-by-row
+comparison of two runs' tracks and a staggered leave-and-return
+schedule with the count of frames in which a track id changes actor.
+Tests compare library output against these, and build the frames they
+feed the tracker with make_bundle. The exception is the per-point
+geometry (project, back_project_ray, point_ray_distance_3d,
+triangulate) and the one-frame scoring (match_actors, score_actor):
+thin forms of the batched kernels that build inputs and read results
+one point or one frame at a time. The hypothesis strategies at the end
+draw floats and JSON values for the codec tests and the input fuzzers.
 
 The scalar references (epipolar pair affinity and pose score, the
 initialization filter, smoothing, the greedy actor matcher, per-limb
@@ -334,13 +335,18 @@ def weighted_dlt(cameras, uvs, weights):
 
 def weighted_dlt_status(cameras, uvs, weights):
     """weighted_dlt by the SVD of the system itself, with the kernels'
-    status codes: 1 below two views, 2 when the singular values have
-    sigma3 <= 1e-7 sigma1, 3 when the null vector's w <= 1e-12 |xyz|.
-    Returns (xyz, status), xyz zero unless status is 0."""
+    status codes (_dlt_status), 1 below two views. Returns (xyz,
+    status), xyz zero unless status is 0."""
     if len(cameras) < 2:
         return np.zeros(3), 1
     _, sigma, vt = np.linalg.svd(_dlt_rows(cameras, uvs, weights))
-    x = vt[-1]
+    return _dlt_status(sigma, vt[-1])
+
+
+def _dlt_status(sigma, x):
+    """(xyz, status) of a system with singular values sigma and null
+    vector x: 2 when sigma1 <= 0 or sigma3 <= 1e-7 sigma1, 3 when the
+    null vector's |w| <= 1e-12 |xyz|, else 0 and the point."""
     if sigma[0] <= 0.0 or sigma[2] <= 1e-7 * sigma[0]:
         return np.zeros(3), 2
     if abs(x[3]) <= 1e-12 * np.linalg.norm(x[:3]):
@@ -348,43 +354,46 @@ def weighted_dlt_status(cameras, uvs, weights):
     return x[:3] / x[3], 0
 
 
-def reference_normal_matrices(uvn, pmats, weights, keep):
-    """The normal matrices AᵀA (...,4,4) of triangulate_batch's weighted
-    systems, one pair of rows per view, unused views zero rows."""
+def reference_dlt_rows(uvn, pmats, weights, keep):
+    """The rows A (...,M,2,4) of triangulate_batch's weighted systems,
+    one pair per view, unused views zero rows."""
     w = weights[..., None]
     p = pmats
     with np.errstate(over="ignore", invalid="ignore"):
         rows_u = w * (uvn[..., 0, None] * p[..., 2, :] - p[..., 0, :])
         rows_v = w * (uvn[..., 1, None] * p[..., 2, :] - p[..., 1, :])
-        a = np.where(keep[..., None, None],
-                     np.stack((rows_u, rows_v), axis=-2), 0.0)
-        a = a.reshape(a.shape[:-3] + (-1, 4))
+        return np.where(keep[..., None, None],
+                        np.stack((rows_u, rows_v), axis=-2), 0.0)
+
+
+def reference_normal_matrices(uvn, pmats, weights, keep):
+    """The normal matrices AᵀA (...,4,4) of triangulate_batch's weighted
+    systems, one pair of rows per view, unused views zero rows."""
+    a = reference_dlt_rows(uvn, pmats, weights, keep)
+    a = a.reshape(a.shape[:-3] + (-1, 4))
+    with np.errstate(over="ignore", invalid="ignore"):
         return np.matmul(a.swapaxes(-1, -2), a)
 
 
-def reference_triangulate_eigh(uvn, pmats, weights, keep):
-    """triangulate_batch as one stacked np.linalg.eigh of every normal
-    matrix, the kernel's solver before adjugate inverse iteration, with
-    the same status codes: 1 below two views, 2 when rank deficient
-    (λ1 <= 1e-14·λ3 on the eigenvalues of AᵀA) or non-finite, 3 when
-    the null vector's |x₄| <= 1e-12·‖x₁:₃‖. Returns (xyz, status), xyz
-    zero unless status is 0."""
-    m = reference_normal_matrices(uvn, pmats, weights, keep)
-    # eigh raises on a non-finite matrix, which a huge finite pixel can give
-    finite = np.isfinite(m).all(axis=(-2, -1))
-    m[~finite] = 0.0
-    lam, vec = np.linalg.eigh(m)
-    x = vec[..., :, 0]
-    n = np.sqrt(x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]
-                + x[..., 2] * x[..., 2])
-    status = np.where(np.abs(x[..., 3]) <= 1e-12 * n, 3, 0)
-    rank_deficient = (lam[..., 3] <= 0.0) | (lam[..., 1] <= 1e-14 * lam[..., 3])
-    status = np.where(rank_deficient | ~finite, 2, status)
-    status = np.where(keep.sum(axis=-1) < 2, 1, status)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xyz = np.where((status == 0)[..., None], x[..., :3] / x[..., 3, None],
-                       0.0)
-    return xyz, status
+def reference_triangulate_svd(uvn, pmats, weights, keep):
+    """triangulate_batch joint by joint, from one np.linalg.svd of each
+    joint's kept rows in slot order (reference_dlt_rows), with the
+    status codes of weighted_dlt_status; 2 also where AᵀA is not
+    finite. Returns (xyz, status), xyz zero unless status is 0."""
+    a = reference_dlt_rows(uvn, pmats, weights, keep)
+    finite = np.isfinite(reference_normal_matrices(uvn, pmats, weights, keep)
+                         ).all(axis=(-2, -1)).ravel()
+    shape = a.shape[:-3]
+    keep = np.broadcast_to(keep, a.shape[:-2]).reshape(-1, a.shape[-3])
+    a = a.reshape(keep.shape + (2, 4))
+    count = keep.sum(axis=1)
+    xyz = np.zeros((len(keep), 3))
+    status = np.where(count < 2, 1, 2)
+    for b in np.flatnonzero((count >= 2) & finite).tolist():
+        _, sigma, vt = np.linalg.svd(a[b][keep[b]].reshape(-1, 4),
+                                     full_matrices=False)
+        xyz[b], status[b] = _dlt_status(sigma, vt[-1])
+    return xyz.reshape(shape + (3,)), status.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -711,6 +720,56 @@ def count_identity_switches(pred_frames, gt_frames, schema):
                 switches += 1
             last[actor] = tid
     return switches
+
+
+# The staggered schedule: each actor leaves every camera for STAGGER_AWAY
+# frames of every STAGGER_PERIOD, actor a's absence starting 5a frames
+# before actor 0's, so some actor leaves or returns every 5 frames.
+STAGGER_PERIOD = 40
+STAGGER_AWAY = 10
+
+
+def staggered_away(frame, actor):
+    """Whether actor is away from every camera at frame."""
+    return (frame + 5 * actor) % STAGGER_PERIOD >= STAGGER_PERIOD - STAGGER_AWAY
+
+
+def staggered_scene(seed=1):
+    """An 8-actor, 5-camera, 300-frame clean scene on a 12 m ring whose
+    actors follow the staggered schedule: every pose of an actor who is
+    away, and its validity row, is dropped from the bundles. Returns
+    (scene, ground-truth frames of the actors present)."""
+    scene = synth.generate(synth.SceneConfig(
+        seed=seed, n_cameras=5, n_actors=8, n_frames=300, noise_px=1.0,
+        ring_radius=12.0, camera_height=6.0))
+    for bundle in scene.bundles:
+        for cam_id, poses in bundle.poses.items():
+            here = [p for p in range(len(poses)) if not staggered_away(
+                bundle.frame, scene.actor_of[(bundle.frame, cam_id, p)])]
+            bundle.poses[cam_id] = poses[here]
+            bundle.valid[cam_id] = bundle.valid[cam_id][here]
+    gt_frames = scene.ground_truth_frames()
+    for gt in gt_frames:
+        gt.actors = {a: j for a, j in gt.actors.items()
+                     if not staggered_away(gt.frame, a)}
+    return scene, gt_frames
+
+
+def count_id_moves(pred_frames, gt_frames, schema):
+    """Frames in which some track id is matched to another actor than
+    the one it was last matched to."""
+    preds = {f.frame: f for f in pred_frames}
+    owner = {}
+    moves = 0
+    for gtf in gt_frames:
+        pf = preds.get(gtf.frame)
+        if pf is None:
+            continue
+        matches = match_actors(pf.actors, gtf.actors, schema)
+        moves += any(owner.get(tid, actor) != actor
+                     for actor, tid in matches.items())
+        owner.update({tid: actor for actor, tid in matches.items()})
+    return moves
 
 
 def mean_triangulated_error(pred_frames, gt_frames, schema, flag_value=0):

@@ -35,7 +35,7 @@ from helpers import (
     random_ring_rig,
     reference_initialize,
     reference_tracked_filter,
-    reference_triangulate_eigh,
+    reference_triangulate_svd,
     run_tracker,
     slot_pair_affinities,
     weighted_dlt,
@@ -767,13 +767,13 @@ def test_returned_skeletons_never_change(clean_scene):
             assert sk.flags.tobytes() == ksk.flags.tobytes()
 
 
-def test_tracks_match_the_eigh_triangulation(monkeypatch, capsys):
+def test_tracks_match_the_per_joint_svd_triangulation(monkeypatch, capsys):
     """Criterion 7's clean scene and 100 frames of criterion 5's corrupted
     one, tracked with the kernel and again with triangulate_batch patched
-    to one stacked eigh. The clean scene certifies every joint, so eigh
-    never runs, and keeps every (frame, id) row and flag with joints
-    within 1e-12 m. The corrupted scene flips no T/P flag either; its
-    largest move within 100 m is printed."""
+    to the SVD of each joint's kept rows. The clean scene certifies every
+    joint, so the kernel makes no SVD call, and keeps every (frame, id)
+    row and flag with joints within 1e-12 m. The corrupted scene flips
+    no T/P flag either; its largest move within 100 m is printed."""
     clean = synth.generate(synth.SceneConfig(
         seed=19, n_cameras=5, n_actors=4, n_frames=600, noise_px=1.0))
     clean_cfg = TrackerConfig(affinity=preset("shelf"))
@@ -782,17 +782,17 @@ def test_tracks_match_the_eigh_triangulation(monkeypatch, capsys):
         affinity=AffinityConfig(alpha_2d=20.0, alpha_epi=15.0, tau=3,
                                 epsilon=3, lambda_a=3.0),
         part_aware=True, joints_filter=True, smoothing=False)
-    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
         clean_got, _ = run_tracker(clean, clean_cfg)
-    assert eigh.call_count == 0
+    assert svd.call_count == 0
     corrupted_got, _ = run_tracker(corrupted, corrupted_cfg, max_frames=100)
     monkeypatch.setattr(kernels, "triangulate_batch",
-                        reference_triangulate_eigh)
+                        reference_triangulate_svd)
     clean_diff = compare_tracks(clean_got, run_tracker(clean, clean_cfg)[0])
     corrupted_diff = compare_tracks(
         corrupted_got, run_tracker(corrupted, corrupted_cfg, max_frames=100)[0])
     with capsys.disabled():
-        print(f"\n[eigh reference] clean: largest move "
+        print(f"\n[per-joint SVD reference] clean: largest move "
               f"{clean_diff.max_move:.2e} m; corrupted: {corrupted_diff.flips}"
               f" flips, largest move {corrupted_diff.max_move_near:.2e} m "
               f"within 100 m ({corrupted_diff.max_move:.2e} m overall)")
@@ -936,7 +936,7 @@ def test_tracks_do_not_depend_on_camera_order(order_run):
 
 # The largest move of a T joint under a shifted world origin that holds
 # today, in metres: the normal matrices are formed in world coordinates,
-# so a far origin costs precision, and some joints go to the eigh
+# so a far origin costs precision, and some joints go to the SVD
 # fallback. A conditioned world frame must bring it to 1e-9·(1 + |x|).
 ORIGIN_TOLERANCE = {"steady": 1e-3, "bursty": 2e-2}
 
