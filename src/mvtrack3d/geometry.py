@@ -75,15 +75,6 @@ class CameraCalibration:
         p[:, 3] = -self.K @ self.R @ self.o
         return p
 
-    def conditioned_projection(self) -> np.ndarray:
-        """Projection matrix premultiplied so pixels land in [-1, 1]."""
-        t = np.array([
-            [2.0 / self.width, 0.0, -1.0],
-            [0.0, 2.0 / self.height, -1.0],
-            [0.0, 0.0, 1.0],
-        ])
-        return np.ascontiguousarray(t @ self.projection_matrix)
-
 
 def fundamental_matrix(cam_src: CameraCalibration, cam_dst: CameraCalibration) -> np.ndarray:
     """Matrix F with x_dst^T F x_src = 0 for corresponding pixels."""
@@ -108,8 +99,8 @@ class CameraRig:
 
     Exposes the stacked arrays the kernels consume: fundamental matrices
     between every ordered camera pair, each camera's 3x4 projection
-    matrix (p_table), inverted K*R and center, conditioned projection
-    matrices, and pixel scale factors.
+    matrix (p_table), which both projects and triangulates, and its
+    inverted K*R and center.
     """
 
     def __init__(self, cameras):
@@ -128,11 +119,6 @@ class CameraRig:
         self.origins = np.ascontiguousarray(np.stack([c.o for c in self.cameras]))
         self.p_table = np.stack([c.projection_matrix for c in self.cameras])
         self.krinv_table = np.stack([c.krinv for c in self.cameras])
-        self.pn_table = np.ascontiguousarray(
-            np.stack([c.conditioned_projection() for c in self.cameras])
-        )
-        self.su = np.array([2.0 / c.width for c in self.cameras])
-        self.sv = np.array([2.0 / c.height for c in self.cameras])
         fps = {c.fps for c in self.cameras}
         if len(fps) != 1:
             raise ValidationError("rig cameras must share one frame rate")

@@ -394,15 +394,16 @@ def _svd_null_vectors(a, keep, m):
     return x, status
 
 
-def triangulate_batch(uvn, pmats, weights, keep):
+def triangulate_batch(uv, pmats, weights, keep):
     """Weighted linear triangulation of a batch of points.
 
-    uvn (...,M,2) are pixels mapped into [-1,1] and keep (...,M) the
-    views to use, both of the batch's shape; pmats (...,M,3,4), the
-    matching conditioned projection matrices, and weights (...,M), the
-    per-view weights, broadcast against them. Each point's (2M,4)
-    system A, unused rows zero, is reduced to its normal matrix AᵀA
-    (4,4), and the eigenvector of its smallest eigenvalue is the
+    uv (...,M,2) are pixels as measured and keep (...,M) the views to
+    use, both of the batch's shape; pmats (...,M,3,4), the matching
+    projection matrices, and weights (...,M), the per-view weights,
+    broadcast against them. A view gives the rows w·(u·P₃ − P₁) and
+    w·(v·P₃ − P₂), so its u and v residuals weigh alike. Each point's
+    (2M,4) system A, unused rows zero, is reduced to its normal matrix
+    AᵀA (4,4), and the eigenvector of its smallest eigenvalue is the
     homogeneous point (Hartley & Zisserman, Multiple View Geometry,
     §12.2). Adjugate inverse iteration finds it for every point at once
     (see _smallest_eigenvectors); the points it cannot certify are
@@ -418,7 +419,7 @@ def triangulate_batch(uvn, pmats, weights, keep):
     with np.errstate(over="ignore", invalid="ignore"):
         # masked after the product: a dead slot may hold NaN or huge pixels
         a = np.where(keep[..., None, None], weights[..., None, None]
-                     * (uvn[..., None] * pmats[..., 2:3, :]
+                     * (uv[..., None] * pmats[..., 2:3, :]
                         - pmats[..., :2, :]), 0.0)
         shape = a.shape[:-3]
         a = a.reshape((-1, 2 * a.shape[-3], 4))
@@ -435,14 +436,15 @@ def triangulate_batch(uvn, pmats, weights, keep):
 
 
 def reconstruct_joints(obs_uv, obs_valid, weights, pred, f_table, origins,
-                       krinv_table, pn_table, su, sv, alpha_epi, use_filter):
+                       krinv_table, p_table, alpha_epi, use_filter):
     """Filtered triangulation of every joint of a batch of tracks.
 
     obs_uv (T,N,C,2) holds the matched pose of each track in each camera,
     obs_valid (T,N,C) marks usable joints (absent cameras all False),
     weights (T,C) the per-camera staleness weights and pred (T,N,3) the
-    predicted joints. Joints with fewer than two surviving views fall
-    back to the prediction. Returns (joints (T,N,3), flags (T,N)).
+    predicted joints, and p_table (C,3,4) holds the cameras' projection
+    matrices. Joints with fewer than two surviving views fall back to
+    the prediction. Returns (joints (T,N,3), flags (T,N)).
     """
     t_count, n_joints, n_cams = obs_valid.shape
     uv = obs_uv.reshape(-1, n_cams, 2)
@@ -451,9 +453,8 @@ def reconstruct_joints(obs_uv, obs_valid, weights, pred, f_table, origins,
         keep = filter_tracked_batch(uv, keep, np.arange(n_cams), f_table,
                                     alpha_epi, pred.reshape(-1, 3), origins,
                                     krinv_table)
-    uvn = np.stack((uv[..., 0] * su - 1.0, uv[..., 1] * sv - 1.0), axis=-1)
     w = np.repeat(weights, n_joints, axis=0)
-    xyz, status = triangulate_batch(uvn, pn_table, w, keep)
+    xyz, status = triangulate_batch(uv, p_table, w, keep)
     ok = (status == 0).reshape(t_count, n_joints)
     joints = np.where(ok[..., None], xyz.reshape(t_count, n_joints, 3), pred)
     flags = np.where(ok, FLAG_TRIANGULATED, FLAG_PREDICTED).astype(np.uint8)

@@ -320,8 +320,8 @@ class PoseTracker:
             weights[recent] = np.exp(-cfg.affinity.lambda_a * ages)
         rebuilt, rebuilt_flags = kernels.reconstruct_joints(
             table.view_uv[rows], obs_valid, weights, joints[rows],
-            rig.f_table, rig.origins, rig.krinv_table, rig.pn_table,
-            rig.su, rig.sv, cfg.affinity.alpha_epi, cfg.joints_filter,
+            rig.f_table, rig.origins, rig.krinv_table, rig.p_table,
+            cfg.affinity.alpha_epi, cfg.joints_filter,
         )
         joints[rows] = table.advance(rows, t, rebuilt, rebuilt_flags,
                                      cfg.smooth_sigma, rig.fps)
@@ -425,9 +425,7 @@ class PoseTracker:
             keep = kernels.filter_init_mask(
                 pair_e.reshape(-1, first.size), keep.reshape(-1, len(cams))
             ).reshape(keep.shape)
-        uvn = np.stack((seed_uv[..., 0] * rig.su[cams] - 1.0,
-                        seed_uv[..., 1] * rig.sv[cams] - 1.0), axis=-1)
-        xyz, status = kernels.triangulate_batch(uvn, rig.pn_table[cams],
+        xyz, status = kernels.triangulate_batch(seed_uv, rig.p_table[cams],
                                                 np.ones(len(cams)), keep)
         ok = status == 0
         born = np.flatnonzero(ok.any(axis=1))

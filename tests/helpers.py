@@ -164,9 +164,8 @@ def triangulate(pixels, cameras, weights=None):
     uv = np.ascontiguousarray(pixels, dtype=np.float64).reshape(-1, 2)
     m = len(cameras)
     w = np.ones(m) if weights is None else np.asarray(weights, np.float64)
-    uvn = uv * [[2.0 / c.width, 2.0 / c.height] for c in cameras] - 1.0
-    pmats = np.stack([c.conditioned_projection() for c in cameras])
-    xyz, status = kernels.triangulate_batch(uvn[None], pmats[None], w[None],
+    pmats = np.stack([c.projection_matrix for c in cameras])
+    xyz, status = kernels.triangulate_batch(uv[None], pmats[None], w[None],
                                             np.ones((1, m), np.bool_))
     if status[0] != 0:
         raise ValueError(f"triangulation status {status[0]}")
@@ -310,24 +309,19 @@ def reference_pose_score(camera, skel_joints, skel_valid, dt, pose_uv,
 
 
 def _dlt_rows(cameras, uvs, weights):
-    """The conditioned (2M,4) homogeneous system of M weighted views."""
+    """The (2M,4) homogeneous system of M weighted views, from the pixels
+    as measured: w·(u·P₃ − P₁) and w·(v·P₃ − P₂) per view."""
     rows = []
     for cam, uv, w in zip(cameras, uvs, weights):
-        cond = np.array([
-            [2.0 / cam.width, 0.0, -1.0],
-            [0.0, 2.0 / cam.height, -1.0],
-            [0.0, 0.0, 1.0],
-        ])
-        pn = cond @ cam.projection_matrix
-        un = uv[0] * (2.0 / cam.width) - 1.0
-        vn = uv[1] * (2.0 / cam.height) - 1.0
-        rows.append(w * (un * pn[2] - pn[0]))
-        rows.append(w * (vn * pn[2] - pn[1]))
+        p = cam.projection_matrix
+        rows.append(w * (uv[0] * p[2] - p[0]))
+        rows.append(w * (uv[1] * p[2] - p[1]))
     return np.stack(rows)
 
 
 def weighted_dlt(cameras, uvs, weights):
-    """Independent conditioned homogeneous least-squares triangulation."""
+    """Independent homogeneous least-squares triangulation from the pixels
+    as measured."""
     _, _, vt = np.linalg.svd(_dlt_rows(cameras, uvs, weights))
     x = vt[-1]
     return x[:3] / x[3]
@@ -354,34 +348,34 @@ def _dlt_status(sigma, x):
     return x[:3] / x[3], 0
 
 
-def reference_dlt_rows(uvn, pmats, weights, keep):
+def reference_dlt_rows(uv, pmats, weights, keep):
     """The rows A (...,M,2,4) of triangulate_batch's weighted systems,
     one pair per view, unused views zero rows."""
     w = weights[..., None]
     p = pmats
     with np.errstate(over="ignore", invalid="ignore"):
-        rows_u = w * (uvn[..., 0, None] * p[..., 2, :] - p[..., 0, :])
-        rows_v = w * (uvn[..., 1, None] * p[..., 2, :] - p[..., 1, :])
+        rows_u = w * (uv[..., 0, None] * p[..., 2, :] - p[..., 0, :])
+        rows_v = w * (uv[..., 1, None] * p[..., 2, :] - p[..., 1, :])
         return np.where(keep[..., None, None],
                         np.stack((rows_u, rows_v), axis=-2), 0.0)
 
 
-def reference_normal_matrices(uvn, pmats, weights, keep):
+def reference_normal_matrices(uv, pmats, weights, keep):
     """The normal matrices AᵀA (...,4,4) of triangulate_batch's weighted
     systems, one pair of rows per view, unused views zero rows."""
-    a = reference_dlt_rows(uvn, pmats, weights, keep)
+    a = reference_dlt_rows(uv, pmats, weights, keep)
     a = a.reshape(a.shape[:-3] + (-1, 4))
     with np.errstate(over="ignore", invalid="ignore"):
         return np.matmul(a.swapaxes(-1, -2), a)
 
 
-def reference_triangulate_svd(uvn, pmats, weights, keep):
+def reference_triangulate_svd(uv, pmats, weights, keep):
     """triangulate_batch joint by joint, from one np.linalg.svd of each
     joint's kept rows in slot order (reference_dlt_rows), with the
     status codes of weighted_dlt_status; 2 also where AᵀA is not
     finite. Returns (xyz, status), xyz zero unless status is 0."""
-    a = reference_dlt_rows(uvn, pmats, weights, keep)
-    finite = np.isfinite(reference_normal_matrices(uvn, pmats, weights, keep)
+    a = reference_dlt_rows(uv, pmats, weights, keep)
+    finite = np.isfinite(reference_normal_matrices(uv, pmats, weights, keep)
                          ).all(axis=(-2, -1)).ravel()
     shape = a.shape[:-3]
     keep = np.broadcast_to(keep, a.shape[:-2]).reshape(-1, a.shape[-3])
@@ -1187,10 +1181,8 @@ def _reference_seed(tracker, uv, valid, cam_idx, t):
     if cfg.joints_filter:
         keep = reference_filter_init_mask(uv, keep, cam_idx, rig.f_table,
                                           cfg.affinity.alpha_epi)
-    uvn = np.stack((uv[..., 0] * rig.su[cam_idx] - 1.0,
-                    uv[..., 1] * rig.sv[cam_idx] - 1.0), axis=-1)
     xyz, status = kernels.triangulate_batch(
-        uvn, rig.pn_table[cam_idx], np.ones(len(cam_idx)), keep)
+        uv, rig.p_table[cam_idx], np.ones(len(cam_idx)), keep)
     tri = status == 0
     if not tri.any():
         return None

@@ -33,18 +33,17 @@ def test_criterion_1_roundtrip_and_exact_triangulation(capsys):
         pts = helpers.points_near_origin(rng, 3)[:, None]   # (3, 1, 3)
         origins = np.stack([c.o for c in cams])
         # (3 points, M cameras) pixels, rays and distances
-        uv, depth = kernels.project_points(
-            pts, np.stack([c.projection_matrix for c in cams]))
+        pmats = np.stack([c.projection_matrix for c in cams])
+        uv, depth = kernels.project_points(pts, pmats)
         direction = kernels.back_project_dir(
             uv[..., 0], uv[..., 1], np.stack([c.krinv for c in cams]))
         worst_rt = max(worst_rt, float(kernels.point_ray_distance(
             pts, origins, direction).max()))
-        # pixels conditioned as conditioned_projection conditions them
-        scale = np.array([[2.0 / c.width, 2.0 / c.height] for c in cams])
-        pmats = np.stack([c.conditioned_projection() for c in cams])
-        # a point whose status is not 0 comes back as 0 and fails the bound
+        # the projected pixels as measured, with the same projection
+        # matrices; a point whose status is not 0 comes back as 0 and
+        # fails the bound
         xyz, _ = kernels.triangulate_batch(
-            uv * scale - 1.0, pmats, np.ones(len(cams)),
+            uv, pmats, np.ones(len(cams)),
             np.ones(depth.shape, np.bool_))
         worst_tri = max(worst_tri, float(np.linalg.norm(
             xyz - pts[:, 0], axis=1).max()))

@@ -295,13 +295,11 @@ def test_dead_slots_change_no_bit_of_init_filter_or_triangulation(
     for junk in (np.nan, 1e300, -1e300):
         assert kernels.filter_init_mask(np.where(dead, junk, pair_e),
                                         alive).tolist() == spread.tolist()
-    uvn = np.stack((uv[..., 0] * rig.su - 1.0, uv[..., 1] * rig.sv - 1.0),
-                   axis=-1)
     for keep in (alive, spread):
-        xyz, status = kernels.triangulate_batch(uvn, rig.pn_table,
+        xyz, status = kernels.triangulate_batch(uv, rig.p_table,
                                                 np.ones(n_cams), keep)
         want_xyz, want_status = kernels.triangulate_batch(
-            uvn[:, members], rig.pn_table[members], np.ones(len(members)),
+            uv[:, members], rig.p_table[members], np.ones(len(members)),
             keep[:, members])
         assert_same_bits(xyz, want_xyz)
         assert status.tolist() == want_status.tolist()
@@ -422,12 +420,9 @@ def test_smoothing_matches_scalar_reference(seed, n_hist, n_joints, sigma, fps):
         assert_same_bits(got[k], reference_smooth(t_k, j_k, sigma, fps, 0.0))
 
 
-def _conditioned(cams, uv):
-    """Pixels (M,2) mapped into [-1,1] and the cameras' conditioned
-    projection matrices (M,3,4), the kernel's inputs."""
-    size = np.array([[c.width, c.height] for c in cams], dtype=np.float64)
-    return uv * (2.0 / size) - 1.0, np.stack([c.conditioned_projection()
-                                             for c in cams])
+def _projections(cams):
+    """The cameras' projection matrices (M,3,4), the kernel's pmats."""
+    return np.stack([c.projection_matrix for c in cams])
 
 
 def _project_direction(cam, d):
@@ -439,9 +434,10 @@ def _project_direction(cam, d):
 @given(seed=SEEDS, n_views=st.integers(2, 5), noise=st.floats(0.0, 5.0),
        outlier=st.floats(0.0, 200.0),
        case=st.sampled_from(("point", "twins", "infinity")))
-# the certificate rejects this point, whose AᵀA has its two smallest
-# eigenvalues at 1.4e-10 and 3.9e-10: solved from AᵀA, it was 4.62e-6
-# off, against a bound of 4.29e-6
+# the certificate rejects this point, whose AᵀA at unit trace has its two
+# smallest eigenvalues at 1.9e-10 and 3.2e-10; at 0f1bfe4, from pixels
+# mapped into [-1,1] and solved from AᵀA, it was 4.62e-6 off, against a
+# bound of 4.29e-6
 @example(seed=18885, n_views=2, noise=0.0, outlier=157.0, case="point")
 def test_triangulation_matches_svd_reference(seed, n_views, noise, outlier,
                                              case):
@@ -478,8 +474,8 @@ def test_triangulation_matches_svd_reference(seed, n_views, noise, outlier,
             uv[rng.integers(n_views)] += outlier * np.array([np.cos(ang),
                                                              np.sin(ang)])
             keep = rng.random(n_views) >= 0.2
-    uvn, pmats = _conditioned(cams, uv)
-    xyz, status = kernels.triangulate_batch(uvn[None], pmats[None],
+    pmats = _projections(cams)
+    xyz, status = kernels.triangulate_batch(uv[None], pmats[None],
                                             weights[None], keep[None])
     want_xyz, want_status = weighted_dlt_status(
         [c for c, k in zip(cams, keep) if k], uv[keep], weights[keep])
@@ -499,8 +495,8 @@ def test_triangulation_flags_non_finite_systems_rank_deficient(rng):
     cams = random_ring_rig(rng, n_cams=3)
     p = points_near_origin(rng, 1)[0]
     uv = np.stack([project(p, c) for c in cams])
-    uvn, pmats = _conditioned(cams, uv)
-    batch = np.repeat(uvn[None], 4, axis=0)
+    pmats = _projections(cams)
+    batch = np.repeat(uv[None], 4, axis=0)
     batch[1, 0, 0] = np.nan
     batch[2, 1, 1] = 1e200
     batch[3, 2, 0] = -1e300
@@ -518,7 +514,7 @@ MAX_VIEWS = 5
 
 def triangulation_case(rng, case):
     """One joint's triangulate_batch inputs in MAX_VIEWS slots, the
-    unused slots dead and holding NaN pixels: (uvn, pmats, weights, keep).
+    unused slots dead and holding NaN pixels: (uv, pmats, weights, keep).
 
     exact: 3-5 exact views of a point at weight 1 (two views of a ring
     can face each other across the point); point: 2-5 noisy views,
@@ -568,9 +564,9 @@ def triangulation_case(rng, case):
             keep[:] = True
             uv[rng.integers(n), rng.integers(2)] = rng.choice(
                 [np.nan, 1e300, -1e300])
-    uvn, pmats = _conditioned(cams, uv)
+    pmats = _projections(cams)
     pad = MAX_VIEWS - n
-    return (np.concatenate((uvn, np.full((pad, 2), np.nan))),
+    return (np.concatenate((uv, np.full((pad, 2), np.nan))),
             np.concatenate((pmats, np.repeat(pmats[:1], pad, axis=0))),
             np.concatenate((weights, np.ones(pad))),
             np.concatenate((keep, np.zeros(pad, np.bool_))))

@@ -934,28 +934,63 @@ def test_tracks_do_not_depend_on_camera_order(order_run):
     assert_same_tracks(run_tracker(reversed_rig, cfg)[0], frames, same)
 
 
-# The largest move of a T joint under a shifted world origin that holds
+def test_tracks_do_not_depend_on_the_image_size():
+    # each camera's width and height swap while the detections, and so
+    # the joints judged valid, stay as they are: the DLT weighs u and v
+    # residuals alike and never reads the image size, so every row of
+    # the tracks keeps its bits
+    scene = synth.generate(synth.SceneConfig(
+        seed=1, n_cameras=4, n_actors=3, n_frames=40, noise_px=1.0))
+    assert any(c.width != c.height for c in scene.cameras)
+    cfg = TrackerConfig(affinity=preset("shelf"))
+    swapped = copy.copy(scene)
+    swapped.cameras = [dataclasses.replace(cam, width=cam.height,
+                                           height=cam.width)
+                       for cam in scene.cameras]
+    frames = run_tracker(scene, cfg)[0]
+    for frame, ref in zip(run_tracker(swapped, cfg)[0], frames, strict=True):
+        assert frame.actors.keys() == ref.actors.keys()
+        for tid, joints in frame.actors.items():
+            assert joints.tobytes() == ref.actors[tid].tobytes()
+            assert np.array_equal(frame.flags[tid], ref.flags[tid])
+
+
+# The largest move of a T joint under a moved world frame that holds
 # today, in metres: the normal matrices are formed in world coordinates,
 # so a far origin costs precision, and some joints go to the SVD
 # fallback. A conditioned world frame must bring it to 1e-9·(1 + |x|).
 ORIGIN_TOLERANCE = {"steady": 1e-3, "bursty": 2e-2}
 
 
-@pytest.mark.parametrize("shift", [(10.0, 0.0, 0.0), (100.0, -50.0, 3.0)])
-def test_tracks_move_with_the_world_origin(order_run, shift, request):
-    # every camera centre moves by one vector: ids and flags match, and
-    # every T joint moves by that vector. P joints are not compared:
-    # bursty coasts some of them millions of metres off.
+def _rotation(angle, axis):
+    """The rotation by angle (rad) about axis (3,), by Rodrigues' formula."""
+    k = np.asarray(axis, np.float64) / np.linalg.norm(axis)
+    kx = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]],
+                   [-k[1], k[0], 0.0]])
+    return np.eye(3) + np.sin(angle) * kx + (1.0 - np.cos(angle)) * kx @ kx
+
+
+@pytest.mark.parametrize("shift, turn", [
+    ((10.0, 0.0, 0.0), 0.0), ((100.0, -50.0, 3.0), 0.0),
+    ((100.0, -50.0, 3.0), 1.1), ((0.0, 0.0, 0.0), 1.1),
+], ids=["shift0", "shift1", "turn_shift", "turn"])
+def test_tracks_move_with_the_world_origin(order_run, shift, turn, request):
+    # the world turns by turn rad about (1, 2, 3) and then moves by shift,
+    # X -> Q X + shift, and every camera with it (R -> R Qᵀ, o -> Q o +
+    # shift): ids and flags match, and every T joint moves as the world
+    # did. P joints are not compared: bursty coasts some of them millions
+    # of metres off.
     scene, cfg, frames = order_run
     bound = ORIGIN_TOLERANCE[request.node.callspec.params["order_run"]]
-    shift = np.array(shift)
+    q, shift = _rotation(turn, (1.0, 2.0, 3.0)), np.array(shift)
     moved = copy.copy(scene)
-    moved.cameras = [dataclasses.replace(cam, o=cam.o + shift)
+    moved.cameras = [dataclasses.replace(cam, R=cam.R @ q.T,
+                                         o=q @ cam.o + shift)
                      for cam in scene.cameras]
     for frame, ref in zip(run_tracker(moved, cfg)[0], frames, strict=True):
         assert frame.actors.keys() == ref.actors.keys()
         for tid, joints in frame.actors.items():
             assert np.array_equal(frame.flags[tid], ref.flags[tid])
             seen = ref.flags[tid] == JointFlag.TRIANGULATED
-            moved_by = np.abs(joints - (ref.actors[tid] + shift))[seen]
+            moved_by = np.abs(joints - (ref.actors[tid] @ q.T + shift))[seen]
             assert moved_by.max(initial=0.0) <= bound, (frame.frame, tid)
